@@ -18,8 +18,10 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import boxes_to_array, iou_matrix
-from .similarity import DatasetNormalizers, ps_matrix
+# ps_matrix and iou_matrix are no longer called here, but they stay
+# importable from this module: perfbench/child.py wraps them by this path.
+from .geometry import boxes_to_array, iou_matrix, iou_rows, row_blocks  # noqa: F401
+from .similarity import DatasetNormalizers, ps_matrix, ps_rows  # noqa: F401
 
 __all__ = [
     "POSITIVE",
@@ -111,7 +113,8 @@ class AssignResult:
         object.__setattr__(self, "best_score", best_score)
         if not (labels.shape == gt_index.shape == best_score.shape) or labels.ndim != 1:
             raise ValueError("labels, gt_index, and best_score must be 1-d and equal length")
-        if not np.all(np.isin(labels, (POSITIVE, NEGATIVE, IGNORE))):
+        # The codes are exactly the integers IGNORE..POSITIVE (-1..1).
+        if labels.size and (labels.min() < IGNORE or labels.max() > POSITIVE):
             raise ValueError("labels must contain only POSITIVE/NEGATIVE/IGNORE codes")
         positive = labels == POSITIVE
         if np.any(gt_index[positive] < 0) or np.any(gt_index[~positive] != -1):
@@ -131,6 +134,54 @@ class AssignResult:
         return np.bincount(matched, minlength=num_gts) if num_gts else np.zeros(0, dtype=np.int64)
 
 
+def _assign_rows(blocks, num_gts: int, num_anchors: int, thr: AssignThresholds) -> AssignResult:
+    """The streaming pass behind assign and assign_with_metric.
+
+    Consumes (rows, block) score blocks that cover the gt rows in order,
+    keeping a running per-anchor best score and best gt (a strict > keeps
+    the lowest gt index on ties) and each gt's best anchor (argmax keeps
+    the lowest anchor index on ties). Working memory is O(num_anchors)
+    beyond the blocks themselves.
+
+    Raises:
+        ValueError: If a block holds a non-finite score.
+    """
+    if num_gts == 0 or num_anchors == 0:
+        return AssignResult(
+            labels=np.full(num_anchors, NEGATIVE, dtype=np.int8),
+            gt_index=np.full(num_anchors, -1, dtype=np.int64),
+            best_score=np.zeros(num_anchors, dtype=np.float64),
+        )
+
+    best_score = np.full(num_anchors, -np.inf)
+    best_gt = np.zeros(num_anchors, dtype=np.int64)
+    better = np.empty(num_anchors, dtype=bool)
+    gt_best_anchor = np.empty(num_gts, dtype=np.int64)
+    gt_best_score = np.empty(num_gts, dtype=np.float64)
+    for rows, block in blocks:
+        if not np.isfinite(block).all():
+            raise ValueError("score matrix contains non-finite values")
+        for g, row in zip(range(rows.start, rows.stop), block):
+            np.greater(row, best_score, out=better)
+            np.copyto(best_score, row, where=better)
+            np.copyto(best_gt, g, where=better)
+        row_best = block.argmax(axis=1)
+        gt_best_anchor[rows] = row_best
+        gt_best_score[rows] = block[np.arange(block.shape[0]), row_best]
+
+    labels = np.full(num_anchors, IGNORE, dtype=np.int8)
+    labels[best_score < thr.neg_thr] = NEGATIVE
+    positive = best_score >= thr.pos_thr
+    labels[positive] = POSITIVE
+    gt_index = np.where(positive, best_gt, -1)
+    for g in np.flatnonzero(gt_best_score >= thr.min_pos_thr):
+        anchor = gt_best_anchor[g]
+        labels[anchor] = POSITIVE
+        gt_index[anchor] = g
+
+    return AssignResult(labels=labels, gt_index=gt_index, best_score=best_score)
+
+
 def assign(score, thr: AssignThresholds = AssignThresholds()) -> AssignResult:
     """Label anchors from a score matrix.
 
@@ -144,7 +195,8 @@ def assign(score, thr: AssignThresholds = AssignThresholds()) -> AssignResult:
          becomes positive for it when that score >= min_pos_thr, overriding
          the band label. A later ground truth overrides an earlier one when
          both claim the same anchor.
-    Every argmax tie breaks toward the lowest index.
+    Every argmax tie breaks toward the lowest index. The matrix rows are
+    streamed through the same pass assign_with_metric uses.
 
     Args:
         score: Finite matrix of shape (num_gts, num_anchors).
@@ -156,37 +208,9 @@ def assign(score, thr: AssignThresholds = AssignThresholds()) -> AssignResult:
     score = np.asarray(score, dtype=np.float64)
     if score.ndim != 2:
         raise ValueError(f"score must be 2-d (gts x anchors), got shape {score.shape}")
-    if not np.all(np.isfinite(score)):
-        raise ValueError("score matrix contains non-finite values")
     num_gts, num_anchors = score.shape
-
-    if num_gts == 0:
-        return AssignResult(
-            labels=np.full(num_anchors, NEGATIVE, dtype=np.int8),
-            gt_index=np.full(num_anchors, -1, dtype=np.int64),
-            best_score=np.zeros(num_anchors, dtype=np.float64),
-        )
-
-    best_score = score.max(axis=0)
-    best_gt = score.argmax(axis=0)
-
-    labels = np.full(num_anchors, IGNORE, dtype=np.int8)
-    gt_index = np.full(num_anchors, -1, dtype=np.int64)
-    labels[best_score < thr.neg_thr] = NEGATIVE
-    positive = best_score >= thr.pos_thr
-    labels[positive] = POSITIVE
-    gt_index[positive] = best_gt[positive]
-
-    if num_anchors:
-        gt_best_anchor = score.argmax(axis=1)
-        gt_best_score = score[np.arange(num_gts), gt_best_anchor]
-        for g in range(num_gts):
-            if gt_best_score[g] >= thr.min_pos_thr:
-                anchor = gt_best_anchor[g]
-                labels[anchor] = POSITIVE
-                gt_index[anchor] = g
-
-    return AssignResult(labels=labels, gt_index=gt_index, best_score=best_score)
+    blocks = ((rows, score[rows]) for rows in row_blocks(num_gts, num_anchors))
+    return _assign_rows(blocks, num_gts, num_anchors, thr)
 
 
 def assign_with_metric(
@@ -196,7 +220,12 @@ def assign_with_metric(
     thr: AssignThresholds = AssignThresholds(),
     metric: Metric | str = Metric.PS,
 ) -> AssignResult:
-    """Score the anchors with the chosen metric, then assign.
+    """Score the anchors with the chosen metric and assign in one pass.
+
+    Scores are computed one gt row block at a time and folded straight
+    into the assignment, so the full score matrix never exists; the
+    result is bit-identical to assign(ps_matrix(...)) or
+    assign(iou_matrix(...)).
 
     Args:
         gts: Ground-truth boxes.
@@ -207,13 +236,12 @@ def assign_with_metric(
         metric: Metric.PS or Metric.IOU (or their string values).
     """
     metric = Metric(metric)
-    if metric is Metric.PS:
-        if norm is None:
-            raise ValueError("the PS metric requires dataset normalizers")
-        score = ps_matrix(gts, anchors, norm)
-    else:
-        score = iou_matrix(gts, anchors)
-    return assign(score, thr)
+    if metric is Metric.PS and norm is None:
+        raise ValueError("the PS metric requires dataset normalizers")
+    g = boxes_to_array(gts)
+    a = boxes_to_array(anchors)
+    blocks = ps_rows(g, a, norm) if metric is Metric.PS else iou_rows(g, a)
+    return _assign_rows(blocks, g.shape[0], a.shape[0], thr)
 
 
 @dataclass(frozen=True)

@@ -449,7 +449,13 @@ def cmd_contrast_demo(cfg: ContrastDemoConfig) -> int:
 
 
 def cmd_bench(cfg: BenchConfig) -> int:
-    """Time ps_matrix + assign on a synthetic workload."""
+    """Time scoring plus assignment on a synthetic workload, both ways.
+
+    Each repeat times ps_matrix + assign (the dense matrix path) and
+    assign_with_metric (the streamed path the assign command runs);
+    pairs_per_s is for the streamed path. Outputs must be identical
+    across repeats, and the two paths must agree bit for bit.
+    """
     rng = np.random.default_rng(cfg.seed)
 
     def random_boxes(count: int, low: float, high: float) -> np.ndarray:
@@ -469,24 +475,38 @@ def cmd_bench(cfg: BenchConfig) -> int:
     thr = AssignThresholds()
     pairs = cfg.anchors_n * cfg.gts_n
 
-    print(f"{'run':>3}  {'ps_matrix_s':>11}  {'assign_s':>9}  {'total_s':>9}  {'pairs_per_s':>12}")
+    def digest(result: AssignResult) -> tuple[bytes, bytes, bytes]:
+        return result.labels.tobytes(), result.gt_index.tobytes(), result.best_score.tobytes()
+
+    print(
+        f"{'run':>3}  {'ps_matrix_s':>11}  {'assign_s':>9}  {'total_s':>9}  "
+        f"{'streamed_s':>10}  {'pairs_per_s':>12}"
+    )
     digests = []
     for run in range(cfg.repeats):
         t0 = time.perf_counter()
         score = ps_matrix(gts, anchors, norm)
         t1 = time.perf_counter()
-        result = assign(score, thr)
+        dense = assign(score, thr)
         t2 = time.perf_counter()
-        total = t2 - t0
-        rate = pairs / total if total > 0 else float("inf")
-        print(f"{run:>3}  {t1 - t0:>11.4f}  {t2 - t1:>9.4f}  {total:>9.4f}  {rate:>12.3e}")
-        digests.append(
-            (result.labels.tobytes(), result.gt_index.tobytes(), result.best_score.tobytes())
+        del score
+        t3 = time.perf_counter()
+        streamed = assign_with_metric(gts, anchors, norm, thr, Metric.PS)
+        t4 = time.perf_counter()
+        rate = pairs / (t4 - t3) if t4 > t3 else float("inf")
+        print(
+            f"{run:>3}  {t1 - t0:>11.4f}  {t2 - t1:>9.4f}  {t2 - t0:>9.4f}  "
+            f"{t4 - t3:>10.4f}  {rate:>12.3e}"
         )
+        digests.append((digest(dense), digest(streamed)))
     if any(d != digests[0] for d in digests[1:]):
         print("assignment outputs differed between repeats", file=sys.stderr)
         return EXIT_VERIFY
     print(f"outputs identical across {cfg.repeats} run(s)")
+    if digests[0][0] != digests[0][1]:
+        print("streamed and matrix assignments differ", file=sys.stderr)
+        return EXIT_VERIFY
+    print("streamed and matrix assignments agree bit for bit")
     return EXIT_OK
 
 

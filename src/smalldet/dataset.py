@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,6 +89,24 @@ def _require(record: dict, field: str, where: str):
     return record[field]
 
 
+def _as_int(value, field: str, where: str) -> int:
+    """A JSON integer, or a float with no fractional part; never truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise DatasetError(f"{where} field {field!r} must be an integer, got {value!r}")
+
+
+def _as_finite(value, field: str, where: str) -> float:
+    """A finite JSON number as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(value)
+        if math.isfinite(number):
+            return number
+    raise DatasetError(f"{where} field {field!r} must be a finite number, got {value!r}")
+
+
 def load_coco(path) -> DatasetIndex:
     """Parse a COCO-style annotation file into a DatasetIndex.
 
@@ -99,8 +118,10 @@ def load_coco(path) -> DatasetIndex:
 
     Raises:
         DatasetError: Unreadable file, malformed JSON, missing fields,
-            duplicate image ids, or an annotation referencing an unknown
-            image id; the message names the file and offending record.
+            a non-integer id, a non-finite or non-numeric dimension or
+            bbox value, duplicate image ids, or an annotation referencing
+            an unknown image id; the message names the file and offending
+            record.
     """
     path = Path(path)
     try:
@@ -123,11 +144,11 @@ def load_coco(path) -> DatasetIndex:
         where = f"{path} images[{pos}]"
         if not isinstance(record, dict):
             raise DatasetError(f"{where} is not an object")
-        image_id = int(_require(record, "id", where))
+        image_id = _as_int(_require(record, "id", where), "id", where)
         if image_id in row_of_id:
             raise DatasetError(f"{where} repeats image id {image_id}")
-        width = float(_require(record, "width", where))
-        height = float(_require(record, "height", where))
+        width = _as_finite(_require(record, "width", where), "width", where)
+        height = _as_finite(_require(record, "height", where), "height", where)
         if width <= 0 or height <= 0:
             raise DatasetError(f"{where} has non-positive dimensions {width}x{height}")
         row_of_id[image_id] = len(images)
@@ -139,13 +160,13 @@ def load_coco(path) -> DatasetIndex:
         where = f"{path} annotations[{pos}]"
         if not isinstance(record, dict):
             raise DatasetError(f"{where} is not an object")
-        image_id = int(_require(record, "image_id", where))
+        image_id = _as_int(_require(record, "image_id", where), "image_id", where)
         if image_id not in row_of_id:
             raise DatasetError(f"{where} references unknown image id {image_id}")
         bbox = _require(record, "bbox", where)
         if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
             raise DatasetError(f"{where} bbox must be [x, y, w, h], got {bbox!r}")
-        x, y, w, h = (float(v) for v in bbox)
+        x, y, w, h = (_as_finite(v, "bbox", where) for v in bbox)
         if w <= 0 or h <= 0:
             dropped += 1
             continue
@@ -156,7 +177,7 @@ def load_coco(path) -> DatasetIndex:
         gts[row_of_id[image_id]].append(
             GroundTruth(
                 box=box,
-                category_id=int(record.get("category_id", 0)),
+                category_id=_as_int(record.get("category_id", 0), "category_id", where),
                 iscrowd=bool(record.get("iscrowd", 0)),
                 area=box.area,
             )

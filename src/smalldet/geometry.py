@@ -21,6 +21,8 @@ __all__ = [
     "boxes_to_array",
     "iou",
     "iou_matrix",
+    "iou_rows",
+    "row_blocks",
     "generate_anchors",
 ]
 
@@ -108,6 +110,70 @@ def boxes_to_array(boxes) -> np.ndarray:
     return arr
 
 
+# A row block holds at most this many (row, column) pairs, so its float64
+# temporaries (512 KiB each) stay in cache. A row longer than this is
+# still one block: working memory is O(columns), never O(rows x columns).
+_BLOCK_PAIRS = 1 << 16
+
+
+def row_blocks(num_rows: int, num_cols: int):
+    """Yield consecutive row slices that cover range(num_rows) in order.
+
+    Each slice holds at least one row and at most max(1, _BLOCK_PAIRS //
+    num_cols) rows. The pairwise kernels score one such block at a time.
+    """
+    step = max(1, _BLOCK_PAIRS // max(num_cols, 1))
+    for start in range(0, num_rows, step):
+        yield slice(start, min(start + step, num_rows))
+
+
+def _corner_table(arr: np.ndarray) -> np.ndarray:
+    """Rows x1, y1, x2, y2, area of (N, 4) center-form boxes, shape (5, N)."""
+    table = np.empty((5, arr.shape[0]), dtype=np.float64)
+    x1, y1, x2, y2, area = table
+    half_w = arr[:, 2] / 2.0
+    half_h = arr[:, 3] / 2.0
+    np.subtract(arr[:, 0], half_w, out=x1)
+    np.subtract(arr[:, 1], half_h, out=y1)
+    np.add(arr[:, 0], half_w, out=x2)
+    np.add(arr[:, 1], half_h, out=y2)
+    # Areas from the same corner differences the intersection uses, so an
+    # identical pair yields inter == area exactly and the ratio is 1.0.
+    np.multiply(x2 - x1, y2 - y1, out=area)
+    return table
+
+
+def iou_rows(a: np.ndarray, b: np.ndarray, out=None):
+    """Yield (rows, block) pairs of the IoU matrix, one row block at a time.
+
+    Corners and areas are computed once per call; each block then costs a
+    few temporaries of its own size. Blocks follow row_blocks order.
+
+    Args:
+        a: Validated (N, 4) float64 array, as from boxes_to_array (rows).
+        b: Validated (M, 4) float64 array (columns).
+        out: Optional (N, M) float64 array; when given, each block is
+            written into (and returned as) out[rows].
+
+    Yields:
+        (rows, block): a row slice and the (rows, M) IoU values, in [0, 1].
+    """
+    ca = _corner_table(a)
+    cb = _corner_table(b)
+    for rows in row_blocks(a.shape[0], b.shape[0]):
+        x1, y1, x2, y2, area = ca[:, rows, None]
+        inter = np.minimum(x2, cb[2])
+        inter -= np.maximum(x1, cb[0])
+        inter_h = np.minimum(y2, cb[3])
+        inter_h -= np.maximum(y1, cb[1])
+        np.clip(inter, 0.0, None, out=inter)
+        np.clip(inter_h, 0.0, None, out=inter_h)
+        inter *= inter_h
+        union = area + cb[4]
+        union -= inter
+        yield rows, np.divide(inter, union, out=None if out is None else out[rows])
+
+
 def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
     """Pairwise intersection-over-union between two box collections.
 
@@ -116,33 +182,15 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
         boxes_b: Second collection (columns of the result).
 
     Returns:
-        Array of shape (len(a), len(b)) with values in [0, 1].
+        Array of shape (len(a), len(b)) with values in [0, 1], filled
+        block by block from iou_rows.
     """
     a = boxes_to_array(boxes_a)
     b = boxes_to_array(boxes_b)
-    ax1 = a[:, 0] - a[:, 2] / 2.0
-    ay1 = a[:, 1] - a[:, 3] / 2.0
-    ax2 = a[:, 0] + a[:, 2] / 2.0
-    ay2 = a[:, 1] + a[:, 3] / 2.0
-    bx1 = b[:, 0] - b[:, 2] / 2.0
-    by1 = b[:, 1] - b[:, 3] / 2.0
-    bx2 = b[:, 0] + b[:, 2] / 2.0
-    by2 = b[:, 1] + b[:, 3] / 2.0
-
-    inter_w = np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :])
-    inter_h = np.minimum(ay2[:, None], by2[None, :]) - np.maximum(ay1[:, None], by1[None, :])
-    np.clip(inter_w, 0.0, None, out=inter_w)
-    np.clip(inter_h, 0.0, None, out=inter_h)
-    inter = inter_w
-    inter *= inter_h
-
-    # Areas from the same corner differences the intersection uses, so an
-    # identical pair yields inter == area exactly and the ratio is 1.0.
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    union = area_a[:, None] + area_b[None, :]
-    union -= inter
-    return inter / union
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+    for _ in iou_rows(a, b, out):
+        pass
+    return out
 
 
 def iou(a: Box, b: Box) -> float:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Box, boxes_to_array
+from .geometry import Box, boxes_to_array, row_blocks
 
 __all__ = [
     "EmptyDatasetError",
@@ -32,6 +32,7 @@ __all__ = [
     "shape_similarity",
     "pairwise_similarity",
     "ps_matrix",
+    "ps_rows",
     "accumulate",
     "finalize",
     "save_normalizer_cache",
@@ -96,8 +97,9 @@ class NormalizerAccumulator:
 def _ps_terms(g: np.ndarray, a: np.ndarray, m: float, n: float):
     """Position and shape penalty terms for broadcastable (..., 4) arrays.
 
-    Both the scalar operations and ps_matrix funnel through this one
-    kernel, so matrix entries are bit-identical to scalar evaluation.
+    The scalar operations and the row-block kernel ps_rows (behind
+    ps_matrix and assign_with_metric) all funnel through this one
+    kernel, so every batch entry is bit-identical to scalar evaluation.
     """
     sum_w = g[..., 2] + a[..., 2]
     sum_h = g[..., 3] + a[..., 3]
@@ -161,6 +163,33 @@ def pairwise_similarity(gt: Box, anchor: Box, norm: DatasetNormalizers) -> float
     return float(np.exp(position, out=position)[0, 0])
 
 
+def ps_rows(g: np.ndarray, a: np.ndarray, norm: DatasetNormalizers, out=None):
+    """Yield (rows, block) pairs of the PS matrix, one gt row block at a time.
+
+    Each block costs a few temporaries of its own size, so scoring needs
+    O(anchors) working memory whatever the gt count. Blocks follow
+    geometry.row_blocks order.
+
+    Args:
+        g: Validated (G, 4) float64 ground-truth array, as from
+            boxes_to_array (rows).
+        a: Validated (A, 4) float64 anchor array (columns).
+        norm: Dataset normalizers weighting the penalty terms.
+        out: Optional (G, A) float64 array; when given, each block is
+            written into (and returned as) out[rows].
+
+    Yields:
+        (rows, block): a row slice and the (rows, A) similarities.
+    """
+    # Column-major anchors make each field contiguous across anchors.
+    a = np.asfortranarray(a)[None, :, :]
+    for rows in row_blocks(g.shape[0], a.shape[1]):
+        position, shape = _ps_terms(g[rows, None, :], a, norm.m, norm.n)
+        position += shape
+        np.negative(position, out=position)
+        yield rows, np.exp(position, out=position if out is None else out[rows])
+
+
 def ps_matrix(gts, anchors, norm: DatasetNormalizers) -> np.ndarray:
     """Dense pairwise similarity between ground truths and anchors.
 
@@ -170,15 +199,16 @@ def ps_matrix(gts, anchors, norm: DatasetNormalizers) -> np.ndarray:
         norm: Dataset normalizers weighting the penalty terms.
 
     Returns:
-        Float64 array of shape (len(gts), len(anchors)) whose entries are
-        bit-identical to calling pairwise_similarity pair by pair.
+        Float64 array of shape (len(gts), len(anchors)), filled block by
+        block from ps_rows, whose entries are bit-identical to calling
+        pairwise_similarity pair by pair.
     """
     g = boxes_to_array(gts)
     a = boxes_to_array(anchors)
-    position, shape = _ps_terms(g[:, None, :], a[None, :, :], norm.m, norm.n)
-    position += shape
-    np.negative(position, out=position)
-    return np.exp(position, out=position)
+    out = np.empty((g.shape[0], a.shape[0]), dtype=np.float64)
+    for _ in ps_rows(g, a, norm, out):
+        pass
+    return out
 
 
 def accumulate(acc: NormalizerAccumulator, gts, anchors) -> NormalizerAccumulator:
@@ -186,21 +216,28 @@ def accumulate(acc: NormalizerAccumulator, gts, anchors) -> NormalizerAccumulato
 
     Every (gt, anchor) pair contributes |x_g - x_a| / (w_g + w_a) to sum_x
     and |y_g - y_a| / (h_g + h_a) to sum_y; pair_count grows by
-    len(gts) * len(anchors). Empty inputs leave the accumulator unchanged.
+    len(gts) * len(anchors). The pairs are summed per gt row block (see
+    geometry.row_blocks), in O(anchors) working memory. Empty inputs
+    leave the accumulator unchanged.
     """
     g = boxes_to_array(gts)
     a = boxes_to_array(anchors)
     if g.shape[0] == 0 or a.shape[0] == 0:
         return acc
-    dx = np.abs(g[:, 0, None] - a[None, :, 0])
-    dx /= g[:, 2, None] + a[None, :, 2]
-    dy = np.abs(g[:, 1, None] - a[None, :, 1])
-    dy /= g[:, 3, None] + a[None, :, 3]
-    return NormalizerAccumulator(
-        acc.sum_x + float(dx.sum()),
-        acc.sum_y + float(dy.sum()),
-        acc.pair_count + g.shape[0] * a.shape[0],
-    )
+    a = np.asfortranarray(a)
+    sum_x = acc.sum_x
+    sum_y = acc.sum_y
+    for rows in row_blocks(g.shape[0], a.shape[0]):
+        block = g[rows, None, :]
+        dx = block[..., 0] - a[:, 0]
+        np.abs(dx, out=dx)
+        dx /= block[..., 2] + a[:, 2]
+        dy = block[..., 1] - a[:, 1]
+        np.abs(dy, out=dy)
+        dy /= block[..., 3] + a[:, 3]
+        sum_x += float(dx.sum())
+        sum_y += float(dy.sum())
+    return NormalizerAccumulator(sum_x, sum_y, acc.pair_count + g.shape[0] * a.shape[0])
 
 
 def finalize(acc: NormalizerAccumulator) -> DatasetNormalizers:

@@ -9,6 +9,8 @@ import pytest
 
 from smalldet import (
     IGNORE,
+    AnchorGridSpec,
+    NormalizerAccumulator,
     NEGATIVE,
     POSITIVE,
     AssignResult,
@@ -17,17 +19,27 @@ from smalldet import (
     DatasetNormalizers,
     Metric,
     assign,
+    accumulate,
     assign_with_metric,
     assignment_stats,
+    finalize,
+    generate_anchors,
     iou_matrix,
     ps_matrix,
     report_to_dict,
     reports_to_csv,
     reports_to_json,
 )
+from smalldet import geometry
 from oracles import assign_ref
 
 DEFAULT = AssignThresholds()
+
+
+def assert_same_result(a, b):
+    np.testing.assert_array_equal(a.labels, b.labels)
+    np.testing.assert_array_equal(a.gt_index, b.gt_index)
+    np.testing.assert_array_equal(a.best_score, b.best_score)
 
 
 def check_against_ref(scores, thr=DEFAULT):
@@ -79,6 +91,23 @@ def test_rescue_collision_later_gt_wins():
     result = check_against_ref(np.array([[0.9], [0.8]]))
     assert result.labels[0] == POSITIVE
     assert result.gt_index[0] == 1
+
+
+def test_rescue_collision_leaves_earlier_gt_without_positive():
+    """The documented gap in the coverage guarantee, pinned as-is.
+
+    Both gts have anchor 0 as their best anchor. gt 0 clears even pos_thr
+    there (IoU 90/110), but gt 1 (IoU 70/130) rescues it last and keeps
+    it, so gt 0 ends with no positive although its best score is >= 0.3.
+    """
+    gts = [Box(21, 20, 10, 10), Box(17, 20, 10, 10)]
+    anchors = [Box(20, 20, 10, 10), Box(80, 80, 10, 10)]
+    scores = iou_matrix(gts, anchors)
+    assert scores[0].max() >= DEFAULT.pos_thr and scores[1].max() >= DEFAULT.min_pos_thr
+    result = assign_with_metric(gts, anchors, None, DEFAULT, Metric.IOU)
+    assert_same_result(result, check_against_ref(scores))
+    np.testing.assert_array_equal(result.gt_index, [1, -1])
+    np.testing.assert_array_equal(result.positives_per_gt(2), [0, 1])
 
 
 def test_column_tie_breaks_to_lowest_gt_then_rescue_overrides():
@@ -144,6 +173,104 @@ def test_assign_with_metric_composes():
     via_iou = assign_with_metric(gts, anchors, None, DEFAULT, Metric.IOU)
     direct_iou = assign(iou_matrix(gts, anchors), DEFAULT)
     np.testing.assert_array_equal(via_iou.labels, direct_iou.labels)
+
+
+def test_streaming_ties_resolve_to_lowest_index(monkeypatch):
+    # One gt row per block, so the duplicate gts are scored in different blocks.
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 1)
+    box = Box(20, 20, 8, 8)
+    gts = [box, box]
+    anchors = [Box(60, 60, 8, 8), box, box, Box(22, 20, 8, 8)]
+    norm = DatasetNormalizers(1.0, 1.0)
+    # Anchors 1 and 2 score 1.0 for both gts, so step 3 matches both to gt 0.
+    # Each gt's best anchor is anchor 1, the lower of its tied pair; gt 1
+    # rescues it last and keeps it. Anchor 3 (PS 0.88, IoU 0.6) ties too.
+    ps = assign_with_metric(gts, anchors, norm, DEFAULT, Metric.PS)
+    np.testing.assert_array_equal(ps.gt_index, [-1, 1, 0, 0])
+    assert_same_result(ps, check_against_ref(ps_matrix(gts, anchors, norm)))
+    iou_result = assign_with_metric(gts, anchors, None, DEFAULT, Metric.IOU)
+    np.testing.assert_array_equal(iou_result.labels, [NEGATIVE, POSITIVE, POSITIVE, IGNORE])
+    np.testing.assert_array_equal(iou_result.gt_index, [-1, 1, 0, -1])
+    assert_same_result(iou_result, check_against_ref(iou_matrix(gts, anchors)))
+
+
+def test_streaming_zero_gts_and_zero_anchors():
+    norm = DatasetNormalizers(1.0, 1.0)
+    anchors = [Box(5, 5, 4, 4), Box(9, 5, 4, 4), Box(30, 30, 8, 8)]
+    no_anchors = np.empty((0, 4))
+    for metric in Metric:
+        none = assign_with_metric([], anchors, norm, DEFAULT, metric)
+        np.testing.assert_array_equal(none.labels, [NEGATIVE] * 3)
+        np.testing.assert_array_equal(none.gt_index, [-1] * 3)
+        np.testing.assert_array_equal(none.best_score, [0.0] * 3)
+        assert assign_with_metric(anchors[:1], no_anchors, norm, DEFAULT, metric).num_anchors == 0
+        assert assign_with_metric([], no_anchors, norm, DEFAULT, metric).num_anchors == 0
+    assert ps_matrix([], anchors, norm).shape == (0, 3)
+    assert iou_matrix(anchors, no_anchors).shape == (3, 0)
+    assert assign(np.empty((2, 0)), DEFAULT).num_anchors == 0
+
+
+def test_streaming_rejects_non_finite_scores():
+    # An offset that overflows to inf times m = n = 0 is NaN.
+    far = [Box(1e308, 0, 1, 1)]
+    near = [Box(-1e308, 0, 1, 1)]
+    zero = DatasetNormalizers(0.0, 0.0)
+    # A box whose area overflows to inf has a NaN IoU with itself.
+    huge = [Box(0, 0, 1.7e308, 1.7e308)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            assign_with_metric(far, near, zero, DEFAULT, Metric.PS)
+        with pytest.raises(ValueError, match="non-finite"):
+            assign(ps_matrix(far, near, zero), DEFAULT)
+        with pytest.raises(ValueError, match="non-finite"):
+            assign_with_metric(huge, huge, None, DEFAULT, Metric.IOU)
+
+
+def test_streaming_gt_count_not_divisible_by_block(monkeypatch):
+    rng = np.random.default_rng(35)
+    gts = np.column_stack([rng.uniform(5, 50, (7, 2)), rng.uniform(1, 20, (7, 2))])
+    anchors = np.column_stack([rng.uniform(5, 50, (50, 2)), rng.uniform(1, 20, (50, 2))])
+    norm = DatasetNormalizers(0.8, 1.1)
+    one_block = {m: assign_with_metric(gts, anchors, norm, DEFAULT, m) for m in Metric}
+    one_block_ps = ps_matrix(gts, anchors, norm)
+
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 3 * 50)
+    blocks = [(rows.start, rows.stop) for rows in geometry.row_blocks(7, 50)]
+    assert blocks == [(0, 3), (3, 6), (6, 7)]
+    for metric in Metric:
+        blocked = assign_with_metric(gts, anchors, norm, DEFAULT, metric)
+        assert_same_result(blocked, one_block[metric])
+    np.testing.assert_array_equal(ps_matrix(gts, anchors, norm), one_block_ps)
+    check_against_ref(one_block_ps)
+    assert_same_result(one_block[Metric.PS], assign(one_block_ps, DEFAULT))
+
+
+@pytest.mark.parametrize("block_pairs", [None, 1000])
+def test_assign_with_metric_matches_matrix_path_per_level(monkeypatch, block_pairs):
+    if block_pairs is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    anchor_set = generate_anchors(
+        AnchorGridSpec(
+            levels=((8.0, 8.0), (16.0, 16.0), (32.0, 32.0)),
+            image_w=128.0,
+            image_h=96.0,
+            ratios=(0.5, 1.0, 2.0),
+            scales=(1.0, 2.0),
+        )
+    )
+    rng = np.random.default_rng(36)
+    gts = np.column_stack([rng.uniform(0, 128, (9, 2)), rng.uniform(2, 40, (9, 2))])
+    norm = finalize(accumulate(NormalizerAccumulator(), gts, anchor_set))
+    for level in range(anchor_set.num_levels):
+        boxes = anchor_set.level_boxes(level)
+        assert_same_result(
+            assign_with_metric(gts, boxes, norm, DEFAULT, Metric.PS),
+            check_against_ref(ps_matrix(gts, boxes, norm)),
+        )
+        assert_same_result(
+            assign_with_metric(gts, boxes, None, DEFAULT, Metric.IOU),
+            check_against_ref(iou_matrix(gts, boxes)),
+        )
 
 
 def test_ps_metric_requires_normalizers():

@@ -100,6 +100,28 @@ def test_stats_usage_and_data_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "mutate, record",
+    [
+        (lambda p: p["images"][0].update(width=float("nan")), "images[0]"),
+        (lambda p: p["annotations"][0].update(bbox=[1, "x", 8, 8]), "annotations[0]"),
+        (lambda p: p["annotations"][0].update(image_id=None), "annotations[0]"),
+        (lambda p: p["images"][0].update(id=1.7), "images[0]"),
+    ],
+    ids=["nan-width", "non-numeric-bbox", "null-image-id", "fractional-image-id"],
+)
+def test_assign_malformed_record_is_a_data_error(tmp_path, capsys, mutate, record):
+    mini_dataset(tmp_path)
+    payload = json.loads((tmp_path / "mini.json").read_text(encoding="utf-8"))
+    mutate(payload)
+    ann = write_json(tmp_path / "bad.json", payload)
+    code, _, err = run(capsys, assign_argv(ann, tmp_path / "r"))
+    assert code == 2
+    assert err.startswith("data error:")
+    assert ann in err and record in err
+    assert not (tmp_path / "r").exists()
+
+
 def assign_argv(ann, out_dir, metrics="ps,iou", extra=()):
     return [
         "assign",
@@ -244,8 +266,9 @@ def test_bench_small_workload(capsys):
         capsys, ["bench", "--anchors-n", "2000", "--gts-n", "10", "--repeats", "2"]
     )
     assert code == 0
-    assert "pairs_per_s" in out
+    assert "pairs_per_s" in out and "streamed_s" in out
     assert "outputs identical across 2 run(s)" in out
+    assert "streamed and matrix assignments agree bit for bit" in out
 
 
 def test_bench_zero_anchors_rejected(capsys):
