@@ -5,8 +5,11 @@ level and image: a spatial loss pulling each fused embedding toward its own
 lateral embedding, and a semantic loss pulling each fused semantic embedding
 toward the one a level above it. Negatives come from other images in the
 batch (and optionally, for the spatial loss, from other levels of the same
-image). Both losses are plain means over their terms, reduced in a fixed
-level-major, image-minor order so results are bit-reproducible.
+image). Both losses are plain means over their terms. Each loss computes
+all its terms at once: one logits matrix of queries against the stacked
+lateral and fused keys, with a boolean mask selecting every term's
+negatives. Results are deterministic: repeated calls on the same batch and
+config return identical values.
 
 Batches can be round-tripped through a small binary container (magic
 "NTFB") for exchange with other tools.
@@ -42,10 +45,13 @@ __all__ = [
 
 _MAGIC = b"NTFB"
 
-# Families of the two embedding kinds, in (lateral, fused) order; used to
-# tag rows when enumerating negative sets.
-_LATERAL = 0
-_FUSED = 1
+
+def _check_tau(tau) -> None:
+    # bool is an int subclass; True must not pass as tau = 1
+    if isinstance(tau, bool) or not (
+        isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0
+    ):
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
 
 
 def _as_embedding_array(name: str, value) -> np.ndarray:
@@ -129,8 +135,7 @@ class ContrastConfig:
     l2_normalize: bool = False
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.tau, (int, float)) and math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
+        _check_tau(self.tau)
 
 
 @dataclass(frozen=True)
@@ -172,59 +177,47 @@ def _check_level_image(batch: EmbeddingBatch, x: int, y: int, max_level: int) ->
         raise IndexError(f"image index {y} out of range [0, {batch.num_images})")
 
 
-def _spatial_negative_index(levels: int, images: int, x: int, y: int, include_same_image: bool):
-    """Row index of the spatial negative set for term (x, y).
+def _stack_keys(lateral: np.ndarray, fused: np.ndarray) -> np.ndarray:
+    """Both families as (2 * L * N, D) rows in (level, image, family) order."""
+    levels, images, dim = lateral.shape
+    return np.stack((lateral, fused), axis=2).reshape(2 * levels * images, dim)
 
-    Returns (family, level, image) int arrays. Order: levels ascending,
-    images ascending skipping y, lateral before fused; with the flag on,
-    the same-image rows at levels other than x follow, in the same
-    lateral-then-fused order.
+
+def _negative_mask(levels: int, images: int, query_levels: int, include_same_image: bool):
+    """Boolean (query_levels * N, 2 * L * N) mask of every term's negatives.
+
+    Row x * N + y is the term at level x, image y; columns are the rows of
+    _stack_keys. A key is a negative of a term when it belongs to another
+    image or, with include_same_image, to another level.
     """
-    fam, lvl, img = [], [], []
-    for i in range(levels):
-        for j in range(images):
-            if j == y:
-                continue
-            fam += [_LATERAL, _FUSED]
-            lvl += [i, i]
-            img += [j, j]
+    key_level, key_image = np.divmod(np.arange(2 * levels * images) // 2, images)
+    term_level, term_image = np.divmod(np.arange(query_levels * images), images)
+    mask = key_image[None, :] != term_image[:, None]
     if include_same_image:
-        for i in range(levels):
-            if i == x:
-                continue
-            fam += [_LATERAL, _FUSED]
-            lvl += [i, i]
-            img += [y, y]
+        mask |= key_level[None, :] != term_level[:, None]
+    return mask
+
+
+def _spatial_terms(lateral: np.ndarray, fused: np.ndarray, include_same_image: bool):
+    """Queries, positive keys, keys and negative mask of the spatial loss."""
+    levels, images, dim = lateral.shape
     return (
-        np.asarray(fam, dtype=np.int64),
-        np.asarray(lvl, dtype=np.int64),
-        np.asarray(img, dtype=np.int64),
+        fused.reshape(-1, dim),
+        lateral.reshape(-1, dim),
+        _stack_keys(lateral, fused),
+        _negative_mask(levels, images, levels, include_same_image),
     )
 
 
-def _semantic_negative_index(levels: int, images: int, y: int):
-    """Row index of the semantic negative set: all levels, other images."""
-    fam, lvl, img = [], [], []
-    for i in range(levels):
-        for j in range(images):
-            if j == y:
-                continue
-            fam += [_LATERAL, _FUSED]
-            lvl += [i, i]
-            img += [j, j]
+def _semantic_terms(lateral: np.ndarray, fused: np.ndarray):
+    """Queries, positive keys, keys and negative mask of the semantic loss."""
+    levels, images, dim = lateral.shape
     return (
-        np.asarray(fam, dtype=np.int64),
-        np.asarray(lvl, dtype=np.int64),
-        np.asarray(img, dtype=np.int64),
+        fused[:-1].reshape(-1, dim),
+        fused[1:].reshape(-1, dim),
+        _stack_keys(lateral, fused),
+        _negative_mask(levels, images, levels - 1, False),
     )
-
-
-def _gather(lateral: np.ndarray, fused: np.ndarray, fam, lvl, img) -> np.ndarray:
-    out = np.empty((fam.size, lateral.shape[-1]), dtype=np.float64)
-    is_lateral = fam == _LATERAL
-    out[is_lateral] = lateral[lvl[is_lateral], img[is_lateral]]
-    out[~is_lateral] = fused[lvl[~is_lateral], img[~is_lateral]]
-    return out
 
 
 def spatial_negatives(batch: EmbeddingBatch, x: int, y: int, cfg: ContrastConfig) -> np.ndarray:
@@ -233,16 +226,17 @@ def spatial_negatives(batch: EmbeddingBatch, x: int, y: int, cfg: ContrastConfig
     By default these are the spatial embeddings (lateral and fused) of
     every other image at every level: 2 * L * (N - 1) rows. With
     cfg.include_same_image_other_levels, image y's own embeddings at the
-    other L - 1 levels are appended.
+    other L - 1 levels join them. Rows run level by level, image by image,
+    lateral before fused.
 
     Returns:
         Array of shape (num_negatives, D), one negative per row.
     """
     _check_level_image(batch, x, y, batch.num_levels)
-    fam, lvl, img = _spatial_negative_index(
-        batch.num_levels, batch.num_images, x, y, cfg.include_same_image_other_levels
+    _, _, keys, mask = _spatial_terms(
+        batch.spatial_lateral, batch.spatial_fused, cfg.include_same_image_other_levels
     )
-    return _gather(batch.spatial_lateral, batch.spatial_fused, fam, lvl, img)
+    return keys[mask[x * batch.num_images + y]]
 
 
 def semantic_negatives(batch: EmbeddingBatch, x: int, y: int) -> np.ndarray:
@@ -256,8 +250,8 @@ def semantic_negatives(batch: EmbeddingBatch, x: int, y: int) -> np.ndarray:
         Array of shape (num_negatives, D), one negative per row.
     """
     _check_level_image(batch, x, y, batch.num_levels - 1)
-    fam, lvl, img = _semantic_negative_index(batch.num_levels, batch.num_images, y)
-    return _gather(batch.semantic_lateral, batch.semantic_fused, fam, lvl, img)
+    _, _, keys, mask = _semantic_terms(batch.semantic_lateral, batch.semantic_fused)
+    return keys[mask[x * batch.num_images + y]]
 
 
 def _check_vectors(q, k_pos, negatives):
@@ -275,13 +269,39 @@ def _check_vectors(q, k_pos, negatives):
     return q, k, negs
 
 
-def _logits(q, k, negs, tau) -> np.ndarray:
-    logits = np.empty(negs.shape[0] + 1, dtype=np.float64)
-    logits[0] = q @ k
-    if negs.shape[0]:
-        logits[1:] = negs @ q
-    logits /= tau
-    return logits
+def _masked_info_nce(q, k, keys, mask, tau: float, grad: bool = False):
+    """Row-wise InfoNCE of (T, D) queries q against positive keys k.
+
+    Row t takes as negatives the rows of keys (K, D) where mask[t] is
+    true. Its loss is the log-sum-exp of its logits minus the positive
+    logit, with the maximum logit shifted out so large logits stay finite;
+    a row without negatives gives exactly 0.
+
+    With p[t, 0] the softmax weight of row t's positive and p[t, r] that of
+    key r (0 where mask[t, r] is false), the gradients of the summed
+    losses are ((p[t, 0] - 1) * k_t + sum_r p[t, r] * keys_r) / tau for
+    q_t, (p[t, 0] - 1) * q_t / tau for k_t, and sum_t p[t, r] * q_t / tau
+    for keys_r.
+
+    Returns:
+        The (T,) losses; with grad, the tuple (losses, grad_q, grad_k,
+        grad_keys).
+    """
+    pos = np.einsum("td,td->t", q, k) / tau
+    neg = np.where(mask, (q @ keys.T) / tau, -np.inf)
+    top = np.maximum(pos, neg.max(axis=1, initial=-np.inf))
+    e_pos = np.exp(pos - top)
+    e_neg = np.exp(neg - top[:, None])
+    total = e_pos + e_neg.sum(axis=1)
+    losses = top + np.log(total) - pos
+    if not grad:
+        return losses
+    d_pos = (e_pos / total - 1.0)[:, None]
+    p_neg = e_neg / total[:, None]
+    grad_q = (d_pos * k + p_neg @ keys) / tau
+    grad_k = d_pos * q / tau
+    grad_keys = p_neg.T @ q / tau
+    return losses, grad_q, grad_k, grad_keys
 
 
 def info_nce(q, k_pos, negatives, tau: float) -> float:
@@ -301,13 +321,10 @@ def info_nce(q, k_pos, negatives, tau: float) -> float:
     Returns:
         Non-negative loss value.
     """
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    _check_tau(tau)
     q, k, negs = _check_vectors(q, k_pos, negatives)
-    logits = _logits(q, k, negs, tau)
-    top = logits.max()
-    lse = top + math.log(np.exp(logits - top).sum())
-    return float(lse - logits[0])
+    every = np.ones((1, negs.shape[0]), dtype=bool)
+    return float(_masked_info_nce(q[None], k[None], negs, every, tau)[0])
 
 
 def info_nce_grad(q, k_pos, negatives, tau: float):
@@ -321,19 +338,11 @@ def info_nce_grad(q, k_pos, negatives, tau: float):
         Tuple (grad_q, grad_k, grad_negatives) with grad_negatives of
         shape (K, D).
     """
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    _check_tau(tau)
     q, k, negs = _check_vectors(q, k_pos, negatives)
-    logits = _logits(q, k, negs, tau)
-    p = np.exp(logits - logits.max())
-    p /= p.sum()
-    grad_q = (p[0] - 1.0) * k
-    if negs.shape[0]:
-        grad_q = grad_q + p[1:] @ negs
-    grad_q /= tau
-    grad_k = ((p[0] - 1.0) / tau) * q
-    grad_negs = (p[1:, None] / tau) * q[None, :]
-    return grad_q, grad_k, grad_negs
+    every = np.ones((1, negs.shape[0]), dtype=bool)
+    _, grad_q, grad_k, grad_negs = _masked_info_nce(q[None], k[None], negs, every, tau, grad=True)
+    return grad_q[0], grad_k[0], grad_negs
 
 
 def _loss_views(batch: EmbeddingBatch, cfg: ContrastConfig):
@@ -363,19 +372,11 @@ def spatial_loss(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig()) 
 
     Term (x, y) is info_nce with query spatial_fused[x, y], positive key
     spatial_lateral[x, y], and negatives from spatial_negatives. The mean
-    runs over all L * N terms in level-major, image-minor order.
+    runs over all L * N terms.
     """
     sp_lat, _, sp_fus, _ = _loss_views(batch, cfg)
-    levels, images, _ = batch.shape
-    total = 0.0
-    for x in range(levels):
-        for y in range(images):
-            fam, lvl, img = _spatial_negative_index(
-                levels, images, x, y, cfg.include_same_image_other_levels
-            )
-            negs = _gather(sp_lat, sp_fus, fam, lvl, img)
-            total += info_nce(sp_fus[x, y], sp_lat[x, y], negs, cfg.tau)
-    return total / (levels * images)
+    terms = _spatial_terms(sp_lat, sp_fus, cfg.include_same_image_other_levels)
+    return float(_masked_info_nce(*terms, cfg.tau).mean())
 
 
 def semantic_loss(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig()) -> float:
@@ -384,17 +385,10 @@ def semantic_loss(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig())
     Term (x, y) is info_nce with query semantic_fused[x, y], positive key
     semantic_fused[x + 1, y] (the fused embedding one level up), and
     negatives from semantic_negatives. The mean runs over (L - 1) * N
-    terms in level-major, image-minor order.
+    terms.
     """
     _, se_lat, _, se_fus = _loss_views(batch, cfg)
-    levels, images, _ = batch.shape
-    total = 0.0
-    for x in range(levels - 1):
-        for y in range(images):
-            fam, lvl, img = _semantic_negative_index(levels, images, y)
-            negs = _gather(se_lat, se_fus, fam, lvl, img)
-            total += info_nce(se_fus[x, y], se_fus[x + 1, y], negs, cfg.tau)
-    return total / ((levels - 1) * images)
+    return float(_masked_info_nce(*_semantic_terms(se_lat, se_fus), cfg.tau).mean())
 
 
 @dataclass(frozen=True)
@@ -425,54 +419,22 @@ def contrast_grad(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig())
     """
     sp_lat, se_lat, sp_fus, se_fus = _loss_views(batch, cfg)
     levels, images, dim = batch.shape
-    g_sp_lat = np.zeros_like(sp_lat)
-    g_se_lat = np.zeros_like(se_lat)
-    g_sp_fus = np.zeros_like(sp_fus)
-    g_se_fus = np.zeros_like(se_fus)
 
+    terms = _spatial_terms(sp_lat, sp_fus, cfg.include_same_image_other_levels)
+    _, g_q, g_k, g_keys = _masked_info_nce(*terms, cfg.tau, grad=True)
+    g_keys = g_keys.reshape(levels, images, 2, dim)
     weight = 1.0 / (levels * images)
-    for x in range(levels):
-        for y in range(images):
-            fam, lvl, img = _spatial_negative_index(
-                levels, images, x, y, cfg.include_same_image_other_levels
-            )
-            q = sp_fus[x, y]
-            negs = _gather(sp_lat, sp_fus, fam, lvl, img)
-            grad_q, grad_k, grad_negs = info_nce_grad(q, sp_lat[x, y], negs, cfg.tau)
-            g_sp_fus[x, y] += weight * grad_q
-            g_sp_lat[x, y] += weight * grad_k
-            is_lateral = fam == _LATERAL
-            np.add.at(
-                g_sp_lat,
-                (lvl[is_lateral], img[is_lateral]),
-                weight * grad_negs[is_lateral],
-            )
-            np.add.at(
-                g_sp_fus,
-                (lvl[~is_lateral], img[~is_lateral]),
-                weight * grad_negs[~is_lateral],
-            )
+    g_sp_lat = weight * (g_k.reshape(levels, images, dim) + g_keys[:, :, 0])
+    g_sp_fus = weight * (g_q.reshape(levels, images, dim) + g_keys[:, :, 1])
 
+    _, g_q, g_k, g_keys = _masked_info_nce(*_semantic_terms(se_lat, se_fus), cfg.tau, grad=True)
+    g_keys = g_keys.reshape(levels, images, 2, dim)
     weight = 1.0 / ((levels - 1) * images)
-    for x in range(levels - 1):
-        for y in range(images):
-            fam, lvl, img = _semantic_negative_index(levels, images, y)
-            q = se_fus[x, y]
-            negs = _gather(se_lat, se_fus, fam, lvl, img)
-            grad_q, grad_k, grad_negs = info_nce_grad(q, se_fus[x + 1, y], negs, cfg.tau)
-            g_se_fus[x, y] += weight * grad_q
-            g_se_fus[x + 1, y] += weight * grad_k
-            is_lateral = fam == _LATERAL
-            np.add.at(
-                g_se_lat,
-                (lvl[is_lateral], img[is_lateral]),
-                weight * grad_negs[is_lateral],
-            )
-            np.add.at(
-                g_se_fus,
-                (lvl[~is_lateral], img[~is_lateral]),
-                weight * grad_negs[~is_lateral],
-            )
+    g_se_lat = weight * g_keys[:, :, 0]
+    g_se_fus = g_keys[:, :, 1].copy()
+    g_se_fus[:-1] += g_q.reshape(levels - 1, images, dim)
+    g_se_fus[1:] += g_k.reshape(levels - 1, images, dim)
+    g_se_fus *= weight
 
     if cfg.l2_normalize:
         g_sp_lat = _chain_through_normalize(batch.spatial_lateral, g_sp_lat)

@@ -228,41 +228,41 @@ def unit_ref(v):
     return [float(x) / norm for x in v]
 
 
-def spatial_negatives_ref(lateral, fused, x, y, include_same_image):
-    """Negative set for the spatial term at (level x, image y).
+def negative_slots_ref(levels, images, x, y, include_same_image):
+    """(family, level, image) of each negative of the term at (level x, image y).
 
     Both embedding families of every other image contribute at every
     level; the flag adds the same image's embeddings at the other levels.
     """
-    levels = len(lateral)
-    images = len(lateral[0])
-    negs = []
+    slots = []
     for i in range(levels):
         for j in range(images):
             if j == y:
                 continue
-            negs.append(lateral[i][j])
-            negs.append(fused[i][j])
+            slots.append(("lateral", i, j))
+            slots.append(("fused", i, j))
     if include_same_image:
         for i in range(levels):
             if i == x:
                 continue
-            negs.append(lateral[i][y])
-            negs.append(fused[i][y])
-    return negs
+            slots.append(("lateral", i, y))
+            slots.append(("fused", i, y))
+    return slots
+
+
+def _pick(lateral, fused, slots):
+    families = {"lateral": lateral, "fused": fused}
+    return [families[family][i][j] for family, i, j in slots]
+
+
+def spatial_negatives_ref(lateral, fused, x, y, include_same_image):
+    """Negative set for the spatial term at (level x, image y)."""
+    slots = negative_slots_ref(len(lateral), len(lateral[0]), x, y, include_same_image)
+    return _pick(lateral, fused, slots)
 
 
 def semantic_negatives_ref(lateral, fused, x, y):
-    levels = len(lateral)
-    images = len(lateral[0])
-    negs = []
-    for i in range(levels):
-        for j in range(images):
-            if j == y:
-                continue
-            negs.append(lateral[i][j])
-            negs.append(fused[i][j])
-    return negs
+    return _pick(lateral, fused, negative_slots_ref(len(lateral), len(lateral[0]), x, y, False))
 
 
 def _as_nested(array):
@@ -299,6 +299,84 @@ def semantic_loss_ref(batch, tau, l2_normalize=False):
             negs = semantic_negatives_ref(lateral, fused, x, y)
             total += info_nce_ref(fused[x][y], fused[x + 1][y], negs, tau)
     return total / ((levels - 1) * images)
+
+
+def info_nce_grad_ref(q, k_pos, negatives, tau):
+    """Closed-form (grad_q, grad_k, grad_negatives) of info_nce_ref."""
+    weights = [math.exp(dot_ref(q, k_pos) / tau)]
+    weights += [math.exp(dot_ref(q, s) / tau) for s in negatives]
+    total = sum(weights)
+    p = [w / total for w in weights]
+    grad_q = [(p[0] - 1.0) * float(kd) / tau for kd in k_pos]
+    for p_s, s in zip(p[1:], negatives):
+        for d, sd in enumerate(s):
+            grad_q[d] += p_s * float(sd) / tau
+    grad_k = [(p[0] - 1.0) * float(qd) / tau for qd in q]
+    grad_negs = [[p_s * float(qd) / tau for qd in q] for p_s in p[1:]]
+    return grad_q, grad_k, grad_negs
+
+
+def contrast_grad_ref(batch, tau, include_same_image, l2_normalize=False):
+    """Gradient of spatial_loss_ref + semantic_loss_ref, summed term by term.
+
+    Each term adds its info_nce_grad_ref pieces, times its loss's 1/terms
+    weight, to its query, positive key and negatives. Under l2_normalize
+    the sums are then pulled back through x / |x|. Returns nested lists in
+    (spatial_lateral, semantic_lateral, spatial_fused, semantic_fused)
+    order.
+    """
+    names = ("spatial_lateral", "semantic_lateral", "spatial_fused", "semantic_fused")
+    raw = {name: _as_nested(getattr(batch, name)) for name in names}
+    emb = raw
+    if l2_normalize:
+        emb = {name: [[unit_ref(v) for v in level] for level in arr] for name, arr in raw.items()}
+    levels = len(raw["spatial_lateral"])
+    images = len(raw["spatial_lateral"][0])
+    dim = len(raw["spatial_lateral"][0][0])
+    grad = {name: [[[0.0] * dim for _ in range(images)] for _ in range(levels)] for name in names}
+
+    def vec(slot):
+        name, i, j = slot
+        return emb[name][i][j]
+
+    def add_term(kind, q_slot, k_slot, neg_slots, weight):
+        neg_slots = [(f"{kind}_{family}", i, j) for family, i, j in neg_slots]
+        grad_q, grad_k, grad_negs = info_nce_grad_ref(
+            vec(q_slot), vec(k_slot), [vec(s) for s in neg_slots], tau
+        )
+        for (name, i, j), g in zip([q_slot, k_slot] + neg_slots, [grad_q, grad_k] + grad_negs):
+            row = grad[name][i][j]
+            for d, v in enumerate(g):
+                row[d] += weight * v
+
+    for x in range(levels):
+        for y in range(images):
+            add_term(
+                "spatial",
+                ("spatial_fused", x, y),
+                ("spatial_lateral", x, y),
+                negative_slots_ref(levels, images, x, y, include_same_image),
+                1.0 / (levels * images),
+            )
+    for x in range(levels - 1):
+        for y in range(images):
+            add_term(
+                "semantic",
+                ("semantic_fused", x, y),
+                ("semantic_fused", x + 1, y),
+                negative_slots_ref(levels, images, x, y, False),
+                1.0 / ((levels - 1) * images),
+            )
+
+    if l2_normalize:
+        for name in names:
+            for level_raw, level_grad in zip(raw[name], grad[name]):
+                for j, (v, g) in enumerate(zip(level_raw, level_grad)):
+                    norm = math.sqrt(dot_ref(v, v))
+                    u = unit_ref(v)
+                    radial = dot_ref(g, u)
+                    level_grad[j] = [(gd - radial * ud) / norm for gd, ud in zip(g, u)]
+    return tuple(grad[name] for name in names)
 
 
 # ---------------------------------------------------------------------------

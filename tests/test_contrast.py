@@ -24,6 +24,7 @@ from smalldet import (
     total_loss,
 )
 from oracles import (
+    contrast_grad_ref,
     info_nce_ref,
     semantic_loss_ref,
     semantic_negatives_ref,
@@ -53,6 +54,14 @@ def as_multiset(vectors):
     return sorted(tuple(float(x) for x in v) for v in vectors)
 
 
+FLAG_SETS = [
+    {},
+    {"include_same_image_other_levels": True},
+    {"l2_normalize": True},
+    {"include_same_image_other_levels": True, "l2_normalize": True},
+]
+
+
 def test_embedding_batch_validation():
     rng = np.random.default_rng(41)
     good = rng.normal(size=(2, 2, 4))
@@ -71,6 +80,17 @@ def test_config_validation():
         ContrastConfig(tau=0.0)
     with pytest.raises(ValueError):
         ContrastConfig(tau=float("inf"))
+    with pytest.raises(ValueError):
+        ContrastConfig(tau=True)
+
+
+@pytest.mark.parametrize("tau", [True, 0.0, float("inf")])
+def test_info_nce_rejects_bad_tau(tau):
+    q, k, s = np.eye(3)
+    with pytest.raises(ValueError):
+        info_nce(q, k, [s], tau=tau)
+    with pytest.raises(ValueError):
+        info_nce_grad(q, k, [s], tau=tau)
 
 
 def test_spatial_negative_set_sizes():
@@ -194,15 +214,7 @@ def test_spatial_loss_on_uniform_batch_equals_common_term():
     assert common == pytest.approx(math.log(1 + num_negs), abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        {},
-        {"include_same_image_other_levels": True},
-        {"l2_normalize": True},
-        {"include_same_image_other_levels": True, "l2_normalize": True},
-    ],
-)
+@pytest.mark.parametrize("flags", FLAG_SETS)
 def test_losses_match_naive_reference(flags):
     cfg = ContrastConfig(tau=0.07, **flags)
     batch = toy_batch(seed=0)
@@ -250,6 +262,16 @@ def test_info_nce_grad_hand_case():
     np.testing.assert_allclose(grad_q, 0.5 * (s - k), atol=1e-12)
     np.testing.assert_allclose(grad_k, -0.5 * q, atol=1e-12)
     np.testing.assert_allclose(grad_negs[0], 0.5 * q, atol=1e-12)
+
+
+@pytest.mark.parametrize("images", [3, 1])
+@pytest.mark.parametrize("flags", FLAG_SETS)
+def test_contrast_grad_matches_closed_form_reference(flags, images):
+    cfg = ContrastConfig(**flags)
+    batch = toy_batch(seed=0, batch=images)
+    want = contrast_grad_ref(batch, cfg.tau, cfg.include_same_image_other_levels, cfg.l2_normalize)
+    for got, ref in zip(contrast_grad(batch, cfg).as_tuple(), want):
+        np.testing.assert_allclose(got, np.asarray(ref), rtol=0, atol=1e-12)
 
 
 def test_gradient_check_toy_batch_default_config():
