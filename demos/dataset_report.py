@@ -29,8 +29,6 @@ from smalldet import (
     reports_to_csv,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="dataset_report_"))
-
 # --- a dataset of 12 images with mixed object sizes ------------------
 rng = np.random.default_rng(2024)
 images = []
@@ -55,63 +53,66 @@ for image_id in range(1, 13):
         )
         ann_id += 1
 
-ann_path = workdir / "annotations.json"
-ann_path.write_text(json.dumps({"images": images, "annotations": annotations}))
+# Every file the demo writes goes to a directory removed when it ends.
+with tempfile.TemporaryDirectory(prefix="dataset_report_") as tmp:
+    workdir = Path(tmp)
+    ann_path = workdir / "annotations.json"
+    ann_path.write_text(json.dumps({"images": images, "annotations": annotations}))
 
-index = load_coco(ann_path)
-print(f"loaded {index.num_images} images, {index.num_gts} gts")
+    index = load_coco(ann_path)
+    print(f"loaded {index.num_images} images, {index.num_gts} gts")
 
-# --- anchors and normalizers -----------------------------------------
-# Large anchors (sides 256 and 512). The normalizers are means over all
-# gt-anchor pairs, so adding small anchor scales inflates m and n and
-# pushes every similarity down; with this grid the values stay moderate
-# and the rescue floor stays reachable. Try scales=(4.0, 16.0, 32.0) to
-# watch m climb past 1.5 and the small bucket lose coverage under both
-# metrics.
-grid = AnchorGridSpec(
-    levels=((16.0, 16.0),),
-    image_w=800.0,
-    image_h=800.0,
-    ratios=(0.5, 1.0, 2.0),
-    scales=(16.0, 32.0),
-)
-anchors = generate_anchors(grid)
+    # --- anchors and normalizers -----------------------------------------
+    # Large anchors (sides 256 and 512). The normalizers are means over all
+    # gt-anchor pairs, so adding small anchor scales inflates m and n and
+    # pushes every similarity down; with this grid the values stay moderate
+    # and the rescue floor stays reachable. Try scales=(4.0, 16.0, 32.0) to
+    # watch m climb past 1.5 and the small bucket lose coverage under both
+    # metrics.
+    grid = AnchorGridSpec(
+        levels=((16.0, 16.0),),
+        image_w=800.0,
+        image_h=800.0,
+        ratios=(0.5, 1.0, 2.0),
+        scales=(16.0, 32.0),
+    )
+    anchors = generate_anchors(grid)
 
-acc = NormalizerAccumulator()
-scenes = []
-for gts in index.gts_by_image:
-    boxes = boxes_to_array([g.box for g in gts])
-    scenes.append(boxes)
-    acc = accumulate(acc, boxes, anchors)
-norm = finalize(acc)
-print(f"normalizers from {acc.pair_count} pairs: m={norm.m:.4f} n={norm.n:.4f}")
-print()
+    acc = NormalizerAccumulator()
+    scenes = []
+    for gts in index.gts_by_image:
+        boxes = boxes_to_array([g.box for g in gts])
+        scenes.append(boxes)
+        acc = accumulate(acc, boxes, anchors)
+    norm = finalize(acc)
+    print(f"normalizers from {acc.pair_count} pairs: m={norm.m:.4f} n={norm.n:.4f}")
+    print()
 
-# --- assignment under both metrics ------------------------------------
-thr = AssignThresholds()
-areas = [b[:, 2] * b[:, 3] for b in scenes]
-reports = []
-for metric in (Metric.PS, Metric.IOU):
-    results = []
-    for boxes in scenes:
-        scores = ps_matrix(boxes, anchors, norm) if metric is Metric.PS else iou_matrix(boxes, anchors.boxes)
-        results.append(assign(scores, thr))
-    reports.append(assignment_stats(results, areas, thr, metric))
+    # --- assignment under both metrics ------------------------------------
+    thr = AssignThresholds()
+    areas = [b[:, 2] * b[:, 3] for b in scenes]
+    reports = []
+    for metric in (Metric.PS, Metric.IOU):
+        results = []
+        for boxes in scenes:
+            scores = ps_matrix(boxes, anchors, norm) if metric is Metric.PS else iou_matrix(boxes, anchors.boxes)
+            results.append(assign(scores, thr))
+        reports.append(assignment_stats(results, areas, thr, metric))
 
-print("metric  bucket          gts  mean_pos  uncovered")
-for report in reports:
-    for bucket in report.buckets:
-        mean = "-" if bucket.mean_positives_per_gt is None else f"{bucket.mean_positives_per_gt:.2f}"
-        print(
-            f"{report.metric:6s}  {bucket.name:14s} {bucket.gt_count:4d}  "
-            f"{mean:>8s}  {bucket.gts_without_positive:9d}"
-        )
-print()
+    print("metric  bucket          gts  mean_pos  uncovered")
+    for report in reports:
+        for bucket in report.buckets:
+            mean = "-" if bucket.mean_positives_per_gt is None else f"{bucket.mean_positives_per_gt:.2f}"
+            print(
+                f"{report.metric:6s}  {bucket.name:14s} {bucket.gt_count:4d}  "
+                f"{mean:>8s}  {bucket.gts_without_positive:9d}"
+            )
+    print()
 
-# The same numbers, serialized the way the command-line tool writes them.
-(workdir / "report.json").write_text(json.dumps([report_to_dict(r) for r in reports], indent=2))
-(workdir / "report.csv").write_text(reports_to_csv(reports))
-print("wrote", workdir / "report.json")
-print("wrote", workdir / "report.csv")
-print()
-print(reports_to_csv(reports))
+    # The same numbers, serialized the way the command-line tool writes them.
+    (workdir / "report.json").write_text(json.dumps([report_to_dict(r) for r in reports], indent=2))
+    (workdir / "report.csv").write_text(reports_to_csv(reports))
+    print("wrote", workdir / "report.json")
+    print("wrote", workdir / "report.csv")
+    print()
+    print(reports_to_csv(reports))

@@ -48,7 +48,6 @@ from .dataset import (
     GroundTruth,
     ImageInfo,
     dataset_hash,
-    fnv1a64,
     load_coco,
 )
 from .geometry import (
@@ -157,6 +156,5 @@ __all__ = [
     "GroundTruth",
     "DatasetIndex",
     "load_coco",
-    "fnv1a64",
     "dataset_hash",
 ]

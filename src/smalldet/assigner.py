@@ -20,7 +20,7 @@ import numpy as np
 
 # ps_matrix and iou_matrix are no longer called here, but they stay
 # importable from this module: perfbench/child.py wraps them by this path.
-from .geometry import boxes_to_array, iou_matrix, iou_rows, row_blocks  # noqa: F401
+from .geometry import AnchorSet, boxes_to_array, iou_matrix, iou_rows, row_blocks  # noqa: F401
 from .similarity import DatasetNormalizers, ps_matrix, ps_rows  # noqa: F401
 
 __all__ = [
@@ -229,7 +229,9 @@ def assign_with_metric(
 
     Args:
         gts: Ground-truth boxes.
-        anchors: Anchor boxes.
+        anchors: Anchor boxes. An AnchorSet is used as it is: its boxes
+            are not validated or laid out again, and its corner table is
+            kept for the next call.
         norm: Dataset normalizers; required for the PS metric, ignored
             for IoU.
         thr: Decision thresholds.
@@ -239,9 +241,9 @@ def assign_with_metric(
     if metric is Metric.PS and norm is None:
         raise ValueError("the PS metric requires dataset normalizers")
     g = boxes_to_array(gts)
-    a = boxes_to_array(anchors)
+    a = anchors if isinstance(anchors, AnchorSet) else boxes_to_array(anchors)
     blocks = ps_rows(g, a, norm) if metric is Metric.PS else iou_rows(g, a)
-    return _assign_rows(blocks, g.shape[0], a.shape[0], thr)
+    return _assign_rows(blocks, g.shape[0], len(a), thr)
 
 
 @dataclass(frozen=True)
@@ -286,6 +288,10 @@ def _bucket_names(edges: tuple[float, ...]) -> list[str]:
     return names
 
 
+# Marks an exhausted iterator in assignment_stats.
+_END = object()
+
+
 def assignment_stats(
     results,
     gt_areas,
@@ -295,13 +301,18 @@ def assignment_stats(
 ) -> StatsReport:
     """Aggregate per-image assignment results into a bucketed report.
 
+    Both inputs are consumed as streams, one image at a time, and only
+    per-bucket integer sums are kept, so a generator of results needs
+    memory for one image's results, however many images there are.
+
     Args:
-        results: Per-image results. Each entry is an AssignResult, or a
-            sequence of AssignResult over disjoint anchor subsets of the
-            same image (per-level assignment); these are summed per gt.
-        gt_areas: Per-image arrays of ground-truth areas (px^2), parallel
-            to results. Ground truth g of image i is the one scored by
-            row g of that image's matrices.
+        results: Iterable of per-image results. Each entry is an
+            AssignResult, or a sequence of AssignResult over disjoint
+            anchor subsets of the same image (per-level assignment); these
+            are summed per gt.
+        gt_areas: Iterable of per-image arrays of ground-truth areas
+            (px^2), parallel to results. Ground truth g of image i is the
+            one scored by row g of that image's matrices.
         thr: Thresholds the assignments used (recorded in the report).
         metric: Metric name recorded in the report.
         bucket_edges: Ascending area edges; k edges produce k+1 buckets.
@@ -309,16 +320,16 @@ def assignment_stats(
 
     Returns:
         StatsReport with one record per bucket, in edge order.
+
+    Raises:
+        ValueError: If results and gt_areas differ in length (found when
+            the shorter one runs out), or on bad edges or results.
     """
     edges = tuple(float(e) for e in bucket_edges)
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError(f"bucket edges must be strictly increasing, got {edges}")
     if any(not math.isfinite(e) or e < 0 for e in edges):
         raise ValueError(f"bucket edges must be finite and non-negative, got {edges}")
-    if len(results) != len(gt_areas):
-        raise ValueError(
-            f"got {len(results)} image results but {len(gt_areas)} gt area lists"
-        )
     metric = Metric(metric)
 
     num_buckets = len(edges) + 1
@@ -328,7 +339,13 @@ def assignment_stats(
     total = {POSITIVE: 0, NEGATIVE: 0, IGNORE: 0}
     total_anchors = 0
 
-    for image_results, areas in zip(results, gt_areas):
+    area_lists = iter(gt_areas)
+    images = 0
+    for image_results in results:
+        areas = next(area_lists, _END)
+        if areas is _END:
+            raise ValueError(f"got more image results than the {images} gt area lists")
+        images += 1
         if isinstance(image_results, AssignResult):
             image_results = (image_results,)
         if not image_results:
@@ -342,12 +359,16 @@ def assignment_stats(
             total[NEGATIVE] += int(np.count_nonzero(result.labels == NEGATIVE))
             total[IGNORE] += int(np.count_nonzero(result.labels == IGNORE))
             total_anchors += result.num_anchors
+        # Drop this image's results before the iterator makes the next ones.
+        del image_results, result
         bucket_of = np.searchsorted(np.asarray(edges), areas, side="right")
         for b in range(num_buckets):
             mask = bucket_of == b
             gt_count[b] += int(np.count_nonzero(mask))
             positive_sum[b] += int(per_gt[mask].sum())
             zero_positive[b] += int(np.count_nonzero(per_gt[mask] == 0))
+    if next(area_lists, _END) is not _END:
+        raise ValueError(f"got {images} image results but more gt area lists")
 
     buckets = []
     for name, count, pos, zero in zip(_bucket_names(edges), gt_count, positive_sum, zero_positive):

@@ -19,6 +19,7 @@ import logging
 import math
 import sys
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,8 +37,8 @@ from .assigner import (
     reports_to_json,
 )
 from .contrast import ContrastConfig, LossComponents, gradient_check, spatial_loss, semantic_loss, total_loss
-from .dataset import DatasetError, DatasetIndex, dataset_hash, fnv1a64, load_coco
-from .geometry import AnchorGridSpec, generate_anchors
+from .dataset import DatasetError, DatasetIndex, dataset_hash, fingerprint, load_coco
+from .geometry import AnchorGridSpec, AnchorSet, generate_anchors
 from .pyramid import ToyPyramidConfig, build_embedding_batch
 from .similarity import (
     DatasetNormalizers,
@@ -125,7 +126,7 @@ class AnchorLayout:
         parts.append("R" + ",".join(repr(r) for r in self.ratios))
         parts.append("S" + ",".join(repr(s) for s in self.scales))
         parts.append(f"C{int(self.clip)}")
-        return f"{fnv1a64('|'.join(parts)):016x}"
+        return fingerprint(["|".join(parts)])
 
     @staticmethod
     def from_json_value(value) -> "AnchorLayout":
@@ -233,12 +234,26 @@ class BenchConfig:
             raise CliUsageError(f"repeats must be at least 1, got {self.repeats}")
 
 
-def _map_in_order(fn, items, jobs: int) -> list:
-    """Apply fn to items, optionally on a thread pool, preserving order."""
+def _map_in_order(fn, items, jobs: int):
+    """Yield fn(item) for each item in order, optionally from a thread pool.
+
+    Results are made as the consumer asks for them. The pool keeps at most
+    2 * jobs calls in flight, so whatever the item count, only that many
+    results exist before the consumer takes them (ThreadPoolExecutor.map
+    would submit every item at once and hold every finished result).
+    """
     if jobs <= 1:
-        return [fn(item) for item in items]
+        for item in items:
+            yield fn(item)
+        return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        window = deque()
+        for item in items:
+            if len(window) == 2 * jobs:
+                yield window.popleft().result()
+            window.append(pool.submit(fn, item))
+        while window:
+            yield window.popleft().result()
 
 
 class _ImageTable:
@@ -266,13 +281,17 @@ class _ImageTable:
 
 
 class _AnchorCache:
-    """Memoizes generated anchor sets per distinct image size."""
+    """Memoizes generated anchor sets per distinct image size.
+
+    An AnchorSet is validated once, when it is made, and is read-only, so
+    every image and metric of that size reuses it without re-checking it.
+    """
 
     def __init__(self, layout: AnchorLayout):
         self._layout = layout
-        self._cache: dict[tuple[float, float], object] = {}
+        self._cache: dict[tuple[float, float], AnchorSet] = {}
 
-    def for_size(self, size: tuple[float, float]):
+    def for_size(self, size: tuple[float, float]) -> AnchorSet:
         found = self._cache.get(size)
         if found is None:
             found = generate_anchors(self._layout.spec_for(size[0], size[1]))
@@ -284,13 +303,10 @@ def _accumulate_normalizers(
     table: _ImageTable, anchors: _AnchorCache, jobs: int
 ) -> NormalizerAccumulator:
     def one_image(i: int) -> NormalizerAccumulator:
-        return accumulate(
-            NormalizerAccumulator(), table.gt_boxes[i], anchors.for_size(table.sizes[i]).boxes
-        )
+        return accumulate(NormalizerAccumulator(), table.gt_boxes[i], anchors.for_size(table.sizes[i]))
 
-    parts = _map_in_order(one_image, range(len(table)), jobs)
     acc = NormalizerAccumulator()
-    for part in parts:
+    for part in _map_in_order(one_image, range(len(table)), jobs):
         acc = acc.merge(part)
     return acc
 
@@ -347,13 +363,13 @@ def cmd_stats(cfg: ExperimentConfig) -> int:
 def _assign_one_image(
     metric: str,
     boxes: np.ndarray,
-    anchor_set,
+    anchor_set: AnchorSet,
     norm: DatasetNormalizers | None,
     thr: AssignThresholds,
     per_level: bool,
 ) -> list[AssignResult]:
     if not per_level:
-        return [assign_with_metric(boxes, anchor_set.boxes, norm, thr, metric)]
+        return [assign_with_metric(boxes, anchor_set, norm, thr, metric)]
     return [
         assign_with_metric(boxes, anchor_set.level_boxes(level), norm, thr, metric)
         for level in range(anchor_set.num_levels)
@@ -381,9 +397,14 @@ def cmd_assign(cfg: ExperimentConfig) -> int:
                 cfg.per_level,
             )
 
-        results = _map_in_order(one_image, range(len(table)), cfg.jobs)
+        # A lazy stream: assignment_stats folds each image's results into
+        # the report as they arrive, so they are never all held at once.
         report = assignment_stats(
-            results, table.gt_areas, cfg.thresholds, metric, cfg.bucket_edges
+            _map_in_order(one_image, range(len(table)), cfg.jobs),
+            table.gt_areas,
+            cfg.thresholds,
+            metric,
+            cfg.bucket_edges,
         )
         reports.append(report)
         for bucket in report.buckets:

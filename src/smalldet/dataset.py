@@ -23,7 +23,7 @@ __all__ = [
     "GroundTruth",
     "DatasetIndex",
     "load_coco",
-    "fnv1a64",
+    "fingerprint",
     "dataset_hash",
 ]
 
@@ -188,37 +188,36 @@ def load_coco(path) -> DatasetIndex:
     return DatasetIndex(images=tuple(images), gts_by_image=tuple(tuple(g) for g in gts))
 
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
+def fingerprint(records) -> str:
+    """BLAKE2b digest (8 bytes) of text records, as 16 hex digits.
 
+    The records are hashed as their UTF-8 bytes, one after another.
+    """
+    # Imported on first use: hashlib loads OpenSSL (about 4 MB resident),
+    # which commands that hash nothing should not pay for.
+    import hashlib
 
-def fnv1a64(data: bytes | str, seed: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a hash; pass a previous result as seed to chain."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    h = seed
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
+    h = hashlib.blake2b(digest_size=8)
+    for record in records:
+        h.update(record.encode("utf-8"))
+    return h.hexdigest()
 
 
 def dataset_hash(index: DatasetIndex) -> str:
     """Content fingerprint of an index, as 16 hex digits.
 
+    The fingerprint of one text record per image and per annotation.
     Images are visited in id order (so file ordering does not matter),
     each with its annotations in file order; floats enter the hash by
     repr, making the fingerprint exact, not rounded.
     """
-    h = _FNV_OFFSET
-    order = sorted(range(len(index.images)), key=lambda i: index.images[i].id)
-    for i in order:
+    return fingerprint(_canonical_records(index))
+
+
+def _canonical_records(index: DatasetIndex):
+    for i in sorted(range(len(index.images)), key=lambda i: index.images[i].id):
         image = index.images[i]
-        h = fnv1a64(f"I|{image.id}|{image.width!r}|{image.height!r}\n", h)
+        yield f"I|{image.id}|{image.width!r}|{image.height!r}\n"
         for gt in index.gts_by_image[i]:
             b = gt.box
-            h = fnv1a64(
-                f"A|{b.cx!r}|{b.cy!r}|{b.w!r}|{b.h!r}|{gt.category_id}|{int(gt.iscrowd)}\n", h
-            )
-    return f"{h:016x}"
+            yield f"A|{b.cx!r}|{b.cy!r}|{b.w!r}|{b.h!r}|{gt.category_id}|{int(gt.iscrowd)}\n"

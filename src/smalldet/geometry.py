@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,14 +86,16 @@ def boxes_to_array(boxes) -> np.ndarray:
 
     Returns:
         A float64 array of shape (N, 4). Empty input yields shape (0, 4).
+        For an AnchorSet, its own read-only array, which was validated
+        when the set was made and is not scanned again.
 
     Raises:
         ValueError: If any entry is non-finite or has a non-positive
             width or height.
     """
     if isinstance(boxes, AnchorSet):
-        arr = boxes.boxes
-    elif isinstance(boxes, np.ndarray):
+        return boxes.boxes
+    if isinstance(boxes, np.ndarray):
         arr = np.asarray(boxes, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ValueError(f"box array must have shape (N, 4), got {arr.shape}")
@@ -143,24 +146,31 @@ def _corner_table(arr: np.ndarray) -> np.ndarray:
     return table
 
 
-def iou_rows(a: np.ndarray, b: np.ndarray, out=None):
+def _corners_of(boxes) -> np.ndarray:
+    """Corner table of a validated array, or the one an AnchorSet keeps."""
+    return boxes.corners if isinstance(boxes, AnchorSet) else _corner_table(boxes)
+
+
+def iou_rows(a, b, out=None):
     """Yield (rows, block) pairs of the IoU matrix, one row block at a time.
 
-    Corners and areas are computed once per call; each block then costs a
-    few temporaries of its own size. Blocks follow row_blocks order.
+    Corners and areas are computed once per call, or once per AnchorSet;
+    each block then costs a few temporaries of its own size. Blocks
+    follow row_blocks order.
 
     Args:
-        a: Validated (N, 4) float64 array, as from boxes_to_array (rows).
-        b: Validated (M, 4) float64 array (columns).
+        a: Validated (N, 4) float64 array, as from boxes_to_array, or an
+            AnchorSet (rows).
+        b: Validated (M, 4) float64 array, or an AnchorSet (columns).
         out: Optional (N, M) float64 array; when given, each block is
             written into (and returned as) out[rows].
 
     Yields:
         (rows, block): a row slice and the (rows, M) IoU values, in [0, 1].
     """
-    ca = _corner_table(a)
-    cb = _corner_table(b)
-    for rows in row_blocks(a.shape[0], b.shape[0]):
+    ca = _corners_of(a)
+    cb = _corners_of(b)
+    for rows in row_blocks(ca.shape[1], cb.shape[1]):
         x1, y1, x2, y2, area = ca[:, rows, None]
         inter = np.minimum(x2, cb[2])
         inter -= np.maximum(x1, cb[0])
@@ -263,8 +273,14 @@ class AnchorGridSpec:
 class AnchorSet:
     """Flat anchor collection plus per-level index ranges.
 
+    The boxes are validated once, here, into a read-only array the set
+    owns, so boxes_to_array and the scoring kernels reuse them without
+    scanning or copying them again.
+
     Attributes:
-        boxes: Float64 array of shape (A, 4) in (cx, cy, w, h) order.
+        boxes: Read-only float64 array of shape (A, 4) in (cx, cy, w, h)
+            order, stored column-major so each field is contiguous across
+            anchors, the layout the scoring kernels read.
         level_offsets: One (start, end) half-open row range per level;
             the ranges are contiguous and partition [0, A).
     """
@@ -273,7 +289,9 @@ class AnchorSet:
     level_offsets: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        arr = boxes_to_array(self.boxes)
+        # A copy, so no caller holds a writable alias of the checked values.
+        arr = np.array(boxes_to_array(self.boxes), order="F")
+        arr.flags.writeable = False
         object.__setattr__(self, "boxes", arr)
         offsets = tuple((int(a), int(b)) for a, b in self.level_offsets)
         object.__setattr__(self, "level_offsets", offsets)
@@ -295,6 +313,13 @@ class AnchorSet:
     @property
     def num_levels(self) -> int:
         return len(self.level_offsets)
+
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """Read-only (5, A) rows x1, y1, x2, y2, area; made on first use."""
+        table = _corner_table(self.boxes)
+        table.flags.writeable = False
+        return table
 
     def level_boxes(self, level: int) -> np.ndarray:
         """Rows of the given pyramid level, as a view into boxes."""

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Box, boxes_to_array, row_blocks
+from .geometry import AnchorSet, Box, boxes_to_array, row_blocks
 
 __all__ = [
     "EmptyDatasetError",
@@ -163,7 +163,7 @@ def pairwise_similarity(gt: Box, anchor: Box, norm: DatasetNormalizers) -> float
     return float(np.exp(position, out=position)[0, 0])
 
 
-def ps_rows(g: np.ndarray, a: np.ndarray, norm: DatasetNormalizers, out=None):
+def ps_rows(g: np.ndarray, a, norm: DatasetNormalizers, out=None):
     """Yield (rows, block) pairs of the PS matrix, one gt row block at a time.
 
     Each block costs a few temporaries of its own size, so scoring needs
@@ -173,7 +173,8 @@ def ps_rows(g: np.ndarray, a: np.ndarray, norm: DatasetNormalizers, out=None):
     Args:
         g: Validated (G, 4) float64 ground-truth array, as from
             boxes_to_array (rows).
-        a: Validated (A, 4) float64 anchor array (columns).
+        a: Validated (A, 4) float64 anchor array, or an AnchorSet
+            (columns).
         norm: Dataset normalizers weighting the penalty terms.
         out: Optional (G, A) float64 array; when given, each block is
             written into (and returned as) out[rows].
@@ -181,8 +182,9 @@ def ps_rows(g: np.ndarray, a: np.ndarray, norm: DatasetNormalizers, out=None):
     Yields:
         (rows, block): a row slice and the (rows, A) similarities.
     """
-    # Column-major anchors make each field contiguous across anchors.
-    a = np.asfortranarray(a)[None, :, :]
+    # Column-major anchors make each field contiguous across anchors; an
+    # AnchorSet already stores them so.
+    a = np.asfortranarray(a.boxes if isinstance(a, AnchorSet) else a)[None, :, :]
     for rows in row_blocks(g.shape[0], a.shape[1]):
         position, shape = _ps_terms(g[rows, None, :], a, norm.m, norm.n)
         position += shape

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from smalldet import (
     IGNORE,
     AnchorGridSpec,
+    AnchorSet,
     NormalizerAccumulator,
     NEGATIVE,
     POSITIVE,
@@ -273,6 +275,45 @@ def test_assign_with_metric_matches_matrix_path_per_level(monkeypatch, block_pai
         )
 
 
+def test_anchor_set_is_read_only_and_scores_like_a_writable_copy():
+    anchor_set = generate_anchors(
+        AnchorGridSpec(
+            levels=((8.0, 8.0), (16.0, 16.0)),
+            image_w=96.0,
+            image_h=64.0,
+            ratios=(0.5, 1.0, 2.0),
+            scales=(1.0, 2.0),
+        )
+    )
+    assert not anchor_set.boxes.flags.writeable
+    with pytest.raises(ValueError):
+        anchor_set.boxes[0, 0] = 1.0
+    assert anchor_set.corners is anchor_set.corners
+    assert not anchor_set.corners.flags.writeable
+    copy = np.array(anchor_set.boxes, order="C")
+    assert copy.flags.writeable
+
+    rng = np.random.default_rng(37)
+    gts = np.column_stack([rng.uniform(0, 96, (5, 2)), rng.uniform(2, 40, (5, 2))])
+    norm = finalize(accumulate(NormalizerAccumulator(), gts, copy))
+    assert accumulate(NormalizerAccumulator(), gts, anchor_set) == accumulate(
+        NormalizerAccumulator(), gts, copy
+    )
+    for metric in Metric:
+        assert_same_result(
+            assign_with_metric(gts, anchor_set, norm, DEFAULT, metric),
+            assign_with_metric(gts, copy, norm, DEFAULT, metric),
+        )
+    np.testing.assert_array_equal(ps_matrix(gts, anchor_set, norm), ps_matrix(gts, copy, norm))
+    np.testing.assert_array_equal(iou_matrix(gts, anchor_set), iou_matrix(gts, copy))
+
+    # The set validated and kept its own copy: the caller's array stays
+    # writable, and writing to it does not reach the set.
+    source = np.array([[4.0, 4.0, 8.0, 8.0]])
+    held = AnchorSet(source, ((0, 1),))
+    source[0, 2] = -1.0
+    np.testing.assert_array_equal(held.boxes, [[4.0, 4.0, 8.0, 8.0]])
+
 def test_ps_metric_requires_normalizers():
     with pytest.raises(ValueError):
         assign_with_metric([Box(0, 0, 1, 1)], [Box(0, 0, 1, 1)], None, DEFAULT, Metric.PS)
@@ -338,6 +379,52 @@ def test_stats_accepts_per_level_result_lists():
     assert split_report.buckets[0].mean_positives_per_gt == 2.0
     assert split_report.total_anchors == pooled_report.total_anchors == 3
 
+
+def random_image_results(rng, images=7):
+    """Per-image results and gt areas; every third image is split per level."""
+    results, areas = [], []
+    for i in range(images):
+        num_gts = int(rng.integers(0, 4))
+        parts = [assign(rng.uniform(size=(num_gts, 20)), DEFAULT) for _ in range(1 + (i % 3 == 0))]
+        results.append(parts if len(parts) > 1 else parts[0])
+        areas.append(rng.uniform(10, 20000, size=num_gts))
+    return results, areas
+
+
+def test_stats_over_a_generator_equals_stats_over_a_list():
+    results, areas = random_image_results(np.random.default_rng(38))
+    assert any(isinstance(r, list) for r in results)
+    from_list = assignment_stats(results, areas, DEFAULT, Metric.PS)
+    from_stream = assignment_stats(iter(results), iter(areas), DEFAULT, Metric.PS)
+    assert from_stream == from_list
+    assert from_list.total_anchors == 20 * sum(len(r) if isinstance(r, list) else 1 for r in results)
+
+
+def test_stats_rejects_unequal_lengths_in_either_direction():
+    results, areas = random_image_results(np.random.default_rng(39), images=3)
+    for extra_results, extra_areas in ((results, areas[:2]), (results[:2], areas)):
+        with pytest.raises(ValueError, match="gt area lists"):
+            assignment_stats(extra_results, extra_areas, DEFAULT, Metric.PS)
+        with pytest.raises(ValueError, match="gt area lists"):
+            assignment_stats(iter(extra_results), iter(extra_areas), DEFAULT, Metric.PS)
+
+
+def test_stats_does_not_retain_results():
+    refs = []
+
+    def stream():
+        for _ in range(4):
+            # The report has folded the previous result and let it go.
+            assert all(ref() is None for ref in refs)
+            result = assign(np.array([[0.9, 0.2, 0.1]]), DEFAULT)
+            refs.append(weakref.ref(result))
+            yield result
+            del result
+
+    report = assignment_stats(stream(), [[100.0]] * 4, DEFAULT, Metric.PS)
+    assert len(refs) == 4
+    assert report.total_anchors == 12
+    assert report.buckets[0].positive_anchors == 4
 
 def test_stats_bucket_edges_and_names():
     report = assignment_stats([], [], DEFAULT, Metric.PS, bucket_edges=(4.0, 100.0))

@@ -5,7 +5,7 @@ import logging
 
 import pytest
 
-from smalldet.cli import main
+from smalldet.cli import _map_in_order, main
 
 MINI_LAYOUT = '{"levels": [[4, 4]], "ratios": [1], "scales": [1]}'
 
@@ -207,24 +207,54 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "bogus" in err
 
 
+def varied_dataset(tmp_path):
+    """Nine images of three sizes with 0-3 gts each, spread over the buckets."""
+    images, annotations = [], []
+    sides = (2, 6, 40)
+    for i in range(9):
+        width, height = (48, 32) if i % 3 else (64, 48)
+        images.append({"id": i + 1, "width": width, "height": height - 8 * (i % 2)})
+        for k in range(i % 4):
+            side = sides[(i + k) % 3]
+            annotations.append(
+                {"id": len(annotations) + 1, "image_id": i + 1, "bbox": [3 * k + i, 2 * k, side, side]}
+            )
+    return write_json(tmp_path / "varied.json", {"images": images, "annotations": annotations})
+
+
 def test_assign_per_level_and_jobs_agree(tmp_path, capsys):
-    ann = mini_dataset(tmp_path)
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    assert main(assign_argv(ann, serial, extra=("--per-level",))) == 0
-    assert main(assign_argv(ann, threaded, extra=("--per-level", "--jobs", "3"))) == 0
-    capsys.readouterr()
-    a = json.loads((serial / "report.json").read_text(encoding="utf-8"))
-    b = json.loads((threaded / "report.json").read_text(encoding="utf-8"))
-    for ra, rb in zip(a["reports"], b["reports"]):
-        assert ra["totals"] == rb["totals"]
-        for ba, bb in zip(ra["buckets"], rb["buckets"]):
-            if ba["mean_positives_per_gt"] is None:
-                assert bb["mean_positives_per_gt"] is None
-            else:
-                assert bb["mean_positives_per_gt"] == pytest.approx(
-                    ba["mean_positives_per_gt"], rel=1e-9
-                )
+    # More images than the pool keeps in flight (2 * jobs), so results are
+    # streamed out of a refilled window; reports must not change.
+    ann = varied_dataset(tmp_path)
+    layout = '{"levels": [[4, 4], [8, 8]], "ratios": [0.5, 1, 2], "scales": [1, 2]}'
+    for mode in ((), ("--per-level",)):
+        serial = tmp_path / f"serial{len(mode)}"
+        threaded = tmp_path / f"threaded{len(mode)}"
+        extra = ("--anchors", layout, "--buckets", "16,256", *mode)
+        assert main(assign_argv(ann, serial, extra=(*extra, "--jobs", "1"))) == 0
+        assert main(assign_argv(ann, threaded, extra=(*extra, "--jobs", "3"))) == 0
+        capsys.readouterr()
+        for name in ("report.json", "report.csv"):
+            assert (serial / name).read_bytes() == (threaded / name).read_bytes()
+        payload = json.loads((serial / "report.json").read_text(encoding="utf-8"))
+        assert all(b["gt_count"] for r in payload["reports"] for b in r["buckets"])
+
+
+def test_map_in_order_keeps_a_bounded_window():
+    started = []
+
+    def work(item):
+        started.append(item)
+        return item * item
+
+    jobs = 3
+    stream = _map_in_order(work, range(40), jobs)
+    for k, value in enumerate(stream):
+        assert value == k * k
+        # The pool has been given at most 2 * jobs items beyond this one.
+        assert len(started) <= k + 2 * jobs
+    assert sorted(started) == list(range(40))
+    assert list(_map_in_order(work, range(5), 1)) == [0, 1, 4, 9, 16]
 
 
 def test_anchor_layout_from_file(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Annotation ingestion, validation errors, and content hashing."""
 
+import hashlib
 import json
 import logging
+import math
 
 import pytest
 
-from smalldet import Box, DatasetError, dataset_hash, fnv1a64, load_coco
+from smalldet import Box, DatasetError, dataset_hash, load_coco
 
 
 def write_json(path, payload):
@@ -98,12 +100,26 @@ def test_zero_size_annotations_dropped_and_logged(tmp_path, caplog):
     assert any("dropped 2" in message for message in caplog.messages)
 
 
-def test_fnv1a64_known_values_and_chaining():
-    # classic FNV-1a test vectors
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"ab") == fnv1a64(b"b", seed=fnv1a64(b"a"))
-    assert fnv1a64("a") == fnv1a64(b"a")
+def test_dataset_hash_is_blake2b_of_canonical_records(tmp_path):
+    payload = {
+        "images": [
+            {"id": 2, "width": 100, "height": 100},
+            {"id": 1, "width": 50, "height": 60},
+        ],
+        "annotations": [{"id": 1, "image_id": 1, "bbox": [2, 2, 6, 6], "category_id": 7}],
+    }
+    index = load_coco(write_json(tmp_path / "a.json", payload))
+    # One record per image in id order, each followed by its annotations.
+    records = b"I|1|50.0|60.0\nA|5.0|5.0|6.0|6.0|7|0\nI|2|100.0|100.0\n"
+    assert dataset_hash(index) == hashlib.blake2b(records, digest_size=8).hexdigest()
+    assert dataset_hash(load_coco(write_json(tmp_path / "a.json", payload))) == dataset_hash(index)
+
+    payload["images"].reverse()
+    assert dataset_hash(load_coco(write_json(tmp_path / "b.json", payload))) == dataset_hash(index)
+
+    # One float moved by one ulp changes the fingerprint.
+    payload["images"][0]["width"] = math.nextafter(50.0, math.inf)
+    assert dataset_hash(load_coco(write_json(tmp_path / "c.json", payload))) != dataset_hash(index)
 
 
 def test_dataset_hash_canonicalizes_order(tmp_path):
