@@ -20,7 +20,6 @@ import math
 import sys
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from .assigner import (
 )
 from .contrast import ContrastConfig, LossComponents, gradient_check, spatial_loss, semantic_loss, total_loss
 from .dataset import DatasetError, DatasetIndex, dataset_hash, fingerprint, load_coco
+from . import geometry
 from .geometry import AnchorGridSpec, AnchorSet, generate_anchors
 from .pyramid import ToyPyramidConfig, build_embedding_batch
 from .similarity import (
@@ -246,6 +246,10 @@ def _map_in_order(fn, items, jobs: int):
         for item in items:
             yield fn(item)
         return
+    # Imported here: the module costs every process about 0.5 MB of
+    # resident memory, and --jobs 1 never uses it.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         window = deque()
         for item in items:
@@ -278,6 +282,28 @@ class _ImageTable:
 
     def __len__(self) -> int:
         return len(self.sizes)
+
+
+def _check_anchor_counts(path: str, index: DatasetIndex, layout: AnchorLayout) -> None:
+    """Reject an image whose anchors would pass geometry.MAX_ANCHORS.
+
+    The counts come from the layout and the image sizes alone, so this
+    runs before any anchor is made.
+
+    Raises:
+        DatasetError: Naming the file and the first such image record.
+    """
+    counts: dict[tuple[float, float], int] = {}
+    for pos, image in enumerate(index.images):
+        size = (image.width, image.height)
+        count = counts.get(size)
+        if count is None:
+            count = counts[size] = layout.spec_for(*size).num_anchors()
+        if count > geometry.MAX_ANCHORS:
+            raise DatasetError(
+                f"{path} images[{pos}] (id {image.id}, {image.width:g}x{image.height:g}) "
+                f"would need {count} anchors, more than the {geometry.MAX_ANCHORS} allowed per image"
+            )
 
 
 class _AnchorCache:
@@ -352,6 +378,7 @@ def _resolve_normalizers(
 def cmd_stats(cfg: ExperimentConfig) -> int:
     """Compute dataset normalizers and write the cache file."""
     index = load_coco(cfg.ann)
+    _check_anchor_counts(cfg.ann, index, cfg.layout)
     table = _ImageTable(index)
     anchors = _AnchorCache(cfg.layout)
     norm, pair_count, cached = _resolve_normalizers(cfg, index, table, anchors)
@@ -370,15 +397,13 @@ def _assign_one_image(
 ) -> list[AssignResult]:
     if not per_level:
         return [assign_with_metric(boxes, anchor_set, norm, thr, metric)]
-    return [
-        assign_with_metric(boxes, anchor_set.level_boxes(level), norm, thr, metric)
-        for level in range(anchor_set.num_levels)
-    ]
+    return [assign_with_metric(boxes, part, norm, thr, metric) for part in anchor_set.level_sets]
 
 
 def cmd_assign(cfg: ExperimentConfig) -> int:
     """Run per-metric assignments over the dataset and emit reports."""
     index = load_coco(cfg.ann)
+    _check_anchor_counts(cfg.ann, index, cfg.layout)
     table = _ImageTable(index)
     anchors = _AnchorCache(cfg.layout)
     norm: DatasetNormalizers | None = None

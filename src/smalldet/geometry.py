@@ -3,12 +3,20 @@
 Boxes are stored as (cx, cy, w, h) with strictly positive dimensions.
 Batch operations work on float64 arrays of shape (N, 4) in the same
 field order; helpers accept either Box sequences or such arrays.
+
+An unclipped AnchorSet made by generate_anchors keeps its per-level grid
+tables (LevelGrid: column centers, row centers, shape widths and
+heights). iou_rows reads them to compute each ground truth's IoU only
+inside the row and column window where it overlaps the grid, writing
+exact 0.0 elsewhere; the values are bit-identical to the pairwise
+kernel's. Clipped sets and sets made from given boxes have no grid and
+take the pairwise kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -17,6 +25,8 @@ __all__ = [
     "Box",
     "AnchorGridSpec",
     "AnchorSet",
+    "LevelGrid",
+    "MAX_ANCHORS",
     "make_box",
     "from_topleft",
     "boxes_to_array",
@@ -151,12 +161,21 @@ def _corners_of(boxes) -> np.ndarray:
     return boxes.corners if isinstance(boxes, AnchorSet) else _corner_table(boxes)
 
 
+def _overlap(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Broadcast length of [lo_a, hi_a] ∩ [lo_b, hi_b] along one axis, clipped at 0."""
+    inter = np.minimum(hi_a, hi_b)
+    inter -= np.maximum(lo_a, lo_b)
+    return np.clip(inter, 0.0, None, out=inter)
+
+
 def iou_rows(a, b, out=None):
     """Yield (rows, block) pairs of the IoU matrix, one row block at a time.
 
     Corners and areas are computed once per call, or once per AnchorSet;
     each block then costs a few temporaries of its own size. Blocks
-    follow row_blocks order.
+    follow row_blocks order. When b is an AnchorSet with grid tables,
+    each row's IoU is computed only inside the grid window it overlaps
+    and is exact 0.0 elsewhere, bit-identical to the pairwise values.
 
     Args:
         a: Validated (N, 4) float64 array, as from boxes_to_array, or an
@@ -168,20 +187,58 @@ def iou_rows(a, b, out=None):
     Yields:
         (rows, block): a row slice and the (rows, M) IoU values, in [0, 1].
     """
-    ca = _corners_of(a)
-    cb = _corners_of(b)
+    if isinstance(b, AnchorSet) and b.grid is not None:
+        return _grid_iou_rows(_corners_of(a), b, out)
+    return _pair_iou_rows(_corners_of(a), _corners_of(b), out)
+
+
+def _pair_iou_rows(ca: np.ndarray, cb: np.ndarray, out):
     for rows in row_blocks(ca.shape[1], cb.shape[1]):
         x1, y1, x2, y2, area = ca[:, rows, None]
-        inter = np.minimum(x2, cb[2])
-        inter -= np.maximum(x1, cb[0])
-        inter_h = np.minimum(y2, cb[3])
-        inter_h -= np.maximum(y1, cb[1])
-        np.clip(inter, 0.0, None, out=inter)
-        np.clip(inter_h, 0.0, None, out=inter_h)
-        inter *= inter_h
+        inter = _overlap(x1, x2, cb[0], cb[2])
+        inter *= _overlap(y1, y2, cb[1], cb[3])
         union = area + cb[4]
         union -= inter
         yield rows, np.divide(inter, union, out=None if out is None else out[rows])
+
+
+def _grid_iou_rows(ca: np.ndarray, anchors: "AnchorSet", out):
+    """iou_rows over a grid set: per-axis overlaps on (cols, S) and (rows, S).
+
+    A pair overlaps only where both axis overlaps are positive, so each
+    gt row is divided out only inside the bounding window of the columns
+    and rows it overlaps on some shape; every other entry is the exact
+    0.0 that 0 / union gives in the pairwise kernel.
+    """
+    num_anchors = len(anchors)
+    area = anchors.corners[4]
+    for rows in row_blocks(ca.shape[1], num_anchors):
+        x1, y1, x2, y2, gt_area = ca[:, rows, None, None]
+        if out is None:
+            block = np.zeros((x1.shape[0], num_anchors))
+        else:
+            block = out[rows]
+            block.fill(0.0)
+        for level, (start, end) in zip(anchors.grid, anchors.level_offsets):
+            ax1, ax2, ay1, ay2 = level.corners
+            inter_w = _overlap(x1, x2, ax1, ax2)  # (B, cols, S)
+            inter_h = _overlap(y1, y2, ay1, ay2)  # (B, rows, S)
+            hit_cols = (inter_w > 0).any(axis=2)
+            hit_rows = (inter_h > 0).any(axis=2)
+            level_area = area[start:end].reshape(level.shape)
+            level_block = block[:, start:end].reshape((block.shape[0],) + level.shape)
+            for b in range(block.shape[0]):
+                cols = np.flatnonzero(hit_cols[b])
+                grid_rows = np.flatnonzero(hit_rows[b])
+                if not (cols.size and grid_rows.size):
+                    continue
+                c = slice(cols[0], cols[-1] + 1)
+                r = slice(grid_rows[0], grid_rows[-1] + 1)
+                inter = inter_w[b, None, c] * inter_h[b, r, None]
+                union = gt_area[b] + level_area[r, c]
+                union -= inter
+                np.divide(inter, union, out=level_block[b, r, c])
+        yield rows, block
 
 
 def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
@@ -268,6 +325,83 @@ class AnchorGridSpec:
     def anchors_per_cell(self) -> int:
         return len(self.ratios) * len(self.scales)
 
+    def level_shape(self, stride: float) -> tuple[int, int]:
+        """(rows, cols) of grid cells at one stride."""
+        return math.ceil(self.image_h / stride), math.ceil(self.image_w / stride)
+
+    def num_anchors(self) -> int:
+        """Anchor count of the grid, worked out without making any anchor."""
+        cells = 0
+        for stride, _ in self.levels:
+            rows, cols = self.level_shape(stride)
+            cells += rows * cols
+        return cells * self.anchors_per_cell()
+
+
+# The most anchors generate_anchors lays on one image (2**23, about 8.4M).
+# `smalldet assign` holds about 120 bytes per anchor of the image it works
+# on (the set, its corner table, running best scores, labels, score rows;
+# a 4000x3000 image with 2.2M anchors peaked at 290 MB), so this bounds
+# one image at about 1 GB. The CLI rejects a larger image as a data error.
+MAX_ANCHORS = 1 << 23
+
+
+@dataclass(frozen=True)
+class LevelGrid:
+    """One pyramid level of a regular anchor grid, as four small tables.
+
+    The level's anchor at flat position (row * cols + col) * S + shape is
+    (cx[col], cy[row], ws[shape], hs[shape]), where S = len(ws).
+
+    Attributes:
+        cx: Column centers, strictly increasing, shape (cols,).
+        cy: Row centers, strictly increasing, shape (rows,).
+        ws: Anchor width per shape, shape (S,).
+        hs: Anchor height per shape, shape (S,).
+    """
+
+    cx: np.ndarray
+    cy: np.ndarray
+    ws: np.ndarray
+    hs: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("cx", "cy", "ws", "hs"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.flags.writeable = False
+            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+                raise ValueError(f"grid table {name} must be 1-d and finite")
+            object.__setattr__(self, name, arr)
+        if self.ws.shape != self.hs.shape:
+            raise ValueError("grid tables ws and hs must have the same length")
+        for name in ("cx", "cy"):
+            if np.any(np.diff(getattr(self, name)) <= 0):
+                raise ValueError(f"grid table {name} must be strictly increasing")
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(rows, cols, S)."""
+        return self.cy.size, self.cx.size, self.ws.size
+
+    def boxes(self) -> np.ndarray:
+        """The level's (rows * cols * S, 4) anchors in flat order."""
+        out = np.empty(self.shape + (4,), dtype=np.float64)
+        out[..., 0] = self.cx[None, :, None]
+        out[..., 1] = self.cy[:, None, None]
+        out[..., 2] = self.ws
+        out[..., 3] = self.hs
+        return out.reshape(-1, 4)
+
+    @cached_property
+    def corners(self) -> tuple[np.ndarray, ...]:
+        """x1, x2 on (cols, S) and y1, y2 on (rows, S), computed as the
+        corner table computes them, so the values are the same."""
+        half_w = self.ws / 2.0
+        half_h = self.hs / 2.0
+        cx = self.cx[:, None]
+        cy = self.cy[:, None]
+        return cx - half_w, cx + half_w, cy - half_h, cy + half_h
+
 
 @dataclass(frozen=True)
 class AnchorSet:
@@ -283,10 +417,17 @@ class AnchorSet:
             anchors, the layout the scoring kernels read.
         level_offsets: One (start, end) half-open row range per level;
             the ranges are contiguous and partition [0, A).
+        grid: One LevelGrid per level when the anchors form a regular
+            grid (generate_anchors without clip sets it), else None. The
+            boxes are checked to equal the tables. Kernels given a set
+            with a grid read the tables instead of the boxes.
     """
 
     boxes: np.ndarray
     level_offsets: tuple[tuple[int, int], ...]
+    grid: tuple[LevelGrid, ...] | None = field(default=None, repr=False)
+    # (parent set, start, end) for a set made by level_sets.
+    _parent: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A copy, so no caller holds a writable alias of the checked values.
@@ -306,6 +447,18 @@ class AnchorSet:
             raise ValueError(
                 f"level offsets cover {expected_start} rows but there are {arr.shape[0]} anchors"
             )
+        if self.grid is not None:
+            grid = tuple(self.grid)
+            object.__setattr__(self, "grid", grid)
+            if len(grid) != len(offsets):
+                raise ValueError(f"{len(grid)} grid levels for {len(offsets)} level ranges")
+            for level, (start, end) in zip(grid, offsets):
+                if not isinstance(level, LevelGrid):
+                    raise ValueError(f"grid levels must be LevelGrid, got {type(level).__name__}")
+                if math.prod(level.shape) != end - start:
+                    raise ValueError(f"grid level of shape {level.shape} for {end - start} anchors")
+                if not np.array_equal(arr[start:end], level.boxes()):
+                    raise ValueError("anchor boxes do not match their grid tables")
 
     def __len__(self) -> int:
         return int(self.boxes.shape[0])
@@ -316,39 +469,51 @@ class AnchorSet:
 
     @cached_property
     def corners(self) -> np.ndarray:
-        """Read-only (5, A) rows x1, y1, x2, y2, area; made on first use."""
+        """Read-only (5, A) rows x1, y1, x2, y2, area; made on first use.
+
+        A set from level_sets uses the columns of its parent's table.
+        """
+        if self._parent is not None:
+            parent, start, end = self._parent
+            return parent.corners[:, start:end]
         table = _corner_table(self.boxes)
         table.flags.writeable = False
         return table
 
-    def level_boxes(self, level: int) -> np.ndarray:
-        """Rows of the given pyramid level, as a view into boxes."""
-        start, end = self.level_offsets[level]
-        return self.boxes[start:end]
+    @cached_property
+    def level_sets(self) -> tuple["AnchorSet", ...]:
+        """One single-level AnchorSet per level, made once per set.
 
-    def as_boxes(self) -> list[Box]:
-        """Materialize every anchor as a Box. Intended for small sets."""
-        return [Box(float(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in self.boxes]
+        Each is a read-only slice of this set, with nothing validated or
+        copied again: its boxes are rows of this set's boxes, its corner
+        table is columns of this set's table, and its grid is this set's
+        table for the level.
+        """
+        if self.num_levels == 1:
+            return (self,)
+        parts = []
+        for level, (start, end) in enumerate(self.level_offsets):
+            part = object.__new__(AnchorSet)
+            object.__setattr__(part, "boxes", self.boxes[start:end])
+            object.__setattr__(part, "level_offsets", ((0, end - start),))
+            object.__setattr__(part, "grid", None if self.grid is None else (self.grid[level],))
+            object.__setattr__(part, "_parent", (self, start, end))
+            parts.append(part)
+        return tuple(parts)
 
 
-def _level_anchors(spec: AnchorGridSpec, stride: float, base: float) -> np.ndarray:
-    rows = math.ceil(spec.image_h / stride)
-    cols = math.ceil(spec.image_w / stride)
+def _level_grid(spec: AnchorGridSpec, stride: float, base: float) -> LevelGrid:
+    rows, cols = spec.level_shape(stride)
     ratios = np.asarray(spec.ratios, dtype=np.float64)
     scales = np.asarray(spec.scales, dtype=np.float64)
     # (R, S) grids so the flattened order is ratio-major, scale-minor.
     rr, ss = np.meshgrid(ratios, scales, indexing="ij")
-    ws = base * ss * np.sqrt(1.0 / rr)
-    hs = base * ss * np.sqrt(rr)
-
-    cy = (np.arange(rows, dtype=np.float64) + 0.5) * stride
-    cx = (np.arange(cols, dtype=np.float64) + 0.5) * stride
-    out = np.empty((rows, cols, ratios.size, scales.size, 4), dtype=np.float64)
-    out[..., 0] = cx[None, :, None, None]
-    out[..., 1] = cy[:, None, None, None]
-    out[..., 2] = ws[None, None, :, :]
-    out[..., 3] = hs[None, None, :, :]
-    return out.reshape(-1, 4)
+    return LevelGrid(
+        cx=(np.arange(cols, dtype=np.float64) + 0.5) * stride,
+        cy=(np.arange(rows, dtype=np.float64) + 0.5) * stride,
+        ws=(base * ss * np.sqrt(1.0 / rr)).ravel(),
+        hs=(base * ss * np.sqrt(rr)).ravel(),
+    )
 
 
 def generate_anchors(spec: AnchorGridSpec) -> AnchorSet:
@@ -357,7 +522,7 @@ def generate_anchors(spec: AnchorGridSpec) -> AnchorSet:
     The flat ordering is level-major, then row, then column, then ratio,
     then scale. Level i contributes ceil(image_h / stride_i) rows times
     ceil(image_w / stride_i) columns times one anchor per (ratio, scale)
-    pair.
+    pair. Without clip the set keeps the per-level grid tables.
 
     Args:
         spec: Grid layout to realize.
@@ -366,22 +531,24 @@ def generate_anchors(spec: AnchorGridSpec) -> AnchorSet:
         AnchorSet whose level_offsets match the order of spec.levels.
 
     Raises:
-        ValueError: If the grid would contain no anchors.
+        ValueError: If the grid would contain no anchors, or more than
+            MAX_ANCHORS (checked before any is made).
     """
-    chunks = []
+    count = spec.num_anchors()
+    if count == 0:
+        raise ValueError("anchor grid produced zero anchors")
+    if count > MAX_ANCHORS:
+        raise ValueError(f"anchor grid would hold {count} anchors, more than the {MAX_ANCHORS} allowed")
+    grid = tuple(_level_grid(spec, stride, base) for stride, base in spec.levels)
+    chunks = [level.boxes() for level in grid]
     offsets = []
     start = 0
-    for stride, base in spec.levels:
-        boxes = _level_anchors(spec, stride, base)
+    for boxes in chunks:
         if spec.clip:
             _clip_inplace(boxes, spec.image_w, spec.image_h)
         offsets.append((start, start + boxes.shape[0]))
         start += boxes.shape[0]
-        chunks.append(boxes)
-    all_boxes = np.concatenate(chunks, axis=0)
-    if all_boxes.shape[0] == 0:
-        raise ValueError("anchor grid produced zero anchors")
-    return AnchorSet(all_boxes, tuple(offsets))
+    return AnchorSet(np.concatenate(chunks, axis=0), tuple(offsets), None if spec.clip else grid)
 
 
 def _clip_inplace(boxes: np.ndarray, image_w: float, image_h: float) -> None:

@@ -10,6 +10,12 @@ The normalizers are means over every ground-truth/anchor pair of a dataset:
 m averages |x_gt - x_anchor| / (w_gt + w_anchor), n averages the analogous
 y/height ratio. m weights both x-offset and width terms; n weights both
 y-offset and height terms.
+
+Anchor sets with grid tables (unclipped sets from generate_anchors) take
+factored kernels: ps_rows builds the x, y and shape terms on small
+per-level tables and is bit-identical to the pairwise kernel, while
+accumulate sums in closed form, so m and n may differ from the pairwise
+sums by a few ulps. Other anchors take the pairwise kernels.
 """
 
 from __future__ import annotations
@@ -94,35 +100,36 @@ class NormalizerAccumulator:
         )
 
 
+def _axis_terms(gc, ac, gs, as_, weight: float):
+    """Squared weighted offset and size terms along one axis, broadcast.
+
+    ((gc - ac) / (gs + as_) * weight)**2 and ((gs - as_) / (gs + as_) *
+    weight)**2, for centers gc/ac and sizes gs/as_ of the ground truths
+    and anchors. Both PS kernels take their terms from here, so they
+    round alike.
+    """
+    total = gs + as_
+    offset = (gc - ac) / total
+    offset *= weight
+    offset *= offset
+    size = (gs - as_) / total
+    size *= weight
+    size *= size
+    return offset, size
+
+
 def _ps_terms(g: np.ndarray, a: np.ndarray, m: float, n: float):
     """Position and shape penalty terms for broadcastable (..., 4) arrays.
 
-    The scalar operations and the row-block kernel ps_rows (behind
-    ps_matrix and assign_with_metric) all funnel through this one
-    kernel, so every batch entry is bit-identical to scalar evaluation.
+    The scalar operations and the pairwise row-block kernel (behind
+    ps_matrix, and ps_rows on anchors without grid tables) all funnel
+    through this one kernel, so every batch entry is bit-identical to
+    scalar evaluation.
     """
-    sum_w = g[..., 2] + a[..., 2]
-    sum_h = g[..., 3] + a[..., 3]
-
-    px = g[..., 0] - a[..., 0]
-    px /= sum_w
-    px *= m
-    px *= px
-    py = g[..., 1] - a[..., 1]
-    py /= sum_h
-    py *= n
-    py *= py
+    px, qw = _axis_terms(g[..., 0], a[..., 0], g[..., 2], a[..., 2], m)
+    py, qh = _axis_terms(g[..., 1], a[..., 1], g[..., 3], a[..., 3], n)
     px += py
     position = np.sqrt(px, out=px)
-
-    qw = g[..., 2] - a[..., 2]
-    qw /= sum_w
-    qw *= m
-    qw *= qw
-    qh = g[..., 3] - a[..., 3]
-    qh /= sum_h
-    qh *= n
-    qh *= qh
     qw += qh
     shape = np.sqrt(qw, out=qw)
     return position, shape
@@ -168,7 +175,9 @@ def ps_rows(g: np.ndarray, a, norm: DatasetNormalizers, out=None):
 
     Each block costs a few temporaries of its own size, so scoring needs
     O(anchors) working memory whatever the gt count. Blocks follow
-    geometry.row_blocks order.
+    geometry.row_blocks order. For an AnchorSet with grid tables the
+    terms are factored per level (see _grid_ps_rows); the values are
+    bit-identical to the pairwise kernel's.
 
     Args:
         g: Validated (G, 4) float64 ground-truth array, as from
@@ -182,14 +191,48 @@ def ps_rows(g: np.ndarray, a, norm: DatasetNormalizers, out=None):
     Yields:
         (rows, block): a row slice and the (rows, A) similarities.
     """
-    # Column-major anchors make each field contiguous across anchors; an
-    # AnchorSet already stores them so.
-    a = np.asfortranarray(a.boxes if isinstance(a, AnchorSet) else a)[None, :, :]
+    if isinstance(a, AnchorSet):
+        if a.grid is not None:
+            return _grid_ps_rows(g, a, norm, out)
+        # Each field of an AnchorSet's boxes is contiguous across anchors.
+        return _pair_ps_rows(g, a.boxes, norm, out)
+    return _pair_ps_rows(g, np.asfortranarray(a), norm, out)
+
+
+def _pair_ps_rows(g: np.ndarray, a: np.ndarray, norm: DatasetNormalizers, out):
+    a = a[None, :, :]
     for rows in row_blocks(g.shape[0], a.shape[1]):
         position, shape = _ps_terms(g[rows, None, :], a, norm.m, norm.n)
         position += shape
         np.negative(position, out=position)
         yield rows, np.exp(position, out=position if out is None else out[rows])
+
+
+def _grid_ps_rows(g: np.ndarray, anchors: AnchorSet, norm: DatasetNormalizers, out):
+    """ps_rows over a grid set, with the terms factored per level.
+
+    The x terms depend only on (column, shape), the y offset term only on
+    (row, shape) and the shape term only on the shape, so they come from
+    _axis_terms on (B, cols, S), (B, rows, S) and (B, 1, S) tables. Each
+    pair then costs the add, sqrt, add, negate and exp that end
+    _ps_terms and _pair_ps_rows, in the same order, so every value is
+    bit-identical to theirs.
+    """
+    num_anchors = len(anchors)
+    for rows in row_blocks(g.shape[0], num_anchors):
+        gx, gy, gw, gh = g[rows, :, None, None].transpose(1, 0, 2, 3)
+        block = np.empty((gx.shape[0], num_anchors)) if out is None else out[rows]
+        for level, (start, end) in zip(anchors.grid, anchors.level_offsets):
+            px, qw = _axis_terms(gx, level.cx[:, None], gw, level.ws, norm.m)
+            py, qh = _axis_terms(gy, level.cy[:, None], gh, level.hs, norm.n)
+            qw += qh
+            shape = np.sqrt(qw, out=qw)
+            level_block = block[:, start:end].reshape((block.shape[0],) + level.shape)
+            np.add(px[:, None, :, :], py[:, :, None, :], out=level_block)
+            np.sqrt(level_block, out=level_block)
+            level_block += shape[:, :, None, :]
+        np.negative(block, out=block)
+        yield rows, np.exp(block, out=block)
 
 
 def ps_matrix(gts, anchors, norm: DatasetNormalizers) -> np.ndarray:
@@ -219,14 +262,22 @@ def accumulate(acc: NormalizerAccumulator, gts, anchors) -> NormalizerAccumulato
     Every (gt, anchor) pair contributes |x_g - x_a| / (w_g + w_a) to sum_x
     and |y_g - y_a| / (h_g + h_a) to sum_y; pair_count grows by
     len(gts) * len(anchors). The pairs are summed per gt row block (see
-    geometry.row_blocks), in O(anchors) working memory. Empty inputs
+    geometry.row_blocks), in O(anchors) working memory. For an AnchorSet
+    with grid tables the sums are taken in closed form per level instead
+    (see _grid_offset_sums), in O(gts * shapes) time; they then differ
+    from the pairwise sums only by rounding, a few ulps. Empty inputs
     leave the accumulator unchanged.
     """
     g = boxes_to_array(gts)
     a = boxes_to_array(anchors)
     if g.shape[0] == 0 or a.shape[0] == 0:
         return acc
-    a = np.asfortranarray(a)
+    pair_count = acc.pair_count + g.shape[0] * a.shape[0]
+    if isinstance(anchors, AnchorSet) and anchors.grid is not None:
+        sum_x, sum_y = _grid_offset_sums(acc, g, anchors.grid)
+        return NormalizerAccumulator(sum_x, sum_y, pair_count)
+    if not isinstance(anchors, AnchorSet):
+        a = np.asfortranarray(a)
     sum_x = acc.sum_x
     sum_y = acc.sum_y
     for rows in row_blocks(g.shape[0], a.shape[0]):
@@ -239,7 +290,39 @@ def accumulate(acc: NormalizerAccumulator, gts, anchors) -> NormalizerAccumulato
         dy /= block[..., 3] + a[:, 3]
         sum_x += float(dx.sum())
         sum_y += float(dy.sum())
-    return NormalizerAccumulator(sum_x, sum_y, acc.pair_count + g.shape[0] * a.shape[0])
+    return NormalizerAccumulator(sum_x, sum_y, pair_count)
+
+
+def _abs_offset_sums(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """sum_c |p - centers[c]| for each point p, for increasing centers.
+
+    Prefix sums split at searchsorted: the centers below p contribute
+    k * p - prefix[k], the ones above (total - prefix[k]) - (C - k) * p.
+    """
+    prefix = np.concatenate(([0.0], np.cumsum(centers)))
+    k = np.searchsorted(centers, points)
+    below = k * points - prefix[k]
+    above = (prefix[-1] - prefix[k]) - (centers.size - k) * points
+    # Both are sums of non-negative terms; rounding must not make them negative.
+    return np.maximum(below, 0.0) + np.maximum(above, 0.0)
+
+
+def _grid_offset_sums(acc: NormalizerAccumulator, g: np.ndarray, grid) -> tuple[float, float]:
+    """acc's sums plus the offset sums of g against every anchor of a grid.
+
+    The anchors of a level are every (row, column, shape), so for one gt
+    the x sum is rows * sum_c |x_g - cx_c| * sum_s 1 / (w_g + w_s), and
+    the y sum likewise with the columns. Each level costs O(gts * S).
+    """
+    sum_x = acc.sum_x
+    sum_y = acc.sum_y
+    for level in grid:
+        rows, cols, _ = level.shape
+        dx = rows * _abs_offset_sums(level.cx, g[:, 0])
+        dy = cols * _abs_offset_sums(level.cy, g[:, 1])
+        sum_x += float((dx[:, None] / (g[:, 2, None] + level.ws)).sum())
+        sum_y += float((dy[:, None] / (g[:, 3, None] + level.hs)).sum())
+    return sum_x, sum_y
 
 
 def finalize(acc: NormalizerAccumulator) -> DatasetNormalizers:

@@ -1,0 +1,227 @@
+"""Grid-aware anchor sets: the grid kernels against the pairwise kernels.
+
+An unclipped set from generate_anchors keeps per-level grid tables, and
+ps_rows, iou_rows and accumulate read them. A copy of the same boxes
+without the tables takes the pairwise kernels, which serve as the
+reference: PS and IoU must agree bit for bit, the normalizer sums to
+rel 1e-12.
+"""
+
+import numpy as np
+import pytest
+
+from smalldet import (
+    AnchorGridSpec,
+    AnchorSet,
+    AssignThresholds,
+    DatasetNormalizers,
+    Metric,
+    NormalizerAccumulator,
+    accumulate,
+    assign_with_metric,
+    finalize,
+    generate_anchors,
+)
+from smalldet import geometry, similarity
+from smalldet.geometry import LevelGrid, iou_rows
+from smalldet.similarity import ps_rows
+
+THRESHOLDS = (AssignThresholds(), AssignThresholds(0.5, 0.2, 0.0))
+
+
+def random_spec(rng) -> AnchorGridSpec:
+    """Odd image sizes, non-integer strides, 1-3 levels, 1-3 ratios and scales."""
+    num_levels = int(rng.integers(1, 4))
+    strides = np.sort(rng.uniform(2.5, 40.0, num_levels))
+    while np.any(np.diff(strides) <= 0):
+        strides = np.sort(rng.uniform(2.5, 40.0, num_levels))
+    return AnchorGridSpec(
+        levels=tuple((float(s), float(rng.uniform(2.0, 30.0))) for s in strides),
+        image_w=float(2 * rng.integers(5, 60) + 1),
+        image_h=float(2 * rng.integers(5, 60) + 1) + float(rng.uniform(0.0, 1.0)),
+        ratios=tuple(rng.uniform(0.3, 3.0, int(rng.integers(1, 4)))),
+        scales=tuple(rng.uniform(0.5, 4.0, int(rng.integers(1, 4)))),
+    )
+
+
+def random_gts(rng, spec: AnchorGridSpec, count: int) -> np.ndarray:
+    """gts over an area wider than the image, so some lie outside it, plus
+    one far off that overlaps no anchor."""
+    gts = np.column_stack([
+        rng.uniform(-0.3 * spec.image_w, 1.3 * spec.image_w, count),
+        rng.uniform(-0.3 * spec.image_h, 1.3 * spec.image_h, count),
+        rng.uniform(0.5, 0.6 * spec.image_w, count),
+        rng.uniform(0.5, 0.6 * spec.image_h, count),
+    ])
+    far = [[spec.image_w * 10 + 1000.0, -spec.image_h * 10 - 1000.0, 3.0, 5.0]]
+    return np.concatenate([gts, far])
+
+
+def stripped(anchors: AnchorSet) -> AnchorSet:
+    """The same boxes without grid tables: the pairwise kernels' input."""
+    return AnchorSet(anchors.boxes, anchors.level_offsets)
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    """Raw float64 bits, so -0.0 and 0.0 (or any rounding) differ."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def stacked(blocks, num_rows: int) -> np.ndarray:
+    rows_seen = []
+    parts = []
+    for rows, block in blocks:
+        rows_seen.append(rows)
+        parts.append(np.array(block))
+    assert rows_seen == list(geometry.row_blocks(num_rows, parts[0].shape[1]))
+    return np.concatenate(parts)
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(bits(a), bits(b))
+
+
+def assert_same_result(a, b):
+    np.testing.assert_array_equal(a.labels, b.labels)
+    np.testing.assert_array_equal(a.gt_index, b.gt_index)
+    assert_same_bits(a.best_score, b.best_score)
+
+
+@pytest.mark.parametrize("block_pairs", [None, 97])
+@pytest.mark.parametrize("seed", range(8))
+def test_grid_kernels_match_pairwise_bit_for_bit(monkeypatch, seed, block_pairs):
+    if block_pairs is not None:
+        # Several gts per block and several blocks per call.
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    rng = np.random.default_rng(600 + seed)
+    spec = random_spec(rng)
+    grid_set = generate_anchors(spec)
+    assert grid_set.grid is not None
+    pair_set = stripped(grid_set)
+    gts = random_gts(rng, spec, int(rng.integers(1, 12)))
+    norm = DatasetNormalizers(float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0)))
+    num = gts.shape[0]
+
+    for anchors in (grid_set, *grid_set.level_sets):
+        reference = stripped(anchors)
+        ps = stacked(ps_rows(gts, anchors, norm), num)
+        assert_same_bits(ps, stacked(ps_rows(gts, reference, norm), num))
+        iou = stacked(iou_rows(gts, anchors), num)
+        assert_same_bits(iou, stacked(iou_rows(gts, reference), num))
+        # The out= form fills the same values.
+        out = np.full((num, len(anchors)), np.nan)
+        for _ in ps_rows(gts, anchors, norm, out):
+            pass
+        assert_same_bits(out, ps)
+        out[:] = np.nan
+        for _ in iou_rows(gts, anchors, out):
+            pass
+        assert_same_bits(out, iou)
+        # The far gt overlaps nothing: its IoU row is exact +0.0.
+        assert not np.any(bits(iou[-1]))
+        for thr in THRESHOLDS:
+            for metric in Metric:
+                assert_same_result(
+                    assign_with_metric(gts, anchors, norm, thr, metric),
+                    assign_with_metric(gts, reference, norm, thr, metric),
+                )
+
+    closed = accumulate(NormalizerAccumulator(), gts, grid_set)
+    pairwise = accumulate(NormalizerAccumulator(), gts, pair_set)
+    assert closed.pair_count == pairwise.pair_count == num * len(grid_set)
+    assert closed.sum_x == pytest.approx(pairwise.sum_x, rel=1e-12, abs=0)
+    assert closed.sum_y == pytest.approx(pairwise.sum_y, rel=1e-12, abs=0)
+
+
+def test_one_cell_grids_and_a_gt_on_a_center():
+    # Stride past the image size: one row and one column per level.
+    spec = AnchorGridSpec(levels=((64.0, 8.0), (128.0, 16.0)), image_w=33.0, image_h=17.0,
+                          ratios=(0.5, 2.0), scales=(1.0, 3.0))
+    grid_set = generate_anchors(spec)
+    assert [level.shape for level in grid_set.grid] == [(1, 1, 4), (1, 1, 4)]
+    # gts exactly on the only center, left of it, right of it.
+    gts = np.array([[32.0, 32.0, 4.0, 4.0], [1.0, 70.0, 2.0, 9.0], [200.0, 5.0, 30.0, 3.0]])
+    norm = finalize(accumulate(NormalizerAccumulator(), gts, stripped(grid_set)))
+    closed = accumulate(NormalizerAccumulator(), gts, grid_set)
+    assert closed.sum_x == pytest.approx(norm.m * closed.pair_count, rel=1e-12, abs=0)
+    assert closed.sum_y == pytest.approx(norm.n * closed.pair_count, rel=1e-12, abs=0)
+    for metric in Metric:
+        assert_same_result(
+            assign_with_metric(gts, grid_set, norm, THRESHOLDS[1], metric),
+            assign_with_metric(gts, stripped(grid_set), norm, THRESHOLDS[1], metric),
+        )
+
+
+def test_zero_iou_gt_still_rescues_anchor_zero():
+    spec = AnchorGridSpec(levels=((8.0, 8.0), (16.0, 16.0)), image_w=41.0, image_h=23.0,
+                          ratios=(1.0, 2.0))
+    grid_set = generate_anchors(spec)
+    # gt 0 overlaps some anchors; gt 1 lies far outside and overlaps none.
+    gts = np.array([[20.0, 12.0, 8.0, 8.0], [-500.0, -500.0, 4.0, 4.0]])
+    rows = stacked(iou_rows(gts, grid_set), 2)
+    assert np.any(rows[0] > 0)
+    assert not np.any(bits(rows[1]))
+    thr = AssignThresholds(pos_thr=0.5, neg_thr=0.2, min_pos_thr=0.0)
+    result = assign_with_metric(gts, grid_set, None, thr, Metric.IOU)
+    # Its all-zero row clears a zero floor, so it claims its argmax: anchor 0.
+    assert result.labels[0] == 1 and result.gt_index[0] == 1
+    assert_same_result(result, assign_with_metric(gts, stripped(grid_set), None, thr, Metric.IOU))
+
+
+def test_only_unclipped_generated_sets_take_the_grid_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid kernel called")
+
+    spec = AnchorGridSpec(levels=((8.0, 16.0),), image_w=40.0, image_h=24.0, clip=True)
+    clipped = generate_anchors(spec)
+    assert clipped.grid is None
+    given = AnchorSet(generate_anchors(AnchorGridSpec(levels=((8.0, 16.0),), image_w=40.0,
+                                                      image_h=24.0)).boxes, ((0, 15),))
+    assert given.grid is None
+    gts = np.array([[10.0, 10.0, 6.0, 6.0]])
+    norm = DatasetNormalizers(0.5, 0.5)
+    monkeypatch.setattr(similarity, "_grid_ps_rows", refuse)
+    monkeypatch.setattr(similarity, "_grid_offset_sums", refuse)
+    monkeypatch.setattr(geometry, "_grid_iou_rows", refuse)
+    for anchors in (clipped, given, *clipped.level_sets):
+        for metric in Metric:
+            assign_with_metric(gts, anchors, norm, THRESHOLDS[0], metric)
+        accumulate(NormalizerAccumulator(), gts, anchors)
+    unclipped = generate_anchors(AnchorGridSpec(levels=((8.0, 16.0),), image_w=40.0, image_h=24.0))
+    with pytest.raises(AssertionError, match="grid kernel"):
+        assign_with_metric(gts, unclipped, norm, THRESHOLDS[0], Metric.IOU)
+    with pytest.raises(AssertionError, match="grid kernel"):
+        accumulate(NormalizerAccumulator(), gts, unclipped)
+
+
+def test_grid_tables_must_describe_the_boxes():
+    anchors = generate_anchors(AnchorGridSpec(levels=((8.0, 8.0), (16.0, 16.0)),
+                                              image_w=32.0, image_h=16.0, ratios=(0.5, 2.0)))
+    AnchorSet(anchors.boxes, anchors.level_offsets, anchors.grid)
+    with pytest.raises(ValueError, match="grid levels"):
+        AnchorSet(anchors.boxes, anchors.level_offsets, anchors.grid[:1])
+    with pytest.raises(ValueError, match="grid level of shape"):
+        AnchorSet(anchors.boxes, anchors.level_offsets, anchors.grid[::-1])
+    level = anchors.grid[0]
+    shifted = LevelGrid(level.cx + 0.5, level.cy, level.ws, level.hs)
+    with pytest.raises(ValueError, match="do not match"):
+        AnchorSet(anchors.boxes, anchors.level_offsets, (shifted, anchors.grid[1]))
+    with pytest.raises(ValueError, match="increasing"):
+        LevelGrid(level.cx[::-1], level.cy, level.ws, level.hs)
+    with pytest.raises(ValueError, match="same length"):
+        LevelGrid(level.cx, level.cy, level.ws, level.hs[:1])
+    assert not level.cx.flags.writeable
+
+
+def test_anchor_count_is_known_before_any_anchor_is_made(monkeypatch):
+    spec = AnchorGridSpec(levels=((7.5, 8.0), (16.0, 16.0)), image_w=61.0, image_h=33.0,
+                          ratios=(0.5, 1.0, 2.0), scales=(1.0, 2.0))
+    assert spec.num_anchors() == len(generate_anchors(spec)) == (9 * 5 + 4 * 3) * 6
+    monkeypatch.setattr(geometry, "MAX_ANCHORS", spec.num_anchors() - 1)
+    with pytest.raises(ValueError, match="more than the"):
+        generate_anchors(spec)
+    # A huge image is counted, not made.
+    huge = AnchorGridSpec(levels=((16.0, 16.0),), image_w=1e12, image_h=1e12)
+    assert huge.num_anchors() == (10**12 // 16) ** 2
+    with pytest.raises(ValueError, match="more than the"):
+        generate_anchors(huge)

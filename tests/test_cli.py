@@ -5,6 +5,7 @@ import logging
 
 import pytest
 
+from smalldet import AnchorSet, cli, geometry
 from smalldet.cli import _map_in_order, main
 
 MINI_LAYOUT = '{"levels": [[4, 4]], "ratios": [1], "scales": [1]}'
@@ -238,6 +239,54 @@ def test_assign_per_level_and_jobs_agree(tmp_path, capsys):
             assert (serial / name).read_bytes() == (threaded / name).read_bytes()
         payload = json.loads((serial / "report.json").read_text(encoding="utf-8"))
         assert all(b["gt_count"] for r in payload["reports"] for b in r["buckets"])
+
+
+def test_assign_reports_do_not_depend_on_grid_tables(tmp_path, capsys, monkeypatch):
+    # The grid kernels (closed-form normalizers, factored PS, windowed IoU)
+    # against the pairwise ones, end to end with cold normalizers.
+    ann = varied_dataset(tmp_path)
+    layout = '{"levels": [[4, 4], [8, 8]], "ratios": [0.5, 1, 2], "scales": [1, 2]}'
+    generate = cli.generate_anchors
+
+    def without_grid(spec):
+        anchors = generate(spec)
+        assert anchors.grid is not None
+        return AnchorSet(anchors.boxes, anchors.level_offsets)
+
+    for mode in ((), ("--per-level",)):
+        extra = ("--anchors", layout, "--buckets", "16,256", *mode)
+        with_tables = tmp_path / f"grid{len(mode)}"
+        assert main(assign_argv(ann, with_tables, extra=extra)) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "generate_anchors", without_grid)
+            without = tmp_path / f"pairwise{len(mode)}"
+            assert main(assign_argv(ann, without, extra=extra)) == 0
+        capsys.readouterr()
+        for name in ("report.json", "report.csv"):
+            assert (with_tables / name).read_bytes() == (without / name).read_bytes()
+
+
+def test_image_past_the_anchor_cap_is_a_data_error(tmp_path, capsys, monkeypatch):
+    payload = {
+        "images": [{"id": 7, "width": 8, "height": 4}, {"id": 9, "width": 16, "height": 8}],
+        "annotations": [{"id": 1, "image_id": 7, "bbox": [0, 0, 4, 4]}],
+    }
+    ann = write_json(tmp_path / "capped.json", payload)
+    # MINI_LAYOUT lays 2 anchors on the first image and 8 on the second.
+    monkeypatch.setattr(geometry, "MAX_ANCHORS", 4)
+    for argv in (assign_argv(ann, tmp_path / "r"),
+                 ["stats", "--ann", ann, "--anchors", MINI_LAYOUT, "--out", str(tmp_path / "c.json")]):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("data error:")
+        assert ann in err and "images[1]" in err and "id 9" in err and "8 anchors" in err
+    assert not (tmp_path / "r").exists() and not (tmp_path / "c.json").exists()
+    monkeypatch.undo()
+    # At the real cap a huge image is counted, never laid out.
+    payload["images"][1].update(width=1e9, height=1e9)
+    ann = write_json(tmp_path / "huge.json", payload)
+    code, _, err = run(capsys, assign_argv(ann, tmp_path / "r"))
+    assert code == 2 and "images[1]" in err and "Traceback" not in err
 
 
 def test_map_in_order_keeps_a_bounded_window():

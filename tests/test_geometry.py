@@ -169,13 +169,22 @@ def test_level_offsets_partition_and_views():
     spec = AnchorGridSpec(levels=((8.0, 8.0), (16.0, 16.0)), image_w=32, image_h=32)
     anchors = generate_anchors(spec)
     assert anchors.num_levels == 2
+    assert anchors.level_sets is anchors.level_sets
     total = 0
-    for level in range(anchors.num_levels):
-        view = anchors.level_boxes(level)
+    for level, part in enumerate(anchors.level_sets):
         start, end = anchors.level_offsets[level]
-        assert view.shape == (end - start, 4)
-        total += view.shape[0]
+        assert part.level_offsets == ((0, end - start),)
+        # Slices of the parent's tables, not copies.
+        assert np.shares_memory(part.boxes, anchors.boxes)
+        np.testing.assert_array_equal(part.boxes, anchors.boxes[start:end])
+        assert np.shares_memory(part.corners, anchors.corners)
+        np.testing.assert_array_equal(part.corners, anchors.corners[:, start:end])
+        assert part.grid == (anchors.grid[level],)
+        assert not part.boxes.flags.writeable and not part.corners.flags.writeable
+        total += len(part)
     assert total == len(anchors)
+    single = generate_anchors(AnchorGridSpec(levels=((8.0, 8.0),), image_w=32, image_h=32))
+    assert single.level_sets == (single,)
 
 
 def test_clip_keeps_anchors_inside_image():
