@@ -20,6 +20,7 @@ from .assigner import (
     assign,
     assign_with_metric,
     assignment_stats,
+    check_bucket_edges,
     report_to_dict,
     reports_to_csv,
     reports_to_json,
@@ -123,6 +124,7 @@ __all__ = [
     "assign",
     "assign_with_metric",
     "assignment_stats",
+    "check_bucket_edges",
     "report_to_dict",
     "reports_to_json",
     "reports_to_csv",

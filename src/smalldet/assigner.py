@@ -35,6 +35,7 @@ __all__ = [
     "assign",
     "assign_with_metric",
     "assignment_stats",
+    "check_bucket_edges",
     "report_to_dict",
     "reports_to_json",
     "reports_to_csv",
@@ -288,6 +289,20 @@ def _bucket_names(edges: tuple[float, ...]) -> list[str]:
     return names
 
 
+def check_bucket_edges(bucket_edges) -> tuple[float, ...]:
+    """Report bucket edges as floats: finite, non-negative, strictly increasing.
+
+    Raises:
+        ValueError: If the edges are not all three.
+    """
+    edges = tuple(float(e) for e in bucket_edges)
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ValueError(f"bucket edges must be strictly increasing, got {edges}")
+    if any(not math.isfinite(e) or e < 0 for e in edges):
+        raise ValueError(f"bucket edges must be finite and non-negative, got {edges}")
+    return edges
+
+
 # Marks an exhausted iterator in assignment_stats.
 _END = object()
 
@@ -325,11 +340,7 @@ def assignment_stats(
         ValueError: If results and gt_areas differ in length (found when
             the shorter one runs out), or on bad edges or results.
     """
-    edges = tuple(float(e) for e in bucket_edges)
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError(f"bucket edges must be strictly increasing, got {edges}")
-    if any(not math.isfinite(e) or e < 0 for e in edges):
-        raise ValueError(f"bucket edges must be finite and non-negative, got {edges}")
+    edges = check_bucket_edges(bucket_edges)
     metric = Metric(metric)
 
     num_buckets = len(edges) + 1

@@ -1,14 +1,15 @@
 """Command-line experiment harness.
 
-Four subcommands cover the library's workflows: `stats` computes and
+Three subcommands cover the library's workflows: `stats` computes and
 caches dataset normalizers, `assign` runs metric assignments over a COCO
-annotation file and writes bucketed reports, `contrast-demo` exercises the
-contrastive losses on the toy pyramid with a gradient check, and `bench`
-times the scoring and assignment kernels on synthetic workloads.
+annotation file and writes bucketed reports, and `contrast-demo`
+exercises the contrastive losses on the toy pyramid with a gradient check.
 
-Every flag can also be supplied through a JSON config file (--config);
-values given on the command line win over file values. Exit codes: 0
-success, 1 usage or config error, 2 data error, 3 verification failure.
+Each option is declared once, in _OPTIONS, with its flag, parser, config
+field, commands and help; defaults live on the config dataclasses. Every
+flag can also come from a JSON config file (--config) through the same
+parser; command-line values win over file values. Exit codes: 0 success,
+1 usage or config error, 2 data error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import json
 import logging
 import math
 import sys
-import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,9 +30,9 @@ from .assigner import (
     AssignResult,
     AssignThresholds,
     Metric,
-    assign,
     assign_with_metric,
     assignment_stats,
+    check_bucket_edges,
     reports_to_csv,
     reports_to_json,
 )
@@ -48,7 +49,6 @@ from .similarity import (
     accumulate,
     finalize,
     load_normalizer_cache,
-    ps_matrix,
     save_normalizer_cache,
 )
 
@@ -61,11 +61,9 @@ __all__ = [
     "AnchorLayout",
     "ExperimentConfig",
     "ContrastDemoConfig",
-    "BenchConfig",
     "cmd_stats",
     "cmd_assign",
     "cmd_contrast_demo",
-    "cmd_bench",
     "build_parser",
     "main",
     "entrypoint",
@@ -130,7 +128,7 @@ class AnchorLayout:
 
     @staticmethod
     def from_json_value(value) -> "AnchorLayout":
-        """Build a layout from a parsed JSON object."""
+        """Build a layout from a parsed JSON object, with the option parsers."""
         if not isinstance(value, dict):
             raise CliUsageError(f"anchor config must be a JSON object, got {type(value).__name__}")
         known = {"levels", "ratios", "scales", "clip"}
@@ -140,13 +138,16 @@ class AnchorLayout:
         kwargs = {}
         try:
             if "levels" in value:
-                kwargs["levels"] = tuple((float(s), float(b)) for s, b in value["levels"])
+                kwargs["levels"] = tuple(
+                    (_as_float(s, "anchor levels"), _as_float(b, "anchor levels"))
+                    for s, b in value["levels"]
+                )
             if "ratios" in value:
-                kwargs["ratios"] = tuple(float(r) for r in value["ratios"])
+                kwargs["ratios"] = tuple(_as_float(r, "anchor ratios") for r in value["ratios"])
             if "scales" in value:
-                kwargs["scales"] = tuple(float(s) for s in value["scales"])
+                kwargs["scales"] = tuple(_as_float(s, "anchor scales") for s in value["scales"])
             if "clip" in value:
-                kwargs["clip"] = bool(value["clip"])
+                kwargs["clip"] = _as_bool(value["clip"], "anchor clip")
             return AnchorLayout(**kwargs)
         except (TypeError, ValueError) as exc:
             raise CliUsageError(f"bad anchor config: {exc}") from exc
@@ -157,7 +158,7 @@ class ExperimentConfig:
     """Resolved configuration of the stats and assign commands.
 
     Attributes:
-        ann: Annotation file path.
+        ann: Annotation file path; the only field without a default.
         layout: Anchor grid layout applied to every image.
         thresholds: Assigner thresholds.
         metrics: Metric names to run ("ps", "iou"); at least one.
@@ -170,18 +171,20 @@ class ExperimentConfig:
     """
 
     ann: str
-    layout: AnchorLayout
-    thresholds: AssignThresholds
-    metrics: tuple[str, ...]
-    bucket_edges: tuple[float, ...]
-    cache_path: str | None
-    jobs: int
-    out_dir: str | None
+    layout: AnchorLayout = AnchorLayout()
+    thresholds: AssignThresholds = AssignThresholds()
+    metrics: tuple[str, ...] = (Metric.PS.value,)
+    bucket_edges: tuple[float, ...] = (1024.0, 9216.0)
+    cache_path: str | None = None
+    jobs: int = 1
+    out_dir: str | None = None
     per_level: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "metrics", tuple(Metric(m).value for m in self.metrics))
-        object.__setattr__(self, "bucket_edges", tuple(float(e) for e in self.bucket_edges))
+        try:
+            object.__setattr__(self, "bucket_edges", check_bucket_edges(self.bucket_edges))
+        except ValueError as exc:
+            raise CliUsageError(str(exc)) from exc
         if not self.metrics:
             raise CliUsageError("at least one metric is required")
         if self.jobs < 1:
@@ -214,24 +217,6 @@ class ContrastDemoConfig:
             raise CliUsageError("alpha and detector-loss must be non-negative")
         if not (math.isfinite(self.fd_step) and self.fd_step > 0):
             raise CliUsageError(f"fd-step must be positive, got {self.fd_step}")
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """Resolved configuration of the bench command."""
-
-    anchors_n: int = 100_000
-    gts_n: int = 100
-    repeats: int = 3
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.anchors_n < 1:
-            raise CliUsageError(f"bench needs at least one anchor, got {self.anchors_n}")
-        if self.gts_n < 0:
-            raise CliUsageError(f"gts-n must be non-negative, got {self.gts_n}")
-        if self.repeats < 1:
-            raise CliUsageError(f"repeats must be at least 1, got {self.repeats}")
 
 
 def _map_in_order(fn, items, jobs: int):
@@ -494,66 +479,171 @@ def cmd_contrast_demo(cfg: ContrastDemoConfig) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_bench(cfg: BenchConfig) -> int:
-    """Time scoring plus assignment on a synthetic workload, both ways.
+# Option parsers, (value, key) -> typed value, take a flag's text or a
+# config-file JSON value alike and fail with a CliUsageError naming the key.
 
-    Each repeat times ps_matrix + assign (the dense matrix path) and
-    assign_with_metric (the streamed path the assign command runs);
-    pairs_per_s is for the streamed path. Outputs must be identical
-    across repeats, and the two paths must agree bit for bit.
-    """
-    rng = np.random.default_rng(cfg.seed)
 
-    def random_boxes(count: int, low: float, high: float) -> np.ndarray:
-        boxes = np.empty((count, 4))
-        boxes[:, 0] = rng.uniform(0.0, 1024.0, count)
-        boxes[:, 1] = rng.uniform(0.0, 1024.0, count)
-        boxes[:, 2] = rng.uniform(low, high, count)
-        boxes[:, 3] = rng.uniform(low, high, count)
-        return boxes
+def _as_path(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise CliUsageError(f"{key} must be a path, got {value!r}")
+    return value
 
-    anchors = random_boxes(cfg.anchors_n, 8.0, 96.0)
-    gts = random_boxes(cfg.gts_n, 4.0, 64.0)
-    if cfg.gts_n:
-        norm = finalize(accumulate(NormalizerAccumulator(), gts, anchors))
+
+def _as_int(value, key: str) -> int:
+    """An integer, an integral float or an integer's text; never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise CliUsageError(f"{key} must be an integer, got {value!r}")
+
+
+def _as_float(value, key: str) -> float:
+    """A number or a number's text; a boolean is not a number."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise CliUsageError(f"{key} must be a number, got {value!r}")
+
+
+def _as_bool(value, key: str) -> bool:
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.lower() in ("true", "false", "1", "0"):
+        return value.lower() in ("true", "1")
+    raise CliUsageError(f"{key} must be a boolean, got {value!r}")
+
+
+def _as_list(value, key: str) -> list:
+    if isinstance(value, str):
+        return [p.strip() for p in value.split(",") if p.strip()]
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    raise CliUsageError(f"{key} must be a comma-separated list, got {value!r}")
+
+
+def _as_float_list(value, key: str) -> tuple[float, ...]:
+    return tuple(_as_float(p, key) for p in _as_list(value, key))
+
+
+def _as_metrics(value, key: str) -> tuple[str, ...]:
+    names = [str(p) for p in _as_list(value, key)]
+    try:
+        return tuple(Metric(m).value for m in names)
+    except ValueError as exc:
+        raise CliUsageError(f"{key} must be among {[m.value for m in Metric]}, got {names}") from exc
+
+
+def _as_thresholds(value, key: str) -> AssignThresholds:
+    numbers = _as_float_list(value, key)
+    if len(numbers) != 3:
+        raise CliUsageError(f"{key} needs exactly three values pos,neg,min_pos, got {len(numbers)}")
+    try:
+        return AssignThresholds(*numbers)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from exc
+
+
+def _as_anchor_layout(value, key: str) -> AnchorLayout:
+    if isinstance(value, dict):
+        return AnchorLayout.from_json_value(value)
+    text = _as_path(value, key).strip()
+    if text.startswith("{"):
+        source = "inline anchor config"
     else:
-        norm = DatasetNormalizers(1.0, 1.0)
-    thr = AssignThresholds()
-    pairs = cfg.anchors_n * cfg.gts_n
+        source = f"anchor config file {text}"
+        try:
+            text = Path(text).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise CliUsageError(f"cannot read {source}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliUsageError(f"{source} is not valid JSON: {exc}") from exc
+    return AnchorLayout.from_json_value(doc)
 
-    def digest(result: AssignResult) -> tuple[bytes, bytes, bytes]:
-        return result.labels.tobytes(), result.gt_index.tobytes(), result.best_score.tobytes()
 
-    print(
-        f"{'run':>3}  {'ps_matrix_s':>11}  {'assign_s':>9}  {'total_s':>9}  "
-        f"{'streamed_s':>10}  {'pairs_per_s':>12}"
-    )
-    digests = []
-    for run in range(cfg.repeats):
-        t0 = time.perf_counter()
-        score = ps_matrix(gts, anchors, norm)
-        t1 = time.perf_counter()
-        dense = assign(score, thr)
-        t2 = time.perf_counter()
-        del score
-        t3 = time.perf_counter()
-        streamed = assign_with_metric(gts, anchors, norm, thr, Metric.PS)
-        t4 = time.perf_counter()
-        rate = pairs / (t4 - t3) if t4 > t3 else float("inf")
-        print(
-            f"{run:>3}  {t1 - t0:>11.4f}  {t2 - t1:>9.4f}  {t2 - t0:>9.4f}  "
-            f"{t4 - t3:>10.4f}  {rate:>12.3e}"
-        )
-        digests.append((digest(dense), digest(streamed)))
-    if any(d != digests[0] for d in digests[1:]):
-        print("assignment outputs differed between repeats", file=sys.stderr)
-        return EXIT_VERIFY
-    print(f"outputs identical across {cfg.repeats} run(s)")
-    if digests[0][0] != digests[0][1]:
-        print("streamed and matrix assignments differ", file=sys.stderr)
-        return EXIT_VERIFY
-    print("streamed and matrix assignments agree bit for bit")
-    return EXIT_OK
+class _Option(NamedTuple):
+    """One option: its flag, parser, the config field it sets, commands, help.
+
+    The config-file key is the flag without its dashes, with "-" read as
+    "_". Options parsed by _as_bool are store_true flags.
+    """
+
+    flag: str
+    parse: Callable
+    field: str
+    commands: tuple[str, ...]
+    help: str
+
+    @property
+    def key(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+_EXPERIMENT = ("stats", "assign")
+_DEMO = ("contrast-demo",)
+
+_OPTIONS = (
+    _Option("--ann", _as_path, "ann", _EXPERIMENT, "COCO-style annotation file"),
+    _Option("--anchors", _as_anchor_layout, "layout", _EXPERIMENT,
+            "anchor layout: JSON file path or inline JSON object"),
+    _Option("--out", _as_path, "cache_path", ("stats",), "normalizer cache file to write"),
+    _Option("--metrics", _as_metrics, "metrics", ("assign",), "comma-separated metrics: ps,iou"),
+    _Option("--thr", _as_thresholds, "thresholds", ("assign",), "thresholds pos,neg,min_pos"),
+    _Option("--buckets", _as_float_list, "bucket_edges", ("assign",),
+            "comma-separated area bucket edges"),
+    _Option("--out", _as_path, "out_dir", ("assign",), "directory for report.json and report.csv"),
+    _Option("--cache", _as_path, "cache_path", ("assign",), "normalizer cache file to reuse or write"),
+    _Option("--jobs", _as_int, "jobs", _EXPERIMENT, "worker threads"),
+    _Option("--per-level", _as_bool, "per_level", ("assign",),
+            "assign each pyramid level separately instead of pooling anchors"),
+    _Option("--levels", _as_int, "levels", _DEMO, "pyramid levels"),
+    _Option("--batch", _as_int, "batch", _DEMO, "images per batch"),
+    _Option("--dim", _as_int, "dim", _DEMO, "embedding dimension"),
+    _Option("--tau", _as_float, "tau", _DEMO, "softmax temperature"),
+    _Option("--alpha", _as_float, "alpha", _DEMO, "contrast loss weight"),
+    _Option("--detector-loss", _as_float, "detector_loss", _DEMO, "externally supplied detection loss"),
+    _Option("--seed", _as_int, "seed", _DEMO, "generator seed"),
+    _Option("--fd-step", _as_float, "fd_step", _DEMO, "finite-difference step"),
+    _Option("--include-same-image", _as_bool, "include_same_image", _DEMO,
+            "add same-image other-level embeddings to the spatial negatives"),
+    _Option("--l2-normalize", _as_bool, "l2_normalize", _DEMO,
+            "unit-normalize embeddings before the losses"),
+)
+
+
+class _Command(NamedTuple):
+    run: Callable
+    config: type
+    help: str
+
+
+_COMMANDS = {
+    "stats": _Command(cmd_stats, ExperimentConfig, "compute and cache dataset normalizers"),
+    "assign": _Command(cmd_assign, ExperimentConfig, "run metric assignments and write reports"),
+    "contrast-demo": _Command(cmd_contrast_demo, ContrastDemoConfig, "toy-pyramid losses plus gradient check"),
+}
+
+
+def _options(command: str) -> list[_Option]:
+    return [option for option in _OPTIONS if command in option.commands]
+
+
+def _shown(value) -> str:
+    """A default written the way its option takes it."""
+    if isinstance(value, AnchorLayout):
+        return json.dumps(asdict(value))
+    if isinstance(value, AssignThresholds):
+        value = astuple(value)
+    if isinstance(value, tuple):
+        return ",".join(_shown(v) for v in value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -566,86 +656,24 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="smalldet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON file supplying default flag values")
-
-    p_stats = sub.add_parser("stats", help="compute and cache dataset normalizers")
-    add_common(p_stats)
-    p_stats.add_argument("--ann", help="COCO-style annotation file")
-    p_stats.add_argument("--anchors", help="anchor layout: JSON file path or inline JSON object")
-    p_stats.add_argument("--out", help="normalizer cache file to write")
-    p_stats.add_argument("--jobs", type=int, help="worker threads (default 1)")
-
-    p_assign = sub.add_parser("assign", help="run metric assignments and write reports")
-    add_common(p_assign)
-    p_assign.add_argument("--ann", help="COCO-style annotation file")
-    p_assign.add_argument("--anchors", help="anchor layout: JSON file path or inline JSON object")
-    p_assign.add_argument("--metrics", help="comma-separated metrics: ps,iou")
-    p_assign.add_argument("--thr", help="thresholds pos,neg,min_pos (default 0.7,0.3,0.3)")
-    p_assign.add_argument("--buckets", help="comma-separated area bucket edges (default 1024,9216)")
-    p_assign.add_argument("--out", help="directory for report.json and report.csv")
-    p_assign.add_argument("--cache", help="normalizer cache file to reuse or write")
-    p_assign.add_argument("--jobs", type=int, help="worker threads (default 1)")
-    p_assign.add_argument(
-        "--per-level",
-        action="store_true",
-        default=None,
-        help="assign each pyramid level separately instead of pooling anchors",
-    )
-
-    p_demo = sub.add_parser("contrast-demo", help="toy-pyramid losses plus gradient check")
-    add_common(p_demo)
-    p_demo.add_argument("--levels", type=int, help="pyramid levels (default 4)")
-    p_demo.add_argument("--batch", type=int, help="images per batch (default 3)")
-    p_demo.add_argument("--dim", type=int, help="embedding dimension (default 16)")
-    p_demo.add_argument("--tau", type=float, help="softmax temperature (default 0.07)")
-    p_demo.add_argument("--alpha", type=float, help="contrast loss weight (default 0.1)")
-    p_demo.add_argument(
-        "--detector-loss", type=float, help="externally supplied detection loss (default 0)"
-    )
-    p_demo.add_argument("--seed", type=int, help="generator seed (default 0)")
-    p_demo.add_argument("--fd-step", type=float, help="finite-difference step (default 1e-4)")
-    p_demo.add_argument(
-        "--include-same-image",
-        action="store_true",
-        default=None,
-        help="add same-image other-level embeddings to the spatial negatives",
-    )
-    p_demo.add_argument(
-        "--l2-normalize",
-        action="store_true",
-        default=None,
-        help="unit-normalize embeddings before the losses",
-    )
-
-    p_bench = sub.add_parser("bench", help="time scoring and assignment kernels")
-    add_common(p_bench)
-    p_bench.add_argument("--anchors-n", type=int, help="synthetic anchor count (default 100000)")
-    p_bench.add_argument("--gts-n", type=int, help="synthetic ground-truth count (default 100)")
-    p_bench.add_argument("--repeats", type=int, help="timed repetitions (default 3)")
-    p_bench.add_argument("--seed", type=int, help="workload seed (default 0)")
-
+        defaults = {f.name: f.default for f in fields(command.config)}
+        for option in _options(name):
+            default = defaults[option.field]
+            if default is MISSING:
+                text = f"{option.help} (required)"
+            elif default is None or option.parse is _as_bool:
+                text = option.help
+            else:
+                text = f"{option.help} (default {_shown(default)})"
+            # default=None tells a flag that was not given from one that was.
+            if option.parse is _as_bool:
+                p.add_argument(option.flag, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(option.flag, help=text)
     return parser
-
-
-_COMMAND_KEYS = {
-    "stats": ("ann", "anchors", "out", "jobs"),
-    "assign": ("ann", "anchors", "metrics", "thr", "buckets", "out", "cache", "jobs", "per_level"),
-    "contrast-demo": (
-        "levels",
-        "batch",
-        "dim",
-        "tau",
-        "alpha",
-        "detector_loss",
-        "seed",
-        "fd_step",
-        "include_same_image",
-        "l2_normalize",
-    ),
-    "bench": ("anchors_n", "gts_n", "repeats", "seed"),
-}
 
 
 def _load_config_file(path: str, command: str) -> dict:
@@ -659,178 +687,33 @@ def _load_config_file(path: str, command: str) -> dict:
         raise CliUsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliUsageError(f"config file {path} must hold a JSON object")
-    known = _COMMAND_KEYS[command]
-    values = {}
-    for raw_key, value in doc.items():
-        key = raw_key.replace("-", "_")
-        if key not in known:
+    known = {option.key for option in _options(command)}
+    for raw_key in doc:
+        if raw_key.replace("-", "_") not in known:
             raise CliUsageError(
                 f"config file {path} has unknown key {raw_key!r} for command {command!r}"
             )
-        values[key] = value
-    return values
+    return {raw_key.replace("-", "_"): value for raw_key, value in doc.items()}
 
 
-def _merged_options(args: argparse.Namespace) -> dict:
-    """Config-file values overlaid with explicitly given CLI flags."""
-    merged = {}
-    if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config, args.command))
-    for key in _COMMAND_KEYS[args.command]:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-    return merged
+def _config(args: argparse.Namespace):
+    """The command's config: file values overlaid with the flags given.
 
-
-def _require_option(merged: dict, key: str):
-    value = merged.get(key)
-    if value is None:
-        raise CliUsageError(f"--{key.replace('_', '-')} is required (flag or config file)")
-    return value
-
-
-def _as_int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise CliUsageError(f"{key} must be an integer, got {value!r}") from exc
-
-
-def _as_float(value, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise CliUsageError(f"{key} must be a number, got {value!r}") from exc
-
-
-def _as_bool(value, key: str) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str) and value.lower() in ("true", "false", "1", "0"):
-        return value.lower() in ("true", "1")
-    raise CliUsageError(f"{key} must be a boolean, got {value!r}")
-
-
-def _as_float_list(value, key: str) -> tuple[float, ...]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        raise CliUsageError(f"{key} must be a comma-separated list, got {value!r}")
-    return tuple(_as_float(p, key) for p in parts)
-
-
-def _as_str_list(value, key: str) -> tuple[str, ...]:
-    if isinstance(value, str):
-        return tuple(p.strip() for p in value.split(",") if p.strip())
-    if isinstance(value, (list, tuple)):
-        return tuple(str(p) for p in value)
-    raise CliUsageError(f"{key} must be a comma-separated list, got {value!r}")
-
-
-def _parse_thresholds(value) -> AssignThresholds:
-    numbers = _as_float_list(value, "thr")
-    if len(numbers) != 3:
-        raise CliUsageError(f"thr needs exactly three values pos,neg,min_pos, got {len(numbers)}")
-    try:
-        return AssignThresholds(pos_thr=numbers[0], neg_thr=numbers[1], min_pos_thr=numbers[2])
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
-
-
-def _parse_anchor_layout(value) -> AnchorLayout:
-    if isinstance(value, dict):
-        return AnchorLayout.from_json_value(value)
-    text = str(value).strip()
-    if text.startswith("{"):
-        source = "inline anchor config"
-    else:
-        source = f"anchor config file {text}"
-        try:
-            text = Path(text).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CliUsageError(f"cannot read {source}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliUsageError(f"{source} is not valid JSON: {exc}") from exc
-    try:
-        return AnchorLayout.from_json_value(doc)
-    except ValueError as exc:
-        raise CliUsageError(f"bad {source}: {exc}") from exc
-
-
-def _experiment_config(merged: dict, *, out_is_dir: bool) -> ExperimentConfig:
-    """Build the stats/assign config; stats uses --out as the cache path."""
-    ann = str(_require_option(merged, "ann"))
-    layout = (
-        _parse_anchor_layout(merged["anchors"]) if merged.get("anchors") is not None else AnchorLayout()
-    )
-    thresholds = (
-        _parse_thresholds(merged["thr"]) if merged.get("thr") is not None else AssignThresholds()
-    )
-    if merged.get("metrics") is not None:
-        metric_names = _as_str_list(merged["metrics"], "metrics")
-        try:
-            metrics = tuple(Metric(m).value for m in metric_names)
-        except ValueError as exc:
-            raise CliUsageError(
-                f"metrics must be among {[m.value for m in Metric]}, got {list(metric_names)}"
-            ) from exc
-    else:
-        metrics = (Metric.PS.value,)
-    edges = (
-        _as_float_list(merged["buckets"], "buckets")
-        if merged.get("buckets") is not None
-        else (1024.0, 9216.0)
-    )
-    out = merged.get("out")
-    cache = merged.get("cache")
-    if out_is_dir:
-        cache_path = str(cache) if cache is not None else None
-        out_dir = str(out) if out is not None else None
-    else:
-        cache_path = str(out) if out is not None else None
-        out_dir = None
-    return ExperimentConfig(
-        ann=ann,
-        layout=layout,
-        thresholds=thresholds,
-        metrics=metrics,
-        bucket_edges=edges,
-        cache_path=cache_path,
-        jobs=_as_int(merged.get("jobs", 1), "jobs"),
-        out_dir=out_dir,
-        per_level=_as_bool(merged.get("per_level", False), "per-level"),
-    )
-
-
-def _demo_config(merged: dict) -> ContrastDemoConfig:
-    defaults = ContrastDemoConfig()
-    return ContrastDemoConfig(
-        levels=_as_int(merged.get("levels", defaults.levels), "levels"),
-        batch=_as_int(merged.get("batch", defaults.batch), "batch"),
-        dim=_as_int(merged.get("dim", defaults.dim), "dim"),
-        tau=_as_float(merged.get("tau", defaults.tau), "tau"),
-        alpha=_as_float(merged.get("alpha", defaults.alpha), "alpha"),
-        detector_loss=_as_float(merged.get("detector_loss", defaults.detector_loss), "detector-loss"),
-        seed=_as_int(merged.get("seed", defaults.seed), "seed"),
-        fd_step=_as_float(merged.get("fd_step", defaults.fd_step), "fd-step"),
-        include_same_image=_as_bool(merged.get("include_same_image", False), "include-same-image"),
-        l2_normalize=_as_bool(merged.get("l2_normalize", False), "l2-normalize"),
-    )
-
-
-def _bench_config(merged: dict) -> BenchConfig:
-    defaults = BenchConfig()
-    return BenchConfig(
-        anchors_n=_as_int(merged.get("anchors_n", defaults.anchors_n), "anchors-n"),
-        gts_n=_as_int(merged.get("gts_n", defaults.gts_n), "gts-n"),
-        repeats=_as_int(merged.get("repeats", defaults.repeats), "repeats"),
-        seed=_as_int(merged.get("seed", defaults.seed), "seed"),
-    )
+    A key set to null in the file counts as not given.
+    """
+    command = _COMMANDS[args.command]
+    given = _load_config_file(args.config, args.command) if args.config else {}
+    defaults = {f.name: f.default for f in fields(command.config)}
+    kwargs = {}
+    for option in _options(args.command):
+        value = getattr(args, option.key)
+        if value is None:
+            value = given.get(option.key)
+        if value is not None:
+            kwargs[option.field] = option.parse(value, option.key)
+        elif defaults[option.field] is MISSING:
+            raise CliUsageError(f"{option.flag} is required (flag or config file)")
+    return command.config(**kwargs)
 
 
 def main(argv=None) -> int:
@@ -842,14 +725,7 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             raise CliUsageError("a subcommand is required")
-        merged = _merged_options(args)
-        if args.command == "stats":
-            return cmd_stats(_experiment_config(merged, out_is_dir=False))
-        if args.command == "assign":
-            return cmd_assign(_experiment_config(merged, out_is_dir=True))
-        if args.command == "contrast-demo":
-            return cmd_contrast_demo(_demo_config(merged))
-        return cmd_bench(_bench_config(merged))
+        return _COMMANDS[args.command].run(_config(args))
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

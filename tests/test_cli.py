@@ -1,12 +1,20 @@
 """Command-line surface: config handling, outputs, and exit codes."""
 
+import dataclasses
 import json
 import logging
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from smalldet import AnchorSet, cli, geometry
 from smalldet.cli import _map_in_order, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINI_LAYOUT = '{"levels": [[4, 4]], "ratios": [1], "scales": [1]}'
 
@@ -340,22 +348,6 @@ def test_contrast_demo_coarse_step_reports_verification_failure(capsys):
     assert "[FAIL]" in out
 
 
-def test_bench_small_workload(capsys):
-    code, out, _ = run(
-        capsys, ["bench", "--anchors-n", "2000", "--gts-n", "10", "--repeats", "2"]
-    )
-    assert code == 0
-    assert "pairs_per_s" in out and "streamed_s" in out
-    assert "outputs identical across 2 run(s)" in out
-    assert "streamed and matrix assignments agree bit for bit" in out
-
-
-def test_bench_zero_anchors_rejected(capsys):
-    code, _, err = run(capsys, ["bench", "--anchors-n", "0"])
-    assert code == 1
-    assert err.startswith("error:")
-
-
 def test_usage_errors(capsys, tmp_path):
     assert run(capsys, [])[0] == 1
     assert run(capsys, ["stats", "--bogus"])[0] == 1
@@ -367,3 +359,178 @@ def test_usage_errors(capsys, tmp_path):
     )
     assert code == 1
     assert "thr" in err
+
+
+# Per config key: (flag text, the same value as a config-file JSON value).
+# None stands for a store_true flag given without a value.
+OPTION_VALUES = {
+    "ann": ("a.json", "a.json"),
+    "anchors": (MINI_LAYOUT, json.loads(MINI_LAYOUT)),
+    "out": ("out", "out"),
+    "metrics": ("iou,ps", ["iou", "ps"]),
+    "thr": ("0.6,0.2,0.1", [0.6, 0.2, 0.1]),
+    "buckets": ("16,256", [16, 256]),
+    "cache": ("c.json", "c.json"),
+    "jobs": ("3", 3),
+    "per_level": (None, True),
+    "levels": ("3", 3.0),
+    "batch": ("2", 2),
+    "dim": ("8", 8),
+    "tau": ("0.5", 0.5),
+    "alpha": ("0.25", 0.25),
+    "detector_loss": ("1.5", 1.5),
+    "seed": ("7", 7),
+    "fd_step": ("0.001", 0.001),
+    "include_same_image": (None, True),
+    "l2_normalize": (None, True),
+}
+
+COMMAND_OPTIONS = [(name, option) for name in cli._COMMANDS for option in cli._options(name)]
+
+
+def resolve(argv):
+    return cli._config(cli.build_parser().parse_args(argv))
+
+
+def field_default(command, field):
+    return {f.name: f.default for f in dataclasses.fields(cli._COMMANDS[command].config)}[field]
+
+
+@pytest.mark.parametrize(
+    "command, option", COMMAND_OPTIONS, ids=[f"{c}{o.flag}" for c, o in COMMAND_OPTIONS]
+)
+def test_flag_and_config_key_resolve_to_the_same_config(tmp_path, command, option):
+    text, value = OPTION_VALUES[option.key]
+    base = ["--ann", "base.json"] if command != "contrast-demo" and option.key != "ann" else []
+    from_flag = resolve([command, *base, option.flag, *([] if text is None else [text])])
+    for file_value in (value, "true" if text is None else text):
+        config = write_json(tmp_path / "config.json", {option.key: file_value})
+        assert resolve([command, *base, "--config", config]) == from_flag
+    assert getattr(from_flag, option.field) != field_default(command, option.field)
+
+
+# What each option's help ends with, from the config dataclasses' defaults.
+HELP_DEFAULTS = {
+    "ann": "(required)",
+    "anchors": '(default {"levels": [[16.0, 16.0]], "ratios": [0.5, 1.0, 2.0], '
+               '"scales": [8.0, 16.0, 32.0], "clip": false})',
+    "metrics": "(default ps)",
+    "thr": "(default 0.7,0.3,0.3)",
+    "buckets": "(default 1024,9216)",
+    "jobs": "(default 1)",
+    "levels": "(default 4)",
+    "batch": "(default 3)",
+    "dim": "(default 16)",
+    "tau": "(default 0.07)",
+    "alpha": "(default 0.1)",
+    "detector_loss": "(default 0)",
+    "seed": "(default 0)",
+    "fd_step": "(default 0.0001)",
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_lists_every_option_with_the_dataclass_default(command, capsys, monkeypatch):
+    def option_help():
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split()).split("options:")[1]
+        return dict(re.findall(r"(--[a-z0-9-]+)(?: [A-Z0-9_]+)? (.*?)(?= --[a-z]|$)", text))
+
+    helps = option_help()
+    options = cli._options(command)
+    assert set(helps) == {"--help", "--config"} | {o.flag for o in options}
+    for option in options:
+        shown = HELP_DEFAULTS.get(option.key)
+        if shown is None:
+            assert helps[option.flag] == option.help
+        else:
+            assert helps[option.flag] == f"{option.help} {shown}"
+    # The help reads the dataclass field, so a changed default shows at once.
+    config = cli._COMMANDS[command].config
+    field = next(f for f in dataclasses.fields(config) if f.name in ("jobs", "seed"))
+    monkeypatch.setattr(field, "default", 5)
+    assert option_help()[f"--{field.name}"].endswith("(default 5)")
+
+
+@pytest.mark.parametrize("edges", ["2000,1000", "nan", "16,inf", "-1"])
+def test_bad_buckets_are_a_usage_error_before_any_work(tmp_path, capsys, edges):
+    ann = mini_dataset(tmp_path)
+    cache = tmp_path / "norm.json"
+    code, _, err = run(
+        capsys, assign_argv(ann, tmp_path / "r", extra=("--buckets", edges, "--cache", str(cache)))
+    )
+    assert code == 1
+    assert err.startswith("error:") and "bucket edges" in err and "Traceback" not in err
+    assert not cache.exists() and not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("assign", "jobs", 2.5),
+        ("assign", "jobs", True),
+        ("contrast-demo", "seed", 1.9),
+        ("contrast-demo", "levels", 2.7),
+        ("contrast-demo", "tau", True),
+        ("contrast-demo", "alpha", False),
+    ],
+)
+def test_config_file_numbers_are_not_coerced(tmp_path, capsys, command, key, value):
+    ann = mini_dataset(tmp_path)
+    cache = tmp_path / "norm.json"
+    config = write_json(tmp_path / "config.json", {key: value})
+    argv = [command, "--config", config]
+    if command == "assign":
+        argv = assign_argv(ann, tmp_path / "r", extra=("--config", config, "--cache", str(cache)))
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith(f"error: {key} must be") and repr(value) in err
+    assert "Traceback" not in err and not out
+    assert not cache.exists() and not (tmp_path / "r").exists()
+    # The flag takes the same parser, so it agrees with the file.
+    if not isinstance(value, bool):
+        assert run(capsys, [*argv, f"--{key}", str(value)])[0] == 1
+
+
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        ({"clip": 0.5}, "anchor clip must be a boolean"),
+        ({"clip": "yes"}, "anchor clip must be a boolean"),
+        ({"ratios": [True]}, "anchor ratios must be a number"),
+        ({"scales": [1, False]}, "anchor scales must be a number"),
+        ({"levels": [[True, 4]]}, "anchor levels must be a number"),
+    ],
+)
+def test_anchor_layout_rejects_non_boolean_clip_and_boolean_numbers(tmp_path, capsys, layout, message):
+    ann = mini_dataset(tmp_path)
+    cache = tmp_path / "norm.json"
+    argv = ["stats", "--ann", ann, "--anchors", json.dumps(layout), "--out", str(cache)]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not cache.exists()
+
+
+def test_anchor_layout_clip_text_is_read_as_a_boolean():
+    parse = cli.AnchorLayout.from_json_value
+    assert parse({"clip": "false"}) == parse({"clip": False}) == cli.AnchorLayout()
+    assert parse({"clip": "false"}).config_hash() == cli.AnchorLayout().config_hash()
+    assert parse({"clip": "true"}).config_hash() == parse({"clip": True}).config_hash()
+    assert parse({"clip": True}).config_hash() != cli.AnchorLayout().config_hash()
+
+
+def test_perfbench_tracer_finds_every_name_it_wraps():
+    # perfbench/child.py wraps functions where smalldet.cli (and other
+    # modules) look them up; a name dropped there makes install() raise.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import child; child.install(child.Tracer(), False)"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
