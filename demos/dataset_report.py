@@ -19,7 +19,6 @@ from smalldet import (
     accumulate,
     assign,
     assignment_stats,
-    boxes_to_array,
     finalize,
     generate_anchors,
     iou_matrix,
@@ -78,11 +77,11 @@ with tempfile.TemporaryDirectory(prefix="dataset_report_") as tmp:
     )
     anchors = generate_anchors(grid)
 
+    # One view per image into the index's center-form box column; image i
+    # owns rows gt_start[i]:gt_start[i + 1]. The demo file has no crowd gts.
+    scenes = np.split(index.boxes, index.gt_start[1:-1])
     acc = NormalizerAccumulator()
-    scenes = []
-    for gts in index.gts_by_image:
-        boxes = boxes_to_array([g.box for g in gts])
-        scenes.append(boxes)
+    for boxes in scenes:
         acc = accumulate(acc, boxes, anchors)
     norm = finalize(acc)
     print(f"normalizers from {acc.pair_count} pairs: m={norm.m:.4f} n={norm.n:.4f}")

@@ -46,8 +46,6 @@ from .contrast import (
 from .dataset import (
     DatasetError,
     DatasetIndex,
-    GroundTruth,
-    ImageInfo,
     dataset_hash,
     load_coco,
 )
@@ -154,8 +152,6 @@ __all__ = [
     "build_embedding_batch",
     # dataset
     "DatasetError",
-    "ImageInfo",
-    "GroundTruth",
     "DatasetIndex",
     "load_coco",
     "dataset_hash",

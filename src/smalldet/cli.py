@@ -213,8 +213,9 @@ class ContrastDemoConfig:
             raise CliUsageError("batch and dim must be at least 1")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise CliUsageError(f"tau must be positive, got {self.tau}")
-        if self.alpha < 0 or self.detector_loss < 0:
-            raise CliUsageError("alpha and detector-loss must be non-negative")
+        for name, value in (("alpha", self.alpha), ("detector-loss", self.detector_loss)):
+            if not (math.isfinite(value) and value >= 0):
+                raise CliUsageError(f"{name} must be finite and non-negative, got {value}")
         if not (math.isfinite(self.fd_step) and self.fd_step > 0):
             raise CliUsageError(f"fd-step must be positive, got {self.fd_step}")
 
@@ -245,64 +246,47 @@ def _map_in_order(fn, items, jobs: int):
             yield window.popleft().result()
 
 
-class _ImageTable:
-    """Per-image arrays derived from a DatasetIndex, crowd gts excluded."""
-
-    def __init__(self, index: DatasetIndex):
-        self.gt_boxes: list[np.ndarray] = []
-        self.gt_areas: list[np.ndarray] = []
-        self.sizes: list[tuple[float, float]] = []
-        crowd = 0
-        for image, gts in zip(index.images, index.gts_by_image):
-            kept = [g for g in gts if not g.iscrowd]
-            crowd += len(gts) - len(kept)
-            boxes = np.array(
-                [(g.box.cx, g.box.cy, g.box.w, g.box.h) for g in kept], dtype=np.float64
-            ).reshape(-1, 4)
-            self.gt_boxes.append(boxes)
-            self.gt_areas.append(np.array([g.area for g in kept], dtype=np.float64))
-            self.sizes.append((image.width, image.height))
-        if crowd:
-            logger.info("excluded %d crowd annotation(s) from assignment", crowd)
-
-    def __len__(self) -> int:
-        return len(self.sizes)
-
-
-def _check_anchor_counts(path: str, index: DatasetIndex, layout: AnchorLayout) -> None:
-    """Reject an image whose anchors would pass geometry.MAX_ANCHORS.
-
-    The counts come from the layout and the image sizes alone, so this
-    runs before any anchor is made.
-
-    Raises:
-        DatasetError: Naming the file and the first such image record.
-    """
-    counts: dict[tuple[float, float], int] = {}
-    for pos, image in enumerate(index.images):
-        size = (image.width, image.height)
-        count = counts.get(size)
-        if count is None:
-            count = counts[size] = layout.spec_for(*size).num_anchors()
-        if count > geometry.MAX_ANCHORS:
-            raise DatasetError(
-                f"{path} images[{pos}] (id {image.id}, {image.width:g}x{image.height:g}) "
-                f"would need {count} anchors, more than the {geometry.MAX_ANCHORS} allowed per image"
-            )
+def _image_gts(index: DatasetIndex) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-image views of the non-crowd gt boxes and of their areas (w * h)."""
+    keep = ~index.iscrowd
+    crowd = index.num_gts - int(np.count_nonzero(keep))
+    if crowd:
+        logger.info("excluded %d crowd annotation(s) from assignment", crowd)
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    cuts = kept_before[index.gt_start[1:-1]]
+    boxes = index.boxes[keep]
+    return np.split(boxes, cuts), np.split(boxes[:, 2] * boxes[:, 3], cuts)
 
 
 class _AnchorCache:
-    """Memoizes generated anchor sets per distinct image size.
+    """The anchor set of each image, memoized per distinct image size.
 
     An AnchorSet is validated once, when it is made, and is read-only, so
     every image and metric of that size reuses it without re-checking it.
+
+    Raises:
+        DatasetError: On construction, before any anchor is made, naming
+            the file and the first image record whose anchor count (from
+            the layout and its size alone) would pass geometry.MAX_ANCHORS.
     """
 
-    def __init__(self, layout: AnchorLayout):
+    def __init__(self, path: str, layout: AnchorLayout, index: DatasetIndex):
         self._layout = layout
+        self._sizes = [(w, h) for w, h in index.sizes.tolist()]
         self._cache: dict[tuple[float, float], AnchorSet] = {}
+        counts: dict[tuple[float, float], int] = {}
+        for pos, (image_id, (w, h)) in enumerate(zip(index.image_ids.tolist(), self._sizes)):
+            count = counts.get((w, h))
+            if count is None:
+                count = counts[w, h] = layout.spec_for(w, h).num_anchors()
+            if count > geometry.MAX_ANCHORS:
+                raise DatasetError(
+                    f"{path} images[{pos}] (id {image_id}, {w:g}x{h:g}) would need {count} "
+                    f"anchors, more than the {geometry.MAX_ANCHORS} allowed per image"
+                )
 
-    def for_size(self, size: tuple[float, float]) -> AnchorSet:
+    def for_image(self, i: int) -> AnchorSet:
+        size = self._sizes[i]
         found = self._cache.get(size)
         if found is None:
             found = generate_anchors(self._layout.spec_for(size[0], size[1]))
@@ -311,19 +295,19 @@ class _AnchorCache:
 
 
 def _accumulate_normalizers(
-    table: _ImageTable, anchors: _AnchorCache, jobs: int
+    gt_boxes: list[np.ndarray], anchors: _AnchorCache, jobs: int
 ) -> NormalizerAccumulator:
     def one_image(i: int) -> NormalizerAccumulator:
-        return accumulate(NormalizerAccumulator(), table.gt_boxes[i], anchors.for_size(table.sizes[i]))
+        return accumulate(NormalizerAccumulator(), gt_boxes[i], anchors.for_image(i))
 
     acc = NormalizerAccumulator()
-    for part in _map_in_order(one_image, range(len(table)), jobs):
+    for part in _map_in_order(one_image, range(len(gt_boxes)), jobs):
         acc = acc.merge(part)
     return acc
 
 
 def _resolve_normalizers(
-    cfg: ExperimentConfig, index: DatasetIndex, table: _ImageTable, anchors: _AnchorCache
+    cfg: ExperimentConfig, index: DatasetIndex, gt_boxes: list[np.ndarray], anchors: _AnchorCache
 ) -> tuple[DatasetNormalizers, int, bool]:
     """Load normalizers from a valid cache, or compute (and cache) them.
 
@@ -343,7 +327,7 @@ def _resolve_normalizers(
                 logger.info("normalizer cache hit at %s, skipping recompute", path)
                 return cache.normalizers, cache.pair_count, True
             logger.info("normalizer cache at %s is stale (hash mismatch), recomputing", path)
-    acc = _accumulate_normalizers(table, anchors, cfg.jobs)
+    acc = _accumulate_normalizers(gt_boxes, anchors, cfg.jobs)
     norm = finalize(acc)
     if path:
         save_normalizer_cache(
@@ -363,10 +347,9 @@ def _resolve_normalizers(
 def cmd_stats(cfg: ExperimentConfig) -> int:
     """Compute dataset normalizers and write the cache file."""
     index = load_coco(cfg.ann)
-    _check_anchor_counts(cfg.ann, index, cfg.layout)
-    table = _ImageTable(index)
-    anchors = _AnchorCache(cfg.layout)
-    norm, pair_count, cached = _resolve_normalizers(cfg, index, table, anchors)
+    anchors = _AnchorCache(cfg.ann, cfg.layout, index)
+    gt_boxes, _ = _image_gts(index)
+    norm, pair_count, cached = _resolve_normalizers(cfg, index, gt_boxes, anchors)
     suffix = " (cached)" if cached else ""
     print(f"m={norm.m!r} n={norm.n!r} pair_count={pair_count}{suffix}")
     return EXIT_OK
@@ -388,20 +371,19 @@ def _assign_one_image(
 def cmd_assign(cfg: ExperimentConfig) -> int:
     """Run per-metric assignments over the dataset and emit reports."""
     index = load_coco(cfg.ann)
-    _check_anchor_counts(cfg.ann, index, cfg.layout)
-    table = _ImageTable(index)
-    anchors = _AnchorCache(cfg.layout)
+    anchors = _AnchorCache(cfg.ann, cfg.layout, index)
+    gt_boxes, gt_areas = _image_gts(index)
     norm: DatasetNormalizers | None = None
     if Metric.PS.value in cfg.metrics:
-        norm, _, _ = _resolve_normalizers(cfg, index, table, anchors)
+        norm, _, _ = _resolve_normalizers(cfg, index, gt_boxes, anchors)
 
     reports = []
     for metric in cfg.metrics:
         def one_image(i: int) -> list[AssignResult]:
             return _assign_one_image(
                 metric,
-                table.gt_boxes[i],
-                anchors.for_size(table.sizes[i]),
+                gt_boxes[i],
+                anchors.for_image(i),
                 norm,
                 cfg.thresholds,
                 cfg.per_level,
@@ -410,8 +392,8 @@ def cmd_assign(cfg: ExperimentConfig) -> int:
         # A lazy stream: assignment_stats folds each image's results into
         # the report as they arrive, so they are never all held at once.
         report = assignment_stats(
-            _map_in_order(one_image, range(len(table)), cfg.jobs),
-            table.gt_areas,
+            _map_in_order(one_image, range(len(gt_boxes)), cfg.jobs),
+            gt_areas,
             cfg.thresholds,
             metric,
             cfg.bucket_edges,

@@ -2,9 +2,10 @@
 
 Only the geometry-bearing parts of the COCO schema are consumed: the
 "images" list (id, width, height) and the "annotations" list (image_id,
-bbox in top-left [x, y, w, h] form, category_id, iscrowd). Boxes are
-converted to center form at this boundary; everything downstream works in
-center coordinates.
+bbox in top-left [x, y, w, h] form, category_id, iscrowd). The file is
+loaded into columns, one row per image and one per annotation, with each
+image's annotations in one contiguous run. Boxes are converted to center
+form at this boundary; everything downstream works in center coordinates.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .geometry import Box, from_topleft
+import numpy as np
 
 __all__ = [
     "DatasetError",
-    "ImageInfo",
-    "GroundTruth",
     "DatasetIndex",
     "load_coco",
     "fingerprint",
@@ -34,53 +33,37 @@ class DatasetError(ValueError):
     """A dataset file that cannot be read, parsed, or validated."""
 
 
-@dataclass(frozen=True)
-class ImageInfo:
-    """One image record: COCO id plus pixel dimensions."""
-
-    id: int
-    width: float
-    height: float
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """One annotation: center-form box plus the labels the pipeline needs.
-
-    The area is the box area (w * h); segmentation-mask areas are not
-    used, so synthetic datasets without masks behave identically.
-    """
-
-    box: Box
-    category_id: int
-    iscrowd: bool
-    area: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetIndex:
-    """Parsed dataset: images plus their ground truths, in file order.
+    """Parsed dataset as columns: one row per image, one per annotation.
 
-    gts_by_image is parallel to images; position i holds the annotations
-    whose image_id references images[i].
+    Image i owns annotation rows gt_start[i]:gt_start[i + 1], in file
+    order. Crowd annotations are kept (callers filter on iscrowd); the
+    zero-size ones load_coco drops are not. Indexes compare by identity.
+
+    Attributes:
+        image_ids: (N,) int64 COCO image ids, in file order.
+        sizes: (N, 2) float64 image width and height.
+        gt_start: (N + 1,) int64 offsets into the annotation rows.
+        boxes: (G, 4) float64 center-form boxes (cx, cy, w, h).
+        category_ids: (G,) int64 category ids.
+        iscrowd: (G,) bool crowd flags.
     """
 
-    images: tuple[ImageInfo, ...]
-    gts_by_image: tuple[tuple[GroundTruth, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.images) != len(self.gts_by_image):
-            raise ValueError(
-                f"{len(self.images)} images but {len(self.gts_by_image)} ground-truth lists"
-            )
+    image_ids: np.ndarray
+    sizes: np.ndarray
+    gt_start: np.ndarray
+    boxes: np.ndarray
+    category_ids: np.ndarray
+    iscrowd: np.ndarray
 
     @property
     def num_images(self) -> int:
-        return len(self.images)
+        return len(self.image_ids)
 
     @property
     def num_gts(self) -> int:
-        return sum(len(gts) for gts in self.gts_by_image)
+        return len(self.boxes)
 
 
 def _require(record: dict, field: str, where: str):
@@ -90,18 +73,20 @@ def _require(record: dict, field: str, where: str):
 
 
 def _as_int(value, field: str, where: str) -> int:
-    """A JSON integer, or a float with no fractional part; never truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise DatasetError(f"{where} field {field!r} must be an integer, got {value!r}")
+    """A JSON integer within int64, or a float with no fractional part; never truncated."""
+    number = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(number, int) and not isinstance(number, bool) and -(1 << 63) <= number < (1 << 63):
+        return number
+    raise DatasetError(f"{where} field {field!r} must be a 64-bit integer, got {value!r}")
 
 
 def _as_finite(value, field: str, where: str) -> float:
     """A finite JSON number as a float."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        number = float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
         if math.isfinite(number):
             return number
     raise DatasetError(f"{where} field {field!r} must be a finite number, got {value!r}")
@@ -118,8 +103,9 @@ def load_coco(path) -> DatasetIndex:
 
     Raises:
         DatasetError: Unreadable file, malformed JSON, missing fields,
-            a non-integer id, a non-finite or non-numeric dimension or
-            bbox value, duplicate image ids, or an annotation referencing
+            an id outside int64 or with a fraction, a non-finite or
+            non-numeric dimension or bbox value, a bbox whose center is
+            not finite, duplicate image ids, or an annotation referencing
             an unknown image id; the message names the file and offending
             record.
     """
@@ -132,13 +118,16 @@ def load_coco(path) -> DatasetIndex:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"annotation file {path} is not valid JSON: {exc}") from exc
+    del text
     if not isinstance(doc, dict):
         raise DatasetError(f"annotation file {path} must hold a JSON object at the top level")
     for key in ("images", "annotations"):
         if not isinstance(doc.get(key), list):
             raise DatasetError(f"annotation file {path} is missing the {key!r} list")
 
-    images = []
+    # The loops validate each record and append plain numbers; the
+    # columns are made from these lists in one step each.
+    sizes: list[float] = []
     row_of_id: dict[int, int] = {}
     for pos, record in enumerate(doc["images"]):
         where = f"{path} images[{pos}]"
@@ -151,41 +140,59 @@ def load_coco(path) -> DatasetIndex:
         height = _as_finite(_require(record, "height", where), "height", where)
         if width <= 0 or height <= 0:
             raise DatasetError(f"{where} has non-positive dimensions {width}x{height}")
-        row_of_id[image_id] = len(images)
-        images.append(ImageInfo(id=image_id, width=width, height=height))
+        row_of_id[image_id] = len(row_of_id)
+        sizes += (width, height)
 
-    gts: list[list[GroundTruth]] = [[] for _ in images]
-    dropped = 0
+    rows, xywh, categories, crowd, dropped = [], [], [], [], []
     for pos, record in enumerate(doc["annotations"]):
         where = f"{path} annotations[{pos}]"
         if not isinstance(record, dict):
             raise DatasetError(f"{where} is not an object")
         image_id = _as_int(_require(record, "image_id", where), "image_id", where)
-        if image_id not in row_of_id:
+        row = row_of_id.get(image_id)
+        if row is None:
             raise DatasetError(f"{where} references unknown image id {image_id}")
         bbox = _require(record, "bbox", where)
         if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
             raise DatasetError(f"{where} bbox must be [x, y, w, h], got {bbox!r}")
         x, y, w, h = (_as_finite(v, "bbox", where) for v in bbox)
         if w <= 0 or h <= 0:
-            dropped += 1
+            dropped.append(pos)
             continue
-        try:
-            box = from_topleft(x, y, w, h)
-        except ValueError as exc:
-            raise DatasetError(f"{where} has an invalid bbox: {exc}") from exc
-        gts[row_of_id[image_id]].append(
-            GroundTruth(
-                box=box,
-                category_id=_as_int(record.get("category_id", 0), "category_id", where),
-                iscrowd=bool(record.get("iscrowd", 0)),
-                area=box.area,
-            )
-        )
+        rows.append(row)
+        xywh += (x, y, w, h)
+        categories.append(_as_int(record.get("category_id", 0), "category_id", where))
+        crowd.append(bool(record.get("iscrowd", 0)))
     if dropped:
-        logger.info("%s: dropped %d zero-size annotation(s)", path, dropped)
+        logger.info("%s: dropped %d zero-size annotation(s)", path, len(dropped))
 
-    return DatasetIndex(images=tuple(images), gts_by_image=tuple(tuple(g) for g in gts))
+    boxes = np.array(xywh, dtype=np.float64).reshape(-1, 4)
+    del xywh
+    # Center form, exactly as geometry.from_topleft computes it.
+    with np.errstate(over="ignore"):
+        boxes[:, :2] += boxes[:, 2:] / 2.0
+    bad = np.flatnonzero(~np.isfinite(boxes[:, :2]).all(axis=1))
+    if bad.size:
+        pos = int(bad[0])
+        for skipped in dropped:  # from kept row to file position
+            if skipped <= pos:
+                pos += 1
+        raise DatasetError(f"{path} annotations[{pos}] has an invalid bbox: its center is not finite")
+
+    # A stable sort groups each image's annotations and keeps them in
+    # file order, which the assigner's rescue step ("later gt wins")
+    # depends on.
+    rows = np.array(rows, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    per_image = np.bincount(rows, minlength=len(row_of_id))
+    return DatasetIndex(
+        image_ids=np.fromiter(row_of_id, dtype=np.int64, count=len(row_of_id)),
+        sizes=np.array(sizes, dtype=np.float64).reshape(-1, 2),
+        gt_start=np.concatenate(([0], np.cumsum(per_image))),
+        boxes=boxes[order],
+        category_ids=np.array(categories, dtype=np.int64)[order],
+        iscrowd=np.array(crowd, dtype=bool)[order],
+    )
 
 
 def fingerprint(records) -> str:
@@ -215,9 +222,15 @@ def dataset_hash(index: DatasetIndex) -> str:
 
 
 def _canonical_records(index: DatasetIndex):
-    for i in sorted(range(len(index.images)), key=lambda i: index.images[i].id):
-        image = index.images[i]
-        yield f"I|{image.id}|{image.width!r}|{image.height!r}\n"
-        for gt in index.gts_by_image[i]:
-            b = gt.box
-            yield f"A|{b.cx!r}|{b.cy!r}|{b.w!r}|{b.h!r}|{gt.category_id}|{int(gt.iscrowd)}\n"
+    """One text per image, in id order: its record, then its annotations'."""
+    for i in np.argsort(index.image_ids, kind="stable").tolist():
+        start, end = index.gt_start[i : i + 2].tolist()
+        width, height = index.sizes[i].tolist()
+        lines = [f"I|{int(index.image_ids[i])}|{width!r}|{height!r}\n"]
+        for (cx, cy, w, h), category, crowd in zip(
+            index.boxes[start:end].tolist(),
+            index.category_ids[start:end].tolist(),
+            index.iscrowd[start:end].view(np.uint8).tolist(),  # as 0 and 1
+        ):
+            lines.append(f"A|{cx!r}|{cy!r}|{w!r}|{h!r}|{category}|{crowd}\n")
+        yield "".join(lines)

@@ -368,11 +368,27 @@ def save_normalizer_cache(path, cache: NormalizerCache) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+def _cached_normalizer(value, name: str, path) -> float:
+    """A finite, non-negative JSON number as a float; a boolean is not a number."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number) and number >= 0:
+            return number
+    raise ValueError(
+        f"normalizer cache {path} field {name!r} must be a finite non-negative number, got {value!r}"
+    )
+
+
 def load_normalizer_cache(path) -> NormalizerCache:
     """Read a cache file written by save_normalizer_cache.
 
     Raises:
-        ValueError: If the document is not valid JSON or lacks a field.
+        ValueError: If the document is not valid JSON, lacks a field, or
+            holds an m or n that is not a finite non-negative number, or
+            a pair_count that is not a non-negative integer.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -381,13 +397,18 @@ def load_normalizer_cache(path) -> NormalizerCache:
         raise ValueError(f"normalizer cache {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"normalizer cache {path} must hold a JSON object")
-    try:
-        return NormalizerCache(
-            m=float(doc["m"]),
-            n=float(doc["n"]),
-            pair_count=int(doc["pair_count"]),
-            dataset_hash=str(doc["dataset_hash"]),
-            anchor_spec_hash=str(doc["anchor_spec_hash"]),
+    missing = [k for k in ("m", "n", "pair_count", "dataset_hash", "anchor_spec_hash") if k not in doc]
+    if missing:
+        raise ValueError(f"normalizer cache {path} is missing field {missing[0]!r}")
+    pair_count = doc["pair_count"]
+    if not (isinstance(pair_count, int) and not isinstance(pair_count, bool) and pair_count >= 0):
+        raise ValueError(
+            f"normalizer cache {path} field 'pair_count' must be a non-negative integer, got {pair_count!r}"
         )
-    except KeyError as exc:
-        raise ValueError(f"normalizer cache {path} is missing field {exc.args[0]!r}") from exc
+    return NormalizerCache(
+        m=_cached_normalizer(doc["m"], "m", path),
+        n=_cached_normalizer(doc["n"], "n", path),
+        pair_count=pair_count,
+        dataset_hash=str(doc["dataset_hash"]),
+        anchor_spec_hash=str(doc["anchor_spec_hash"]),
+    )

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from smalldet import AnchorSet, cli, geometry
+from smalldet import AnchorSet, cli, geometry, load_coco
 from smalldet.cli import _map_in_order, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -116,8 +116,14 @@ def test_stats_usage_and_data_errors(tmp_path, capsys):
         (lambda p: p["annotations"][0].update(bbox=[1, "x", 8, 8]), "annotations[0]"),
         (lambda p: p["annotations"][0].update(image_id=None), "annotations[0]"),
         (lambda p: p["images"][0].update(id=1.7), "images[0]"),
+        (lambda p: p["annotations"][0].update(bbox=[1.7e308, 0, 1.7e308, 4]), "annotations[0]"),
+        (lambda p: p["annotations"][0].update(image_id=2**63), "annotations[0]"),
+        (lambda p: p["annotations"][0].update(category_id=2**63), "annotations[0]"),
+        (lambda p: p["images"][0].update(width=10**400), "images[0]"),
     ],
-    ids=["nan-width", "non-numeric-bbox", "null-image-id", "fractional-image-id"],
+    ids=["nan-width", "non-numeric-bbox", "null-image-id", "fractional-image-id",
+         "overflowing-center", "image-id-past-int64", "category-id-past-int64",
+         "width-past-float-range"],
 )
 def test_assign_malformed_record_is_a_data_error(tmp_path, capsys, mutate, record):
     mini_dataset(tmp_path)
@@ -229,6 +235,79 @@ def varied_dataset(tmp_path):
                 {"id": len(annotations) + 1, "image_id": i + 1, "bbox": [3 * k + i, 2 * k, side, side]}
             )
     return write_json(tmp_path / "varied.json", {"images": images, "annotations": annotations})
+
+
+def interleaved_dataset(tmp_path):
+    """Three 8x4 images whose annotations interleave, with crowd and zero-size ones.
+
+    Each category id is the annotation's position in the file, so the
+    loaded order can be read back from the category column.
+    """
+    annotations = [
+        (2, [0, 0, 4, 4], 0),
+        (1, [4, 0, 4, 4], 0),
+        (2, [1, 0, 2, 2], 1),
+        (3, [0, 0, 0, 4], 0),  # zero width: dropped at load
+        (1, [0, 0, 2, 4], 1),
+        (2, [4, 0, 2, 2], 0),
+        (1, [0, 0, 4, 4], 0),
+        (3, [2, 1, 3, 2], 1),
+    ]
+    payload = {
+        "images": [{"id": i, "width": 8, "height": 4} for i in (1, 2, 3)],
+        "annotations": [
+            {"id": pos + 1, "image_id": image_id, "bbox": bbox, "category_id": pos, "iscrowd": crowd}
+            for pos, (image_id, bbox, crowd) in enumerate(annotations)
+        ],
+    }
+    return write_json(tmp_path / "interleaved.json", payload)
+
+
+def test_crowd_gts_load_in_file_order_and_stay_out_of_assignment(tmp_path, capsys, caplog):
+    ann = interleaved_dataset(tmp_path)
+    index = load_coco(ann)
+    assert index.image_ids.tolist() == [1, 2, 3]
+    starts = index.gt_start.tolist()
+    assert [index.category_ids[s:e].tolist() for s, e in zip(starts, starts[1:])] == [
+        [1, 4, 6], [0, 2, 5], [7]
+    ]
+    assert index.iscrowd.tolist() == [False, True, False, False, True, False, True]
+    assert index.boxes[:3].tolist() == [[6.0, 2.0, 4.0, 4.0], [1.0, 2.0, 2.0, 4.0], [2.0, 2.0, 4.0, 4.0]]
+    # What the benchmark's tracer counts as dataset.records: crowd gts
+    # included, dropped zero-size ones not.
+    assert index.num_images + index.num_gts == 3 + 7
+
+    out_dir = tmp_path / "r"
+    with caplog.at_level(logging.INFO, logger="smalldet.cli"):
+        code, _, _ = run(capsys, assign_argv(ann, out_dir))
+    assert code == 0
+    assert any("excluded 3 crowd annotation(s)" in message for message in caplog.messages)
+    payload = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    for report in payload["reports"]:
+        assert sum(b["gt_count"] for b in report["buckets"]) == 4
+
+
+def test_assign_recomputes_over_a_malformed_cache(tmp_path, capsys, caplog):
+    ann = varied_dataset(tmp_path)
+    cold = tmp_path / "cold"
+    assert main(assign_argv(ann, cold, metrics="ps")) == 0
+    cache = tmp_path / "norm.json"
+    assert main(["stats", "--ann", ann, "--anchors", MINI_LAYOUT, "--out", str(cache)]) == 0
+    written = cache.read_text(encoding="utf-8")
+    for field, value in (("m", "nan"), ("n", -1.0), ("m", [1]), ("m", True), ("pair_count", 2.7)):
+        payload = json.loads(written)
+        payload[field] = value
+        cache.write_text(json.dumps(payload), encoding="utf-8")
+        warm = tmp_path / "warm"
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="smalldet.cli"):
+            code, _, _ = run(capsys, assign_argv(ann, warm, metrics="ps", extra=("--cache", str(cache))))
+        assert code == 0
+        assert any("ignoring unreadable normalizer cache" in m for m in caplog.messages)
+        assert not any("cache hit" in m for m in caplog.messages)
+        for name in ("report.json", "report.csv"):
+            assert (warm / name).read_bytes() == (cold / name).read_bytes()
+        assert cache.read_text(encoding="utf-8") == written
 
 
 def test_assign_per_level_and_jobs_agree(tmp_path, capsys):
@@ -359,6 +438,10 @@ def test_usage_errors(capsys, tmp_path):
     )
     assert code == 1
     assert "thr" in err
+    for flag, value in (("--alpha", "nan"), ("--detector-loss", "inf")):
+        code, _, err = run(capsys, ["contrast-demo", flag, value])
+        assert code == 1
+        assert err.startswith("error:") and flag[2:] in err
 
 
 # Per config key: (flag text, the same value as a config-file JSON value).
@@ -521,12 +604,24 @@ def test_anchor_layout_clip_text_is_read_as_a_boolean():
     assert parse({"clip": True}).config_hash() != cli.AnchorLayout().config_hash()
 
 
-def test_perfbench_tracer_finds_every_name_it_wraps():
+def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):
     # perfbench/child.py wraps functions where smalldet.cli (and other
     # modules) look them up; a name dropped there makes install() raise.
+    # A traced stats run then checks that the after-hooks find what they
+    # read, such as the index's num_images and num_gts.
+    ann = interleaved_dataset(tmp_path)
+    script = (
+        "import json, sys, child\n"
+        "tracer = child.Tracer()\n"
+        "child.install(tracer, False)\n"
+        "from smalldet import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps({'code': code, 'counts': tracer.counts}))\n"
+    )
+    argv = ["stats", "--ann", ann, "--anchors", MINI_LAYOUT, "--out", str(tmp_path / "c.json")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import child; child.install(child.Tracer(), False)"],
+        [sys.executable, "-c", script, *argv],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -534,3 +629,8 @@ def test_perfbench_tracer_finds_every_name_it_wraps():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    # Three images and seven gts: the zero-size annotation is dropped, the
+    # crowd ones are kept in the index.
+    assert result["counts"]["dataset.records"] == 10

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from smalldet import Box, DatasetError, dataset_hash, load_coco
+from smalldet import DatasetError, dataset_hash, load_coco
 
 
 def write_json(path, payload):
@@ -28,13 +28,12 @@ def test_load_minimal_file(tmp_path):
     index = load_coco(write_json(tmp_path / "ann.json", minimal_payload()))
     assert index.num_images == 1
     assert index.num_gts == 1
-    image = index.images[0]
-    assert (image.id, image.width, image.height) == (1, 640.0, 480.0)
-    gt = index.gts_by_image[0][0]
-    assert gt.box == Box(10.0, 10.0, 4.0, 4.0)
-    assert gt.category_id == 3
-    assert gt.iscrowd == 0
-    assert gt.area == 16.0
+    assert index.image_ids.tolist() == [1]
+    assert index.sizes.tolist() == [[640.0, 480.0]]
+    assert index.gt_start.tolist() == [0, 1]
+    assert index.boxes.tolist() == [[10.0, 10.0, 4.0, 4.0]]
+    assert index.category_ids.tolist() == [3]
+    assert index.iscrowd.tolist() == [False]
 
 
 def test_load_empty_annotations(tmp_path):
@@ -50,9 +49,8 @@ def test_defaults_for_optional_fields(tmp_path):
     del payload["annotations"][0]["category_id"]
     del payload["annotations"][0]["iscrowd"]
     index = load_coco(write_json(tmp_path / "ann.json", payload))
-    gt = index.gts_by_image[0][0]
-    assert gt.category_id == 0
-    assert gt.iscrowd == 0
+    assert index.category_ids.tolist() == [0]
+    assert index.iscrowd.tolist() == [False]
 
 
 def test_unknown_image_id_names_the_id(tmp_path):
@@ -78,6 +76,7 @@ def test_unreadable_and_malformed_files(tmp_path):
         lambda p: p["images"].append({"id": 1, "width": 10, "height": 10}),
         lambda p: p["images"][0].update(width=0),
         lambda p: p["images"][0].pop("id"),
+        lambda p: (p["images"][0].update(id=2**63), p["annotations"][0].update(image_id=2**63)),
         lambda p: p["annotations"][0].update(bbox=[1, 2, 3]),
         lambda p: p["annotations"][0].update(bbox=[1, 2, float("nan"), 4]),
         lambda p: p["annotations"][0].pop("bbox"),
@@ -98,6 +97,29 @@ def test_zero_size_annotations_dropped_and_logged(tmp_path, caplog):
         index = load_coco(write_json(tmp_path / "ann.json", payload))
     assert index.num_gts == 1
     assert any("dropped 2" in message for message in caplog.messages)
+
+
+def test_overflowing_center_names_its_record(tmp_path):
+    # The center is computed for the kept rows in one step; the record it
+    # names counts the dropped zero-size annotations before it.
+    payload = minimal_payload()
+    payload["annotations"] = [
+        {"id": 1, "image_id": 1, "bbox": [0, 0, 0, 5]},
+        {"id": 2, "image_id": 1, "bbox": [0, 0, 4, 4]},
+        {"id": 3, "image_id": 1, "bbox": [0, 0, 5, 0]},
+        {"id": 4, "image_id": 1, "bbox": [1.7e308, 0, 1.7e308, 4]},
+    ]
+    with pytest.raises(DatasetError, match=r"annotations\[3\] has an invalid bbox"):
+        load_coco(write_json(tmp_path / "ann.json", payload))
+
+
+def test_ids_at_the_int64_bounds_load(tmp_path):
+    payload = minimal_payload()
+    payload["images"][0]["id"] = payload["annotations"][0]["image_id"] = 2**63 - 1
+    payload["annotations"][0]["category_id"] = -(2**63)
+    index = load_coco(write_json(tmp_path / "ann.json", payload))
+    assert index.image_ids.tolist() == [2**63 - 1]
+    assert index.category_ids.tolist() == [-(2**63)]
 
 
 def test_dataset_hash_is_blake2b_of_canonical_records(tmp_path):

@@ -254,3 +254,26 @@ def test_cache_roundtrip_and_errors(tmp_path):
     missing.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError):
         load_normalizer_cache(missing)
+
+    # Wrong values are errors too, never a coerced hit or another exception.
+    for field, value in [
+        ("m", "nan"),
+        ("m", float("nan")),
+        ("m", [1]),
+        ("m", True),
+        ("m", 10**400),
+        ("n", -1.0),
+        ("n", float("inf")),
+        ("n", None),
+        ("pair_count", 2.7),
+        ("pair_count", 2.0),
+        ("pair_count", -1),
+        ("pair_count", True),
+        ("pair_count", "2"),
+    ]:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[field] = value
+        wrong = tmp_path / "wrong-value.json"
+        wrong.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=field):
+            load_normalizer_cache(wrong)
