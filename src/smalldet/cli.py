@@ -77,6 +77,9 @@ EXIT_DATA = 2
 EXIT_VERIFY = 3
 
 GRADIENT_TOLERANCE = 1e-5
+# Lateral feature values contrast-demo may synthesize: 128 MiB of float64.
+# The default demo shape holds 37,824.
+_MAX_DEMO_FEATURE_VALUES = 1 << 24
 
 
 class CliUsageError(Exception):
@@ -218,6 +221,19 @@ class ContrastDemoConfig:
                 raise CliUsageError(f"{name} must be finite and non-negative, got {value}")
         if not (math.isfinite(self.fd_step) and self.fd_step > 0):
             raise CliUsageError(f"fd-step must be positive, got {self.fd_step}")
+        # The lateral maps cmd_contrast_demo builds: level i has 8 + 4i
+        # channels and side 4 << (levels - 1 - i). Summing from the coarsest
+        # level, sides double each step, so the loop passes the cap within a
+        # few levels however large levels is.
+        values = 0
+        for level in reversed(range(self.levels)):
+            side = 4 << (self.levels - 1 - level)
+            values += self.batch * (8 + 4 * level) * side * side
+            if values > _MAX_DEMO_FEATURE_VALUES:
+                raise CliUsageError(
+                    f"levels {self.levels} with batch {self.batch} makes a toy pyramid of "
+                    f"more than {_MAX_DEMO_FEATURE_VALUES} feature values"
+                )
 
 
 def _map_in_order(fn, items, jobs: int):

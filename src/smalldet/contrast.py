@@ -44,6 +44,12 @@ __all__ = [
 ]
 
 _MAGIC = b"NTFB"
+_ARRAY_NAMES = ("spatial_lateral", "semantic_lateral", "spatial_fused", "semantic_fused")
+# Bytes of perturbed inputs and logits, with the kernel's temporaries, that
+# gradient_check scores per pass: 15 coordinates (30 perturbed batches) at
+# the demo's L=4, N=3, D=16. Much larger blocks save little time and raise
+# the demo's peak memory.
+_CHECK_BLOCK_BYTES = 1 << 20
 
 
 def _check_tau(tau) -> None:
@@ -85,7 +91,7 @@ class EmbeddingBatch:
 
     def __post_init__(self) -> None:
         arrays = {}
-        for name in ("spatial_lateral", "semantic_lateral", "spatial_fused", "semantic_fused"):
+        for name in _ARRAY_NAMES:
             arrays[name] = _as_embedding_array(name, getattr(self, name))
             object.__setattr__(self, name, arrays[name])
         shapes = {a.shape for a in arrays.values()}
@@ -178,9 +184,9 @@ def _check_level_image(batch: EmbeddingBatch, x: int, y: int, max_level: int) ->
 
 
 def _stack_keys(lateral: np.ndarray, fused: np.ndarray) -> np.ndarray:
-    """Both families as (2 * L * N, D) rows in (level, image, family) order."""
-    levels, images, dim = lateral.shape
-    return np.stack((lateral, fused), axis=2).reshape(2 * levels * images, dim)
+    """Both families as (..., 2 * L * N, D) rows in (level, image, family) order."""
+    *lead, levels, images, dim = lateral.shape
+    return np.stack((lateral, fused), axis=-2).reshape(*lead, 2 * levels * images, dim)
 
 
 def _negative_mask(levels: int, images: int, query_levels: int, include_same_image: bool):
@@ -199,11 +205,15 @@ def _negative_mask(levels: int, images: int, query_levels: int, include_same_ima
 
 
 def _spatial_terms(lateral: np.ndarray, fused: np.ndarray, include_same_image: bool):
-    """Queries, positive keys, keys and negative mask of the spatial loss."""
-    levels, images, dim = lateral.shape
+    """Queries, positive keys, keys and negative mask of the spatial loss.
+
+    The embeddings have shape (..., L, N, D); any leading axes carry over to
+    the queries and keys, and the mask is shared by all of them.
+    """
+    *lead, levels, images, dim = lateral.shape
     return (
-        fused.reshape(-1, dim),
-        lateral.reshape(-1, dim),
+        fused.reshape(*lead, -1, dim),
+        lateral.reshape(*lead, -1, dim),
         _stack_keys(lateral, fused),
         _negative_mask(levels, images, levels, include_same_image),
     )
@@ -211,10 +221,10 @@ def _spatial_terms(lateral: np.ndarray, fused: np.ndarray, include_same_image: b
 
 def _semantic_terms(lateral: np.ndarray, fused: np.ndarray):
     """Queries, positive keys, keys and negative mask of the semantic loss."""
-    levels, images, dim = lateral.shape
+    *lead, levels, images, dim = lateral.shape
     return (
-        fused[:-1].reshape(-1, dim),
-        fused[1:].reshape(-1, dim),
+        fused[..., :-1, :, :].reshape(*lead, -1, dim),
+        fused[..., 1:, :, :].reshape(*lead, -1, dim),
         _stack_keys(lateral, fused),
         _negative_mask(levels, images, levels - 1, False),
     )
@@ -270,12 +280,13 @@ def _check_vectors(q, k_pos, negatives):
 
 
 def _masked_info_nce(q, k, keys, mask, tau: float, grad: bool = False):
-    """Row-wise InfoNCE of (T, D) queries q against positive keys k.
+    """Row-wise InfoNCE of (..., T, D) queries q against positive keys k.
 
-    Row t takes as negatives the rows of keys (K, D) where mask[t] is
-    true. Its loss is the log-sum-exp of its logits minus the positive
-    logit, with the maximum logit shifted out so large logits stay finite;
-    a row without negatives gives exactly 0.
+    Row t takes as negatives the rows of keys (..., K, D) where mask[t] is
+    true; leading axes are independent problems sharing the (T, K) mask.
+    Its loss is the log-sum-exp of its logits minus the positive logit,
+    with the maximum logit shifted out so large logits stay finite; a row
+    without negatives gives exactly 0.
 
     With p[t, 0] the softmax weight of row t's positive and p[t, r] that of
     key r (0 where mask[t, r] is false), the gradients of the summed
@@ -284,23 +295,23 @@ def _masked_info_nce(q, k, keys, mask, tau: float, grad: bool = False):
     for keys_r.
 
     Returns:
-        The (T,) losses; with grad, the tuple (losses, grad_q, grad_k,
+        The (..., T) losses; with grad, the tuple (losses, grad_q, grad_k,
         grad_keys).
     """
-    pos = np.einsum("td,td->t", q, k) / tau
-    neg = np.where(mask, (q @ keys.T) / tau, -np.inf)
-    top = np.maximum(pos, neg.max(axis=1, initial=-np.inf))
+    pos = np.einsum("...td,...td->...t", q, k) / tau
+    neg = np.where(mask, (q @ np.swapaxes(keys, -1, -2)) / tau, -np.inf)
+    top = np.maximum(pos, neg.max(axis=-1, initial=-np.inf))
     e_pos = np.exp(pos - top)
-    e_neg = np.exp(neg - top[:, None])
-    total = e_pos + e_neg.sum(axis=1)
+    e_neg = np.exp(neg - top[..., None])
+    total = e_pos + e_neg.sum(axis=-1)
     losses = top + np.log(total) - pos
     if not grad:
         return losses
-    d_pos = (e_pos / total - 1.0)[:, None]
-    p_neg = e_neg / total[:, None]
+    d_pos = (e_pos / total - 1.0)[..., None]
+    p_neg = e_neg / total[..., None]
     grad_q = (d_pos * k + p_neg @ keys) / tau
     grad_k = d_pos * q / tau
-    grad_keys = p_neg.T @ q / tau
+    grad_keys = np.swapaxes(p_neg, -1, -2) @ q / tau
     return losses, grad_q, grad_k, grad_keys
 
 
@@ -345,17 +356,16 @@ def info_nce_grad(q, k_pos, negatives, tau: float):
     return grad_q[0], grad_k[0], grad_negs
 
 
-def _loss_views(batch: EmbeddingBatch, cfg: ContrastConfig):
-    """The four embedding arrays as the losses see them.
+def _arrays(batch: EmbeddingBatch) -> tuple[np.ndarray, ...]:
+    """The four embedding arrays in _ARRAY_NAMES order."""
+    return tuple(getattr(batch, name) for name in _ARRAY_NAMES)
+
+
+def _loss_views(arrays, cfg: ContrastConfig):
+    """The four (..., L, N, D) embedding arrays as the losses see them.
 
     Identity by default; unit-normalized copies under cfg.l2_normalize.
     """
-    arrays = (
-        batch.spatial_lateral,
-        batch.semantic_lateral,
-        batch.spatial_fused,
-        batch.semantic_fused,
-    )
     if not cfg.l2_normalize:
         return arrays
     out = []
@@ -367,6 +377,17 @@ def _loss_views(batch: EmbeddingBatch, cfg: ContrastConfig):
     return tuple(out)
 
 
+def _spatial_losses(sp_lat: np.ndarray, sp_fus: np.ndarray, cfg: ContrastConfig) -> np.ndarray:
+    """Mean spatial contrast over the last three axes of (..., L, N, D) views."""
+    terms = _spatial_terms(sp_lat, sp_fus, cfg.include_same_image_other_levels)
+    return _masked_info_nce(*terms, cfg.tau).mean(axis=-1)
+
+
+def _semantic_losses(se_lat: np.ndarray, se_fus: np.ndarray, cfg: ContrastConfig) -> np.ndarray:
+    """Mean semantic contrast over the last three axes of (..., L, N, D) views."""
+    return _masked_info_nce(*_semantic_terms(se_lat, se_fus), cfg.tau).mean(axis=-1)
+
+
 def spatial_loss(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig()) -> float:
     """Mean spatial contrast over all (level, image) terms.
 
@@ -374,9 +395,8 @@ def spatial_loss(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig()) 
     spatial_lateral[x, y], and negatives from spatial_negatives. The mean
     runs over all L * N terms.
     """
-    sp_lat, _, sp_fus, _ = _loss_views(batch, cfg)
-    terms = _spatial_terms(sp_lat, sp_fus, cfg.include_same_image_other_levels)
-    return float(_masked_info_nce(*terms, cfg.tau).mean())
+    sp_lat, _, sp_fus, _ = _loss_views(_arrays(batch), cfg)
+    return float(_spatial_losses(sp_lat, sp_fus, cfg))
 
 
 def semantic_loss(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig()) -> float:
@@ -387,8 +407,8 @@ def semantic_loss(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig())
     negatives from semantic_negatives. The mean runs over (L - 1) * N
     terms.
     """
-    _, se_lat, _, se_fus = _loss_views(batch, cfg)
-    return float(_masked_info_nce(*_semantic_terms(se_lat, se_fus), cfg.tau).mean())
+    _, se_lat, _, se_fus = _loss_views(_arrays(batch), cfg)
+    return float(_semantic_losses(se_lat, se_fus, cfg))
 
 
 @dataclass(frozen=True)
@@ -417,7 +437,7 @@ def contrast_grad(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig())
     and 1/((L-1)*N) weights. Under cfg.l2_normalize the gradient is taken
     through the normalization.
     """
-    sp_lat, se_lat, sp_fus, se_fus = _loss_views(batch, cfg)
+    sp_lat, se_lat, sp_fus, se_fus = _loss_views(_arrays(batch), cfg)
     levels, images, dim = batch.shape
 
     terms = _spatial_terms(sp_lat, sp_fus, cfg.include_same_image_other_levels)
@@ -464,7 +484,8 @@ class GradientCheckResult:
 
     The per-coordinate error is |analytic - numeric| divided by
     max(|analytic|, |numeric|, 1e-4); the guard keeps near-zero gradients
-    measured on an absolute scale instead of blowing up the quotient.
+    measured on an absolute scale instead of blowing up the quotient. A
+    non-finite difference makes the errors NaN, which never passes.
     """
 
     max_rel_error: float
@@ -481,8 +502,13 @@ def gradient_check(
     """Compare contrast_grad against central finite differences.
 
     Every coordinate of every embedding array is perturbed by +/- step and
-    the total loss re-evaluated, so the cost is two loss sweeps per
-    coordinate; intended for small demo batches.
+    the total loss re-evaluated. The perturbed copies are stacked along a
+    leading axis and scored a block of coordinates at a time, one pass of
+    the loss kernel per block; each block holds about _CHECK_BLOCK_BYTES of
+    perturbed inputs and logits, so memory stays bounded whatever the batch
+    size. A perturbed value that is not finite raises ValueError, as
+    EmbeddingBatch does, and a non-finite difference makes both reported
+    errors non-finite, so the check fails.
 
     The discrepancy reported here includes the O(step^2) truncation error of
     the central difference itself. With l2_normalize enabled that term is
@@ -492,35 +518,39 @@ def gradient_check(
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step!r}")
-    analytic = contrast_grad(batch, cfg)
-    names = ("spatial_lateral", "semantic_lateral", "spatial_fused", "semantic_fused")
-    arrays = {name: getattr(batch, name).copy() for name in names}
+    analytic = np.concatenate([g.reshape(-1) for g in contrast_grad(batch, cfg).as_tuple()])
+    levels, images, dim = batch.shape
+    flat = np.stack(_arrays(batch)).reshape(-1)
+    upper, lower = flat + step, flat - step
+    bad = ~(np.isfinite(upper) & np.isfinite(lower)).reshape(4, -1).all(axis=1)
+    if bad.any():
+        name = _ARRAY_NAMES[int(np.argmax(bad))]
+        raise ValueError(f"{name} contains non-finite values")
 
-    def loss_at() -> float:
-        candidate = EmbeddingBatch(**arrays)
-        return spatial_loss(candidate, cfg) + semantic_loss(candidate, cfg)
+    # Per perturbed batch: the copy, its stacked keys and its query rows
+    # (3 * C values), and about four logits-sized temporaries per loss.
+    logits = (2 * levels - 1) * images * 2 * levels * images
+    block = max(1, _CHECK_BLOCK_BYTES // (2 * 8 * (3 * flat.size + 4 * logits)))
+    numeric = np.empty_like(flat)
+    for start in range(0, flat.size, block):
+        idx = np.arange(start, min(start + block, flat.size))
+        rows = np.arange(idx.size)
+        copies = np.repeat(flat[None], 2 * idx.size, axis=0)
+        copies[rows, idx] = upper[idx]
+        copies[rows + idx.size, idx] = lower[idx]
+        views = _loss_views(tuple(copies.reshape(-1, 4, levels, images, dim).swapaxes(0, 1)), cfg)
+        totals = _spatial_losses(views[0], views[2], cfg) + _semantic_losses(views[1], views[3], cfg)
+        numeric[idx] = (totals[: idx.size] - totals[idx.size :]) / (2.0 * step)
 
-    max_rel = 0.0
-    max_abs = 0.0
-    count = 0
-    for name in names:
-        flat = arrays[name].reshape(-1)
-        grad_flat = getattr(analytic, name).reshape(-1)
-        for idx in range(flat.size):
-            original = flat[idx]
-            flat[idx] = original + step
-            upper = loss_at()
-            flat[idx] = original - step
-            lower = loss_at()
-            flat[idx] = original
-            numeric = (upper - lower) / (2.0 * step)
-            a = grad_flat[idx]
-            abs_err = abs(a - numeric)
-            rel_err = abs_err / max(abs(a), abs(numeric), 1e-4)
-            max_abs = max(max_abs, abs_err)
-            max_rel = max(max_rel, rel_err)
-            count += 1
-    return GradientCheckResult(max_rel_error=max_rel, max_abs_error=max_abs, num_coordinates=count)
+    abs_err = np.abs(analytic - numeric)
+    rel_err = abs_err / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
+    # np.max propagates NaN, so a coordinate whose difference is NaN fails
+    # the check instead of dropping out of the maximum.
+    return GradientCheckResult(
+        max_rel_error=float(rel_err.max()),
+        max_abs_error=float(abs_err.max()),
+        num_coordinates=int(flat.size),
+    )
 
 
 def save_embedding_batch(path, batch: EmbeddingBatch) -> None:
@@ -534,12 +564,7 @@ def save_embedding_batch(path, batch: EmbeddingBatch) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", levels, images, dim))
-        for arr in (
-            batch.spatial_lateral,
-            batch.semantic_lateral,
-            batch.spatial_fused,
-            batch.semantic_fused,
-        ):
+        for arr in _arrays(batch):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 

@@ -379,6 +379,48 @@ def contrast_grad_ref(batch, tau, include_same_image, l2_normalize=False):
     return tuple(grad[name] for name in names)
 
 
+def gradient_check_ref(batch, cfg, step=1e-4):
+    """Central differences of the library losses, one coordinate at a time.
+
+    Each evaluation builds a fresh, validated EmbeddingBatch with a single
+    coordinate moved by +/- step and calls spatial_loss + semantic_loss;
+    the errors are those of GradientCheckResult, against contrast_grad.
+    Python's max drops a NaN error, so compare on finite differences only.
+    """
+    from smalldet import EmbeddingBatch, GradientCheckResult, contrast_grad
+    from smalldet import semantic_loss, spatial_loss
+
+    names = ("spatial_lateral", "semantic_lateral", "spatial_fused", "semantic_fused")
+    analytic = contrast_grad(batch, cfg)
+    arrays = {name: getattr(batch, name).copy() for name in names}
+
+    def loss_at():
+        candidate = EmbeddingBatch(**arrays)
+        return spatial_loss(candidate, cfg) + semantic_loss(candidate, cfg)
+
+    max_rel = 0.0
+    max_abs = 0.0
+    count = 0
+    for name in names:
+        flat = arrays[name].reshape(-1)
+        grad_flat = getattr(analytic, name).reshape(-1)
+        for idx in range(flat.size):
+            original = flat[idx]
+            flat[idx] = original + step
+            upper = loss_at()
+            flat[idx] = original - step
+            lower = loss_at()
+            flat[idx] = original
+            numeric = (upper - lower) / (2.0 * step)
+            a = float(grad_flat[idx])
+            abs_err = abs(a - numeric)
+            rel_err = abs_err / max(abs(a), abs(numeric), 1e-4)
+            max_abs = max(max_abs, abs_err)
+            max_rel = max(max_rel, rel_err)
+            count += 1
+    return GradientCheckResult(max_rel_error=max_rel, max_abs_error=max_abs, num_coordinates=count)
+
+
 # ---------------------------------------------------------------------------
 # deterministic generator and toy pyramid
 

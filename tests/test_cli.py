@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -427,7 +428,29 @@ def test_contrast_demo_coarse_step_reports_verification_failure(capsys):
     assert "[FAIL]" in out
 
 
-def test_usage_errors(capsys, tmp_path):
+def test_contrast_demo_nan_differences_fail(capsys):
+    """At step 1e308 most finite differences are NaN; the check must fail."""
+    code, out, _ = run(capsys, ["contrast-demo", "--fd-step", "1e308"])
+    assert code == 3
+    assert "max relative error nan" in out
+    assert "[FAIL]" in out
+
+
+def test_contrast_demo_losses_match_benchmark_pins(capsys):
+    """The losses the benchmark checks at 1e-12 relative, seeds 0-3."""
+    pins = json.loads((ROOT / "perfbench" / "pinned.json").read_text(encoding="utf-8"))
+    for seed in range(4):
+        code, out, _ = run(capsys, ["contrast-demo", "--seed", str(seed)])
+        assert code == 0
+        printed = dict(line.partition("=")[::2] for line in out.splitlines())
+        got = [float(printed["spatial_loss"]), float(printed["semantic_loss"])]
+        want = pins["contrast-train"][str(seed)]["demo_losses"]
+        assert all(math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0) for g, w in zip(got, want)), (
+            seed, got, want
+        )
+
+
+def test_usage_errors(capsys, tmp_path, monkeypatch):
     assert run(capsys, [])[0] == 1
     assert run(capsys, ["stats", "--bogus"])[0] == 1
     ann = mini_dataset(tmp_path)
@@ -438,7 +461,14 @@ def test_usage_errors(capsys, tmp_path):
     )
     assert code == 1
     assert "thr" in err
-    for flag, value in (("--alpha", "nan"), ("--detector-loss", "inf")):
+
+    def no_pyramid(*args):
+        raise AssertionError("a refused demo must build no pyramid")
+
+    monkeypatch.setattr(cli, "build_embedding_batch", no_pyramid)
+    for flag, value in (
+        ("--alpha", "nan"), ("--detector-loss", "inf"), ("--levels", "30"), ("--levels", "12")
+    ):
         code, _, err = run(capsys, ["contrast-demo", flag, value])
         assert code == 1
         assert err.startswith("error:") and flag[2:] in err

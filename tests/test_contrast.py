@@ -1,12 +1,15 @@
 """Contrastive losses, analytic gradients, and the batch binary format."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import smalldet.contrast
 from smalldet import (
     ContrastConfig,
+    ContrastGradients,
     EmbeddingBatch,
     LossComponents,
     ToyPyramidConfig,
@@ -25,6 +28,7 @@ from smalldet import (
 )
 from oracles import (
     contrast_grad_ref,
+    gradient_check_ref,
     info_nce_ref,
     semantic_loss_ref,
     semantic_negatives_ref,
@@ -304,6 +308,63 @@ def test_gradient_check_l2_on_small_norm_embeddings():
 def test_gradient_check_rejects_bad_step():
     with pytest.raises(ValueError):
         gradient_check(toy_batch(seed=1), ContrastConfig(), step=0.0)
+
+
+@pytest.mark.parametrize("images", [3, 1])
+@pytest.mark.parametrize("flags", FLAG_SETS)
+def test_gradient_check_matches_loop_reference(flags, images):
+    batch = toy_batch(seed=0, batch=images)
+    cfg = ContrastConfig(**flags)
+    got = gradient_check(batch, cfg)
+    want = gradient_check_ref(batch, cfg)
+    assert got.num_coordinates == want.num_coordinates == 4 * 4 * images * 16
+    assert math.isclose(got.max_rel_error, want.max_rel_error, rel_tol=1e-9, abs_tol=0.0)
+    assert math.isclose(got.max_abs_error, want.max_abs_error, rel_tol=1e-9, abs_tol=0.0)
+
+
+def test_gradient_check_fails_on_nan_differences():
+    """At step 1e308 most perturbed losses overflow to NaN; none may drop out."""
+    report = gradient_check(toy_batch(seed=1), ContrastConfig(), step=1e308)
+    assert not math.isfinite(report.max_rel_error)
+    assert not math.isfinite(report.max_abs_error)
+    assert not report.passed()
+
+
+def test_gradient_check_rejects_non_finite_perturbations():
+    batch = toy_batch(seed=1)
+    arrays = [a.copy() for a in (batch.spatial_lateral, batch.semantic_lateral,
+                                 batch.spatial_fused, batch.semantic_fused)]
+    arrays[3][0, 0, 0] = 1e308
+    bad = EmbeddingBatch(*arrays)
+    for check in (gradient_check, gradient_check_ref):
+        with pytest.raises(ValueError, match="^semantic_fused contains non-finite values$"):
+            check(bad, ContrastConfig(), step=1e308)
+
+
+def _grad_with_error(rel):
+    """contrast_grad with its largest spatial_fused coordinate off by rel."""
+    exact = smalldet.contrast.contrast_grad
+
+    def grad(batch, cfg=ContrastConfig()):
+        arrays = [g.copy() for g in exact(batch, cfg).as_tuple()]
+        flat = arrays[2].reshape(-1)
+        flat[np.argmax(np.abs(flat))] *= 1.0 + rel
+        return ContrastGradients(*arrays)
+
+    return grad
+
+
+def test_gradient_check_catches_a_1e3_gradient_error(monkeypatch):
+    monkeypatch.setattr(smalldet.contrast, "contrast_grad", _grad_with_error(1e-3))
+    report = gradient_check(toy_batch(seed=0), ContrastConfig())
+    assert report.max_rel_error > 1e-4
+    assert not report.passed()
+
+
+def test_grad_reference_test_catches_a_1e9_gradient_error(monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "contrast_grad", _grad_with_error(1e-9))
+    with pytest.raises(AssertionError):
+        test_contrast_grad_matches_closed_form_reference({}, 3)
 
 
 def test_total_loss_arithmetic():
