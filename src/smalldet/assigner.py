@@ -117,8 +117,11 @@ class AssignResult:
         # The codes are exactly the integers IGNORE..POSITIVE (-1..1).
         if labels.size and (labels.min() < IGNORE or labels.max() > POSITIVE):
             raise ValueError("labels must contain only POSITIVE/NEGATIVE/IGNORE codes")
-        positive = labels == POSITIVE
-        if np.any(gt_index[positive] < 0) or np.any(gt_index[~positive] != -1):
+        # gt_index >= 0 exactly where positive, and never below -1, so it
+        # is -1 everywhere else.
+        if (gt_index.size and gt_index.min() < -1) or np.count_nonzero(
+            (gt_index >= 0) != (labels == POSITIVE)
+        ):
             raise ValueError("gt_index must be set exactly where the label is positive")
 
     @property
@@ -127,22 +130,32 @@ class AssignResult:
 
     def positives_per_gt(self, num_gts: int) -> np.ndarray:
         """Count of positive anchors matched to each ground truth."""
-        matched = self.gt_index[self.labels == POSITIVE]
-        if matched.size and int(matched.max()) >= num_gts:
-            raise ValueError(
-                f"result references gt {int(matched.max())} but only {num_gts} gts were given"
-            )
-        return np.bincount(matched, minlength=num_gts) if num_gts else np.zeros(0, dtype=np.int64)
+        return _count_matched(self.gt_index[self.labels == POSITIVE], num_gts)
+
+
+def _count_matched(matched: np.ndarray, num_gts: int) -> np.ndarray:
+    """Per-gt counts of the matched gt indices of positive anchors."""
+    if matched.size and int(matched.max()) >= num_gts:
+        raise ValueError(
+            f"result references gt {int(matched.max())} but only {num_gts} gts were given"
+        )
+    return np.bincount(matched, minlength=num_gts) if num_gts else np.zeros(0, dtype=np.int64)
 
 
 def _assign_rows(blocks, num_gts: int, num_anchors: int, thr: AssignThresholds) -> AssignResult:
     """The streaming pass behind assign and assign_with_metric.
 
-    Consumes (rows, block) score blocks that cover the gt rows in order,
-    keeping a running per-anchor best score and best gt (a strict > keeps
-    the lowest gt index on ties) and each gt's best anchor (argmax keeps
-    the lowest anchor index on ties). Working memory is O(num_anchors)
-    beyond the blocks themselves.
+    Consumes (rows, block) score blocks that cover the gt rows in order.
+    Each row folds into the per-anchor best score with one np.maximum.
+    The best gt is tracked only where a row reaches pos_thr, that is on
+    anchors that end up positive: there a strict > against the running
+    best keeps the lowest gt on ties, within a block and across blocks.
+    Rows whose max stays below pos_thr skip that step. Each gt's best
+    anchor comes from argmax, which keeps the lowest anchor on ties. A
+    column whose max is a zero held as both -0.0 and +0.0 keeps the
+    earliest row's sign, as a strict > fold does: np.maximum(row, best)
+    returns its second operand on that tie, which tests/test_assigner.py
+    pins. Working memory is O(num_anchors) beyond the blocks themselves.
 
     Raises:
         ValueError: If a block holds a non-finite score.
@@ -154,27 +167,29 @@ def _assign_rows(blocks, num_gts: int, num_anchors: int, thr: AssignThresholds) 
             best_score=np.zeros(num_anchors, dtype=np.float64),
         )
 
+    pos_thr = thr.pos_thr
     best_score = np.full(num_anchors, -np.inf)
-    best_gt = np.zeros(num_anchors, dtype=np.int64)
-    better = np.empty(num_anchors, dtype=bool)
+    # Written only where a row reaches pos_thr, so -1 stays everywhere else.
+    gt_index = np.full(num_anchors, -1, dtype=np.int64)
     gt_best_anchor = np.empty(num_gts, dtype=np.int64)
     gt_best_score = np.empty(num_gts, dtype=np.float64)
     for rows, block in blocks:
         if not np.isfinite(block).all():
             raise ValueError("score matrix contains non-finite values")
-        for g, row in zip(range(rows.start, rows.stop), block):
-            np.greater(row, best_score, out=better)
-            np.copyto(best_score, row, where=better)
-            np.copyto(best_gt, g, where=better)
         row_best = block.argmax(axis=1)
+        row_top = block[np.arange(block.shape[0]), row_best]
         gt_best_anchor[rows] = row_best
-        gt_best_score[rows] = block[np.arange(block.shape[0]), row_best]
+        gt_best_score[rows] = row_top
+        for g, row, top in zip(range(rows.start, rows.stop), block, row_top):
+            if top >= pos_thr:
+                reached = np.flatnonzero(row >= pos_thr)
+                gt_index[reached[row[reached] > best_score[reached]]] = g
+            np.maximum(row, best_score, out=best_score)
 
-    labels = np.full(num_anchors, IGNORE, dtype=np.int8)
-    labels[best_score < thr.neg_thr] = NEGATIVE
-    positive = best_score >= thr.pos_thr
-    labels[positive] = POSITIVE
-    gt_index = np.where(positive, best_gt, -1)
+    # As neg_thr <= pos_thr, 2 * [>= pos_thr] - [>= neg_thr] is POSITIVE (1),
+    # IGNORE (-1) or NEGATIVE (0).
+    labels = (best_score >= pos_thr).view(np.int8) * np.int8(2)
+    labels -= (best_score >= thr.neg_thr).view(np.int8)
     for g in np.flatnonzero(gt_best_score >= thr.min_pos_thr):
         anchor = gt_best_anchor[g]
         labels[anchor] = POSITIVE
@@ -188,16 +203,20 @@ def assign(score, thr: AssignThresholds = AssignThresholds()) -> AssignResult:
 
     The rule steps, applied in order:
       1. Each anchor's best_score is its max score over ground truths
-         (0 when the matrix has zero rows).
+         (0 when the matrix has zero rows). Where that max is a zero held
+         as both -0.0 and +0.0, it keeps the sign of the earliest row.
       2. best_score < neg_thr: negative.
       3. best_score >= pos_thr: positive, matched to the argmax ground truth.
+         The matched gt is tracked only for these anchors; every other
+         anchor's gt_index is -1.
       4. Scores in [neg_thr, pos_thr): ignore.
       5. Rescue: for each ground truth in index order, its argmax anchor
          becomes positive for it when that score >= min_pos_thr, overriding
          the band label. A later ground truth overrides an earlier one when
          both claim the same anchor.
-    Every argmax tie breaks toward the lowest index. The matrix rows are
-    streamed through the same pass assign_with_metric uses.
+    Every argmax tie breaks toward the lowest index, whichever row blocks
+    the tied rows fall in. The matrix rows are streamed through the same
+    pass assign_with_metric uses.
 
     Args:
         score: Finite matrix of shape (num_gts, num_anchors).
@@ -344,10 +363,12 @@ def assignment_stats(
     metric = Metric(metric)
 
     num_buckets = len(edges) + 1
+    edge_array = np.asarray(edges)
     gt_count = np.zeros(num_buckets, dtype=np.int64)
     positive_sum = np.zeros(num_buckets, dtype=np.int64)
     zero_positive = np.zeros(num_buckets, dtype=np.int64)
-    total = {POSITIVE: 0, NEGATIVE: 0, IGNORE: 0}
+    total_positive = 0
+    total_negative = 0
     total_anchors = 0
 
     area_lists = iter(gt_areas)
@@ -365,19 +386,20 @@ def assignment_stats(
         num_gts = int(areas.shape[0])
         per_gt = np.zeros(num_gts, dtype=np.int64)
         for result in image_results:
-            per_gt += result.positives_per_gt(num_gts)
-            total[POSITIVE] += int(np.count_nonzero(result.labels == POSITIVE))
-            total[NEGATIVE] += int(np.count_nonzero(result.labels == NEGATIVE))
-            total[IGNORE] += int(np.count_nonzero(result.labels == IGNORE))
+            matched = result.gt_index[result.labels == POSITIVE]
+            per_gt += _count_matched(matched, num_gts)
+            total_positive += matched.size
+            total_negative += int(np.count_nonzero(result.labels == NEGATIVE))
             total_anchors += result.num_anchors
         # Drop this image's results before the iterator makes the next ones.
         del image_results, result
-        bucket_of = np.searchsorted(np.asarray(edges), areas, side="right")
-        for b in range(num_buckets):
-            mask = bucket_of == b
-            gt_count[b] += int(np.count_nonzero(mask))
-            positive_sum[b] += int(per_gt[mask].sum())
-            zero_positive[b] += int(np.count_nonzero(per_gt[mask] == 0))
+        bucket_of = np.searchsorted(edge_array, areas, side="right")
+        gt_count += np.bincount(bucket_of, minlength=num_buckets)
+        # Integer counts summed as float64 weights are exact below 2**53.
+        positive_sum += np.bincount(bucket_of, weights=per_gt, minlength=num_buckets).astype(
+            np.int64
+        )
+        zero_positive += np.bincount(bucket_of[per_gt == 0], minlength=num_buckets)
     if next(area_lists, _END) is not _END:
         raise ValueError(f"got {images} image results but more gt area lists")
 
@@ -398,9 +420,9 @@ def assignment_stats(
         thresholds=thr,
         bucket_edges=edges,
         buckets=tuple(buckets),
-        total_positive=total[POSITIVE],
-        total_negative=total[NEGATIVE],
-        total_ignore=total[IGNORE],
+        total_positive=total_positive,
+        total_negative=total_negative,
+        total_ignore=total_anchors - total_positive - total_negative,
         total_anchors=total_anchors,
     )
 

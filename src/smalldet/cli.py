@@ -77,8 +77,9 @@ EXIT_DATA = 2
 EXIT_VERIFY = 3
 
 GRADIENT_TOLERANCE = 1e-5
-# Lateral feature values contrast-demo may synthesize: 128 MiB of float64.
-# The default demo shape holds 37,824.
+# Feature values contrast-demo may synthesize, 128 MiB of float64: in its
+# lateral maps (37,824 at the default shape), and in the perturbed copies
+# of the embeddings its gradient check scores (1,179,648 at the default).
 _MAX_DEMO_FEATURE_VALUES = 1 << 24
 
 
@@ -234,6 +235,15 @@ class ContrastDemoConfig:
                     f"levels {self.levels} with batch {self.batch} makes a toy pyramid of "
                     f"more than {_MAX_DEMO_FEATURE_VALUES} feature values"
                 )
+        # The gradient check scores each of the 4 * L * N * D embedding
+        # coordinates in two perturbed copies of all of them, so its work
+        # grows with the square of the batch.
+        coordinates = 4 * self.levels * self.batch * self.dim
+        if 2 * coordinates * coordinates > _MAX_DEMO_FEATURE_VALUES:
+            raise CliUsageError(
+                f"levels {self.levels}, batch {self.batch} and dim {self.dim} make a gradient "
+                f"check over more than {_MAX_DEMO_FEATURE_VALUES} perturbed embedding values"
+            )
 
 
 def _map_in_order(fn, items, jobs: int):

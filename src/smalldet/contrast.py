@@ -518,29 +518,36 @@ def gradient_check(
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step!r}")
-    analytic = np.concatenate([g.reshape(-1) for g in contrast_grad(batch, cfg).as_tuple()])
     levels, images, dim = batch.shape
     flat = np.stack(_arrays(batch)).reshape(-1)
-    upper, lower = flat + step, flat - step
+    # Overflow in the finite-difference passes is reported through the
+    # result, as a ValueError here or as non-finite errors, so numpy need
+    # not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper, lower = flat + step, flat - step
     bad = ~(np.isfinite(upper) & np.isfinite(lower)).reshape(4, -1).all(axis=1)
     if bad.any():
         name = _ARRAY_NAMES[int(np.argmax(bad))]
         raise ValueError(f"{name} contains non-finite values")
+    analytic = np.concatenate([g.reshape(-1) for g in contrast_grad(batch, cfg).as_tuple()])
 
     # Per perturbed batch: the copy, its stacked keys and its query rows
     # (3 * C values), and about four logits-sized temporaries per loss.
     logits = (2 * levels - 1) * images * 2 * levels * images
     block = max(1, _CHECK_BLOCK_BYTES // (2 * 8 * (3 * flat.size + 4 * logits)))
     numeric = np.empty_like(flat)
-    for start in range(0, flat.size, block):
-        idx = np.arange(start, min(start + block, flat.size))
-        rows = np.arange(idx.size)
-        copies = np.repeat(flat[None], 2 * idx.size, axis=0)
-        copies[rows, idx] = upper[idx]
-        copies[rows + idx.size, idx] = lower[idx]
-        views = _loss_views(tuple(copies.reshape(-1, 4, levels, images, dim).swapaxes(0, 1)), cfg)
-        totals = _spatial_losses(views[0], views[2], cfg) + _semantic_losses(views[1], views[3], cfg)
-        numeric[idx] = (totals[: idx.size] - totals[idx.size :]) / (2.0 * step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, flat.size, block):
+            idx = np.arange(start, min(start + block, flat.size))
+            rows = np.arange(idx.size)
+            copies = np.repeat(flat[None], 2 * idx.size, axis=0)
+            copies[rows, idx] = upper[idx]
+            copies[rows + idx.size, idx] = lower[idx]
+            arrays = copies.reshape(-1, 4, levels, images, dim).swapaxes(0, 1)
+            views = _loss_views(tuple(arrays), cfg)
+            totals = _spatial_losses(views[0], views[2], cfg)
+            totals += _semantic_losses(views[1], views[3], cfg)
+            numeric[idx] = (totals[: idx.size] - totals[idx.size :]) / (2.0 * step)
 
     abs_err = np.abs(analytic - numeric)
     rel_err = abs_err / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)

@@ -379,6 +379,7 @@ def contrast_grad_ref(batch, tau, include_same_image, l2_normalize=False):
     return tuple(grad[name] for name in names)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gradient_check_ref(batch, cfg, step=1e-4):
     """Central differences of the library losses, one coordinate at a time.
 
@@ -386,6 +387,8 @@ def gradient_check_ref(batch, cfg, step=1e-4):
     coordinate moved by +/- step and calls spatial_loss + semantic_loss;
     the errors are those of GradientCheckResult, against contrast_grad.
     Python's max drops a NaN error, so compare on finite differences only.
+    It runs with overflow and invalid-value warnings off, the analytic
+    gradient included: non-finite values show in the result or raise.
     """
     from smalldet import EmbeddingBatch, GradientCheckResult, contrast_grad
     from smalldet import semantic_loss, spatial_loss

@@ -196,6 +196,96 @@ def test_streaming_ties_resolve_to_lowest_index(monkeypatch):
     assert_same_result(iou_result, check_against_ref(iou_matrix(gts, anchors)))
 
 
+# One, two and three gt rows per block over five anchors.
+FOLD_BLOCKS = [5, 10, None]
+
+
+@pytest.mark.parametrize("block_pairs", FOLD_BLOCKS)
+def test_fold_tie_across_blocks_keeps_lowest_gt(monkeypatch, block_pairs):
+    if block_pairs is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    # Anchor 1 ties at 0.9 between gt 1 and gt 2, which sit in different
+    # blocks unless all rows share one. Each gt's own best anchor is
+    # elsewhere, so no rescue touches anchor 1.
+    scores = np.array(
+        [
+            [0.10, 0.80, 0.95, 0.10, 0.10],
+            [0.10, 0.90, 0.20, 0.10, 0.97],
+            [0.10, 0.90, 0.20, 0.96, 0.10],
+        ]
+    )
+    result = check_against_ref(scores)
+    np.testing.assert_array_equal(result.labels, [NEGATIVE] + [POSITIVE] * 4)
+    np.testing.assert_array_equal(result.gt_index, [-1, 1, 0, 2, 1])
+
+
+@pytest.mark.parametrize("block_pairs", FOLD_BLOCKS)
+def test_fold_later_gt_beats_an_earlier_positive(monkeypatch, block_pairs):
+    if block_pairs is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    # Anchor 0 reaches pos_thr for gt 0 first, then gt 1 and gt 2 beat it
+    # in turn; anchor 1 is positive for gt 0 alone.
+    scores = np.array(
+        [
+            [0.75, 0.72, 0.99, 0.10, 0.10],
+            [0.80, 0.10, 0.10, 0.98, 0.10],
+            [0.85, 0.10, 0.10, 0.10, 0.97],
+        ]
+    )
+    result = check_against_ref(scores)
+    np.testing.assert_array_equal(result.gt_index, [2, 0, 0, 1, 2])
+    np.testing.assert_array_equal(result.best_score, [0.85, 0.72, 0.99, 0.98, 0.97])
+
+
+def test_fold_image_without_a_score_at_pos_thr():
+    # Only the rescue makes positives: gt 0 claims anchor 2, gt 1 anchor 1.
+    result = check_against_ref(np.array([[0.5, 0.2, 0.65, 0.1], [0.1, 0.69, 0.3, 0.2]]))
+    np.testing.assert_array_equal(result.labels, [IGNORE, POSITIVE, POSITIVE, NEGATIVE])
+    np.testing.assert_array_equal(result.gt_index, [-1, 1, 0, -1])
+    # Below the rescue floor too: every anchor is negative and unmatched.
+    low = check_against_ref(np.array([[0.1, 0.2, 0.29], [0.0, 0.25, 0.1]]))
+    np.testing.assert_array_equal(low.labels, [NEGATIVE] * 3)
+    np.testing.assert_array_equal(low.gt_index, [-1] * 3)
+    # A row whose max is exactly pos_thr does match: anchor 0 through the
+    # rescue, anchor 1 through the fold.
+    edge = check_against_ref(np.array([[0.7, 0.7, 0.1]]))
+    np.testing.assert_array_equal(edge.gt_index, [0, 0, -1])
+    norm = DatasetNormalizers(1.0, 1.0)
+    for metric in Metric:
+        far = assign_with_metric([Box(10, 10, 4, 4)], [Box(300, 300, 4, 4)], norm, DEFAULT, metric)
+        assert far.labels.tolist() == [NEGATIVE]
+        assert far.gt_index.tolist() == [-1]
+
+
+def test_rescue_overrides_a_band_label_and_a_fold_match():
+    # Anchor 0 is in the band (0.6) and gt 0's best: rescued to gt 0.
+    # Anchor 1 is positive for gt 1 by the fold (0.9), but it is also
+    # gt 2's best anchor (0.8), so gt 2's rescue takes it over.
+    result = check_against_ref(np.array([[0.6, 0.1, 0.1], [0.1, 0.9, 0.1], [0.1, 0.8, 0.2]]))
+    np.testing.assert_array_equal(result.labels, [POSITIVE, POSITIVE, NEGATIVE])
+    np.testing.assert_array_equal(result.gt_index, [0, 2, -1])
+
+
+@pytest.mark.parametrize("block_pairs", [37, 74, None])
+def test_fold_keeps_the_earliest_rows_signed_zero(monkeypatch, block_pairs):
+    """best_score keeps the bits of the earliest row that reaches the max.
+
+    With a strict > fold, -0.0 and +0.0 do not replace each other, so a
+    column whose max is zero keeps the sign of its first zero. The rows
+    are long enough for vector loops and their tails.
+    """
+    if block_pairs is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    rng = np.random.default_rng(38)
+    scores = rng.choice([-0.0, 0.0, -0.5], size=(4, 37))
+    scores[:, :2] = [[-0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]]
+    result = assign(scores, DEFAULT)
+    _, _, best = assign_ref(scores)
+    assert np.signbit(result.best_score[:2]).tolist() == [True, False]
+    np.testing.assert_array_equal(result.best_score.view(np.int64), np.array(best).view(np.int64))
+    np.testing.assert_array_equal(result.labels, [NEGATIVE] * 37)
+
+
 def test_streaming_zero_gts_and_zero_anchors():
     norm = DatasetNormalizers(1.0, 1.0)
     anchors = [Box(5, 5, 4, 4), Box(9, 5, 4, 4), Box(30, 30, 8, 8)]
@@ -322,15 +412,35 @@ def test_ps_metric_requires_normalizers():
 
 
 def test_assign_result_validation_and_per_gt_counts():
-    with pytest.raises(ValueError):
-        AssignResult(
-            labels=np.array([NEGATIVE], dtype=np.int8),
-            gt_index=np.array([2], dtype=np.int64),
-            best_score=np.array([0.1]),
+    def make(labels, gt_index):
+        return AssignResult(
+            labels=np.array(labels, dtype=np.int8),
+            gt_index=np.array(gt_index, dtype=np.int64),
+            best_score=np.zeros(len(labels)),
         )
+
+    for labels in ([2, 0], [0, -2]):
+        with pytest.raises(ValueError, match="only POSITIVE/NEGATIVE/IGNORE codes"):
+            make(labels, [-1, -1])
+    for labels, gt_index in (
+        ([NEGATIVE], [2]),  # matched but not positive
+        ([POSITIVE], [-1]),  # positive but unmatched
+        ([IGNORE, POSITIVE], [-2, 0]),  # below -1 off the positives
+        ([POSITIVE, NEGATIVE], [0, -5]),
+    ):
+        with pytest.raises(ValueError, match="set exactly where the label is positive"):
+            make(labels, gt_index)
+    with pytest.raises(ValueError, match="1-d and equal length"):
+        make([NEGATIVE, NEGATIVE], [-1])
     result = assign(np.array([[0.9, 0.8, 0.1], [0.2, 0.3, 0.95]]), DEFAULT)
     counts = result.positives_per_gt(2)
     assert counts.sum() == int(np.count_nonzero(result.labels == POSITIVE))
+    np.testing.assert_array_equal(counts, [2, 1])
+    with pytest.raises(ValueError, match="result references gt 1 but only 1 gts were given"):
+        result.positives_per_gt(1)
+    with pytest.raises(ValueError, match="result references gt 1 but only 1 gts were given"):
+        assignment_stats([result], [[100.0]], DEFAULT, Metric.PS)
+    assert make([], []).positives_per_gt(0).tolist() == []
 
 
 def test_stats_empty_and_single_gt():

@@ -436,6 +436,39 @@ def test_contrast_demo_nan_differences_fail(capsys):
     assert "[FAIL]" in out
 
 
+def test_contrast_demo_nan_differences_fail_without_warnings():
+    """The non-finite differences at step 1e308 are the verdict, not numpy noise."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "from smalldet.cli import entrypoint; entrypoint()",
+         "contrast-demo", "--fd-step", "1e308"],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "[FAIL]" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_contrast_demo_dim_cap_boundary(capsys, monkeypatch):
+    # At the default 4 levels and batch 3 the check perturbs 48 * dim
+    # coordinates in two copies each: 2 * (48 * 60)^2 = 16,588,800 values
+    # fit in 2^24, 2 * (48 * 61)^2 = 17,146,368 do not.
+    code, out, _ = run(capsys, ["contrast-demo", "--dim", "60"])
+    assert code == 0
+    assert "over 2880 coordinates" in out and "[PASS]" in out
+
+    def no_pyramid(*args):
+        raise AssertionError("a refused demo must build no pyramid")
+
+    monkeypatch.setattr(cli, "build_embedding_batch", no_pyramid)
+    code, _, err = run(capsys, ["contrast-demo", "--dim", "61"])
+    assert code == 1
+    assert err.startswith("error:") and "dim 61" in err
+
+
 def test_contrast_demo_losses_match_benchmark_pins(capsys):
     """The losses the benchmark checks at 1e-12 relative, seeds 0-3."""
     pins = json.loads((ROOT / "perfbench" / "pinned.json").read_text(encoding="utf-8"))
