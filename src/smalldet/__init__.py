@@ -35,12 +35,8 @@ from .contrast import (
     gradient_check,
     info_nce,
     info_nce_grad,
-    load_embedding_batch,
-    save_embedding_batch,
     semantic_loss,
-    semantic_negatives,
     spatial_loss,
-    spatial_negatives,
     total_loss,
 )
 from .dataset import (
@@ -132,8 +128,6 @@ __all__ = [
     "LossComponents",
     "ContrastGradients",
     "GradientCheckResult",
-    "spatial_negatives",
-    "semantic_negatives",
     "info_nce",
     "info_nce_grad",
     "spatial_loss",
@@ -141,8 +135,6 @@ __all__ = [
     "contrast_grad",
     "total_loss",
     "gradient_check",
-    "save_embedding_batch",
-    "load_embedding_batch",
     # pyramid
     "FeatureMap",
     "ToyPyramidConfig",

@@ -9,7 +9,8 @@ Each option is declared once, in _OPTIONS, with its flag, parser, config
 field, commands and help; defaults live on the config dataclasses. Every
 flag can also come from a JSON config file (--config) through the same
 parser; command-line values win over file values. Exit codes: 0 success,
-1 usage or config error, 2 data error, 3 verification failure.
+1 usage or config error or an output file that cannot be written, 2 data
+error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ _MAX_DEMO_FEATURE_VALUES = 1 << 24
 
 
 class CliUsageError(Exception):
-    """Bad flags or configuration; maps to exit code 1."""
+    """Bad flags or configuration, or an unwritable output; maps to exit code 1."""
 
 
 @dataclass(frozen=True)
@@ -346,7 +347,7 @@ def _resolve_normalizers(
     if path and Path(path).exists():
         try:
             cache = load_normalizer_cache(path)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             logger.warning("ignoring unreadable normalizer cache: %s", exc)
         else:
             if cache.dataset_hash == ds_hash and cache.anchor_spec_hash == layout_hash:
@@ -356,16 +357,17 @@ def _resolve_normalizers(
     acc = _accumulate_normalizers(gt_boxes, anchors, cfg.jobs)
     norm = finalize(acc)
     if path:
-        save_normalizer_cache(
-            path,
-            NormalizerCache(
-                m=norm.m,
-                n=norm.n,
-                pair_count=acc.pair_count,
-                dataset_hash=ds_hash,
-                anchor_spec_hash=layout_hash,
-            ),
+        cache = NormalizerCache(
+            m=norm.m,
+            n=norm.n,
+            pair_count=acc.pair_count,
+            dataset_hash=ds_hash,
+            anchor_spec_hash=layout_hash,
         )
+        try:
+            save_normalizer_cache(path, cache)
+        except OSError as exc:
+            raise CliUsageError(f"cannot write normalizer cache {path}: {exc}") from exc
         logger.info("wrote normalizer cache to %s", path)
     return norm, acc.pair_count, False
 
@@ -439,9 +441,12 @@ def cmd_assign(cfg: ExperimentConfig) -> int:
 
     if cfg.out_dir is not None:
         out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(reports_to_json(reports), encoding="utf-8")
-        (out_dir / "report.csv").write_text(reports_to_csv(reports), encoding="utf-8")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "report.json").write_text(reports_to_json(reports), encoding="utf-8")
+            (out_dir / "report.csv").write_text(reports_to_csv(reports), encoding="utf-8")
+        except OSError as exc:
+            raise CliUsageError(f"cannot write reports to {out_dir}: {exc}") from exc
         logger.info("wrote report.json and report.csv to %s", out_dir)
     return EXIT_OK
 
@@ -567,7 +572,7 @@ def _as_anchor_layout(value, key: str) -> AnchorLayout:
         source = f"anchor config file {text}"
         try:
             text = Path(text).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliUsageError(f"cannot read {source}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -687,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str, command: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliUsageError(f"cannot read config file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -744,3 +749,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

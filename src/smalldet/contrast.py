@@ -10,17 +10,12 @@ all its terms at once: one logits matrix of queries against the stacked
 lateral and fused keys, with a boolean mask selecting every term's
 negatives. Results are deterministic: repeated calls on the same batch and
 config return identical values.
-
-Batches can be round-tripped through a small binary container (magic
-"NTFB") for exchange with other tools.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +25,6 @@ __all__ = [
     "LossComponents",
     "ContrastGradients",
     "GradientCheckResult",
-    "spatial_negatives",
-    "semantic_negatives",
     "info_nce",
     "info_nce_grad",
     "spatial_loss",
@@ -39,11 +32,8 @@ __all__ = [
     "contrast_grad",
     "total_loss",
     "gradient_check",
-    "save_embedding_batch",
-    "load_embedding_batch",
 ]
 
-_MAGIC = b"NTFB"
 _ARRAY_NAMES = ("spatial_lateral", "semantic_lateral", "spatial_fused", "semantic_fused")
 # Bytes of perturbed inputs and logits, with the kernel's temporaries, that
 # gradient_check scores per pass: 15 coordinates (30 perturbed batches) at
@@ -107,18 +97,6 @@ class EmbeddingBatch:
     def shape(self) -> tuple[int, int, int]:
         return self.spatial_lateral.shape
 
-    @property
-    def num_levels(self) -> int:
-        return int(self.shape[0])
-
-    @property
-    def num_images(self) -> int:
-        return int(self.shape[1])
-
-    @property
-    def dim(self) -> int:
-        return int(self.shape[2])
-
 
 @dataclass(frozen=True)
 class ContrastConfig:
@@ -176,13 +154,6 @@ def total_loss(c: LossComponents) -> float:
     return c.alpha * (c.spatial_loss + c.semantic_loss) + c.detector_loss
 
 
-def _check_level_image(batch: EmbeddingBatch, x: int, y: int, max_level: int) -> None:
-    if not 0 <= x < max_level:
-        raise IndexError(f"level index {x} out of range [0, {max_level})")
-    if not 0 <= y < batch.num_images:
-        raise IndexError(f"image index {y} out of range [0, {batch.num_images})")
-
-
 def _stack_keys(lateral: np.ndarray, fused: np.ndarray) -> np.ndarray:
     """Both families as (..., 2 * L * N, D) rows in (level, image, family) order."""
     *lead, levels, images, dim = lateral.shape
@@ -228,40 +199,6 @@ def _semantic_terms(lateral: np.ndarray, fused: np.ndarray):
         _stack_keys(lateral, fused),
         _negative_mask(levels, images, levels - 1, False),
     )
-
-
-def spatial_negatives(batch: EmbeddingBatch, x: int, y: int, cfg: ContrastConfig) -> np.ndarray:
-    """Negative embeddings for the spatial term at level x, image y.
-
-    By default these are the spatial embeddings (lateral and fused) of
-    every other image at every level: 2 * L * (N - 1) rows. With
-    cfg.include_same_image_other_levels, image y's own embeddings at the
-    other L - 1 levels join them. Rows run level by level, image by image,
-    lateral before fused.
-
-    Returns:
-        Array of shape (num_negatives, D), one negative per row.
-    """
-    _check_level_image(batch, x, y, batch.num_levels)
-    _, _, keys, mask = _spatial_terms(
-        batch.spatial_lateral, batch.spatial_fused, cfg.include_same_image_other_levels
-    )
-    return keys[mask[x * batch.num_images + y]]
-
-
-def semantic_negatives(batch: EmbeddingBatch, x: int, y: int) -> np.ndarray:
-    """Negative embeddings for the semantic term at level x, image y.
-
-    These are the semantic embeddings (lateral and fused) of every other
-    image at every level: 2 * L * (N - 1) rows. Valid levels run to L - 2
-    because the positive pair reaches one level up.
-
-    Returns:
-        Array of shape (num_negatives, D), one negative per row.
-    """
-    _check_level_image(batch, x, y, batch.num_levels - 1)
-    _, _, keys, mask = _semantic_terms(batch.semantic_lateral, batch.semantic_fused)
-    return keys[mask[x * batch.num_images + y]]
 
 
 def _check_vectors(q, k_pos, negatives):
@@ -391,9 +328,11 @@ def _semantic_losses(se_lat: np.ndarray, se_fus: np.ndarray, cfg: ContrastConfig
 def spatial_loss(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig()) -> float:
     """Mean spatial contrast over all (level, image) terms.
 
-    Term (x, y) is info_nce with query spatial_fused[x, y], positive key
-    spatial_lateral[x, y], and negatives from spatial_negatives. The mean
-    runs over all L * N terms.
+    Term (x, y) is info_nce with query spatial_fused[x, y] and positive key
+    spatial_lateral[x, y]. Its negatives are the lateral and fused spatial
+    embeddings of every other image at every level, 2 * L * (N - 1) of
+    them; with cfg.include_same_image_other_levels, image y's own at the
+    other L - 1 levels join them. The mean runs over all L * N terms.
     """
     sp_lat, _, sp_fus, _ = _loss_views(_arrays(batch), cfg)
     return float(_spatial_losses(sp_lat, sp_fus, cfg))
@@ -403,9 +342,10 @@ def semantic_loss(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig())
     """Mean semantic contrast over levels 0..L-2 and all images.
 
     Term (x, y) is info_nce with query semantic_fused[x, y], positive key
-    semantic_fused[x + 1, y] (the fused embedding one level up), and
-    negatives from semantic_negatives. The mean runs over (L - 1) * N
-    terms.
+    semantic_fused[x + 1, y] (the fused embedding one level up). Its
+    negatives are the lateral and fused semantic embeddings of every other
+    image at every level, 2 * L * (N - 1) of them. The mean runs over
+    (L - 1) * N terms.
     """
     _, se_lat, _, se_fus = _loss_views(_arrays(batch), cfg)
     return float(_semantic_losses(se_lat, se_fus, cfg))
@@ -557,51 +497,4 @@ def gradient_check(
         max_rel_error=float(rel_err.max()),
         max_abs_error=float(abs_err.max()),
         num_coordinates=int(flat.size),
-    )
-
-
-def save_embedding_batch(path, batch: EmbeddingBatch) -> None:
-    """Write a batch to the flat binary container.
-
-    Layout: magic "NTFB", then u32 L, N, D (little endian), then the four
-    arrays in declaration order (spatial_lateral, semantic_lateral,
-    spatial_fused, semantic_fused) as little-endian float64 in C order.
-    """
-    levels, images, dim = batch.shape
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", levels, images, dim))
-        for arr in _arrays(batch):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_embedding_batch(path) -> EmbeddingBatch:
-    """Read a batch written by save_embedding_batch.
-
-    Raises:
-        ValueError: On a bad magic, truncated data, or trailing bytes.
-    """
-    blob = Path(path).read_bytes()
-    header_size = len(_MAGIC) + 12
-    if len(blob) < header_size:
-        raise ValueError(f"{path} is too short to be an embedding batch file")
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path} does not start with the {_MAGIC!r} magic")
-    levels, images, dim = struct.unpack_from("<III", blob, len(_MAGIC))
-    per_array = levels * images * dim
-    expected = header_size + 4 * per_array * 8
-    if len(blob) != expected:
-        raise ValueError(
-            f"{path} holds {len(blob)} bytes but L={levels} N={images} D={dim} needs {expected}"
-        )
-    payload = np.frombuffer(blob, dtype="<f8", offset=header_size)
-    parts = [
-        payload[i * per_array : (i + 1) * per_array].reshape(levels, images, dim)
-        for i in range(4)
-    ]
-    return EmbeddingBatch(
-        spatial_lateral=parts[0],
-        semantic_lateral=parts[1],
-        spatial_fused=parts[2],
-        semantic_fused=parts[3],
     )

@@ -105,14 +105,14 @@ def load_coco(path) -> DatasetIndex:
         DatasetError: Unreadable file, malformed JSON, missing fields,
             an id outside int64 or with a fraction, a non-finite or
             non-numeric dimension or bbox value, a bbox whose center is
-            not finite, duplicate image ids, or an annotation referencing
-            an unknown image id; the message names the file and offending
-            record.
+            not finite, an iscrowd other than 0, 1, false or true,
+            duplicate image ids, or an annotation referencing an unknown
+            image id; the message names the file and offending record.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read annotation file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -162,7 +162,10 @@ def load_coco(path) -> DatasetIndex:
         rows.append(row)
         xywh += (x, y, w, h)
         categories.append(_as_int(record.get("category_id", 0), "category_id", where))
-        crowd.append(bool(record.get("iscrowd", 0)))
+        flag = record.get("iscrowd", 0)
+        if not (isinstance(flag, int) and flag in (0, 1)):  # bool is an int
+            raise DatasetError(f"{where} field 'iscrowd' must be 0, 1, false or true, got {flag!r}")
+        crowd.append(bool(flag))
     if dropped:
         logger.info("%s: dropped %d zero-size annotation(s)", path, len(dropped))
 

@@ -32,9 +32,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
 
 # Domain tags keep the generator's streams disjoint across uses.
 _DOM_FEATURES = 1
@@ -46,23 +44,29 @@ _DOM_PROJ_SPATIAL_FUSED = 6
 _DOM_PROJ_SEMANTIC_FUSED = 7
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """Splitmix64 finalizer, elementwise on uint64 arrays."""
-    z = np.asarray(z, dtype=np.uint64).copy()
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
-    return z
+def _mix(z):
+    """Splitmix64 finalizer of a Python int in [0, 2^64), or elementwise of a uint64 array.
+
+    The masks keep an int's products to 64 bits; a uint64 array wraps on
+    its own, so there they change nothing.
+    """
+    z = z ^ z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & _MASK64
+    z = z ^ z >> 27
+    z = z * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
 
 
 def _stream_key(*parts: int) -> int:
-    """Fold integer parts into one 64-bit stream key."""
+    """Fold integer parts into one 64-bit stream key, in Python ints.
+
+    Each part, taken modulo 2^64 (so negative and wider parts are folded
+    too), advances the key by one splitmix64 step: key = _mix(key +
+    golden-ratio increment + part), starting from 0.
+    """
     key = 0
     for part in parts:
-        key = (key + int(_GOLDEN) + (part & _MASK64)) & _MASK64
-        key = int(_mix(np.array([key], dtype=np.uint64))[0])
+        key = _mix((key + _GOLDEN + part) & _MASK64)
     return key
 
 
@@ -70,9 +74,8 @@ def _uniform(key: int, count: int) -> np.ndarray:
     """The first `count` uniform [0, 1) doubles of stream `key`."""
     counters = np.arange(1, count + 1, dtype=np.uint64)
     counters *= _GOLDEN
-    counters += np.uint64(key)
-    bits = _mix(counters)
-    return (bits >> np.uint64(11)) * (2.0**-53)
+    counters += key
+    return (_mix(counters) >> 11) * (2.0**-53)
 
 
 def _signed_uniform(key: int, count: int) -> np.ndarray:

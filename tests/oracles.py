@@ -446,6 +446,15 @@ def uniform_ref(key, count):
     return [(word >> 11) * 2.0 ** -53 for word in splitmix64_ref(key, count)]
 
 
+def stream_key_ref(*parts):
+    """Stream key of integer parts: from state 0, each part (mod 2^64) is
+    added to the state and one splitmix64 output becomes the next state."""
+    key = 0
+    for part in parts:
+        key = splitmix64_ref(key + part, 1)[0]
+    return key
+
+
 def fuse_ref(lateral_arrays, reduction_for_level, fused_channels):
     """Plain-loop top-down fusion over one image.
 

@@ -121,10 +121,13 @@ def test_stats_usage_and_data_errors(tmp_path, capsys):
         (lambda p: p["annotations"][0].update(image_id=2**63), "annotations[0]"),
         (lambda p: p["annotations"][0].update(category_id=2**63), "annotations[0]"),
         (lambda p: p["images"][0].update(width=10**400), "images[0]"),
+        *((lambda p, flag=flag: p["annotations"][0].update(iscrowd=flag), "annotations[0]")
+          for flag in ("0", 0.5, 7, "yes", [], None)),
     ],
     ids=["nan-width", "non-numeric-bbox", "null-image-id", "fractional-image-id",
          "overflowing-center", "image-id-past-int64", "category-id-past-int64",
-         "width-past-float-range"],
+         "width-past-float-range", "iscrowd-text-0", "iscrowd-0.5", "iscrowd-7",
+         "iscrowd-yes", "iscrowd-empty-list", "iscrowd-null"],
 )
 def test_assign_malformed_record_is_a_data_error(tmp_path, capsys, mutate, record):
     mini_dataset(tmp_path)
@@ -295,10 +298,13 @@ def test_assign_recomputes_over_a_malformed_cache(tmp_path, capsys, caplog):
     cache = tmp_path / "norm.json"
     assert main(["stats", "--ann", ann, "--anchors", MINI_LAYOUT, "--out", str(cache)]) == 0
     written = cache.read_text(encoding="utf-8")
+    broken = [b"\xff\xfe"]  # not UTF-8
     for field, value in (("m", "nan"), ("n", -1.0), ("m", [1]), ("m", True), ("pair_count", 2.7)):
         payload = json.loads(written)
         payload[field] = value
-        cache.write_text(json.dumps(payload), encoding="utf-8")
+        broken.append(json.dumps(payload).encode("utf-8"))
+    for content in broken:
+        cache.write_bytes(content)
         warm = tmp_path / "warm"
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="smalldet.cli"):
@@ -697,3 +703,83 @@ def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):
     # Three images and seven gts: the zero-size annotation is dropped, the
     # crowd ones are kept in the index.
     assert result["counts"]["dataset.records"] == 10
+
+
+NOT_UTF8 = b'{"images": [], "annotations": [], "note": "\xff\xfe"}'
+
+
+def test_annotation_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    ann = tmp_path / "latin.json"
+    ann.write_bytes(NOT_UTF8)
+    code, _, err = run(capsys, assign_argv(str(ann), tmp_path / "r"))
+    assert code == 2
+    assert err.startswith("data error:") and str(ann) in err
+
+
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(NOT_UTF8)
+    code, _, err = run(capsys, ["assign", "--config", str(config)])
+    assert code == 1
+    assert err.startswith("error:") and str(config) in err
+
+
+def test_anchor_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    ann = mini_dataset(tmp_path)
+    layout = tmp_path / "layout.json"
+    layout.write_bytes(NOT_UTF8)
+    argv = ["stats", "--ann", ann, "--anchors", str(layout), "--out", str(tmp_path / "c.json")]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and str(layout) in err
+
+
+def one_line_error(err, path):
+    assert err.startswith("error:") and str(path) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cache_that_is_a_directory_is_recomputed_then_a_write_error(tmp_path, capsys, caplog):
+    ann = mini_dataset(tmp_path)
+    cache = tmp_path / "cache-dir"
+    cache.mkdir()
+    with caplog.at_level(logging.INFO, logger="smalldet.cli"):
+        code, _, err = run(capsys, assign_argv(ann, tmp_path / "r", metrics="ps", extra=("--cache", str(cache))))
+    assert code == 1
+    one_line_error(err, cache)
+    assert any("ignoring unreadable normalizer cache" in m for m in caplog.messages)
+
+
+def test_stats_cache_in_a_missing_directory_is_a_write_error(tmp_path, capsys):
+    ann = mini_dataset(tmp_path)
+    target = tmp_path / "nodir" / "c.json"
+    code, _, err = run(capsys, ["stats", "--ann", ann, "--anchors", MINI_LAYOUT, "--out", str(target)])
+    assert code == 1
+    one_line_error(err, target)
+
+
+def test_assign_out_naming_a_file_is_a_write_error(tmp_path, capsys):
+    ann = mini_dataset(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    code, _, err = run(capsys, assign_argv(ann, taken))
+    assert code == 1
+    one_line_error(err, taken)
+    assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_cli_module_runs_as_a_script(tmp_path):
+    ann = mini_dataset(tmp_path)
+    out_dir = tmp_path / "r"
+    proc = subprocess.run(
+        [sys.executable, "-m", "smalldet.cli", *assign_argv(ann, out_dir)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ps totals:" in proc.stdout and "iou totals:" in proc.stdout
+    assert (out_dir / "report.json").exists() and (out_dir / "report.csv").exists()
+    assert "Warning" not in proc.stderr

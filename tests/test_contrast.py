@@ -1,4 +1,4 @@
-"""Contrastive losses, analytic gradients, and the batch binary format."""
+"""Contrastive losses, their negative sets, and analytic gradients."""
 
 import math
 import sys
@@ -18,14 +18,11 @@ from smalldet import (
     gradient_check,
     info_nce,
     info_nce_grad,
-    load_embedding_batch,
-    save_embedding_batch,
     semantic_loss,
-    semantic_negatives,
     spatial_loss,
-    spatial_negatives,
     total_loss,
 )
+from smalldet.contrast import _negative_mask, _stack_keys
 from oracles import (
     contrast_grad_ref,
     gradient_check_ref,
@@ -97,49 +94,58 @@ def test_info_nce_rejects_bad_tau(tau):
         info_nce_grad(q, k, [s], tau=tau)
 
 
+def term_negatives(lateral, fused, query_levels, include_same_image):
+    """Each term's negatives, row x * N + y, as the losses pick them from the keys."""
+    levels, images, _ = lateral.shape
+    keys = _stack_keys(lateral, fused)
+    return [keys[row] for row in _negative_mask(levels, images, query_levels, include_same_image)]
+
+
 def test_spatial_negative_set_sizes():
     batch = random_batch(42, levels=3, batch=2)
-    off = spatial_negatives(batch, 0, 0, ContrastConfig())
-    assert len(off) == 6  # 2 * 3 levels * 1 other image
-    on = spatial_negatives(batch, 0, 0, ContrastConfig(include_same_image_other_levels=True))
-    assert len(on) == 10  # 6 + 2 * 2 other levels of the same image
+    off = term_negatives(batch.spatial_lateral, batch.spatial_fused, 3, False)
+    assert [len(negs) for negs in off] == [6] * 6  # 2 * 3 levels * 1 other image
+    on = term_negatives(batch.spatial_lateral, batch.spatial_fused, 3, True)
+    assert [len(negs) for negs in on] == [10] * 6  # 6 + 2 * 2 other levels of the same image
 
     lone = random_batch(43, levels=3, batch=1)
-    assert len(spatial_negatives(lone, 1, 0, ContrastConfig())) == 0
+    for include, size in ((False, 0), (True, 4)):  # 4 = 2 * 2 other levels of the one image
+        negs = term_negatives(lone.spatial_lateral, lone.spatial_fused, 3, include)
+        assert [len(n) for n in negs] == [size] * 3
+
+
+def nested(array):
+    return [[list(v) for v in level] for level in array]
 
 
 def test_spatial_negative_membership_matches_reference():
-    batch = random_batch(44, levels=3, batch=3)
-    lateral = [[list(v) for v in level] for level in batch.spatial_lateral]
-    fused = [[list(v) for v in level] for level in batch.spatial_fused]
-    for include in (False, True):
-        got = spatial_negatives(batch, 1, 2, ContrastConfig(include_same_image_other_levels=include))
-        want = spatial_negatives_ref(lateral, fused, 1, 2, include)
-        assert as_multiset(got) == as_multiset(want)
-        # nothing from image 2 may appear unless the flag pulled it in
-        for vec in spatial_negatives(batch, 1, 2, ContrastConfig()):
-            for level in range(3):
-                assert not np.array_equal(vec, batch.spatial_lateral[level, 2])
-                assert not np.array_equal(vec, batch.spatial_fused[level, 2])
+    for images in (1, 3):
+        batch = random_batch(44, levels=3, batch=images)
+        lateral, fused = nested(batch.spatial_lateral), nested(batch.spatial_fused)
+        for include in (False, True):
+            got = term_negatives(batch.spatial_lateral, batch.spatial_fused, 3, include)
+            for x in range(3):
+                for y in range(images):
+                    want = spatial_negatives_ref(lateral, fused, x, y, include)
+                    assert as_multiset(got[x * images + y]) == as_multiset(want)
+    # in the N = 3 batch, nothing from image 2 may appear unless the flag
+    # pulled it in
+    for vec in term_negatives(batch.spatial_lateral, batch.spatial_fused, 3, False)[1 * 3 + 2]:
+        for level in range(3):
+            assert not np.array_equal(vec, batch.spatial_lateral[level, 2])
+            assert not np.array_equal(vec, batch.spatial_fused[level, 2])
 
 
 def test_semantic_negative_set():
-    batch = random_batch(45, levels=3, batch=2)
-    negs = semantic_negatives(batch, 0, 1)
-    assert len(negs) == 6
-    lateral = [[list(v) for v in level] for level in batch.semantic_lateral]
-    fused = [[list(v) for v in level] for level in batch.semantic_fused]
-    assert as_multiset(negs) == as_multiset(semantic_negatives_ref(lateral, fused, 0, 1))
-
-
-def test_negative_index_bounds():
-    batch = random_batch(46, levels=3, batch=2)
-    with pytest.raises(IndexError):
-        spatial_negatives(batch, 3, 0, ContrastConfig())
-    with pytest.raises(IndexError):
-        spatial_negatives(batch, 0, 2, ContrastConfig())
-    with pytest.raises(IndexError):
-        semantic_negatives(batch, 2, 0)  # semantic terms stop at L-2
+    for images in (1, 2):
+        batch = random_batch(45, levels=3, batch=images)
+        got = term_negatives(batch.semantic_lateral, batch.semantic_fused, 2, False)
+        assert [len(negs) for negs in got] == [6 * (images - 1)] * (2 * images)
+        lateral, fused = nested(batch.semantic_lateral), nested(batch.semantic_fused)
+        for x in range(2):  # semantic terms stop at L-2
+            for y in range(images):
+                want = semantic_negatives_ref(lateral, fused, x, y)
+                assert as_multiset(got[x * images + y]) == as_multiset(want)
 
 
 def test_info_nce_closed_forms():
@@ -374,33 +380,3 @@ def test_total_loss_arithmetic():
     with pytest.raises(ValueError):
         LossComponents(-1.0, 0.0, 0.0)
 
-
-def test_batch_file_roundtrip(tmp_path):
-    batch = toy_batch(seed=7, levels=2, batch=2, dim=5)
-    path = tmp_path / "batch.bin"
-    save_embedding_batch(path, batch)
-    loaded = load_embedding_batch(path)
-    for a, b in zip(
-        (batch.spatial_lateral, batch.semantic_lateral, batch.spatial_fused, batch.semantic_fused),
-        (loaded.spatial_lateral, loaded.semantic_lateral, loaded.spatial_fused, loaded.semantic_fused),
-    ):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_batch_file_rejects_corruption(tmp_path):
-    batch = toy_batch(seed=8, levels=2, batch=2, dim=4)
-    path = tmp_path / "batch.bin"
-    save_embedding_batch(path, batch)
-    raw = bytearray(path.read_bytes())
-
-    bad_magic = tmp_path / "magic.bin"
-    corrupted = bytearray(raw)
-    corrupted[:4] = b"XXXX"
-    bad_magic.write_bytes(bytes(corrupted))
-    with pytest.raises(ValueError):
-        load_embedding_batch(bad_magic)
-
-    truncated = tmp_path / "short.bin"
-    truncated.write_bytes(bytes(raw[:-16]))
-    with pytest.raises(ValueError):
-        load_embedding_batch(truncated)

@@ -67,6 +67,10 @@ def test_unreadable_and_malformed_files(tmp_path):
     bad.write_text("{nope", encoding="utf-8")
     with pytest.raises(DatasetError):
         load_coco(bad)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"images": [], "annotations": [], "note": "caf\xe9"}')
+    with pytest.raises(DatasetError, match="latin.json"):
+        load_coco(latin)
 
 
 @pytest.mark.parametrize(
@@ -165,3 +169,11 @@ def test_dataset_hash_canonicalizes_order(tmp_path):
     changed = load_coco(write_json(tmp_path / "c.json", payload))
     assert dataset_hash(changed) != dataset_hash(forward)
     assert len(dataset_hash(forward)) == 16
+
+
+def test_iscrowd_takes_0_1_false_and_true(tmp_path):
+    payload = minimal_payload()
+    first = payload["annotations"][0]
+    payload["annotations"] = [dict(first, iscrowd=flag) for flag in (0, 1, False, True)]
+    index = load_coco(write_json(tmp_path / "ann.json", payload))
+    assert index.iscrowd.tolist() == [False, True, False, True]

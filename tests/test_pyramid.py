@@ -1,5 +1,7 @@
 """Deterministic toy pyramid: generator streams, fusion, and encoding."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,8 @@ from smalldet import (
     synth_pyramid,
 )
 from smalldet.contrast import ContrastConfig
-from smalldet.pyramid import _reduction_matrix, _stream_key, _uniform
-from oracles import encode_ref, fuse_ref, uniform_ref
+from smalldet.pyramid import _mix, _reduction_matrix, _stream_key, _uniform
+from oracles import encode_ref, fuse_ref, stream_key_ref, uniform_ref
 
 
 def small_cfg(seed=0, levels=3, batch=2):
@@ -42,6 +44,25 @@ def test_stream_keys_are_stable_and_distinct():
     assert a == _stream_key(1, 0, 2, 1)
     assert a != _stream_key(1, 0, 1, 2)
     assert a != _stream_key(2, 0, 2, 1)
+
+
+def test_stream_key_matches_splitmix_reference():
+    edges = [0, 1, -1, 7, 2**63, 2**64 - 1, 2**64, 2**64 + 5, -(2**64) - 3, 2**70 + 11]
+    rng = random.Random(7)
+    cases = [(), *((part,) for part in edges)]
+    for _ in range(500):
+        cases.append(tuple(
+            rng.choice(edges) if rng.random() < 0.3 else rng.getrandbits(70) - 2**69
+            for _ in range(rng.randint(1, 5))
+        ))
+    for parts in cases:
+        key = _stream_key(*parts)
+        assert type(key) is int and 0 <= key < 2**64
+        assert key == stream_key_ref(*parts), parts
+
+    # The one finalizer gives the same words on ints and on a uint64 array.
+    words = [0, 1, 2**63, 2**64 - 1] + [rng.getrandbits(64) for _ in range(60)]
+    assert _mix(np.array(words, dtype=np.uint64)).tolist() == [_mix(w) for w in words]
 
 
 def test_config_validation():
