@@ -333,6 +333,29 @@ def _accumulate_normalizers(
     return acc
 
 
+def _check_writable(path, what: str, directory: bool = False) -> None:
+    """Fail with the write error for `path` now, before any work is spent on it.
+
+    `what` opens the message, as in the late write error. A file target
+    must not be a directory and needs an existing parent directory; a
+    directory target may be missing, since it is made with its parents,
+    but nothing on its way may be a file.
+    """
+    target = Path(path)
+    if target.exists():
+        if target.is_dir() == directory:
+            return
+        reason = "it is a directory" if target.is_dir() else "it is not a directory"
+    else:
+        parent = target.parent
+        while directory and not parent.exists():
+            parent = parent.parent
+        if parent.is_dir():
+            return
+        reason = f"{parent} is not a directory" if parent.exists() else f"directory {parent} does not exist"
+    raise CliUsageError(f"{what}: {reason}")
+
+
 def _resolve_normalizers(
     cfg: ExperimentConfig, index: DatasetIndex, gt_boxes: list[np.ndarray], anchors: _AnchorCache
 ) -> tuple[DatasetNormalizers, int, bool]:
@@ -374,6 +397,8 @@ def _resolve_normalizers(
 
 def cmd_stats(cfg: ExperimentConfig) -> int:
     """Compute dataset normalizers and write the cache file."""
+    if cfg.cache_path:
+        _check_writable(cfg.cache_path, f"cannot write normalizer cache {cfg.cache_path}")
     index = load_coco(cfg.ann)
     anchors = _AnchorCache(cfg.ann, cfg.layout, index)
     gt_boxes, _ = _image_gts(index)
@@ -398,6 +423,10 @@ def _assign_one_image(
 
 def cmd_assign(cfg: ExperimentConfig) -> int:
     """Run per-metric assignments over the dataset and emit reports."""
+    if cfg.out_dir is not None:
+        _check_writable(cfg.out_dir, f"cannot write reports to {cfg.out_dir}", directory=True)
+    if Metric.PS.value in cfg.metrics and cfg.cache_path:
+        _check_writable(cfg.cache_path, f"cannot write normalizer cache {cfg.cache_path}")
     index = load_coco(cfg.ann)
     anchors = _AnchorCache(cfg.ann, cfg.layout, index)
     gt_boxes, gt_areas = _image_gts(index)

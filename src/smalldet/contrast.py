@@ -14,6 +14,7 @@ config return identical values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,18 +161,21 @@ def _stack_keys(lateral: np.ndarray, fused: np.ndarray) -> np.ndarray:
     return np.stack((lateral, fused), axis=-2).reshape(*lead, 2 * levels * images, dim)
 
 
+@functools.lru_cache(maxsize=8)
 def _negative_mask(levels: int, images: int, query_levels: int, include_same_image: bool):
     """Boolean (query_levels * N, 2 * L * N) mask of every term's negatives.
 
     Row x * N + y is the term at level x, image y; columns are the rows of
     _stack_keys. A key is a negative of a term when it belongs to another
-    image or, with include_same_image, to another level.
+    image or, with include_same_image, to another level. The mask is made
+    once per shape and returned read-only.
     """
     key_level, key_image = np.divmod(np.arange(2 * levels * images) // 2, images)
     term_level, term_image = np.divmod(np.arange(query_levels * images), images)
     mask = key_image[None, :] != term_image[:, None]
     if include_same_image:
         mask |= key_level[None, :] != term_level[:, None]
+    mask.flags.writeable = False
     return mask
 
 

@@ -15,7 +15,9 @@ position. Same config, same bits, on any platform.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +49,20 @@ _DOM_PROJ_SEMANTIC_FUSED = 7
 def _mix(z):
     """Splitmix64 finalizer of a Python int in [0, 2^64), or elementwise of a uint64 array.
 
-    The masks keep an int's products to 64 bits; a uint64 array wraps on
-    its own, so there they change nothing.
+    Every step is an augmented assignment, so a uint64 array is consumed:
+    its steps run in place and it holds the result. An int is immutable,
+    so there the same steps just rebind. The masks keep an int's products
+    to 64 bits; a uint64 array wraps on its own, so there they change
+    nothing.
     """
-    z = z ^ z >> 30
-    z = z * 0xBF58476D1CE4E5B9 & _MASK64
-    z = z ^ z >> 27
-    z = z * 0x94D049BB133111EB & _MASK64
-    return z ^ z >> 31
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK64
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= _MASK64
+    z ^= z >> 31
+    return z
 
 
 def _stream_key(*parts: int) -> int:
@@ -70,17 +78,49 @@ def _stream_key(*parts: int) -> int:
     return key
 
 
+def _top_bits(key: int, count: int) -> np.ndarray:
+    """The top 53 bits of the first `count` words of stream `key`, as uint64."""
+    words = np.arange(1, count + 1, dtype=np.uint64)
+    words *= _GOLDEN
+    words += key
+    words = _mix(words)
+    words >>= 11
+    return words
+
+
 def _uniform(key: int, count: int) -> np.ndarray:
     """The first `count` uniform [0, 1) doubles of stream `key`."""
-    counters = np.arange(1, count + 1, dtype=np.uint64)
-    counters *= _GOLDEN
-    counters += key
-    return (_mix(counters) >> 11) * (2.0**-53)
+    return _top_bits(key, count) * 2.0**-53
 
 
 def _signed_uniform(key: int, count: int) -> np.ndarray:
-    """Uniform [-1, 1) doubles."""
-    return 2.0 * _uniform(key, count) - 1.0
+    """Uniform [-1, 1) doubles: 2 * _uniform(key, count) - 1, bit for bit.
+
+    A 53-bit integer times 2^-52 is exact, so (bits * 2^-52) - 1 rounds
+    exactly as 2 * (bits * 2^-53) - 1 does; the scaling and the shift run
+    in place on the one float array.
+    """
+    values = _top_bits(key, count).astype(np.float64)
+    values *= 2.0**-52
+    values -= 1.0
+    return values
+
+
+def _integer(name: str, value) -> int:
+    """`value` as a Python int; bools, floats and other types are a ValueError naming `name`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _embedding_dim(dim) -> int:
+    dim = _integer("dim", dim)
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -129,7 +169,16 @@ class ToyPyramidConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lateral_channels", tuple(int(c) for c in self.lateral_channels))
+        for name in ("levels", "batch", "base_size", "fused_channels", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        try:
+            lateral = tuple(self.lateral_channels)
+        except TypeError:
+            raise ValueError(
+                f"lateral_channels must be a sequence of integers, got {self.lateral_channels!r}"
+            ) from None
+        lateral = tuple(_integer("lateral_channels", c) for c in lateral)
+        object.__setattr__(self, "lateral_channels", lateral)
         if self.levels < 2:
             raise ValueError(f"a pyramid needs at least 2 levels, got {self.levels}")
         if self.batch < 1:
@@ -177,11 +226,25 @@ def synth_pyramid(cfg: ToyPyramidConfig) -> list[list[FeatureMap]]:
     return images
 
 
+@functools.lru_cache(maxsize=16)
 def _reduction_matrix(reduction_seed: int, level: int, out_channels: int, in_channels: int) -> np.ndarray:
+    """The read-only (out_channels, in_channels) reduction of one level, made once per key."""
     key = _stream_key(_DOM_REDUCE, reduction_seed, level)
     values = _signed_uniform(key, out_channels * in_channels)
     # 1/sqrt(C) scaling keeps reduced magnitudes comparable to the input.
-    return values.reshape(out_channels, in_channels) / math.sqrt(in_channels)
+    reduction = values.reshape(out_channels, in_channels) / math.sqrt(in_channels)
+    reduction.flags.writeable = False
+    return reduction
+
+
+@functools.lru_cache(maxsize=32)
+def _projection(projection_seed: int, channels: int, dim: int) -> np.ndarray:
+    """The read-only (dim, channels) projection of encode, made once per key."""
+    key = _stream_key(_DOM_PROJECT, projection_seed, channels)
+    projection = _signed_uniform(key, dim * channels).reshape(dim, channels)
+    projection /= math.sqrt(channels)
+    projection.flags.writeable = False
+    return projection
 
 
 def _upsample2x(data: np.ndarray) -> np.ndarray:
@@ -193,17 +256,23 @@ def fuse_topdown(laterals, reduction_seed: int, fused_channels: int) -> list[Fea
 
     The topmost (coarsest) fused map is a seeded random 1x1 channel
     reduction of its lateral; every level below adds the nearest-neighbor
-    2x upsampling of the fused map above to its own reduction.
+    2x upsampling of the fused map above to its own reduction. The
+    reduction matrices are keyed by (reduction_seed, level, shape) and
+    made once per key, so a batch of images fused with one seed shares
+    them.
 
     Args:
         laterals: Feature maps from finest to coarsest; each level's
             height and width must be double the next level's.
-        reduction_seed: Seed keying the per-level reduction matrices.
-        fused_channels: Channel count of every fused map.
+        reduction_seed: Integer seed keying the per-level reduction
+            matrices.
+        fused_channels: Channel count of every fused map, an integer.
 
     Returns:
         Fused maps, same order and spatial sizes as the laterals.
     """
+    reduction_seed = _integer("reduction_seed", reduction_seed)
+    fused_channels = _integer("fused_channels", fused_channels)
     if not laterals:
         raise ValueError("fuse_topdown needs at least one lateral map")
     if fused_channels < 1:
@@ -236,18 +305,17 @@ def encode(fmap: FeatureMap, projection_seed: int, dim: int) -> np.ndarray:
 
     The projection matrix is keyed by (projection_seed, channels), so maps
     with equal channel counts share one projection per seed; entries are
-    uniform in [-1, 1) scaled by 1/sqrt(channels).
+    uniform in [-1, 1) scaled by 1/sqrt(channels). Each projection is
+    made once per (projection_seed, channels, dim) and reused by every
+    later call. The seed and dim must be integers.
 
     Returns:
         Float64 vector of length dim.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
+    projection_seed = _integer("projection_seed", projection_seed)
+    dim = _embedding_dim(dim)
     pooled = fmap.data.mean(axis=(1, 2))
-    key = _stream_key(_DOM_PROJECT, projection_seed, fmap.channels)
-    projection = _signed_uniform(key, dim * fmap.channels).reshape(dim, fmap.channels)
-    projection /= math.sqrt(fmap.channels)
-    return projection @ pooled
+    return _projection(projection_seed, fmap.channels, dim) @ pooled
 
 
 def build_embedding_batch(cfg: ToyPyramidConfig, dim: int) -> EmbeddingBatch:
@@ -257,6 +325,7 @@ def build_embedding_batch(cfg: ToyPyramidConfig, dim: int) -> EmbeddingBatch:
     family (spatial/semantic crossed with lateral/fused), so the families
     differ even where they encode the same map.
     """
+    dim = _embedding_dim(dim)
     pyramid = synth_pyramid(cfg)
     fused = [fuse_topdown(maps, cfg.seed, cfg.fused_channels) for maps in pyramid]
 

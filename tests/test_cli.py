@@ -739,33 +739,82 @@ def one_line_error(err, path):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_cache_that_is_a_directory_is_recomputed_then_a_write_error(tmp_path, capsys, caplog):
+def record_work(monkeypatch):
+    """Log each dataset load and normalizer pass, then run it as usual."""
+    calls = []
+
+    def logged(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    logged("load_coco")
+    logged("_accumulate_normalizers")
+    return calls
+
+
+def test_cache_that_is_a_directory_fails_before_any_normalizer_is_computed(tmp_path, capsys, monkeypatch):
     ann = mini_dataset(tmp_path)
     cache = tmp_path / "cache-dir"
     cache.mkdir()
-    with caplog.at_level(logging.INFO, logger="smalldet.cli"):
-        code, _, err = run(capsys, assign_argv(ann, tmp_path / "r", metrics="ps", extra=("--cache", str(cache))))
+    work = record_work(monkeypatch)
+    code, _, err = run(capsys, assign_argv(ann, tmp_path / "r", metrics="ps", extra=("--cache", str(cache))))
     assert code == 1
     one_line_error(err, cache)
-    assert any("ignoring unreadable normalizer cache" in m for m in caplog.messages)
+    assert "is a directory" in err
+    assert work == []
+    assert not (tmp_path / "r").exists()
 
 
-def test_stats_cache_in_a_missing_directory_is_a_write_error(tmp_path, capsys):
+def test_stats_cache_in_a_missing_directory_is_a_write_error(tmp_path, capsys, monkeypatch):
     ann = mini_dataset(tmp_path)
     target = tmp_path / "nodir" / "c.json"
+    work = record_work(monkeypatch)
     code, _, err = run(capsys, ["stats", "--ann", ann, "--anchors", MINI_LAYOUT, "--out", str(target)])
     assert code == 1
     one_line_error(err, target)
+    assert work == []
+    assert not target.parent.exists()
 
 
-def test_assign_out_naming_a_file_is_a_write_error(tmp_path, capsys):
+def test_assign_out_naming_a_file_is_a_write_error(tmp_path, capsys, monkeypatch):
     ann = mini_dataset(tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("not a directory", encoding="utf-8")
+    work = record_work(monkeypatch)
     code, _, err = run(capsys, assign_argv(ann, taken))
     assert code == 1
     one_line_error(err, taken)
+    assert work == []
     assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_assign_out_below_a_file_is_a_write_error(tmp_path, capsys, monkeypatch):
+    ann = mini_dataset(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    work = record_work(monkeypatch)
+    code, _, err = run(capsys, assign_argv(ann, taken / "deeper" / "r"))
+    assert code == 1
+    one_line_error(err, taken / "deeper" / "r")
+    assert work == []
+
+
+def test_writable_targets_pass_the_early_check(tmp_path, capsys, monkeypatch):
+    """A missing report directory is made with its parents; an iou-only run never writes the cache."""
+    ann = mini_dataset(tmp_path)
+    out_dir = tmp_path / "a" / "b" / "r"
+    code, _, err = run(capsys, assign_argv(ann, out_dir, extra=("--cache", str(tmp_path / "c.json"))))
+    assert code == 0, err
+    assert (out_dir / "report.json").is_file() and (tmp_path / "c.json").is_file()
+    cache_dir = tmp_path / "cache-dir"
+    cache_dir.mkdir()
+    code, _, err = run(capsys, assign_argv(ann, tmp_path / "iou", metrics="iou", extra=("--cache", str(cache_dir))))
+    assert code == 0, err
 
 
 def test_cli_module_runs_as_a_script(tmp_path):

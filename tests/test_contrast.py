@@ -27,6 +27,7 @@ from oracles import (
     contrast_grad_ref,
     gradient_check_ref,
     info_nce_ref,
+    negative_slots_ref,
     semantic_loss_ref,
     semantic_negatives_ref,
     spatial_loss_ref,
@@ -99,6 +100,23 @@ def term_negatives(lateral, fused, query_levels, include_same_image):
     levels, images, _ = lateral.shape
     keys = _stack_keys(lateral, fused)
     return [keys[row] for row in _negative_mask(levels, images, query_levels, include_same_image)]
+
+
+@pytest.mark.parametrize("levels, images, query_levels", [(3, 2, 3), (3, 2, 2), (4, 1, 4), (2, 3, 1), (5, 64, 5)])
+@pytest.mark.parametrize("include", [False, True])
+def test_negative_mask_is_made_once_read_only_and_matches_reference(levels, images, query_levels, include):
+    mask = _negative_mask(levels, images, query_levels, include)
+    assert _negative_mask(levels, images, query_levels, include) is mask
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 0] = not mask[0, 0]
+    family_column = {"lateral": 0, "fused": 1}
+    want = np.zeros((query_levels * images, 2 * levels * images), dtype=bool)
+    for x in range(query_levels):
+        for y in range(images):
+            for family, i, j in negative_slots_ref(levels, images, x, y, include):
+                want[x * images + y, 2 * (i * images + j) + family_column[family]] = True
+    np.testing.assert_array_equal(mask, want)
 
 
 def test_spatial_negative_set_sizes():

@@ -1,5 +1,6 @@
 """Deterministic toy pyramid: generator streams, fusion, and encoding."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -15,8 +16,20 @@ from smalldet import (
     synth_pyramid,
 )
 from smalldet.contrast import ContrastConfig
-from smalldet.pyramid import _mix, _reduction_matrix, _stream_key, _uniform
-from oracles import encode_ref, fuse_ref, stream_key_ref, uniform_ref
+from smalldet.pyramid import (
+    _DOM_PROJ_SEMANTIC_FUSED,
+    _DOM_PROJ_SEMANTIC_LATERAL,
+    _DOM_PROJ_SPATIAL_FUSED,
+    _DOM_PROJ_SPATIAL_LATERAL,
+    _DOM_PROJECT,
+    _mix,
+    _projection,
+    _reduction_matrix,
+    _signed_uniform,
+    _stream_key,
+    _uniform,
+)
+from oracles import GOLDEN, encode_ref, fuse_ref, splitmix64_ref, stream_key_ref, uniform_ref
 
 
 def small_cfg(seed=0, levels=3, batch=2):
@@ -65,6 +78,26 @@ def test_stream_key_matches_splitmix_reference():
     assert _mix(np.array(words, dtype=np.uint64)).tolist() == [_mix(w) for w in words]
 
 
+def test_mix_consumes_its_array_and_matches_the_int_path():
+    rng = random.Random(8)
+    words = [0, 1, 2**63, 2**64 - 1] + [rng.getrandbits(64) for _ in range(200)]
+    array = np.array(words, dtype=np.uint64)
+    mixed = _mix(array)
+    assert mixed is array and mixed.dtype == np.uint64
+    assert array.tolist() == [_mix(w) for w in words]
+    # On ints the finalizer is the first output of splitmix64 from state w - golden.
+    assert [_mix(w) for w in words] == [splitmix64_ref(w - GOLDEN, 1)[0] for w in words]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 32769])
+@pytest.mark.parametrize("key", [0, 2**63, 2**64 - 1])
+def test_signed_uniform_is_twice_uniform_minus_one_bit_for_bit(key, count):
+    got = _signed_uniform(key, count)
+    want = np.array([2 * u - 1 for u in uniform_ref(key, count)], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ToyPyramidConfig(levels=1, batch=1, base_size=8, lateral_channels=(3,), fused_channels=2)
@@ -76,6 +109,64 @@ def test_config_validation():
         ToyPyramidConfig(
             levels=3, batch=1, base_size=8, lateral_channels=(3, 3), fused_channels=2
         )
+
+
+FAMILIES = ("spatial_lateral", "semantic_lateral", "spatial_fused", "semantic_fused")
+GOOD_CONFIG = dict(levels=3, batch=2, base_size=8, lateral_channels=(3, 4, 5), fused_channels=3, seed=0)
+NOT_INTEGERS = [2.0, 2.5, True, "2", None]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+@pytest.mark.parametrize("field", ["levels", "batch", "base_size", "fused_channels", "seed"])
+def test_config_integer_field_rejects_non_integers(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ToyPyramidConfig(**{**GOOD_CONFIG, field: bad})
+
+
+@pytest.mark.parametrize("bad", [(2.5, 4, 5), (3, True, 5), (3, 4, "5"), (3, None, 5), 7])
+def test_config_lateral_channels_rejects_non_integers(bad):
+    with pytest.raises(ValueError, match="^lateral_channels must be"):
+        ToyPyramidConfig(**{**GOOD_CONFIG, "lateral_channels": bad})
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+def test_dim_rejects_non_integers(bad):
+    cfg = ToyPyramidConfig(**GOOD_CONFIG)
+    with pytest.raises(ValueError, match="^dim must be an integer"):
+        build_embedding_batch(cfg, bad)
+    with pytest.raises(ValueError, match="^dim must be an integer"):
+        encode(FeatureMap(np.ones((3, 2, 2))), projection_seed=0, dim=bad)
+
+
+def test_fuse_and_encode_take_integers_only_even_with_a_warm_cache():
+    """A float equal to a cached key must not reach the cached matrix."""
+    maps = synth_pyramid(ToyPyramidConfig(**GOOD_CONFIG))[0]
+    fuse_topdown(maps, reduction_seed=0, fused_channels=3)
+    encode(maps[0], projection_seed=0, dim=4)
+    with pytest.raises(ValueError, match="^reduction_seed must be an integer"):
+        fuse_topdown(maps, reduction_seed=0.0, fused_channels=3)
+    with pytest.raises(ValueError, match="^fused_channels must be an integer"):
+        fuse_topdown(maps, reduction_seed=0, fused_channels=3.0)
+    with pytest.raises(ValueError, match="^projection_seed must be an integer"):
+        encode(maps[0], projection_seed=0.0, dim=4)
+
+
+def test_config_takes_numpy_integers_as_python_ints():
+    cfg = ToyPyramidConfig(
+        levels=np.int64(3),
+        batch=np.uint8(2),
+        base_size=np.int32(8),
+        lateral_channels=np.array([3, 4, 5]),
+        fused_channels=np.int16(3),
+        seed=np.uint64(0),
+    )
+    assert cfg == ToyPyramidConfig(**GOOD_CONFIG)
+    for name in ("levels", "batch", "base_size", "fused_channels", "seed"):
+        assert type(getattr(cfg, name)) is int
+    assert all(type(c) is int for c in cfg.lateral_channels)
+    ours, plain = build_embedding_batch(cfg, np.int64(6)), build_embedding_batch(ToyPyramidConfig(**GOOD_CONFIG), 6)
+    for name in FAMILIES:
+        assert getattr(ours, name).tobytes() == getattr(plain, name).tobytes()
 
 
 def test_synth_shapes_and_determinism():
@@ -205,3 +296,69 @@ def test_single_image_batch_gives_zero_spatial_loss():
     cfg = small_cfg(seed=14, batch=1)
     batch = build_embedding_batch(cfg, dim=6)
     assert spatial_loss(batch, ContrastConfig()) == 0.0
+
+
+def demo_cfg(levels, batch, seed):
+    """The pyramid that contrast-demo and the training benchmark build."""
+    return ToyPyramidConfig(
+        levels=levels,
+        batch=batch,
+        base_size=4 << (levels - 1),
+        lateral_channels=tuple(8 + 4 * i for i in range(levels)),
+        fused_channels=8,
+        seed=seed,
+    )
+
+
+def composed_batch(cfg, dim):
+    """build_embedding_batch spelled out as synth_pyramid -> fuse_topdown -> encode."""
+    laterals = synth_pyramid(cfg)
+    fused = [fuse_topdown(maps, cfg.seed, cfg.fused_channels) for maps in laterals]
+    sources = {
+        "spatial_lateral": (_DOM_PROJ_SPATIAL_LATERAL, laterals),
+        "semantic_lateral": (_DOM_PROJ_SEMANTIC_LATERAL, laterals),
+        "spatial_fused": (_DOM_PROJ_SPATIAL_FUSED, fused),
+        "semantic_fused": (_DOM_PROJ_SEMANTIC_FUSED, fused),
+    }
+    arrays = {}
+    for name, (domain, maps) in sources.items():
+        seed = _stream_key(domain, cfg.seed)
+        arrays[name] = np.array(
+            [[encode(maps[j][i], seed, dim) for j in range(cfg.batch)] for i in range(cfg.levels)]
+        )
+    return arrays
+
+
+@pytest.mark.parametrize(
+    "levels, batch, dim, seeds", [(4, 3, 16, range(32)), (5, 64, 128, range(4))], ids=["demo", "training"]
+)
+def test_build_equals_the_composition_of_the_public_steps(levels, batch, dim, seeds):
+    for seed in seeds:
+        cfg = demo_cfg(levels, batch, seed)
+        built = build_embedding_batch(cfg, dim)
+        for name, want in composed_batch(cfg, dim).items():
+            got = getattr(built, name)
+            assert got.shape == want.shape == (levels, batch, dim)
+            assert got.tobytes() == want.tobytes(), (seed, name)
+
+
+def test_training_shape_build_is_pinned():
+    """SHA-256 of the four little-endian arrays at L=5, N=64, D=128, seed 0."""
+    batch = build_embedding_batch(demo_cfg(5, 64, 0), 128)
+    digest = hashlib.sha256()
+    for name in FAMILIES:
+        digest.update(getattr(batch, name).astype("<f8").tobytes())
+    assert digest.hexdigest() == "05bcf96e7e5b886bba75cd4aab44da27b811f46c7fc644c5c54e961d72827305"
+
+
+def test_projection_and_reduction_are_made_once_and_read_only():
+    projection = _projection(31, 5, 7)
+    assert _projection(31, 5, 7) is projection
+    fresh = _signed_uniform(_stream_key(_DOM_PROJECT, 31, 5), 7 * 5).reshape(7, 5) / np.sqrt(5)
+    assert projection.tobytes() == fresh.tobytes()
+    reduction = _reduction_matrix(31, 2, 4, 6)
+    assert _reduction_matrix(31, 2, 4, 6) is reduction
+    for matrix in (projection, reduction):
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
