@@ -4,13 +4,14 @@ Boxes are stored as (cx, cy, w, h) with strictly positive dimensions.
 Batch operations work on float64 arrays of shape (N, 4) in the same
 field order; helpers accept either Box sequences or such arrays.
 
-An unclipped AnchorSet made by generate_anchors keeps its per-level grid
-tables (LevelGrid: column centers, row centers, shape widths and
-heights). iou_rows reads them to compute each ground truth's IoU only
-inside the row and column window where it overlaps the grid, writing
-exact 0.0 elsewhere; the values are bit-identical to the pairwise
-kernel's. Clipped sets and sets made from given boxes have no grid and
-take the pairwise kernel.
+An unclipped AnchorSet made by generate_anchors holds only its per-level
+grid tables (LevelGrid: column centers, row centers, shape widths and
+heights); its per-anchor boxes and corner table are made only if a
+caller reads them. iou_rows reads the tables to compute each ground
+truth's IoU only inside the row and column window where it overlaps the
+grid, writing exact 0.0 elsewhere; the values are bit-identical to the
+pairwise kernel's. Clipped sets and sets made from given boxes have no
+grid and take the pairwise kernel.
 """
 
 from __future__ import annotations
@@ -208,10 +209,11 @@ def _grid_iou_rows(ca: np.ndarray, anchors: "AnchorSet", out):
     A pair overlaps only where both axis overlaps are positive, so each
     gt row is divided out only inside the bounding window of the columns
     and rows it overlaps on some shape; every other entry is the exact
-    0.0 that 0 / union gives in the pairwise kernel.
+    0.0 that 0 / union gives in the pairwise kernel. An anchor's area is
+    (x2 - x1) * (y2 - y1) from the level's corner tables, the product
+    the corner table takes, so no per-anchor table is made.
     """
     num_anchors = len(anchors)
-    area = anchors.corners[4]
     for rows in row_blocks(ca.shape[1], num_anchors):
         x1, y1, x2, y2, gt_area = ca[:, rows, None, None]
         if out is None:
@@ -225,7 +227,8 @@ def _grid_iou_rows(ca: np.ndarray, anchors: "AnchorSet", out):
             inter_h = _overlap(y1, y2, ay1, ay2)  # (B, rows, S)
             hit_cols = (inter_w > 0).any(axis=2)
             hit_rows = (inter_h > 0).any(axis=2)
-            level_area = area[start:end].reshape(level.shape)
+            span_w = ax2 - ax1  # (cols, S)
+            span_h = ay2 - ay1  # (rows, S)
             level_block = block[:, start:end].reshape((block.shape[0],) + level.shape)
             for b in range(block.shape[0]):
                 cols = np.flatnonzero(hit_cols[b])
@@ -235,7 +238,8 @@ def _grid_iou_rows(ca: np.ndarray, anchors: "AnchorSet", out):
                 c = slice(cols[0], cols[-1] + 1)
                 r = slice(grid_rows[0], grid_rows[-1] + 1)
                 inter = inter_w[b, None, c] * inter_h[b, r, None]
-                union = gt_area[b] + level_area[r, c]
+                union = span_w[None, c] * span_h[r, None]
+                union += gt_area[b]
                 union -= inter
                 np.divide(inter, union, out=level_block[b, r, c])
         yield rows, block
@@ -246,15 +250,17 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
 
     Args:
         boxes_a: First collection (rows of the result).
-        boxes_b: Second collection (columns of the result).
+        boxes_b: Second collection (columns of the result). An AnchorSet
+            is passed to iou_rows as it is, so a grid set takes the grid
+            kernel and makes no per-anchor boxes.
 
     Returns:
         Array of shape (len(a), len(b)) with values in [0, 1], filled
         block by block from iou_rows.
     """
-    a = boxes_to_array(boxes_a)
-    b = boxes_to_array(boxes_b)
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+    a = boxes_a if isinstance(boxes_a, AnchorSet) else boxes_to_array(boxes_a)
+    b = boxes_b if isinstance(boxes_b, AnchorSet) else boxes_to_array(boxes_b)
+    out = np.empty((len(a), len(b)), dtype=np.float64)
     for _ in iou_rows(a, b, out):
         pass
     return out
@@ -339,10 +345,13 @@ class AnchorGridSpec:
 
 
 # The most anchors generate_anchors lays on one image (2**23, about 8.4M).
-# `smalldet assign` holds about 120 bytes per anchor of the image it works
-# on (the set, its corner table, running best scores, labels, score rows;
-# a 4000x3000 image with 2.2M anchors peaked at 290 MB), so this bounds
-# one image at about 1 GB. The CLI rejects a larger image as a data error.
+# `smalldet assign` holds about 32 bytes per anchor of the image it works
+# on (running best scores, matched gts, labels, one score row; a grid set
+# keeps no per-anchor table). With the default layout on an x86-64 Linux
+# host, an 8000x6000 image (1.69M anchors) peaked at 89 MB RSS and a
+# 16000x14900 one (8.39M) at 298 MB, so this bounds one image at about
+# 300 MB. A clipped set adds its boxes and corner table, 72 bytes per
+# anchor. The CLI rejects a larger image as a data error.
 MAX_ANCHORS = 1 << 23
 
 
@@ -356,8 +365,8 @@ class LevelGrid:
     Attributes:
         cx: Column centers, strictly increasing, shape (cols,).
         cy: Row centers, strictly increasing, shape (rows,).
-        ws: Anchor width per shape, shape (S,).
-        hs: Anchor height per shape, shape (S,).
+        ws: Anchor width per shape, positive, shape (S,).
+        hs: Anchor height per shape, positive, shape (S,).
     """
 
     cx: np.ndarray
@@ -377,20 +386,27 @@ class LevelGrid:
         for name in ("cx", "cy"):
             if np.any(np.diff(getattr(self, name)) <= 0):
                 raise ValueError(f"grid table {name} must be strictly increasing")
+        # The check boxes_to_array makes of every anchor, made once per shape.
+        if np.any(self.ws <= 0) or np.any(self.hs <= 0):
+            raise ValueError("grid tables ws and hs must be positive")
 
     @property
     def shape(self) -> tuple[int, int, int]:
         """(rows, cols, S)."""
         return self.cy.size, self.cx.size, self.ws.size
 
-    def boxes(self) -> np.ndarray:
-        """The level's (rows * cols * S, 4) anchors in flat order."""
-        out = np.empty(self.shape + (4,), dtype=np.float64)
-        out[..., 0] = self.cx[None, :, None]
-        out[..., 1] = self.cy[:, None, None]
-        out[..., 2] = self.ws
-        out[..., 3] = self.hs
-        return out.reshape(-1, 4)
+    def boxes(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The level's (rows * cols * S, 4) anchors in flat order.
+
+        When out is given, its four columns are filled and it is returned.
+        """
+        if out is None:
+            out = np.empty((math.prod(self.shape), 4), dtype=np.float64)
+        fields = (self.cx[None, :, None], self.cy[:, None, None], self.ws, self.hs)
+        # Each column is 1-d, so its reshape is a view and the write lands in out.
+        for column, values in zip(out.T, fields):
+            column.reshape(self.shape)[...] = values
+        return out
 
     @cached_property
     def corners(self) -> tuple[np.ndarray, ...]:
@@ -403,39 +419,39 @@ class LevelGrid:
         return cx - half_w, cx + half_w, cy - half_h, cy + half_h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class AnchorSet:
     """Flat anchor collection plus per-level index ranges.
 
-    The boxes are validated once, here, into a read-only array the set
-    owns, so boxes_to_array and the scoring kernels reuse them without
-    scanning or copying them again.
+    A set made from boxes validates them once, here, into a read-only
+    array the set owns, so boxes_to_array and the scoring kernels reuse
+    them without scanning or copying them again. A grid set from
+    generate_anchors holds only its grid tables, which LevelGrid checks.
 
     Attributes:
         boxes: Read-only float64 array of shape (A, 4) in (cx, cy, w, h)
             order, stored column-major so each field is contiguous across
-            anchors, the layout the scoring kernels read.
+            anchors, the layout the scoring kernels read. A grid set from
+            generate_anchors makes it from its tables on first use.
         level_offsets: One (start, end) half-open row range per level;
             the ranges are contiguous and partition [0, A).
         grid: One LevelGrid per level when the anchors form a regular
-            grid (generate_anchors without clip sets it), else None. The
-            boxes are checked to equal the tables. Kernels given a set
-            with a grid read the tables instead of the boxes.
+            grid (generate_anchors without clip sets it), else None. Boxes
+            given with a grid are checked to equal the tables. Kernels
+            given a set with a grid read the tables instead of the boxes.
     """
 
-    boxes: np.ndarray
     level_offsets: tuple[tuple[int, int], ...]
     grid: tuple[LevelGrid, ...] | None = field(default=None, repr=False)
     # (parent set, start, end) for a set made by level_sets.
-    _parent: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _parent: tuple | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, boxes, level_offsets: tuple[tuple[int, int], ...],
+                 grid: tuple[LevelGrid, ...] | None = None) -> None:
         # A copy, so no caller holds a writable alias of the checked values.
-        arr = np.array(boxes_to_array(self.boxes), order="F")
+        arr = np.array(boxes_to_array(boxes), order="F")
         arr.flags.writeable = False
-        object.__setattr__(self, "boxes", arr)
-        offsets = tuple((int(a), int(b)) for a, b in self.level_offsets)
-        object.__setattr__(self, "level_offsets", offsets)
+        offsets = tuple((int(a), int(b)) for a, b in level_offsets)
         if not offsets:
             raise ValueError("anchor set needs at least one level range")
         expected_start = 0
@@ -447,9 +463,8 @@ class AnchorSet:
             raise ValueError(
                 f"level offsets cover {expected_start} rows but there are {arr.shape[0]} anchors"
             )
-        if self.grid is not None:
-            grid = tuple(self.grid)
-            object.__setattr__(self, "grid", grid)
+        if grid is not None:
+            grid = tuple(grid)
             if len(grid) != len(offsets):
                 raise ValueError(f"{len(grid)} grid levels for {len(offsets)} level ranges")
             for level, (start, end) in zip(grid, offsets):
@@ -459,13 +474,27 @@ class AnchorSet:
                     raise ValueError(f"grid level of shape {level.shape} for {end - start} anchors")
                 if not np.array_equal(arr[start:end], level.boxes()):
                     raise ValueError("anchor boxes do not match their grid tables")
+        self.__dict__.update(boxes=arr, level_offsets=offsets, grid=grid)
 
     def __len__(self) -> int:
-        return int(self.boxes.shape[0])
+        return self.level_offsets[-1][1]
 
     @property
     def num_levels(self) -> int:
         return len(self.level_offsets)
+
+    @cached_property
+    def boxes(self) -> np.ndarray:
+        # Reached only by sets made without boxes: a grid set from
+        # generate_anchors, or a part from level_sets.
+        if self._parent is not None:
+            parent, start, end = self._parent
+            return parent.boxes[start:end]
+        arr = np.empty((len(self), 4), dtype=np.float64, order="F")
+        for level, (start, end) in zip(self.grid, self.level_offsets):
+            level.boxes(out=arr[start:end])
+        arr.flags.writeable = False
+        return arr
 
     @cached_property
     def corners(self) -> np.ndarray:
@@ -485,21 +514,24 @@ class AnchorSet:
         """One single-level AnchorSet per level, made once per set.
 
         Each is a read-only slice of this set, with nothing validated or
-        copied again: its boxes are rows of this set's boxes, its corner
-        table is columns of this set's table, and its grid is this set's
-        table for the level.
+        copied again: its grid is this set's table for the level, and its
+        boxes and corner table, when read, are rows of this set's boxes
+        and columns of this set's table.
         """
         if self.num_levels == 1:
             return (self,)
-        parts = []
-        for level, (start, end) in enumerate(self.level_offsets):
-            part = object.__new__(AnchorSet)
-            object.__setattr__(part, "boxes", self.boxes[start:end])
-            object.__setattr__(part, "level_offsets", ((0, end - start),))
-            object.__setattr__(part, "grid", None if self.grid is None else (self.grid[level],))
-            object.__setattr__(part, "_parent", (self, start, end))
-            parts.append(part)
-        return tuple(parts)
+        return tuple(
+            _unchecked_set(((0, end - start),), None if self.grid is None else (self.grid[level],),
+                           (self, start, end))
+            for level, (start, end) in enumerate(self.level_offsets)
+        )
+
+
+def _unchecked_set(level_offsets, grid, parent=None) -> AnchorSet:
+    """An AnchorSet without boxes, from parts that are already checked."""
+    anchors = object.__new__(AnchorSet)
+    anchors.__dict__.update(level_offsets=level_offsets, grid=grid, _parent=parent)
+    return anchors
 
 
 def _level_grid(spec: AnchorGridSpec, stride: float, base: float) -> LevelGrid:
@@ -522,7 +554,8 @@ def generate_anchors(spec: AnchorGridSpec) -> AnchorSet:
     The flat ordering is level-major, then row, then column, then ratio,
     then scale. Level i contributes ceil(image_h / stride_i) rows times
     ceil(image_w / stride_i) columns times one anchor per (ratio, scale)
-    pair. Without clip the set keeps the per-level grid tables.
+    pair. Without clip the set holds only the per-level grid tables and
+    makes its boxes when they are first read.
 
     Args:
         spec: Grid layout to realize.
@@ -532,7 +565,8 @@ def generate_anchors(spec: AnchorGridSpec) -> AnchorSet:
 
     Raises:
         ValueError: If the grid would contain no anchors, or more than
-            MAX_ANCHORS (checked before any is made).
+            MAX_ANCHORS (checked before any is made), or an anchor shape
+            with a non-positive or non-finite width or height.
     """
     count = spec.num_anchors()
     if count == 0:
@@ -540,15 +574,18 @@ def generate_anchors(spec: AnchorGridSpec) -> AnchorSet:
     if count > MAX_ANCHORS:
         raise ValueError(f"anchor grid would hold {count} anchors, more than the {MAX_ANCHORS} allowed")
     grid = tuple(_level_grid(spec, stride, base) for stride, base in spec.levels)
-    chunks = [level.boxes() for level in grid]
     offsets = []
     start = 0
+    for level in grid:
+        end = start + math.prod(level.shape)
+        offsets.append((start, end))
+        start = end
+    if not spec.clip:
+        return _unchecked_set(tuple(offsets), grid)
+    chunks = [level.boxes() for level in grid]
     for boxes in chunks:
-        if spec.clip:
-            _clip_inplace(boxes, spec.image_w, spec.image_h)
-        offsets.append((start, start + boxes.shape[0]))
-        start += boxes.shape[0]
-    return AnchorSet(np.concatenate(chunks, axis=0), tuple(offsets), None if spec.clip else grid)
+        _clip_inplace(boxes, spec.image_w, spec.image_h)
+    return AnchorSet(np.concatenate(chunks, axis=0), tuple(offsets))
 
 
 def _clip_inplace(boxes: np.ndarray, image_w: float, image_h: float) -> None:

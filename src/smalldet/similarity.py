@@ -240,7 +240,9 @@ def ps_matrix(gts, anchors, norm: DatasetNormalizers) -> np.ndarray:
 
     Args:
         gts: Ground-truth boxes (rows of the result).
-        anchors: Anchor boxes (columns).
+        anchors: Anchor boxes (columns). An AnchorSet is passed to
+            ps_rows as it is, so a grid set takes the grid kernel and
+            makes no per-anchor boxes.
         norm: Dataset normalizers weighting the penalty terms.
 
     Returns:
@@ -249,8 +251,8 @@ def ps_matrix(gts, anchors, norm: DatasetNormalizers) -> np.ndarray:
         pairwise_similarity pair by pair.
     """
     g = boxes_to_array(gts)
-    a = boxes_to_array(anchors)
-    out = np.empty((g.shape[0], a.shape[0]), dtype=np.float64)
+    a = anchors if isinstance(anchors, AnchorSet) else boxes_to_array(anchors)
+    out = np.empty((g.shape[0], len(a)), dtype=np.float64)
     for _ in ps_rows(g, a, norm, out):
         pass
     return out
@@ -265,19 +267,20 @@ def accumulate(acc: NormalizerAccumulator, gts, anchors) -> NormalizerAccumulato
     geometry.row_blocks), in O(anchors) working memory. For an AnchorSet
     with grid tables the sums are taken in closed form per level instead
     (see _grid_offset_sums), in O(gts * shapes) time; they then differ
-    from the pairwise sums only by rounding, a few ulps. Empty inputs
-    leave the accumulator unchanged.
+    from the pairwise sums only by rounding, a few ulps, and the set's
+    boxes are never made. Empty inputs leave the accumulator unchanged.
     """
     g = boxes_to_array(gts)
-    a = boxes_to_array(anchors)
-    if g.shape[0] == 0 or a.shape[0] == 0:
+    # Each field of an AnchorSet's boxes is already contiguous across anchors.
+    a = anchors if isinstance(anchors, AnchorSet) else np.asfortranarray(boxes_to_array(anchors))
+    if g.shape[0] == 0 or len(a) == 0:
         return acc
-    pair_count = acc.pair_count + g.shape[0] * a.shape[0]
-    if isinstance(anchors, AnchorSet) and anchors.grid is not None:
-        sum_x, sum_y = _grid_offset_sums(acc, g, anchors.grid)
-        return NormalizerAccumulator(sum_x, sum_y, pair_count)
-    if not isinstance(anchors, AnchorSet):
-        a = np.asfortranarray(a)
+    pair_count = acc.pair_count + g.shape[0] * len(a)
+    if isinstance(a, AnchorSet):
+        if a.grid is not None:
+            sum_x, sum_y = _grid_offset_sums(acc, g, a.grid)
+            return NormalizerAccumulator(sum_x, sum_y, pair_count)
+        a = a.boxes
     sum_x = acc.sum_x
     sum_y = acc.sum_y
     for rows in row_blocks(g.shape[0], a.shape[0]):

@@ -7,6 +7,9 @@ reference: PS and IoU must agree bit for bit, the normalizer sums to
 rel 1e-12.
 """
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,8 @@ from smalldet import (
     assign_with_metric,
     finalize,
     generate_anchors,
+    iou_matrix,
+    ps_matrix,
 )
 from smalldet import geometry, similarity
 from smalldet.geometry import LevelGrid, iou_rows
@@ -225,3 +230,88 @@ def test_anchor_count_is_known_before_any_anchor_is_made(monkeypatch):
     assert huge.num_anchors() == (10**12 // 16) ** 2
     with pytest.raises(ValueError, match="more than the"):
         generate_anchors(huge)
+
+
+def made_tables(anchors: AnchorSet) -> set:
+    """Which per-anchor tables ("boxes", "corners") the set has made so far."""
+    return {"boxes", "corners"} & set(vars(anchors))
+
+
+def test_grid_set_makes_its_boxes_on_first_read():
+    spec = AnchorGridSpec(levels=((7.5, 8.0), (16.0, 16.0), (33.0, 40.0)), image_w=61.0,
+                          image_h=33.5, ratios=(0.5, 1.0, 3.0), scales=(1.0, 2.5))
+    anchors = generate_anchors(spec)
+    assert len(anchors) == spec.num_anchors()
+    assert not made_tables(anchors)
+    assert not any(made_tables(part) for part in anchors.level_sets)
+    boxes = anchors.boxes
+    assert anchors.boxes is boxes
+    assert boxes.flags.f_contiguous and not boxes.flags.writeable
+    assert not anchors.corners.flags.writeable
+    # SHA-256 of the boxes and corner table as generate_anchors made them
+    # when it stored every anchor eagerly.
+    def digest(values):
+        return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+    assert digest(boxes) == "6c8ed9ad62f65281ed309f44d6090641972d49eed90c73caddcc318c3f963796"
+    assert digest(anchors.corners) == "c794c5fd6828a12cd0f1da34376371d5071e784f08db4be6d24df412507dcff2"
+    # The public constructor accepts them with the same tables.
+    AnchorSet(boxes, anchors.level_offsets, anchors.grid)
+
+
+def test_degenerate_anchor_shapes_are_rejected_without_the_box_scan():
+    # Both sides underflow to 0.0: each anchor would be 0 wide and 0 tall.
+    tiny = AnchorGridSpec(levels=((16.0, 1e-200),), image_w=64.0, image_h=64.0, scales=(1e-200,))
+    with pytest.raises(ValueError, match="positive"):
+        generate_anchors(tiny)
+    level = generate_anchors(AnchorGridSpec(levels=((8.0, 8.0),), image_w=16.0, image_h=16.0,
+                                            ratios=(0.5, 2.0))).grid[0]
+    for bad in (0.0, -1.0):
+        sizes = np.array([level.ws[0], bad])
+        with pytest.raises(ValueError, match="positive"):
+            LevelGrid(level.cx, level.cy, sizes, level.hs)
+        with pytest.raises(ValueError, match="positive"):
+            LevelGrid(level.cx, level.cy, level.ws, sizes)
+    with pytest.raises(ValueError, match="finite"):
+        LevelGrid(level.cx, level.cy, np.array([level.ws[0], np.inf]), level.hs)
+
+
+def test_matrices_take_the_grid_kernels_and_match_the_pairwise_ones():
+    rng = np.random.default_rng(44)
+    spec = random_spec(rng)
+    norm = DatasetNormalizers(0.7, 1.3)
+    grid_set = generate_anchors(spec)
+    gts = random_gts(rng, spec, 9)
+    for anchors in (grid_set, *grid_set.level_sets):
+        ps = ps_matrix(gts, anchors, norm)
+        iou = iou_matrix(gts, anchors)
+        assert not made_tables(anchors)
+        assert ps.shape == iou.shape == (gts.shape[0], len(anchors))
+        reference = stripped(anchors)
+        assert_same_bits(ps, ps_matrix(gts, reference, norm))
+        assert_same_bits(iou, iou_matrix(gts, reference))
+
+
+def test_scoring_a_grid_set_holds_no_per_anchor_table():
+    # The default CLI layout on a 1600x1600 image: 90,000 anchors. A
+    # per-anchor box array is 32 bytes per anchor and the corner table 40;
+    # the running best scores, matched gts, labels and one score row are
+    # 25, so the peak stays under 64 bytes per anchor only without them.
+    spec = AnchorGridSpec(levels=((16.0, 16.0),), image_w=1600.0, image_h=1600.0,
+                          ratios=(0.5, 1.0, 2.0), scales=(8.0, 16.0, 32.0))
+    rng = np.random.default_rng(5)
+    gts = np.column_stack([rng.uniform(0, 1600, 40), rng.uniform(0, 1600, 40),
+                           rng.uniform(4, 300, 40), rng.uniform(4, 300, 40)])
+    tracemalloc.start()
+    try:
+        anchors = generate_anchors(spec)
+        norm = finalize(accumulate(NormalizerAccumulator(), gts, anchors))
+        for metric in Metric:
+            for part in (anchors, *anchors.level_sets):
+                assign_with_metric(gts, part, norm, THRESHOLDS[0], metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(anchors) == 90_000
+    assert peak < 64 * len(anchors), f"{peak / len(anchors):.1f} bytes per anchor"
+    assert not made_tables(anchors)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -358,6 +359,55 @@ def test_assign_reports_do_not_depend_on_grid_tables(tmp_path, capsys, monkeypat
         capsys.readouterr()
         for name in ("report.json", "report.csv"):
             assert (with_tables / name).read_bytes() == (without / name).read_bytes()
+
+
+def test_stats_and_assign_make_no_per_anchor_tables(tmp_path, capsys, monkeypatch):
+    # A grid set holds only its grid tables; the grid kernels never make
+    # its (A, 4) boxes or (5, A) corner table, pooled or per level.
+    ann = varied_dataset(tmp_path)
+    layout = '{"levels": [[4, 4], [8, 8]], "ratios": [0.5, 1, 2], "scales": [1, 2]}'
+    generate = cli.generate_anchors
+    made = []
+
+    def recording(spec):
+        made.append(generate(spec))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "generate_anchors", recording)
+    cache = tmp_path / "norm.json"
+    assert main(["stats", "--ann", ann, "--anchors", layout, "--out", str(cache)]) == 0
+    for mode in ((), ("--per-level",)):
+        extra = ("--anchors", layout, "--cache", str(cache), *mode)
+        assert main(assign_argv(ann, tmp_path / f"r{len(mode)}", extra=extra)) == 0
+    capsys.readouterr()
+    assert made
+    for anchors in made:
+        for part in (anchors, *anchors.level_sets):
+            assert not {"boxes", "corners"} & set(vars(part))
+
+
+def test_assign_memory_does_not_grow_with_distinct_image_sizes(tmp_path, capsys):
+    # 60 sizes, 4,275-16,830 anchors each under the default layout. The
+    # anchor set of every size stays cached for the run, so it must hold
+    # only its grid tables: 72 bytes per anchor of boxes and corner table
+    # would be 43 MB.
+    images, annotations = [], []
+    for i in range(60):
+        images.append({"id": i + 1, "width": 400 + 8 * i, "height": 300 + 4 * i})
+        for k in range(2):
+            annotations.append({"id": len(annotations) + 1, "image_id": i + 1,
+                                "bbox": [10 + 37 * k + i, 20 + 11 * k, 6 + 20 * k, 8 + 9 * k]})
+    ann = write_json(tmp_path / "sizes.json", {"images": images, "annotations": annotations})
+    argv = ["assign", "--ann", ann, "--metrics", "ps,iou", "--out", str(tmp_path / "r")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB traced peak"
 
 
 def test_image_past_the_anchor_cap_is_a_data_error(tmp_path, capsys, monkeypatch):
