@@ -395,18 +395,14 @@ class LevelGrid:
         """(rows, cols, S)."""
         return self.cy.size, self.cx.size, self.ws.size
 
-    def boxes(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The level's (rows * cols * S, 4) anchors in flat order.
-
-        When out is given, its four columns are filled and it is returned.
-        """
-        if out is None:
-            out = np.empty((math.prod(self.shape), 4), dtype=np.float64)
-        fields = (self.cx[None, :, None], self.cy[:, None, None], self.ws, self.hs)
-        # Each column is 1-d, so its reshape is a view and the write lands in out.
-        for column, values in zip(out.T, fields):
-            column.reshape(self.shape)[...] = values
-        return out
+    def boxes(self) -> np.ndarray:
+        """The level's (rows * cols * S, 4) anchors in flat order."""
+        out = np.empty(self.shape + (4,), dtype=np.float64)
+        out[..., 0] = self.cx[None, :, None]
+        out[..., 1] = self.cy[:, None, None]
+        out[..., 2] = self.ws
+        out[..., 3] = self.hs
+        return out.reshape(-1, 4)
 
     @cached_property
     def corners(self) -> tuple[np.ndarray, ...]:
@@ -492,7 +488,7 @@ class AnchorSet:
             return parent.boxes[start:end]
         arr = np.empty((len(self), 4), dtype=np.float64, order="F")
         for level, (start, end) in zip(self.grid, self.level_offsets):
-            level.boxes(out=arr[start:end])
+            arr[start:end] = level.boxes()
         arr.flags.writeable = False
         return arr
 
