@@ -68,7 +68,7 @@ norm = finalize(accumulate(NormalizerAccumulator(), gt, anchors))
 print(f"m={norm.m:.4f} n={norm.n:.4f}")
 
 for name, matrix in (
-    ("iou", iou_matrix(gt, anchors.boxes)),
+    ("iou", iou_matrix(gt, anchors)),
     ("ps", ps_matrix(gt, anchors, norm)),
 ):
     res = assign(matrix, thr)

@@ -94,7 +94,7 @@ with tempfile.TemporaryDirectory(prefix="dataset_report_") as tmp:
     for metric in (Metric.PS, Metric.IOU):
         results = []
         for boxes in scenes:
-            scores = ps_matrix(boxes, anchors, norm) if metric is Metric.PS else iou_matrix(boxes, anchors.boxes)
+            scores = ps_matrix(boxes, anchors, norm) if metric is Metric.PS else iou_matrix(boxes, anchors)
             results.append(assign(scores, thr))
         reports.append(assignment_stats(results, areas, thr, metric))
 

@@ -249,9 +249,8 @@ def assign_with_metric(
 
     Args:
         gts: Ground-truth boxes.
-        anchors: Anchor boxes. An AnchorSet is used as it is: its boxes
-            are not validated or laid out again, its corner table is kept
-            for the next call, and a grid set reads only its grid tables.
+        anchors: Anchor boxes. An AnchorSet is used as it is: the grid
+            kernels read only its tables and make no per-anchor boxes.
         norm: Dataset normalizers; required for the PS metric, ignored
             for IoU.
         thr: Decision thresholds.

@@ -4,18 +4,21 @@ Boxes are stored as (cx, cy, w, h) with strictly positive dimensions.
 Batch operations work on float64 arrays of shape (N, 4) in the same
 field order; helpers accept either Box sequences or such arrays.
 
-An unclipped AnchorSet made by generate_anchors holds only its per-level
+An AnchorSet, as generate_anchors makes it, holds only its per-level
 grid tables (LevelGrid: column centers, row centers, shape widths and
-heights); its per-anchor boxes and corner table are made only if a
-caller reads them. iou_rows reads the tables to compute each ground
-truth's IoU only inside the row and column window where it overlaps the
-grid, writing exact 0.0 elsewhere; the values are bit-identical to the
-pairwise kernel's. Clipped sets and sets made from given boxes have no
-grid and take the pairwise kernel.
+heights, and the image rectangle when the layout clips). Clipping is
+separable by axis, so a clipped level is a grid too, with its x extents
+on a (cols, shapes) table and its y extents on a (rows, shapes) one.
+The set's per-anchor boxes and corner table are made only if a caller
+reads them. iou_rows reads the tables to compute each ground truth's IoU
+only inside the row and column window where it overlaps the grid,
+writing exact 0.0 elsewhere; the values are bit-identical to the
+pairwise kernel's, which plain (N, 4) arrays take.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -97,8 +100,8 @@ def boxes_to_array(boxes) -> np.ndarray:
 
     Returns:
         A float64 array of shape (N, 4). Empty input yields shape (0, 4).
-        For an AnchorSet, its own read-only array, which was validated
-        when the set was made and is not scanned again.
+        For an AnchorSet, its read-only boxes, made from its checked
+        tables on first read (32 bytes per anchor) and not scanned.
 
     Raises:
         ValueError: If any entry is non-finite or has a non-positive
@@ -174,9 +177,10 @@ def iou_rows(a, b, out=None):
 
     Corners and areas are computed once per call, or once per AnchorSet;
     each block then costs a few temporaries of its own size. Blocks
-    follow row_blocks order. When b is an AnchorSet with grid tables,
-    each row's IoU is computed only inside the grid window it overlaps
-    and is exact 0.0 elsewhere, bit-identical to the pairwise values.
+    follow row_blocks order. When b is an AnchorSet, each row's IoU is
+    computed from its grid tables, only inside the grid window it
+    overlaps, and is exact 0.0 elsewhere, bit-identical to the pairwise
+    values.
 
     Args:
         a: Validated (N, 4) float64 array, as from boxes_to_array, or an
@@ -188,7 +192,7 @@ def iou_rows(a, b, out=None):
     Yields:
         (rows, block): a row slice and the (rows, M) IoU values, in [0, 1].
     """
-    if isinstance(b, AnchorSet) and b.grid is not None:
+    if isinstance(b, AnchorSet):
         return _grid_iou_rows(_corners_of(a), b, out)
     return _pair_iou_rows(_corners_of(a), _corners_of(b), out)
 
@@ -251,8 +255,8 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
     Args:
         boxes_a: First collection (rows of the result).
         boxes_b: Second collection (columns of the result). An AnchorSet
-            is passed to iou_rows as it is, so a grid set takes the grid
-            kernel and makes no per-anchor boxes.
+            is passed to iou_rows as it is, so it takes the grid kernel
+            and makes no per-anchor boxes.
 
     Returns:
         Array of shape (len(a), len(b)) with values in [0, 1], filled
@@ -323,6 +327,13 @@ class AnchorGridSpec:
             raise ValueError(f"ratios must be positive and finite, got {ratios}")
         if any(not (math.isfinite(s) and s > 0) for s in scales):
             raise ValueError(f"scales must be positive and finite, got {scales}")
+        for _, base in levels:
+            ws, hs = self.shape_sides(base)
+            if not all(math.isfinite(v) and v > 0 for v in ws + hs):
+                raise ValueError(
+                    f"anchor widths and heights must be positive and finite, got widths "
+                    f"{list(ws)} and heights {list(hs)} at base size {base!r}"
+                )
         for name in ("image_w", "image_h"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
@@ -331,28 +342,59 @@ class AnchorGridSpec:
     def anchors_per_cell(self) -> int:
         return len(self.ratios) * len(self.scales)
 
+    def shape_sides(self, base: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Widths and heights of a level's anchor shapes at one base size,
+        ratio-major then scale-minor: the order of a cell's anchors."""
+        pairs = [(r, s) for r in self.ratios for s in self.scales]
+        return (tuple(base * s * math.sqrt(1.0 / r) for r, s in pairs),
+                tuple(base * s * math.sqrt(r) for r, s in pairs))
+
     def level_shape(self, stride: float) -> tuple[int, int]:
         """(rows, cols) of grid cells at one stride."""
         return math.ceil(self.image_h / stride), math.ceil(self.image_w / stride)
 
-    def num_anchors(self) -> int:
-        """Anchor count of the grid, worked out without making any anchor."""
+    def num_anchors(self) -> int | float:
+        """Anchor count of the grid, worked out without making any anchor.
+
+        A stride so small that the image holds more cells than a float
+        can count (a subnormal stride) gives math.inf, over any cap.
+        """
         cells = 0
         for stride, _ in self.levels:
-            rows, cols = self.level_shape(stride)
+            try:
+                rows, cols = self.level_shape(stride)
+            except OverflowError:
+                return math.inf
             cells += rows * cols
         return cells * self.anchors_per_cell()
 
 
 # The most anchors generate_anchors lays on one image (2**23, about 8.4M).
 # `smalldet assign` holds about 32 bytes per anchor of the image it works
-# on (running best scores, matched gts, labels, one score row; a grid set
-# keeps no per-anchor table). With the default layout on an x86-64 Linux
-# host, an 8000x6000 image (1.69M anchors) peaked at 89 MB RSS and a
-# 16000x14900 one (8.39M) at 298 MB, so this bounds one image at about
-# 300 MB. A clipped set adds its boxes and corner table, 72 bytes per
-# anchor. The CLI rejects a larger image as a data error.
+# on (running best scores, matched gts, labels, one score row; an anchor
+# set keeps only its grid tables). A clipped layout adds 8, the shape term
+# of a score row. With the default layout on an x86-64 Linux host, an
+# 8000x6000 image (1.69M anchors) peaked at 89 MB RSS (112 MB clipped)
+# and a 16000x14900 one (8.39M) at 298 MB (363 MB clipped), so this
+# bounds one image at about 300 MB, or 365 MB clipped. The CLI rejects a
+# larger image as a data error.
 MAX_ANCHORS = 1 << 23
+
+# The side an anchor clamped to nothing keeps: a sliver on the nearest
+# border rather than a zero-sized (invalid) box.
+_CLIP_SLIVER = 1e-6
+
+
+def _clipped_axis(centers: np.ndarray, sides: np.ndarray, limit: float):
+    """Read-only (centers, sides) tables, (len(centers), len(sides)), of
+    the anchors along one axis with their extents clamped to [0, limit]."""
+    half = sides / 2.0
+    lo = np.clip(centers[:, None] - half, 0.0, limit)
+    hi = np.clip(centers[:, None] + half, 0.0, limit)
+    side = np.maximum(hi - lo, _CLIP_SLIVER)
+    center = lo + side / 2.0
+    center.flags.writeable = side.flags.writeable = False
+    return center, side
 
 
 @dataclass(frozen=True)
@@ -360,19 +402,23 @@ class LevelGrid:
     """One pyramid level of a regular anchor grid, as four small tables.
 
     The level's anchor at flat position (row * cols + col) * S + shape is
-    (cx[col], cy[row], ws[shape], hs[shape]), where S = len(ws).
+    (cx[col], cy[row], ws[shape], hs[shape]), where S = len(ws), with its
+    extents clamped to the image rectangle when clip is set.
 
     Attributes:
         cx: Column centers, strictly increasing, shape (cols,).
         cy: Row centers, strictly increasing, shape (rows,).
         ws: Anchor width per shape, positive, shape (S,).
         hs: Anchor height per shape, positive, shape (S,).
+        clip: (image_w, image_h) of the rectangle the anchors are clamped
+            to, or None.
     """
 
     cx: np.ndarray
     cy: np.ndarray
     ws: np.ndarray
     hs: np.ndarray
+    clip: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         for name in ("cx", "cy", "ws", "hs"):
@@ -389,103 +435,88 @@ class LevelGrid:
         # The check boxes_to_array makes of every anchor, made once per shape.
         if np.any(self.ws <= 0) or np.any(self.hs <= 0):
             raise ValueError("grid tables ws and hs must be positive")
+        if self.clip is not None:
+            clip = tuple(float(v) for v in self.clip)
+            if len(clip) != 2 or not all(math.isfinite(v) and v > 0 for v in clip):
+                raise ValueError(f"grid clip must be a positive finite (width, height), got {self.clip!r}")
+            object.__setattr__(self, "clip", clip)
 
     @property
     def shape(self) -> tuple[int, int, int]:
         """(rows, cols, S)."""
         return self.cy.size, self.cx.size, self.ws.size
 
+    @cached_property
+    def axes(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """((x, w), (y, h)): anchor centers and sides along each axis.
+
+        x and w broadcast to (cols, S), y and h to (rows, S). Unclipped,
+        x is (cols, 1) and w is (1, S), so a term of the sides alone stays
+        per shape; clipped, each is a full read-only table. The kernels,
+        corners and boxes() read only this form.
+        """
+        if self.clip is None:
+            return (self.cx[:, None], self.ws[None, :]), (self.cy[:, None], self.hs[None, :])
+        return (_clipped_axis(self.cx, self.ws, self.clip[0]),
+                _clipped_axis(self.cy, self.hs, self.clip[1]))
+
     def boxes(self) -> np.ndarray:
         """The level's (rows * cols * S, 4) anchors in flat order."""
+        (x, w), (y, h) = self.axes
         out = np.empty(self.shape + (4,), dtype=np.float64)
-        out[..., 0] = self.cx[None, :, None]
-        out[..., 1] = self.cy[:, None, None]
-        out[..., 2] = self.ws
-        out[..., 3] = self.hs
+        out[..., 0] = x
+        out[..., 1] = y[:, None, :]
+        out[..., 2] = w
+        out[..., 3] = h[:, None, :]
         return out.reshape(-1, 4)
 
     @cached_property
     def corners(self) -> tuple[np.ndarray, ...]:
         """x1, x2 on (cols, S) and y1, y2 on (rows, S), computed as the
         corner table computes them, so the values are the same."""
-        half_w = self.ws / 2.0
-        half_h = self.hs / 2.0
-        cx = self.cx[:, None]
-        cy = self.cy[:, None]
-        return cx - half_w, cx + half_w, cy - half_h, cy + half_h
+        (x, w), (y, h) = self.axes
+        half_w = w / 2.0
+        half_h = h / 2.0
+        return x - half_w, x + half_w, y - half_h, y + half_h
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class AnchorSet:
-    """Flat anchor collection plus per-level index ranges.
+    """Anchors of a multi-level grid, held as one LevelGrid per level.
 
-    A set made from boxes validates them once, here, into a read-only
-    array the set owns, so boxes_to_array and the scoring kernels reuse
-    them without scanning or copying them again. A grid set from
-    generate_anchors holds only its grid tables, which LevelGrid checks.
+    The flat order is level-major, then LevelGrid's order within a level.
+    The set holds only its tables, which LevelGrid checks; its per-anchor
+    boxes and corner table are made, once and read-only, only when a
+    caller reads them, which no kernel does.
 
     Attributes:
-        boxes: Read-only float64 array of shape (A, 4) in (cx, cy, w, h)
-            order, stored column-major so each field is contiguous across
-            anchors, the layout the scoring kernels read. A grid set from
-            generate_anchors makes it from its tables on first use.
-        level_offsets: One (start, end) half-open row range per level;
-            the ranges are contiguous and partition [0, A).
-        grid: One LevelGrid per level when the anchors form a regular
-            grid (generate_anchors without clip sets it), else None. Boxes
-            given with a grid are checked to equal the tables. Kernels
-            given a set with a grid read the tables instead of the boxes.
+        grid: One LevelGrid per level.
+        level_offsets: One (start, end) half-open range of flat positions
+            per level, from the table shapes; the ranges partition [0, A).
     """
 
-    level_offsets: tuple[tuple[int, int], ...]
-    grid: tuple[LevelGrid, ...] | None = field(default=None, repr=False)
-    # (parent set, start, end) for a set made by level_sets.
-    _parent: tuple | None = field(default=None, repr=False)
+    grid: tuple[LevelGrid, ...] = field(repr=False)
+    level_offsets: tuple[tuple[int, int], ...] = field(init=False)
 
-    def __init__(self, boxes, level_offsets: tuple[tuple[int, int], ...],
-                 grid: tuple[LevelGrid, ...] | None = None) -> None:
-        # A copy, so no caller holds a writable alias of the checked values.
-        arr = np.array(boxes_to_array(boxes), order="F")
-        arr.flags.writeable = False
-        offsets = tuple((int(a), int(b)) for a, b in level_offsets)
-        if not offsets:
-            raise ValueError("anchor set needs at least one level range")
-        expected_start = 0
-        for start, end in offsets:
-            if start != expected_start or end < start:
-                raise ValueError(f"level offsets must partition the rows, got {offsets}")
-            expected_start = end
-        if expected_start != arr.shape[0]:
-            raise ValueError(
-                f"level offsets cover {expected_start} rows but there are {arr.shape[0]} anchors"
-            )
-        if grid is not None:
-            grid = tuple(grid)
-            if len(grid) != len(offsets):
-                raise ValueError(f"{len(grid)} grid levels for {len(offsets)} level ranges")
-            for level, (start, end) in zip(grid, offsets):
-                if not isinstance(level, LevelGrid):
-                    raise ValueError(f"grid levels must be LevelGrid, got {type(level).__name__}")
-                if math.prod(level.shape) != end - start:
-                    raise ValueError(f"grid level of shape {level.shape} for {end - start} anchors")
-                if not np.array_equal(arr[start:end], level.boxes()):
-                    raise ValueError("anchor boxes do not match their grid tables")
-        self.__dict__.update(boxes=arr, level_offsets=offsets, grid=grid)
+    def __post_init__(self) -> None:
+        grid = tuple(self.grid)
+        if not grid or not all(isinstance(level, LevelGrid) for level in grid):
+            raise ValueError("an anchor set needs one or more LevelGrid levels")
+        ends = tuple(itertools.accumulate(math.prod(level.shape) for level in grid))
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "level_offsets", tuple(zip((0,) + ends[:-1], ends)))
 
     def __len__(self) -> int:
         return self.level_offsets[-1][1]
 
     @property
     def num_levels(self) -> int:
-        return len(self.level_offsets)
+        return len(self.grid)
 
     @cached_property
     def boxes(self) -> np.ndarray:
-        # Reached only by sets made without boxes: a grid set from
-        # generate_anchors, or a part from level_sets.
-        if self._parent is not None:
-            parent, start, end = self._parent
-            return parent.boxes[start:end]
+        """Read-only (A, 4) boxes, column-major so each field is
+        contiguous across anchors; made on first use."""
         arr = np.empty((len(self), 4), dtype=np.float64, order="F")
         for level, (start, end) in zip(self.grid, self.level_offsets):
             arr[start:end] = level.boxes()
@@ -494,53 +525,28 @@ class AnchorSet:
 
     @cached_property
     def corners(self) -> np.ndarray:
-        """Read-only (5, A) rows x1, y1, x2, y2, area; made on first use.
-
-        A set from level_sets uses the columns of its parent's table.
-        """
-        if self._parent is not None:
-            parent, start, end = self._parent
-            return parent.corners[:, start:end]
+        """Read-only (5, A) rows x1, y1, x2, y2, area; made on first use."""
         table = _corner_table(self.boxes)
         table.flags.writeable = False
         return table
 
     @cached_property
     def level_sets(self) -> tuple["AnchorSet", ...]:
-        """One single-level AnchorSet per level, made once per set.
-
-        Each is a read-only slice of this set, with nothing validated or
-        copied again: its grid is this set's table for the level, and its
-        boxes and corner table, when read, are rows of this set's boxes
-        and columns of this set's table.
-        """
+        """One single-level AnchorSet per level, sharing its LevelGrid."""
         if self.num_levels == 1:
             return (self,)
-        return tuple(
-            _unchecked_set(((0, end - start),), None if self.grid is None else (self.grid[level],),
-                           (self, start, end))
-            for level, (start, end) in enumerate(self.level_offsets)
-        )
-
-
-def _unchecked_set(level_offsets, grid, parent=None) -> AnchorSet:
-    """An AnchorSet without boxes, from parts that are already checked."""
-    anchors = object.__new__(AnchorSet)
-    anchors.__dict__.update(level_offsets=level_offsets, grid=grid, _parent=parent)
-    return anchors
+        return tuple(AnchorSet((level,)) for level in self.grid)
 
 
 def _level_grid(spec: AnchorGridSpec, stride: float, base: float) -> LevelGrid:
     rows, cols = spec.level_shape(stride)
-    ratios = np.asarray(spec.ratios, dtype=np.float64)
-    scales = np.asarray(spec.scales, dtype=np.float64)
-    # (R, S) grids so the flattened order is ratio-major, scale-minor.
-    rr, ss = np.meshgrid(ratios, scales, indexing="ij")
+    ws, hs = spec.shape_sides(base)
     return LevelGrid(
         cx=(np.arange(cols, dtype=np.float64) + 0.5) * stride,
         cy=(np.arange(rows, dtype=np.float64) + 0.5) * stride,
-        ws=(base * ss * np.sqrt(1.0 / rr)).ravel(),
-        hs=(base * ss * np.sqrt(rr)).ravel(),
+        ws=ws,
+        hs=hs,
+        clip=(spec.image_w, spec.image_h) if spec.clip else None,
     )
 
 
@@ -550,8 +556,8 @@ def generate_anchors(spec: AnchorGridSpec) -> AnchorSet:
     The flat ordering is level-major, then row, then column, then ratio,
     then scale. Level i contributes ceil(image_h / stride_i) rows times
     ceil(image_w / stride_i) columns times one anchor per (ratio, scale)
-    pair. Without clip the set holds only the per-level grid tables and
-    makes its boxes when they are first read.
+    pair. The set holds only the per-level grid tables, clipped or not,
+    and makes its boxes when they are first read.
 
     Args:
         spec: Grid layout to realize.
@@ -561,43 +567,11 @@ def generate_anchors(spec: AnchorGridSpec) -> AnchorSet:
 
     Raises:
         ValueError: If the grid would contain no anchors, or more than
-            MAX_ANCHORS (checked before any is made), or an anchor shape
-            with a non-positive or non-finite width or height.
+            MAX_ANCHORS (checked before any is made).
     """
     count = spec.num_anchors()
     if count == 0:
         raise ValueError("anchor grid produced zero anchors")
     if count > MAX_ANCHORS:
         raise ValueError(f"anchor grid would hold {count} anchors, more than the {MAX_ANCHORS} allowed")
-    grid = tuple(_level_grid(spec, stride, base) for stride, base in spec.levels)
-    offsets = []
-    start = 0
-    for level in grid:
-        end = start + math.prod(level.shape)
-        offsets.append((start, end))
-        start = end
-    if not spec.clip:
-        return _unchecked_set(tuple(offsets), grid)
-    chunks = [level.boxes() for level in grid]
-    for boxes in chunks:
-        _clip_inplace(boxes, spec.image_w, spec.image_h)
-    return AnchorSet(np.concatenate(chunks, axis=0), tuple(offsets))
-
-
-def _clip_inplace(boxes: np.ndarray, image_w: float, image_h: float) -> None:
-    """Clamp anchors to the image rectangle, keeping dimensions positive.
-
-    An anchor lying entirely outside collapses to a thin sliver on the
-    nearest border rather than a zero-sized (invalid) box.
-    """
-    eps = 1e-6
-    x1 = np.clip(boxes[:, 0] - boxes[:, 2] / 2.0, 0.0, image_w)
-    y1 = np.clip(boxes[:, 1] - boxes[:, 3] / 2.0, 0.0, image_h)
-    x2 = np.clip(boxes[:, 0] + boxes[:, 2] / 2.0, 0.0, image_w)
-    y2 = np.clip(boxes[:, 1] + boxes[:, 3] / 2.0, 0.0, image_h)
-    w = np.maximum(x2 - x1, eps)
-    h = np.maximum(y2 - y1, eps)
-    boxes[:, 0] = x1 + w / 2.0
-    boxes[:, 1] = y1 + h / 2.0
-    boxes[:, 2] = w
-    boxes[:, 3] = h
+    return AnchorSet(tuple(_level_grid(spec, stride, base) for stride, base in spec.levels))

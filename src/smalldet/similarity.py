@@ -11,11 +11,12 @@ m averages |x_gt - x_anchor| / (w_gt + w_anchor), n averages the analogous
 y/height ratio. m weights both x-offset and width terms; n weights both
 y-offset and height terms.
 
-Anchor sets with grid tables (unclipped sets from generate_anchors) take
-factored kernels: ps_rows builds the x, y and shape terms on small
-per-level tables and is bit-identical to the pairwise kernel, while
-accumulate sums in closed form, so m and n may differ from the pairwise
-sums by a few ulps. Other anchors take the pairwise kernels.
+An AnchorSet (the grid tables generate_anchors makes) takes factored
+kernels: ps_rows builds the x, y and shape terms on small per-level
+tables and is bit-identical to the pairwise kernel. accumulate sums an
+unclipped level in closed form and a clipped one over its per-axis
+tables, so m and n may differ from the pairwise sums by a few ulps.
+Plain (N, 4) anchor arrays take the pairwise kernels.
 """
 
 from __future__ import annotations
@@ -122,9 +123,8 @@ def _ps_terms(g: np.ndarray, a: np.ndarray, m: float, n: float):
     """Position and shape penalty terms for broadcastable (..., 4) arrays.
 
     The scalar operations and the pairwise row-block kernel (behind
-    ps_matrix, and ps_rows on anchors without grid tables) all funnel
-    through this one kernel, so every batch entry is bit-identical to
-    scalar evaluation.
+    ps_rows on plain anchor arrays) all funnel through this one kernel,
+    so every batch entry is bit-identical to scalar evaluation.
     """
     px, qw = _axis_terms(g[..., 0], a[..., 0], g[..., 2], a[..., 2], m)
     py, qh = _axis_terms(g[..., 1], a[..., 1], g[..., 3], a[..., 3], n)
@@ -175,9 +175,9 @@ def ps_rows(g: np.ndarray, a, norm: DatasetNormalizers, out=None):
 
     Each block costs a few temporaries of its own size, so scoring needs
     O(anchors) working memory whatever the gt count. Blocks follow
-    geometry.row_blocks order. For an AnchorSet with grid tables the
-    terms are factored per level (see _grid_ps_rows); the values are
-    bit-identical to the pairwise kernel's.
+    geometry.row_blocks order. For an AnchorSet the terms are factored
+    per level (see _grid_ps_rows); the values are bit-identical to the
+    pairwise kernel's.
 
     Args:
         g: Validated (G, 4) float64 ground-truth array, as from
@@ -192,10 +192,7 @@ def ps_rows(g: np.ndarray, a, norm: DatasetNormalizers, out=None):
         (rows, block): a row slice and the (rows, A) similarities.
     """
     if isinstance(a, AnchorSet):
-        if a.grid is not None:
-            return _grid_ps_rows(g, a, norm, out)
-        # Each field of an AnchorSet's boxes is contiguous across anchors.
-        return _pair_ps_rows(g, a.boxes, norm, out)
+        return _grid_ps_rows(g, a, norm, out)
     return _pair_ps_rows(g, np.asfortranarray(a), norm, out)
 
 
@@ -209,28 +206,30 @@ def _pair_ps_rows(g: np.ndarray, a: np.ndarray, norm: DatasetNormalizers, out):
 
 
 def _grid_ps_rows(g: np.ndarray, anchors: AnchorSet, norm: DatasetNormalizers, out):
-    """ps_rows over a grid set, with the terms factored per level.
+    """ps_rows over an AnchorSet, with the terms factored per level.
 
-    The x terms depend only on (column, shape), the y offset term only on
-    (row, shape) and the shape term only on the shape, so they come from
-    _axis_terms on (B, cols, S), (B, rows, S) and (B, 1, S) tables. Each
-    pair then costs the add, sqrt, add, negate and exp that end
-    _ps_terms and _pair_ps_rows, in the same order, so every value is
-    bit-identical to theirs.
+    The x terms depend only on (column, shape) and the y terms only on
+    (row, shape), so they come from _axis_terms on (B, cols, S) and
+    (B, rows, S) tables (LevelGrid.axes). Unclipped, the size terms
+    depend on the shape alone, so the shape term stays (B, 1, 1, S);
+    clipped, it is per pair. Each pair then costs the add, sqrt, add,
+    negate and exp that end _ps_terms and _pair_ps_rows, in the same
+    order, so every value is bit-identical to theirs.
     """
     num_anchors = len(anchors)
     for rows in row_blocks(g.shape[0], num_anchors):
         gx, gy, gw, gh = g[rows, :, None, None].transpose(1, 0, 2, 3)
         block = np.empty((gx.shape[0], num_anchors)) if out is None else out[rows]
         for level, (start, end) in zip(anchors.grid, anchors.level_offsets):
-            px, qw = _axis_terms(gx, level.cx[:, None], gw, level.ws, norm.m)
-            py, qh = _axis_terms(gy, level.cy[:, None], gh, level.hs, norm.n)
-            qw += qh
-            shape = np.sqrt(qw, out=qw)
+            (x, w), (y, h) = level.axes
+            px, qw = _axis_terms(gx, x, gw, w, norm.m)
+            py, qh = _axis_terms(gy, y, gh, h, norm.n)
+            shape = qw[:, None] + qh[:, :, None]
+            np.sqrt(shape, out=shape)
             level_block = block[:, start:end].reshape((block.shape[0],) + level.shape)
             np.add(px[:, None, :, :], py[:, :, None, :], out=level_block)
             np.sqrt(level_block, out=level_block)
-            level_block += shape[:, :, None, :]
+            level_block += shape
         np.negative(block, out=block)
         yield rows, np.exp(block, out=block)
 
@@ -241,8 +240,8 @@ def ps_matrix(gts, anchors, norm: DatasetNormalizers) -> np.ndarray:
     Args:
         gts: Ground-truth boxes (rows of the result).
         anchors: Anchor boxes (columns). An AnchorSet is passed to
-            ps_rows as it is, so a grid set takes the grid kernel and
-            makes no per-anchor boxes.
+            ps_rows as it is, so it takes the grid kernel and makes no
+            per-anchor boxes.
         norm: Dataset normalizers weighting the penalty terms.
 
     Returns:
@@ -265,35 +264,34 @@ def accumulate(acc: NormalizerAccumulator, gts, anchors) -> NormalizerAccumulato
     and |y_g - y_a| / (h_g + h_a) to sum_y; pair_count grows by
     len(gts) * len(anchors). The pairs are summed per gt row block (see
     geometry.row_blocks), in O(anchors) working memory. For an AnchorSet
-    with grid tables the sums are taken in closed form per level instead
-    (see _grid_offset_sums), in O(gts * shapes) time; they then differ
-    from the pairwise sums only by rounding, a few ulps, and the set's
-    boxes are never made. Empty inputs leave the accumulator unchanged.
+    the sums are taken per level from its grid tables instead (see
+    _grid_offset_sums); they then differ from the pairwise sums only by
+    rounding, a few ulps, and the set's boxes are never made. Empty
+    inputs leave the accumulator unchanged.
     """
     g = boxes_to_array(gts)
-    # Each field of an AnchorSet's boxes is already contiguous across anchors.
     a = anchors if isinstance(anchors, AnchorSet) else np.asfortranarray(boxes_to_array(anchors))
     if g.shape[0] == 0 or len(a) == 0:
         return acc
     pair_count = acc.pair_count + g.shape[0] * len(a)
     if isinstance(a, AnchorSet):
-        if a.grid is not None:
-            sum_x, sum_y = _grid_offset_sums(acc, g, a.grid)
-            return NormalizerAccumulator(sum_x, sum_y, pair_count)
-        a = a.boxes
-    sum_x = acc.sum_x
-    sum_y = acc.sum_y
-    for rows in row_blocks(g.shape[0], a.shape[0]):
-        block = g[rows, None, :]
-        dx = block[..., 0] - a[:, 0]
-        np.abs(dx, out=dx)
-        dx /= block[..., 2] + a[:, 2]
-        dy = block[..., 1] - a[:, 1]
-        np.abs(dy, out=dy)
-        dy /= block[..., 3] + a[:, 3]
-        sum_x += float(dx.sum())
-        sum_y += float(dy.sum())
+        sum_x, sum_y = _grid_offset_sums(acc, g, a.grid)
+        return NormalizerAccumulator(sum_x, sum_y, pair_count)
+    sum_x = _offset_sum(acc.sum_x, g[:, 0], g[:, 2], a[:, 0], a[:, 2])
+    sum_y = _offset_sum(acc.sum_y, g[:, 1], g[:, 3], a[:, 1], a[:, 3])
     return NormalizerAccumulator(sum_x, sum_y, pair_count)
+
+
+def _offset_sum(total: float, gc: np.ndarray, gs: np.ndarray, centers: np.ndarray,
+                sides: np.ndarray) -> float:
+    """total plus sum |gc - centers| / (gs + sides) over every (gt, anchor)
+    pair, for 1-d gt and anchor centers and sides, one row block at a time."""
+    for rows in row_blocks(gc.size, centers.size):
+        d = gc[rows, None] - centers
+        np.abs(d, out=d)
+        d /= gs[rows, None] + sides
+        total += float(d.sum())
+    return total
 
 
 def _abs_offset_sums(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -314,17 +312,24 @@ def _grid_offset_sums(acc: NormalizerAccumulator, g: np.ndarray, grid) -> tuple[
     """acc's sums plus the offset sums of g against every anchor of a grid.
 
     The anchors of a level are every (row, column, shape), so for one gt
-    the x sum is rows * sum_c |x_g - cx_c| * sum_s 1 / (w_g + w_s), and
-    the y sum likewise with the columns. Each level costs O(gts * S).
+    the x sum is rows times its sum over the (cols, S) x table, and the y
+    sum cols times its sum over the (rows, S) y table. Unclipped, that
+    sum is sum_c |x_g - cx_c| * sum_s 1 / (w_g + w_s), in O(gts * S) per
+    level; clipped, _offset_sum runs over the tables in row blocks.
     """
     sum_x = acc.sum_x
     sum_y = acc.sum_y
     for level in grid:
         rows, cols, _ = level.shape
-        dx = rows * _abs_offset_sums(level.cx, g[:, 0])
-        dy = cols * _abs_offset_sums(level.cy, g[:, 1])
-        sum_x += float((dx[:, None] / (g[:, 2, None] + level.ws)).sum())
-        sum_y += float((dy[:, None] / (g[:, 3, None] + level.hs)).sum())
+        if level.clip is None:
+            dx = rows * _abs_offset_sums(level.cx, g[:, 0])
+            dy = cols * _abs_offset_sums(level.cy, g[:, 1])
+            sum_x += float((dx[:, None] / (g[:, 2, None] + level.ws)).sum())
+            sum_y += float((dy[:, None] / (g[:, 3, None] + level.hs)).sum())
+        else:
+            (x, w), (y, h) = level.axes
+            sum_x += rows * _offset_sum(0.0, g[:, 0], g[:, 2], x.ravel(), w.ravel())
+            sum_y += cols * _offset_sum(0.0, g[:, 1], g[:, 3], y.ravel(), h.ravel())
     return sum_x, sum_y
 
 

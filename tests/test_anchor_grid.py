@@ -1,13 +1,15 @@
-"""Grid-aware anchor sets: the grid kernels against the pairwise kernels.
+"""Grid anchor sets: the grid kernels against the pairwise kernels.
 
-An unclipped set from generate_anchors keeps per-level grid tables, and
-ps_rows, iou_rows and accumulate read them. A copy of the same boxes
-without the tables takes the pairwise kernels, which serve as the
+Every set from generate_anchors, clipped or not, keeps per-level grid
+tables, and ps_rows, iou_rows and accumulate read them. The same boxes
+as a plain array take the pairwise kernels, which serve as the
 reference: PS and IoU must agree bit for bit, the normalizer sums to
 rel 1e-12.
 """
 
+import dataclasses
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -62,9 +64,9 @@ def random_gts(rng, spec: AnchorGridSpec, count: int) -> np.ndarray:
     return np.concatenate([gts, far])
 
 
-def stripped(anchors: AnchorSet) -> AnchorSet:
-    """The same boxes without grid tables: the pairwise kernels' input."""
-    return AnchorSet(anchors.boxes, anchors.level_offsets)
+def stripped(anchors: AnchorSet) -> np.ndarray:
+    """The same boxes as a plain array: the pairwise kernels' input."""
+    return np.array(anchors.boxes)
 
 
 def bits(values: np.ndarray) -> np.ndarray:
@@ -100,13 +102,15 @@ def test_grid_kernels_match_pairwise_bit_for_bit(monkeypatch, seed, block_pairs)
         monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
     rng = np.random.default_rng(600 + seed)
     spec = random_spec(rng)
-    grid_set = generate_anchors(spec)
-    assert grid_set.grid is not None
-    pair_set = stripped(grid_set)
     gts = random_gts(rng, spec, int(rng.integers(1, 12)))
     norm = DatasetNormalizers(float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0)))
     num = gts.shape[0]
+    for clip in (False, True):
+        check_grid_kernels(generate_anchors(dataclasses.replace(spec, clip=clip)), gts, norm)
 
+
+def check_grid_kernels(grid_set: AnchorSet, gts: np.ndarray, norm: DatasetNormalizers):
+    num = gts.shape[0]
     for anchors in (grid_set, *grid_set.level_sets):
         reference = stripped(anchors)
         ps = stacked(ps_rows(gts, anchors, norm), num)
@@ -132,7 +136,7 @@ def test_grid_kernels_match_pairwise_bit_for_bit(monkeypatch, seed, block_pairs)
                 )
 
     closed = accumulate(NormalizerAccumulator(), gts, grid_set)
-    pairwise = accumulate(NormalizerAccumulator(), gts, pair_set)
+    pairwise = accumulate(NormalizerAccumulator(), gts, stripped(grid_set))
     assert closed.pair_count == pairwise.pair_count == num * len(grid_set)
     assert closed.sum_x == pytest.approx(pairwise.sum_x, rel=1e-12, abs=0)
     assert closed.sum_y == pytest.approx(pairwise.sum_y, rel=1e-12, abs=0)
@@ -173,48 +177,46 @@ def test_zero_iou_gt_still_rescues_anchor_zero():
     assert_same_result(result, assign_with_metric(gts, stripped(grid_set), None, thr, Metric.IOU))
 
 
-def test_only_unclipped_generated_sets_take_the_grid_path(monkeypatch):
+def test_every_generated_set_takes_the_grid_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("grid kernel called")
 
-    spec = AnchorGridSpec(levels=((8.0, 16.0),), image_w=40.0, image_h=24.0, clip=True)
-    clipped = generate_anchors(spec)
-    assert clipped.grid is None
-    given = AnchorSet(generate_anchors(AnchorGridSpec(levels=((8.0, 16.0),), image_w=40.0,
-                                                      image_h=24.0)).boxes, ((0, 15),))
-    assert given.grid is None
     gts = np.array([[10.0, 10.0, 6.0, 6.0]])
     norm = DatasetNormalizers(0.5, 0.5)
-    monkeypatch.setattr(similarity, "_grid_ps_rows", refuse)
-    monkeypatch.setattr(similarity, "_grid_offset_sums", refuse)
-    monkeypatch.setattr(geometry, "_grid_iou_rows", refuse)
-    for anchors in (clipped, given, *clipped.level_sets):
-        for metric in Metric:
-            assign_with_metric(gts, anchors, norm, THRESHOLDS[0], metric)
-        accumulate(NormalizerAccumulator(), gts, anchors)
-    unclipped = generate_anchors(AnchorGridSpec(levels=((8.0, 16.0),), image_w=40.0, image_h=24.0))
-    with pytest.raises(AssertionError, match="grid kernel"):
-        assign_with_metric(gts, unclipped, norm, THRESHOLDS[0], Metric.IOU)
-    with pytest.raises(AssertionError, match="grid kernel"):
-        accumulate(NormalizerAccumulator(), gts, unclipped)
+    kernels = ((similarity, "_grid_ps_rows"), (similarity, "_grid_offset_sums"),
+               (geometry, "_grid_iou_rows"))
+    for module, name in kernels:
+        monkeypatch.setattr(module, name, refuse)
+    for clip in (False, True):
+        anchors = generate_anchors(AnchorGridSpec(levels=((8.0, 16.0), (16.0, 24.0)), image_w=40.0,
+                                                  image_h=24.0, clip=clip))
+        for part in (anchors, *anchors.level_sets):
+            for metric in Metric:
+                with pytest.raises(AssertionError, match="grid kernel"):
+                    assign_with_metric(gts, part, norm, THRESHOLDS[0], metric)
+            with pytest.raises(AssertionError, match="grid kernel"):
+                accumulate(NormalizerAccumulator(), gts, part)
+    # The same anchors as a plain array take the pairwise kernels.
+    for metric in Metric:
+        assign_with_metric(gts, stripped(anchors), norm, THRESHOLDS[0], metric)
+    accumulate(NormalizerAccumulator(), gts, stripped(anchors))
 
 
 def test_grid_tables_must_describe_the_boxes():
     anchors = generate_anchors(AnchorGridSpec(levels=((8.0, 8.0), (16.0, 16.0)),
                                               image_w=32.0, image_h=16.0, ratios=(0.5, 2.0)))
-    AnchorSet(anchors.boxes, anchors.level_offsets, anchors.grid)
-    with pytest.raises(ValueError, match="grid levels"):
-        AnchorSet(anchors.boxes, anchors.level_offsets, anchors.grid[:1])
-    with pytest.raises(ValueError, match="grid level of shape"):
-        AnchorSet(anchors.boxes, anchors.level_offsets, anchors.grid[::-1])
+    assert AnchorSet(anchors.grid).level_offsets == anchors.level_offsets == ((0, 16), (16, 20))
+    for bad in ((), (anchors.grid[0], anchors.boxes)):
+        with pytest.raises(ValueError, match="LevelGrid levels"):
+            AnchorSet(bad)
     level = anchors.grid[0]
-    shifted = LevelGrid(level.cx + 0.5, level.cy, level.ws, level.hs)
-    with pytest.raises(ValueError, match="do not match"):
-        AnchorSet(anchors.boxes, anchors.level_offsets, (shifted, anchors.grid[1]))
     with pytest.raises(ValueError, match="increasing"):
         LevelGrid(level.cx[::-1], level.cy, level.ws, level.hs)
     with pytest.raises(ValueError, match="same length"):
         LevelGrid(level.cx, level.cy, level.ws, level.hs[:1])
+    for clip in ((32.0,), (0.0, 16.0), (32.0, math.inf)):
+        with pytest.raises(ValueError, match="clip"):
+            LevelGrid(level.cx, level.cy, level.ws, level.hs, clip)
     assert not level.cx.flags.writeable
 
 
@@ -230,6 +232,11 @@ def test_anchor_count_is_known_before_any_anchor_is_made(monkeypatch):
     assert huge.num_anchors() == (10**12 // 16) ** 2
     with pytest.raises(ValueError, match="more than the"):
         generate_anchors(huge)
+    # A subnormal stride makes more cells than a float counts.
+    subnormal = AnchorGridSpec(levels=((5e-324, 16.0),), image_w=64.0, image_h=64.0)
+    assert subnormal.num_anchors() == math.inf
+    with pytest.raises(ValueError, match="more than the"):
+        generate_anchors(subnormal)
 
 
 def made_tables(anchors: AnchorSet) -> set:
@@ -237,9 +244,24 @@ def made_tables(anchors: AnchorSet) -> set:
     return {"boxes", "corners"} & set(vars(anchors))
 
 
+# SHA-256 of the boxes and corner table as generate_anchors made them
+# when it stored every anchor eagerly, and clipped every box one by one.
+DIGESTS = {
+    False: ("6c8ed9ad62f65281ed309f44d6090641972d49eed90c73caddcc318c3f963796",
+            "c794c5fd6828a12cd0f1da34376371d5071e784f08db4be6d24df412507dcff2"),
+    True: ("b8323864fbdcd73600c7336e562d54b3b6b068aba5678173657f428e2968a8fb",
+           "7015a9345d12d90516d38fa0002e87f16e94b7df7ea600077879e653a83313a8"),
+}
+
+
 def test_grid_set_makes_its_boxes_on_first_read():
+    for clip in (False, True):
+        check_boxes_made_on_first_read(clip)
+
+
+def check_boxes_made_on_first_read(clip: bool):
     spec = AnchorGridSpec(levels=((7.5, 8.0), (16.0, 16.0), (33.0, 40.0)), image_w=61.0,
-                          image_h=33.5, ratios=(0.5, 1.0, 3.0), scales=(1.0, 2.5))
+                          image_h=33.5, ratios=(0.5, 1.0, 3.0), scales=(1.0, 2.5), clip=clip)
     anchors = generate_anchors(spec)
     assert len(anchors) == spec.num_anchors()
     assert not made_tables(anchors)
@@ -248,22 +270,21 @@ def test_grid_set_makes_its_boxes_on_first_read():
     assert anchors.boxes is boxes
     assert boxes.flags.f_contiguous and not boxes.flags.writeable
     assert not anchors.corners.flags.writeable
-    # SHA-256 of the boxes and corner table as generate_anchors made them
-    # when it stored every anchor eagerly.
+
     def digest(values):
         return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
-    assert digest(boxes) == "6c8ed9ad62f65281ed309f44d6090641972d49eed90c73caddcc318c3f963796"
-    assert digest(anchors.corners) == "c794c5fd6828a12cd0f1da34376371d5071e784f08db4be6d24df412507dcff2"
-    # The public constructor accepts them with the same tables.
-    AnchorSet(boxes, anchors.level_offsets, anchors.grid)
+    assert (digest(boxes), digest(anchors.corners)) == DIGESTS[clip]
 
 
 def test_degenerate_anchor_shapes_are_rejected_without_the_box_scan():
     # Both sides underflow to 0.0: each anchor would be 0 wide and 0 tall.
-    tiny = AnchorGridSpec(levels=((16.0, 1e-200),), image_w=64.0, image_h=64.0, scales=(1e-200,))
+    # The spec itself rejects them, so no layout gets as far as a grid.
     with pytest.raises(ValueError, match="positive"):
-        generate_anchors(tiny)
+        AnchorGridSpec(levels=((16.0, 1e-200),), image_w=64.0, image_h=64.0, scales=(1e-200,))
+    # 1 / ratio overflows: each anchor would be infinitely wide.
+    with pytest.raises(ValueError, match="positive and finite"):
+        AnchorGridSpec(levels=((16.0, 16.0),), image_w=64.0, image_h=64.0, ratios=(1e-320,))
     level = generate_anchors(AnchorGridSpec(levels=((8.0, 8.0),), image_w=16.0, image_h=16.0,
                                             ratios=(0.5, 2.0))).grid[0]
     for bad in (0.0, -1.0):
@@ -280,8 +301,12 @@ def test_matrices_take_the_grid_kernels_and_match_the_pairwise_ones():
     rng = np.random.default_rng(44)
     spec = random_spec(rng)
     norm = DatasetNormalizers(0.7, 1.3)
-    grid_set = generate_anchors(spec)
     gts = random_gts(rng, spec, 9)
+    for clip in (False, True):
+        check_matrices(generate_anchors(dataclasses.replace(spec, clip=clip)), gts, norm)
+
+
+def check_matrices(grid_set: AnchorSet, gts: np.ndarray, norm: DatasetNormalizers):
     for anchors in (grid_set, *grid_set.level_sets):
         ps = ps_matrix(gts, anchors, norm)
         iou = iou_matrix(gts, anchors)
@@ -297,11 +322,17 @@ def test_scoring_a_grid_set_holds_no_per_anchor_table():
     # per-anchor box array is 32 bytes per anchor and the corner table 40;
     # the running best scores, matched gts, labels and one score row are
     # 25, so the peak stays under 64 bytes per anchor only without them.
-    spec = AnchorGridSpec(levels=((16.0, 16.0),), image_w=1600.0, image_h=1600.0,
-                          ratios=(0.5, 1.0, 2.0), scales=(8.0, 16.0, 32.0))
+    # Clipped, the shape term of a score row is per anchor too: 8 more.
     rng = np.random.default_rng(5)
     gts = np.column_stack([rng.uniform(0, 1600, 40), rng.uniform(0, 1600, 40),
                            rng.uniform(4, 300, 40), rng.uniform(4, 300, 40)])
+    for clip in (False, True):
+        spec = AnchorGridSpec(levels=((16.0, 16.0),), image_w=1600.0, image_h=1600.0,
+                              ratios=(0.5, 1.0, 2.0), scales=(8.0, 16.0, 32.0), clip=clip)
+        check_per_anchor_peak(spec, gts)
+
+
+def check_per_anchor_peak(spec: AnchorGridSpec, gts: np.ndarray):
     tracemalloc.start()
     try:
         anchors = generate_anchors(spec)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from smalldet import AnchorSet, cli, geometry, load_coco
+from smalldet import cli, geometry, load_coco, similarity
 from smalldet.cli import _map_in_order, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -337,28 +337,31 @@ def test_assign_per_level_and_jobs_agree(tmp_path, capsys):
 
 
 def test_assign_reports_do_not_depend_on_grid_tables(tmp_path, capsys, monkeypatch):
-    # The grid kernels (closed-form normalizers, factored PS, windowed IoU)
-    # against the pairwise ones, end to end with cold normalizers.
+    # The grid kernels (factored PS, windowed IoU) against the pairwise
+    # ones on the same boxes, end to end, unclipped and clipped. Both
+    # sides read one normalizer cache, so only the scoring kernels differ.
     ann = varied_dataset(tmp_path)
-    layout = '{"levels": [[4, 4], [8, 8]], "ratios": [0.5, 1, 2], "scales": [1, 2]}'
-    generate = cli.generate_anchors
-
-    def without_grid(spec):
-        anchors = generate(spec)
-        assert anchors.grid is not None
-        return AnchorSet(anchors.boxes, anchors.level_offsets)
-
-    for mode in ((), ("--per-level",)):
-        extra = ("--anchors", layout, "--buckets", "16,256", *mode)
-        with_tables = tmp_path / f"grid{len(mode)}"
-        assert main(assign_argv(ann, with_tables, extra=extra)) == 0
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "generate_anchors", without_grid)
-            without = tmp_path / f"pairwise{len(mode)}"
-            assert main(assign_argv(ann, without, extra=extra)) == 0
-        capsys.readouterr()
-        for name in ("report.json", "report.csv"):
-            assert (with_tables / name).read_bytes() == (without / name).read_bytes()
+    pairwise = (
+        (similarity, "_grid_ps_rows",
+         lambda g, a, norm, out: similarity._pair_ps_rows(g, a.boxes, norm, out)),
+        (geometry, "_grid_iou_rows", lambda ca, a, out: geometry._pair_iou_rows(ca, a.corners, out)),
+    )
+    for clip in ("false", "true"):
+        layout = f'{{"levels": [[4, 4], [8, 8]], "ratios": [0.5, 1, 2], "scales": [1, 2], "clip": {clip}}}'
+        cache = tmp_path / f"norm-{clip}.json"
+        assert main(["stats", "--ann", ann, "--anchors", layout, "--out", str(cache)]) == 0
+        for mode in ((), ("--per-level",)):
+            extra = ("--anchors", layout, "--cache", str(cache), "--buckets", "16,256", *mode)
+            with_tables = tmp_path / f"grid-{clip}{len(mode)}"
+            assert main(assign_argv(ann, with_tables, extra=extra)) == 0
+            with monkeypatch.context() as patch:
+                for module, name, kernel in pairwise:
+                    patch.setattr(module, name, kernel)
+                without = tmp_path / f"pairwise-{clip}{len(mode)}"
+                assert main(assign_argv(ann, without, extra=extra)) == 0
+            capsys.readouterr()
+            for name in ("report.json", "report.csv"):
+                assert (with_tables / name).read_bytes() == (without / name).read_bytes()
 
 
 def test_stats_and_assign_make_no_per_anchor_tables(tmp_path, capsys, monkeypatch):
@@ -431,6 +434,13 @@ def test_image_past_the_anchor_cap_is_a_data_error(tmp_path, capsys, monkeypatch
     ann = write_json(tmp_path / "huge.json", payload)
     code, _, err = run(capsys, assign_argv(ann, tmp_path / "r"))
     assert code == 2 and "images[1]" in err and "Traceback" not in err
+    # A subnormal stride overflows the cell count of every image: over any cap.
+    tiny = '{"levels": [[5e-324, 16]]}'
+    for argv in (assign_argv(ann, tmp_path / "r", extra=("--anchors", tiny)),
+                 ["stats", "--ann", ann, "--anchors", tiny, "--out", str(tmp_path / "c.json")]):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and err.startswith("data error:") and "Traceback" not in err
+        assert ann in err and "images[0]" in err and "more than the" in err
 
 
 def test_map_in_order_keeps_a_bounded_window():
@@ -703,6 +713,10 @@ def test_config_file_numbers_are_not_coerced(tmp_path, capsys, command, key, val
         ({"ratios": [True]}, "anchor ratios must be a number"),
         ({"scales": [1, False]}, "anchor scales must be a number"),
         ({"levels": [[True, 4]]}, "anchor levels must be a number"),
+        # Numbers that pass one by one but make degenerate anchor shapes.
+        ({"ratios": [1e-320]}, "anchor widths and heights must be positive and finite"),
+        ({"levels": [[16, 1e-200]], "scales": [1e-200]},
+         "anchor widths and heights must be positive and finite"),
     ],
 )
 def test_anchor_layout_rejects_non_boolean_clip_and_boolean_numbers(tmp_path, capsys, layout, message):
@@ -712,6 +726,7 @@ def test_anchor_layout_rejects_non_boolean_clip_and_boolean_numbers(tmp_path, ca
     code, _, err = run(capsys, argv)
     assert code == 1
     assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
     assert not cache.exists()
 
 
