@@ -104,7 +104,6 @@ def test_grid_kernels_match_pairwise_bit_for_bit(monkeypatch, seed, block_pairs)
     spec = random_spec(rng)
     gts = random_gts(rng, spec, int(rng.integers(1, 12)))
     norm = DatasetNormalizers(float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0)))
-    num = gts.shape[0]
     for clip in (False, True):
         check_grid_kernels(generate_anchors(dataclasses.replace(spec, clip=clip)), gts, norm)
 
