@@ -77,7 +77,10 @@ class AssignThresholds:
             ("min_pos_thr", 0.0, 1.0),
         ):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and lo <= v <= hi):
+            # bool is an int subclass; True must not pass as a threshold of 1
+            if isinstance(v, bool) or not (
+                isinstance(v, (int, float)) and math.isfinite(v) and lo <= v <= hi
+            ):
                 raise ValueError(f"{name} must be in [{lo}, {hi}], got {v!r}")
         if self.pos_thr <= 0:
             raise ValueError(f"pos_thr must be positive, got {self.pos_thr!r}")
@@ -356,7 +359,9 @@ def assignment_stats(
 
     Raises:
         ValueError: If results and gt_areas differ in length (found when
-            the shorter one runs out), or on bad edges or results.
+            the shorter one runs out), if an image's areas are not 1-d or
+            hold a non-finite or negative area (naming the image's
+            position), or on bad edges or results.
     """
     edges = check_bucket_edges(bucket_edges)
     metric = Metric(metric)
@@ -382,6 +387,13 @@ def assignment_stats(
         if not image_results:
             raise ValueError("each image needs at least one AssignResult")
         areas = np.asarray(areas, dtype=np.float64)
+        if areas.ndim != 1:
+            raise ValueError(f"gt areas of image {images - 1} must be 1-d, got shape {areas.shape}")
+        bad = areas[~(np.isfinite(areas) & (areas >= 0))]
+        if bad.size:
+            raise ValueError(
+                f"gt areas of image {images - 1} must be finite and non-negative, got {float(bad[0])!r}"
+            )
         num_gts = int(areas.shape[0])
         per_gt = np.zeros(num_gts, dtype=np.int64)
         for result in image_results:

@@ -166,7 +166,7 @@ class ExperimentConfig:
         ann: Annotation file path; the only field without a default.
         layout: Anchor grid layout applied to every image.
         thresholds: Assigner thresholds.
-        metrics: Metric names to run ("ps", "iou"); at least one.
+        metrics: Metric names to run ("ps", "iou"); at least one, none twice.
         bucket_edges: Area edges of the report buckets.
         cache_path: Normalizer cache file (written on miss, reused on hit).
         jobs: Worker threads for per-image work; 1 disables the pool.
@@ -192,6 +192,9 @@ class ExperimentConfig:
             raise CliUsageError(str(exc)) from exc
         if not self.metrics:
             raise CliUsageError("at least one metric is required")
+        for metric in self.metrics:
+            if self.metrics.count(metric) > 1:
+                raise CliUsageError(f"metric {metric!r} is given more than once")
         if self.jobs < 1:
             raise CliUsageError(f"jobs must be at least 1, got {self.jobs}")
 

@@ -397,13 +397,15 @@ def _clipped_axis(centers: np.ndarray, sides: np.ndarray, limit: float):
     return center, side
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelGrid:
     """One pyramid level of a regular anchor grid, as four small tables.
 
     The level's anchor at flat position (row * cols + col) * S + shape is
     (cx[col], cy[row], ws[shape], hs[shape]), where S = len(ws), with its
-    extents clamped to the image rectangle when clip is set.
+    extents clamped to the image rectangle when clip is set. Levels
+    compare and hash by identity, as AnchorSets do: an array field has no
+    single truth value.
 
     Attributes:
         cx: Column centers, strictly increasing, shape (cols,).

@@ -11,12 +11,13 @@ m averages |x_gt - x_anchor| / (w_gt + w_anchor), n averages the analogous
 y/height ratio. m weights both x-offset and width terms; n weights both
 y-offset and height terms.
 
-An AnchorSet (the grid tables generate_anchors makes) takes factored
-kernels: ps_rows builds the x, y and shape terms on small per-level
-tables and is bit-identical to the pairwise kernel. accumulate sums an
-unclipped level in closed form and a clipped one over its per-axis
-tables, so m and n may differ from the pairwise sums by a few ulps.
-Plain (N, 4) anchor arrays take the pairwise kernels.
+An AnchorSet (the grid tables generate_anchors makes) takes a factored
+kernel: ps_rows builds the x, y and shape terms on small per-level
+tables and is bit-identical to the pairwise kernel, which plain (N, 4)
+anchor arrays take. accumulate sums every input over per-axis tables,
+one level at a time in O(gts * (rows + cols) * shapes); a plain array
+is one level whose tables are its own columns, and its sums are the
+pairwise ones.
 """
 
 from __future__ import annotations
@@ -262,75 +263,41 @@ def accumulate(acc: NormalizerAccumulator, gts, anchors) -> NormalizerAccumulato
 
     Every (gt, anchor) pair contributes |x_g - x_a| / (w_g + w_a) to sum_x
     and |y_g - y_a| / (h_g + h_a) to sum_y; pair_count grows by
-    len(gts) * len(anchors). The pairs are summed per gt row block (see
-    geometry.row_blocks), in O(anchors) working memory. For an AnchorSet
-    the sums are taken per level from its grid tables instead (see
-    _grid_offset_sums); they then differ from the pairwise sums only by
-    rounding, a few ulps, and the set's boxes are never made. Empty
-    inputs leave the accumulator unchanged.
+    len(gts) * len(anchors). The pairs are summed per level over its
+    per-axis tables (LevelGrid.axes): each x entry stands for rows
+    anchors and each y entry for cols, so a level costs O(gts * (rows +
+    cols) * S), in row blocks of bounded working memory (see
+    _offset_sum), and the set's boxes are never made. A plain (N, 4)
+    array is one level of one row and one column whose tables are its
+    own x/w and y/h columns. Empty inputs leave the accumulator unchanged.
     """
     g = boxes_to_array(gts)
-    a = anchors if isinstance(anchors, AnchorSet) else np.asfortranarray(boxes_to_array(anchors))
-    if g.shape[0] == 0 or len(a) == 0:
-        return acc
-    pair_count = acc.pair_count + g.shape[0] * len(a)
-    if isinstance(a, AnchorSet):
-        sum_x, sum_y = _grid_offset_sums(acc, g, a.grid)
-        return NormalizerAccumulator(sum_x, sum_y, pair_count)
-    sum_x = _offset_sum(acc.sum_x, g[:, 0], g[:, 2], a[:, 0], a[:, 2])
-    sum_y = _offset_sum(acc.sum_y, g[:, 1], g[:, 3], a[:, 1], a[:, 3])
+    if isinstance(anchors, AnchorSet):
+        levels = [(level.shape[0], level.shape[1], level.axes) for level in anchors.grid]
+    else:
+        a = boxes_to_array(anchors)
+        levels = [(1, 1, ((a[:, 0, None], a[:, 2, None]), (a[:, 1, None], a[:, 3, None])))]
+    sum_x, sum_y, pair_count = acc.sum_x, acc.sum_y, acc.pair_count
+    for rows, cols, ((x, w), (y, h)) in levels:
+        sum_x += rows * _offset_sum(g[:, 0], g[:, 2], x, w)
+        sum_y += cols * _offset_sum(g[:, 1], g[:, 3], y, h)
+        pair_count += g.shape[0] * rows * np.broadcast(x, w).size
     return NormalizerAccumulator(sum_x, sum_y, pair_count)
 
 
-def _offset_sum(total: float, gc: np.ndarray, gs: np.ndarray, centers: np.ndarray,
-                sides: np.ndarray) -> float:
-    """total plus sum |gc - centers| / (gs + sides) over every (gt, anchor)
-    pair, for 1-d gt and anchor centers and sides, one row block at a time."""
-    for rows in row_blocks(gc.size, centers.size):
-        d = gc[rows, None] - centers
+def _offset_sum(gc: np.ndarray, gs: np.ndarray, centers: np.ndarray, sides: np.ndarray) -> float:
+    """sum |gc - centers| / (gs + sides) over every gt and every entry of
+    the 2-d table that centers and sides broadcast to, for 1-d gt centers
+    and sides, one row block of gts at a time."""
+    table = np.broadcast(centers, sides)
+    total = 0.0
+    for rows in row_blocks(gc.size, table.size):
+        g = gc[rows, None, None]
+        d = np.subtract(g, centers, out=np.empty((g.shape[0],) + table.shape))
         np.abs(d, out=d)
-        d /= gs[rows, None] + sides
+        d /= gs[rows, None, None] + sides
         total += float(d.sum())
     return total
-
-
-def _abs_offset_sums(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """sum_c |p - centers[c]| for each point p, for increasing centers.
-
-    Prefix sums split at searchsorted: the centers below p contribute
-    k * p - prefix[k], the ones above (total - prefix[k]) - (C - k) * p.
-    """
-    prefix = np.concatenate(([0.0], np.cumsum(centers)))
-    k = np.searchsorted(centers, points)
-    below = k * points - prefix[k]
-    above = (prefix[-1] - prefix[k]) - (centers.size - k) * points
-    # Both are sums of non-negative terms; rounding must not make them negative.
-    return np.maximum(below, 0.0) + np.maximum(above, 0.0)
-
-
-def _grid_offset_sums(acc: NormalizerAccumulator, g: np.ndarray, grid) -> tuple[float, float]:
-    """acc's sums plus the offset sums of g against every anchor of a grid.
-
-    The anchors of a level are every (row, column, shape), so for one gt
-    the x sum is rows times its sum over the (cols, S) x table, and the y
-    sum cols times its sum over the (rows, S) y table. Unclipped, that
-    sum is sum_c |x_g - cx_c| * sum_s 1 / (w_g + w_s), in O(gts * S) per
-    level; clipped, _offset_sum runs over the tables in row blocks.
-    """
-    sum_x = acc.sum_x
-    sum_y = acc.sum_y
-    for level in grid:
-        rows, cols, _ = level.shape
-        if level.clip is None:
-            dx = rows * _abs_offset_sums(level.cx, g[:, 0])
-            dy = cols * _abs_offset_sums(level.cy, g[:, 1])
-            sum_x += float((dx[:, None] / (g[:, 2, None] + level.ws)).sum())
-            sum_y += float((dy[:, None] / (g[:, 3, None] + level.hs)).sum())
-        else:
-            (x, w), (y, h) = level.axes
-            sum_x += rows * _offset_sum(0.0, g[:, 0], g[:, 2], x.ravel(), w.ravel())
-            sum_y += cols * _offset_sum(0.0, g[:, 1], g[:, 3], y.ravel(), h.ravel())
-    return sum_x, sum_y
 
 
 def finalize(acc: NormalizerAccumulator) -> DatasetNormalizers:

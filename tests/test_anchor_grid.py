@@ -134,11 +134,11 @@ def check_grid_kernels(grid_set: AnchorSet, gts: np.ndarray, norm: DatasetNormal
                     assign_with_metric(gts, reference, norm, thr, metric),
                 )
 
-    closed = accumulate(NormalizerAccumulator(), gts, grid_set)
+    tables = accumulate(NormalizerAccumulator(), gts, grid_set)
     pairwise = accumulate(NormalizerAccumulator(), gts, stripped(grid_set))
-    assert closed.pair_count == pairwise.pair_count == num * len(grid_set)
-    assert closed.sum_x == pytest.approx(pairwise.sum_x, rel=1e-12, abs=0)
-    assert closed.sum_y == pytest.approx(pairwise.sum_y, rel=1e-12, abs=0)
+    assert tables.pair_count == pairwise.pair_count == num * len(grid_set)
+    assert tables.sum_x == pytest.approx(pairwise.sum_x, rel=1e-12, abs=0)
+    assert tables.sum_y == pytest.approx(pairwise.sum_y, rel=1e-12, abs=0)
 
 
 def test_one_cell_grids_and_a_gt_on_a_center():
@@ -150,9 +150,9 @@ def test_one_cell_grids_and_a_gt_on_a_center():
     # gts exactly on the only center, left of it, right of it.
     gts = np.array([[32.0, 32.0, 4.0, 4.0], [1.0, 70.0, 2.0, 9.0], [200.0, 5.0, 30.0, 3.0]])
     norm = finalize(accumulate(NormalizerAccumulator(), gts, stripped(grid_set)))
-    closed = accumulate(NormalizerAccumulator(), gts, grid_set)
-    assert closed.sum_x == pytest.approx(norm.m * closed.pair_count, rel=1e-12, abs=0)
-    assert closed.sum_y == pytest.approx(norm.n * closed.pair_count, rel=1e-12, abs=0)
+    tables = accumulate(NormalizerAccumulator(), gts, grid_set)
+    assert tables.sum_x == pytest.approx(norm.m * tables.pair_count, rel=1e-12, abs=0)
+    assert tables.sum_y == pytest.approx(norm.n * tables.pair_count, rel=1e-12, abs=0)
     for metric in Metric:
         assert_same_result(
             assign_with_metric(gts, grid_set, norm, THRESHOLDS[1], metric),
@@ -182,8 +182,7 @@ def test_every_generated_set_takes_the_grid_path(monkeypatch):
 
     gts = np.array([[10.0, 10.0, 6.0, 6.0]])
     norm = DatasetNormalizers(0.5, 0.5)
-    kernels = ((similarity, "_grid_ps_rows"), (similarity, "_grid_offset_sums"),
-               (geometry, "_grid_iou_rows"))
+    kernels = ((similarity, "_grid_ps_rows"), (geometry, "_grid_iou_rows"))
     for module, name in kernels:
         monkeypatch.setattr(module, name, refuse)
     for clip in (False, True):
@@ -193,8 +192,9 @@ def test_every_generated_set_takes_the_grid_path(monkeypatch):
             for metric in Metric:
                 with pytest.raises(AssertionError, match="grid kernel"):
                     assign_with_metric(gts, part, norm, THRESHOLDS[0], metric)
-            with pytest.raises(AssertionError, match="grid kernel"):
-                accumulate(NormalizerAccumulator(), gts, part)
+            # accumulate reads the grid tables alone: the set's boxes are never made.
+            accumulate(NormalizerAccumulator(), gts, part)
+            assert not made_tables(part)
     # The same anchors as a plain array take the pairwise kernels.
     for metric in Metric:
         assign_with_metric(gts, stripped(anchors), norm, THRESHOLDS[0], metric)
@@ -345,3 +345,32 @@ def check_per_anchor_peak(spec: AnchorGridSpec, gts: np.ndarray):
     assert len(anchors) == 90_000
     assert peak < 64 * len(anchors), f"{peak / len(anchors):.1f} bytes per anchor"
     assert not made_tables(anchors)
+
+
+def test_accumulate_memory_does_not_grow_with_the_image():
+    # The default CLI layout on an 8000x6000 image: 1.69M anchors. The
+    # per-axis tables are (500, 9) and (375, 9), so a row block of gts
+    # costs two 512 KiB temporaries at most, whatever the anchor count.
+    rng = np.random.default_rng(8)
+    gts = np.column_stack([rng.uniform(0, 8000, 100), rng.uniform(0, 6000, 100),
+                           rng.uniform(4, 300, 100), rng.uniform(4, 300, 100)])
+    for clip in (False, True):
+        anchors = generate_anchors(AnchorGridSpec(
+            levels=((16.0, 16.0),), image_w=8000.0, image_h=6000.0,
+            ratios=(0.5, 1.0, 2.0), scales=(8.0, 16.0, 32.0), clip=clip))
+        tracemalloc.start()
+        try:
+            acc = accumulate(NormalizerAccumulator(), gts, anchors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert acc.pair_count == 100 * len(anchors) == 168_750_000
+        assert peak < 2 << 20, f"{peak / 2**20:.2f} MiB"
+        assert not made_tables(anchors)
+
+
+def test_level_grids_compare_and_hash_by_identity():
+    spec = AnchorGridSpec(levels=((8.0, 8.0),), image_w=32.0, image_h=16.0)
+    level, twin = generate_anchors(spec).grid[0], generate_anchors(spec).grid[0]
+    assert level == level and level != twin
+    assert hash(level) == hash(level) and len({level, twin}) == 2

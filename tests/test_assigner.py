@@ -64,6 +64,9 @@ def test_threshold_defaults_and_validation():
         AssignThresholds(neg_thr=1.0)
     with pytest.raises(ValueError):
         AssignThresholds(min_pos_thr=1.5)
+    for bad in (dict(pos_thr=True), dict(neg_thr=False), dict(min_pos_thr=True)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            AssignThresholds(**bad)
 
 
 def test_assign_no_gts_all_negative():
@@ -384,7 +387,7 @@ def test_anchor_set_is_read_only_and_scores_like_a_writable_copy():
     rng = np.random.default_rng(37)
     gts = np.column_stack([rng.uniform(0, 96, (5, 2)), rng.uniform(2, 40, (5, 2))])
     norm = finalize(accumulate(NormalizerAccumulator(), gts, copy))
-    # The set's grid tables give the sums in closed form, equal up to rounding.
+    # The set's per-axis tables give the same sums up to rounding.
     from_set = accumulate(NormalizerAccumulator(), gts, anchor_set)
     from_copy = accumulate(NormalizerAccumulator(), gts, copy)
     assert from_set.pair_count == from_copy.pair_count
@@ -511,6 +514,21 @@ def test_stats_rejects_unequal_lengths_in_either_direction():
             assignment_stats(extra_results, extra_areas, DEFAULT, Metric.PS)
         with pytest.raises(ValueError, match="gt area lists"):
             assignment_stats(iter(extra_results), iter(extra_areas), DEFAULT, Metric.PS)
+
+
+def test_stats_rejects_bad_areas_naming_the_image():
+    results, areas = random_image_results(np.random.default_rng(40), images=3)
+    num_gts = len(areas[1])
+    assert num_gts > 0
+    for bad, match in (
+        (np.full((num_gts, 1), 50.0), r"image 1 must be 1-d, got shape"),
+        (np.array(5.0), r"image 1 must be 1-d, got shape \(\)"),
+        (np.full(num_gts, np.nan), r"image 1 must be finite and non-negative, got nan"),
+        (np.full(num_gts, np.inf), r"image 1 must be finite and non-negative, got inf"),
+        (np.full(num_gts, -5.0), r"image 1 must be finite and non-negative, got -5.0"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            assignment_stats(results, [areas[0], bad, areas[2]], DEFAULT, Metric.PS)
 
 
 def test_stats_does_not_retain_results():

@@ -1,6 +1,7 @@
 """Command-line surface: config handling, outputs, and exit codes."""
 
 import dataclasses
+import importlib
 import json
 import logging
 import math
@@ -225,6 +226,22 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code, _, err = run(capsys, ["stats", "--config", config, "--out", str(tmp_path / "c.json")])
     assert code == 1
     assert "bogus" in err
+
+
+def test_repeated_metric_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def no_load(*args):
+        raise AssertionError("a refused run must not read the annotation file")
+
+    monkeypatch.setattr(cli, "load_coco", no_load)
+    ann = mini_dataset(tmp_path)
+    config = write_json(tmp_path / "config.json", {"ann": ann, "metrics": ["iou", "ps", "iou"]})
+    out = tmp_path / "r"
+    for argv in (["--ann", ann, "--metrics", "iou,iou"], ["--config", config]):
+        code, stdout, err = run(capsys, ["assign", *argv, "--out", str(out)])
+        assert code == 1
+        assert err.startswith("error:") and "'iou'" in err
+        assert stdout == ""
+    assert not out.exists()
 
 
 def varied_dataset(tmp_path):
@@ -547,6 +564,26 @@ def test_contrast_demo_losses_match_benchmark_pins(capsys):
         assert all(math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0) for g, w in zip(got, want)), (
             seed, got, want
         )
+
+
+def test_assign_reports_match_benchmark_pins(capsys, tmp_path, monkeypatch):
+    """Seed 0 of both COCO workloads, written by the benchmark's generator
+    and assigned on a cold cache, gives the report the benchmark pins: a
+    change that moves any count of a report fails here."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    bench = importlib.import_module("run")
+    synth = importlib.import_module("synth")
+    pins = json.loads(bench.PINNED.read_text(encoding="utf-8"))
+    for name in ("coco-sparse-warm", "coco-dense-cold"):
+        work = tmp_path / name
+        work.mkdir()
+        dataset = synth.write_coco(work / "ann.json", bench.WORKLOADS[name].shape, 0)
+        code, _, _ = run(capsys, ["assign", "--ann", str(dataset.path), "--metrics", "ps,iou",
+                                  "--jobs", "1", "--cache", str(work / "norm.json"),
+                                  "--out", str(work / "out")])
+        assert code == 0
+        doc = json.loads((work / "out" / "report.json").read_text(encoding="utf-8"))
+        assert bench.report_digest(doc) == pins[name]["0"]["report_digest"], name
 
 
 def test_usage_errors(capsys, tmp_path, monkeypatch):
