@@ -500,8 +500,13 @@ def cmd_contrast_demo(cfg: ContrastDemoConfig) -> int:
         include_same_image_other_levels=cfg.include_same_image,
         l2_normalize=cfg.l2_normalize,
     )
-    l_spatial = spatial_loss(batch, contrast_cfg)
-    l_semantic = semantic_loss(batch, contrast_cfg)
+    try:
+        # The losses raise ValueError, naming the loss, when its logits
+        # overflow (a tiny --tau); that ends the demo as a usage error.
+        l_spatial = spatial_loss(batch, contrast_cfg)
+        l_semantic = semantic_loss(batch, contrast_cfg)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from exc
     components = LossComponents(
         spatial_loss=l_spatial,
         semantic_loss=l_semantic,

@@ -5,18 +5,33 @@ level and image: a spatial loss pulling each fused embedding toward its own
 lateral embedding, and a semantic loss pulling each fused semantic embedding
 toward the one a level above it. Negatives come from other images in the
 batch (and optionally, for the spatial loss, from other levels of the same
-image). Both losses are plain means over their terms. Each loss computes
-all its terms at once: one logits matrix of queries against the stacked
-lateral and fused keys, with a boolean mask selecting every term's
-negatives. Results are deterministic: repeated calls on the same batch and
-config return identical values.
+image). Both losses are plain means over their terms.
+
+Every InfoNCE caller runs one forward and one backward function. The
+forward scores all of a loss's terms at once: one logits matrix of queries
+against the stacked lateral and fused keys, with a boolean mask selecting
+every term's negatives, and a max-shifted log-sum-exp. It keeps the shifted
+exponentials, from which the backward takes the gradients in two matrix
+products. spatial_loss and semantic_loss save their forward on the batch,
+one entry per loss, under their ContrastConfig; contrast_grad with an
+equal config takes those entries, runs only the backward and drops them,
+and otherwise runs the forward itself. A batch so holds a saved forward
+only between its losses and its gradient: per loss, the (T, 2 * L * N)
+exponentials and the stacked keys, 4.3 MB for both losses at L=5, N=64,
+D=128 (5.3 MB with the unit-normalized views under l2_normalize). The
+batch's arrays are read-only copies, so what was saved cannot go stale.
+
+A loss whose positive logit or largest logit is not finite (the logits
+overflow at a tiny tau or for huge embeddings) raises ValueError naming
+the loss. Results are deterministic: repeated calls on the same batch and
+config, in any order, return identical values.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +51,11 @@ __all__ = [
 ]
 
 _ARRAY_NAMES = ("spatial_lateral", "semantic_lateral", "spatial_fused", "semantic_fused")
+# Each loss and the (lateral, fused) arrays it reads.
+_LOSS_FAMILIES = {
+    "spatial_loss": ("spatial_lateral", "spatial_fused"),
+    "semantic_loss": ("semantic_lateral", "semantic_fused"),
+}
 # Bytes of perturbed inputs and logits, with the kernel's temporaries, that
 # gradient_check scores per pass: 15 coordinates (30 perturbed batches) at
 # the demo's L=4, N=3, D=16. Much larger blocks save little time and raise
@@ -46,27 +66,32 @@ _CHECK_BLOCK_BYTES = 1 << 20
 def _check_tau(tau) -> None:
     # bool is an int subclass; True must not pass as tau = 1
     if isinstance(tau, bool) or not (
-        isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0
+        isinstance(tau, (int, float, np.floating)) and math.isfinite(tau) and tau > 0
     ):
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
 
 
 def _as_embedding_array(name: str, value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
+    """A read-only float64 copy of value, checked to be a finite (L, N, D) array."""
+    arr = np.array(value, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"{name} must have shape (levels, images, dim), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
+    arr.flags.writeable = False
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingBatch:
     """Four embedding families over a pyramid batch.
 
     Each array has shape (L, N, D): pyramid level, image, embedding
     dimension. Spatial and semantic embeddings each come in a lateral
-    (pre-fusion) and fused (post-fusion) variant.
+    (pre-fusion) and fused (post-fusion) variant. The batch keeps
+    read-only float64 copies of the arrays it is given, and it compares
+    and hashes by identity: between a loss and contrast_grad it holds
+    that loss's saved forward.
 
     Attributes:
         spatial_lateral: Spatial embeddings of the lateral features.
@@ -79,6 +104,10 @@ class EmbeddingBatch:
     semantic_lateral: np.ndarray
     spatial_fused: np.ndarray
     semantic_fused: np.ndarray
+    # Loss name -> (config, terms, forward) of the loss's last evaluation.
+    # An entry is fixed by the read-only arrays and its config, so threads
+    # sharing a batch can at worst make contrast_grad run a forward again.
+    _saved: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         arrays = {}
@@ -121,6 +150,10 @@ class ContrastConfig:
 
     def __post_init__(self) -> None:
         _check_tau(self.tau)
+        for name in ("include_same_image_other_levels", "l2_normalize"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +177,8 @@ class LossComponents:
     def __post_init__(self) -> None:
         for name in ("spatial_loss", "semantic_loss", "detector_loss", "alpha"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            # bool is an int subclass; True must not pass as a value of 1
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValueError(f"{name} must be finite, got {v!r}")
             if v < 0:
                 raise ValueError(f"{name} must be non-negative, got {v!r}")
@@ -179,30 +213,26 @@ def _negative_mask(levels: int, images: int, query_levels: int, include_same_ima
     return mask
 
 
-def _spatial_terms(lateral: np.ndarray, fused: np.ndarray, include_same_image: bool):
-    """Queries, positive keys, keys and negative mask of the spatial loss.
+def _loss_terms(name: str, arrays, cfg: ContrastConfig):
+    """Queries, positive keys, keys and negative mask of the named loss.
 
-    The embeddings have shape (..., L, N, D); any leading axes carry over to
-    the queries and keys, and the mask is shared by all of them.
+    arrays maps each of _ARRAY_NAMES to its (..., L, N, D) embeddings; the
+    loss reads its lateral and fused family, unit-normalized under
+    cfg.l2_normalize. Any leading axes carry over to the queries and keys,
+    and the mask is shared by all of them. The spatial queries are the
+    fused embeddings and their positives the lateral ones; the semantic
+    queries are the fused embeddings below the top level and their
+    positives the fused ones a level up.
     """
+    lateral, fused = _loss_views(tuple(arrays[a] for a in _LOSS_FAMILIES[name]), cfg)
     *lead, levels, images, dim = lateral.shape
-    return (
-        fused.reshape(*lead, -1, dim),
-        lateral.reshape(*lead, -1, dim),
-        _stack_keys(lateral, fused),
-        _negative_mask(levels, images, levels, include_same_image),
-    )
-
-
-def _semantic_terms(lateral: np.ndarray, fused: np.ndarray):
-    """Queries, positive keys, keys and negative mask of the semantic loss."""
-    *lead, levels, images, dim = lateral.shape
-    return (
-        fused[..., :-1, :, :].reshape(*lead, -1, dim),
-        fused[..., 1:, :, :].reshape(*lead, -1, dim),
-        _stack_keys(lateral, fused),
-        _negative_mask(levels, images, levels - 1, False),
-    )
+    keys = _stack_keys(lateral, fused)
+    if name == "spatial_loss":
+        mask = _negative_mask(levels, images, levels, cfg.include_same_image_other_levels)
+        return fused.reshape(*lead, -1, dim), lateral.reshape(*lead, -1, dim), keys, mask
+    mask = _negative_mask(levels, images, levels - 1, False)
+    queries = fused[..., :-1, :, :].reshape(*lead, -1, dim)
+    return queries, fused[..., 1:, :, :].reshape(*lead, -1, dim), keys, mask
 
 
 def _check_vectors(q, k_pos, negatives):
@@ -220,40 +250,67 @@ def _check_vectors(q, k_pos, negatives):
     return q, k, negs
 
 
-def _masked_info_nce(q, k, keys, mask, tau: float, grad: bool = False):
+def _info_nce_forward(q, k, keys, mask, tau: float):
     """Row-wise InfoNCE of (..., T, D) queries q against positive keys k.
 
     Row t takes as negatives the rows of keys (..., K, D) where mask[t] is
     true; leading axes are independent problems sharing the (T, K) mask.
     Its loss is the log-sum-exp of its logits minus the positive logit,
     with the maximum logit shifted out so large logits stay finite; a row
-    without negatives gives exactly 0.
+    without negatives gives exactly 0. A loss is finite exactly when its
+    positive logit and its maximum logit are; overflowing logits make it
+    non-finite without a numpy warning, and _finite says so.
 
-    With p[t, 0] the softmax weight of row t's positive and p[t, r] that of
-    key r (0 where mask[t, r] is false), the gradients of the summed
-    losses are ((p[t, 0] - 1) * k_t + sum_r p[t, r] * keys_r) / tau for
+    Returns:
+        (losses, e_pos, e_neg, total): the (..., T) losses, the shifted
+        exponentials of the positive logits (..., T) and of the negative
+        logits (..., T, K), 0 where mask is false, and their (..., T) sums.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = np.einsum("...td,...td->...t", q, k) / tau
+        neg = np.where(mask, (q @ np.swapaxes(keys, -1, -2)) / tau, -np.inf)
+        top = np.maximum(pos, neg.max(axis=-1, initial=-np.inf))
+        e_pos = np.exp(pos - top)
+        e_neg = np.exp(neg - top[..., None])
+        total = e_pos + e_neg.sum(axis=-1)
+        losses = top + np.log(total) - pos
+    return losses, e_pos, e_neg, total
+
+
+def _info_nce_backward(q, k, keys, forward, tau: float):
+    """Gradients of the summed losses of a finite _info_nce_forward pass.
+
+    With p[t, 0] = e_pos[t] / total[t] the softmax weight of row t's
+    positive and p[t, r] = e_neg[t, r] / total[t] that of key r, the
+    gradients are ((p[t, 0] - 1) * k_t + sum_r p[t, r] * keys_r) / tau for
     q_t, (p[t, 0] - 1) * q_t / tau for k_t, and sum_t p[t, r] * q_t / tau
     for keys_r.
 
     Returns:
-        The (..., T) losses; with grad, the tuple (losses, grad_q, grad_k,
-        grad_keys).
+        (grad_q, grad_k, grad_keys), shaped like q, k and keys.
     """
-    pos = np.einsum("...td,...td->...t", q, k) / tau
-    neg = np.where(mask, (q @ np.swapaxes(keys, -1, -2)) / tau, -np.inf)
-    top = np.maximum(pos, neg.max(axis=-1, initial=-np.inf))
-    e_pos = np.exp(pos - top)
-    e_neg = np.exp(neg - top[..., None])
-    total = e_pos + e_neg.sum(axis=-1)
-    losses = top + np.log(total) - pos
-    if not grad:
-        return losses
+    _, e_pos, e_neg, total = forward
     d_pos = (e_pos / total - 1.0)[..., None]
     p_neg = e_neg / total[..., None]
     grad_q = (d_pos * k + p_neg @ keys) / tau
     grad_k = d_pos * q / tau
     grad_keys = np.swapaxes(p_neg, -1, -2) @ q / tau
-    return losses, grad_q, grad_k, grad_keys
+    return grad_q, grad_k, grad_keys
+
+
+def _finite(name: str, forward, tau: float):
+    """forward, once its losses are all finite; else a ValueError naming the loss."""
+    if not np.all(np.isfinite(forward[0])):
+        raise ValueError(f"{name}: a positive or maximum logit is not finite at tau={tau!r}")
+    return forward
+
+
+def _single_term(name: str, q, k_pos, negatives, tau: float):
+    """Checked terms and forward pass of one (query, positive, negatives) term."""
+    _check_tau(tau)
+    q, k, negs = _check_vectors(q, k_pos, negatives)
+    terms = q[None], k[None], negs, np.ones((1, negs.shape[0]), dtype=bool)
+    return terms, _finite(name, _info_nce_forward(*terms, tau), tau)
 
 
 def info_nce(q, k_pos, negatives, tau: float) -> float:
@@ -261,7 +318,8 @@ def info_nce(q, k_pos, negatives, tau: float) -> float:
 
     Computes -log(exp(q.k/tau) / (exp(q.k/tau) + sum_s exp(q.s/tau)))
     through a max-shifted log-sum-exp, so large logits stay finite. An
-    empty negative set gives exactly 0.
+    empty negative set gives exactly 0. A positive or largest logit that
+    overflows raises ValueError.
 
     Args:
         q: Query vector.
@@ -273,10 +331,8 @@ def info_nce(q, k_pos, negatives, tau: float) -> float:
     Returns:
         Non-negative loss value.
     """
-    _check_tau(tau)
-    q, k, negs = _check_vectors(q, k_pos, negatives)
-    every = np.ones((1, negs.shape[0]), dtype=bool)
-    return float(_masked_info_nce(q[None], k[None], negs, every, tau)[0])
+    _, forward = _single_term("info_nce", q, k_pos, negatives, tau)
+    return float(forward[0][0])
 
 
 def info_nce_grad(q, k_pos, negatives, tau: float):
@@ -290,10 +346,8 @@ def info_nce_grad(q, k_pos, negatives, tau: float):
         Tuple (grad_q, grad_k, grad_negatives) with grad_negatives of
         shape (K, D).
     """
-    _check_tau(tau)
-    q, k, negs = _check_vectors(q, k_pos, negatives)
-    every = np.ones((1, negs.shape[0]), dtype=bool)
-    _, grad_q, grad_k, grad_negs = _masked_info_nce(q[None], k[None], negs, every, tau, grad=True)
+    (q, k, negs, _), forward = _single_term("info_nce_grad", q, k_pos, negatives, tau)
+    grad_q, grad_k, grad_negs = _info_nce_backward(q, k, negs, forward, tau)
     return grad_q[0], grad_k[0], grad_negs
 
 
@@ -303,7 +357,7 @@ def _arrays(batch: EmbeddingBatch) -> tuple[np.ndarray, ...]:
 
 
 def _loss_views(arrays, cfg: ContrastConfig):
-    """The four (..., L, N, D) embedding arrays as the losses see them.
+    """The (..., L, N, D) embedding arrays as the losses see them.
 
     Identity by default; unit-normalized copies under cfg.l2_normalize.
     """
@@ -318,15 +372,17 @@ def _loss_views(arrays, cfg: ContrastConfig):
     return tuple(out)
 
 
-def _spatial_losses(sp_lat: np.ndarray, sp_fus: np.ndarray, cfg: ContrastConfig) -> np.ndarray:
-    """Mean spatial contrast over the last three axes of (..., L, N, D) views."""
-    terms = _spatial_terms(sp_lat, sp_fus, cfg.include_same_image_other_levels)
-    return _masked_info_nce(*terms, cfg.tau).mean(axis=-1)
+def _loss_forward(batch: EmbeddingBatch, name: str, cfg: ContrastConfig):
+    """Terms and checked forward pass of the named loss on the batch."""
+    terms = _loss_terms(name, vars(batch), cfg)
+    return terms, _finite(name, _info_nce_forward(*terms, cfg.tau), cfg.tau)
 
 
-def _semantic_losses(se_lat: np.ndarray, se_fus: np.ndarray, cfg: ContrastConfig) -> np.ndarray:
-    """Mean semantic contrast over the last three axes of (..., L, N, D) views."""
-    return _masked_info_nce(*_semantic_terms(se_lat, se_fus), cfg.tau).mean(axis=-1)
+def _saved_loss(batch: EmbeddingBatch, name: str, cfg: ContrastConfig) -> float:
+    """The named loss's mean, with its forward saved on the batch for contrast_grad."""
+    terms, forward = _loss_forward(batch, name, cfg)
+    batch._saved[name] = (cfg, terms, forward)
+    return float(forward[0].mean(axis=-1))
 
 
 def spatial_loss(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig()) -> float:
@@ -336,10 +392,11 @@ def spatial_loss(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig()) 
     spatial_lateral[x, y]. Its negatives are the lateral and fused spatial
     embeddings of every other image at every level, 2 * L * (N - 1) of
     them; with cfg.include_same_image_other_levels, image y's own at the
-    other L - 1 levels join them. The mean runs over all L * N terms.
+    other L - 1 levels join them. The mean runs over all L * N terms. The
+    forward pass stays saved on the batch, replacing any earlier one of
+    this loss, until contrast_grad takes it.
     """
-    sp_lat, _, sp_fus, _ = _loss_views(_arrays(batch), cfg)
-    return float(_spatial_losses(sp_lat, sp_fus, cfg))
+    return _saved_loss(batch, "spatial_loss", cfg)
 
 
 def semantic_loss(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig()) -> float:
@@ -349,10 +406,10 @@ def semantic_loss(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig())
     semantic_fused[x + 1, y] (the fused embedding one level up). Its
     negatives are the lateral and fused semantic embeddings of every other
     image at every level, 2 * L * (N - 1) of them. The mean runs over
-    (L - 1) * N terms.
+    (L - 1) * N terms. The forward pass stays saved on the batch, as
+    spatial_loss's does.
     """
-    _, se_lat, _, se_fus = _loss_views(_arrays(batch), cfg)
-    return float(_semantic_losses(se_lat, se_fus, cfg))
+    return _saved_loss(batch, "semantic_loss", cfg)
 
 
 @dataclass(frozen=True)
@@ -379,20 +436,29 @@ def contrast_grad(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig())
     Each embedding accumulates contributions from every term it enters as
     query, positive key, or negative, scaled by the loss means' 1/(L*N)
     and 1/((L-1)*N) weights. Under cfg.l2_normalize the gradient is taken
-    through the normalization.
+    through the normalization. A loss's forward pass saved on the batch
+    under an equal cfg is reused, and the call leaves no saved forward on
+    the batch.
     """
-    sp_lat, se_lat, sp_fus, se_fus = _loss_views(_arrays(batch), cfg)
+    saved = dict(batch._saved)
+    batch._saved.clear()
     levels, images, dim = batch.shape
+    grads = {}
+    for name in _LOSS_FAMILIES:
+        entry = saved.get(name)
+        if entry is not None and entry[0] == cfg:
+            terms, forward = entry[1:]
+        else:
+            terms, forward = _loss_forward(batch, name, cfg)
+        g_q, g_k, g_keys = _info_nce_backward(*terms[:3], forward, cfg.tau)
+        grads[name] = g_q, g_k, g_keys.reshape(levels, images, 2, dim)
 
-    terms = _spatial_terms(sp_lat, sp_fus, cfg.include_same_image_other_levels)
-    _, g_q, g_k, g_keys = _masked_info_nce(*terms, cfg.tau, grad=True)
-    g_keys = g_keys.reshape(levels, images, 2, dim)
+    g_q, g_k, g_keys = grads["spatial_loss"]
     weight = 1.0 / (levels * images)
     g_sp_lat = weight * (g_k.reshape(levels, images, dim) + g_keys[:, :, 0])
     g_sp_fus = weight * (g_q.reshape(levels, images, dim) + g_keys[:, :, 1])
 
-    _, g_q, g_k, g_keys = _masked_info_nce(*_semantic_terms(se_lat, se_fus), cfg.tau, grad=True)
-    g_keys = g_keys.reshape(levels, images, 2, dim)
+    g_q, g_k, g_keys = grads["semantic_loss"]
     weight = 1.0 / ((levels - 1) * images)
     g_se_lat = weight * g_keys[:, :, 0]
     g_se_fus = g_keys[:, :, 1].copy()
@@ -447,8 +513,8 @@ def gradient_check(
 
     Every coordinate of every embedding array is perturbed by +/- step and
     the total loss re-evaluated. The perturbed copies are stacked along a
-    leading axis and scored a block of coordinates at a time, one pass of
-    the loss kernel per block; each block holds about _CHECK_BLOCK_BYTES of
+    leading axis and scored a block of coordinates at a time, one forward
+    pass per loss and block; each block holds about _CHECK_BLOCK_BYTES of
     perturbed inputs and logits, so memory stays bounded whatever the batch
     size. A perturbed value that is not finite raises ValueError, as
     EmbeddingBatch does, and a non-finite difference makes both reported
@@ -487,10 +553,11 @@ def gradient_check(
             copies = np.repeat(flat[None], 2 * idx.size, axis=0)
             copies[rows, idx] = upper[idx]
             copies[rows + idx.size, idx] = lower[idx]
-            arrays = copies.reshape(-1, 4, levels, images, dim).swapaxes(0, 1)
-            views = _loss_views(tuple(arrays), cfg)
-            totals = _spatial_losses(views[0], views[2], cfg)
-            totals += _semantic_losses(views[1], views[3], cfg)
+            arrays = dict(zip(_ARRAY_NAMES, copies.reshape(-1, 4, levels, images, dim).swapaxes(0, 1)))
+            totals = sum(
+                _info_nce_forward(*_loss_terms(name, arrays, cfg), cfg.tau)[0].mean(axis=-1)
+                for name in _LOSS_FAMILIES
+            )
             numeric[idx] = (totals[: idx.size] - totals[idx.size :]) / (2.0 * step)
 
     abs_err = np.abs(analytic - numeric)

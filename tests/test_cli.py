@@ -535,6 +535,24 @@ def test_contrast_demo_nan_differences_fail_without_warnings():
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_contrast_demo_overflowing_logits_end_in_one_error_line():
+    """At tau 1e-320 the logits overflow: one error line, no traceback or warning."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "from smalldet.cli import entrypoint; entrypoint()",
+         "contrast-demo", "--tau", "1e-320"],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: spatial_loss: a positive or maximum logit is not finite at tau=1e-320"
+    ]
+
+
 def test_contrast_demo_dim_cap_boundary(capsys, monkeypatch):
     # At the default 4 levels and batch 3 the check perturbs 48 * dim
     # coordinates in two copies each: 2 * (48 * 60)^2 = 16,588,800 values

@@ -1,7 +1,9 @@
 """Contrastive losses, their negative sets, and analytic gradients."""
 
+import hashlib
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +54,10 @@ def random_batch(seed, levels=3, batch=2, dim=8, scale=1.0):
     return EmbeddingBatch(*(scale * rng.normal(size=(levels, batch, dim)) for _ in range(4)))
 
 
+def contrast_arrays(batch):
+    return batch.spatial_lateral, batch.semantic_lateral, batch.spatial_fused, batch.semantic_fused
+
+
 def as_multiset(vectors):
     return sorted(tuple(float(x) for x in v) for v in vectors)
 
@@ -77,6 +83,30 @@ def test_embedding_batch_validation():
         EmbeddingBatch(bad, good, good, good)
 
 
+def test_embedding_batch_compares_and_hashes_by_identity():
+    a, b = toy_batch(seed=4), toy_batch(seed=4)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+
+
+def test_embedding_batch_holds_read_only_copies():
+    rng = np.random.default_rng(51)
+    sources = [rng.normal(size=(3, 2, 4)) for _ in range(4)]
+    originals = [a.copy() for a in sources]
+    batch = EmbeddingBatch(*sources)
+    before = spatial_loss(batch), semantic_loss(batch)
+    for arr, source in zip(contrast_arrays(batch), sources):
+        assert not arr.flags.writeable and arr.dtype == np.float64
+        assert not np.shares_memory(arr, source)
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 0.0
+        source += 10.0  # the caller's arrays stay theirs to change
+    assert (spatial_loss(batch), semantic_loss(batch)) == before
+    for arr, original in zip(contrast_arrays(batch), originals):
+        np.testing.assert_array_equal(arr, original)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ContrastConfig(tau=0.0)
@@ -84,6 +114,36 @@ def test_config_validation():
         ContrastConfig(tau=float("inf"))
     with pytest.raises(ValueError):
         ContrastConfig(tau=True)
+
+
+@pytest.mark.parametrize("flag", ["include_same_image_other_levels", "l2_normalize"])
+def test_config_flags_must_be_bools(flag):
+    for value in ("no", 1, 0, None):
+        with pytest.raises(ValueError, match=flag):
+            ContrastConfig(**{flag: value})
+    for value in (True, False, np.True_, np.False_):
+        assert getattr(ContrastConfig(**{flag: value}), flag) == value
+
+
+def test_tau_accepts_numpy_floating_scalars():
+    batch = toy_batch(seed=2)
+    for tau in (np.float32(0.07), np.float64(0.07), np.float16(0.5)):
+        cfg = ContrastConfig(tau=tau)
+        assert spatial_loss(batch, cfg) == spatial_loss(batch, ContrastConfig(tau=float(tau)))
+    q, k, s = np.eye(3)
+    assert info_nce(q, k, [s], tau=np.float32(1.0)) == info_nce(q, k, [s], tau=1.0)
+    with pytest.raises(ValueError):
+        ContrastConfig(tau=np.float32("nan"))
+    with pytest.raises(ValueError):
+        ContrastConfig(tau=np.float64(-0.5))
+
+
+@pytest.mark.parametrize("field", ["spatial_loss", "semantic_loss", "detector_loss", "alpha"])
+def test_loss_components_reject_bools(field):
+    values = {"spatial_loss": 1.0, "semantic_loss": 1.0, "detector_loss": 1.0, "alpha": 0.1}
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match=field):
+            LossComponents(**{**values, field: flag})
 
 
 @pytest.mark.parametrize("tau", [True, 0.0, float("inf")])
@@ -356,8 +416,7 @@ def test_gradient_check_fails_on_nan_differences():
 
 def test_gradient_check_rejects_non_finite_perturbations():
     batch = toy_batch(seed=1)
-    arrays = [a.copy() for a in (batch.spatial_lateral, batch.semantic_lateral,
-                                 batch.spatial_fused, batch.semantic_fused)]
+    arrays = [a.copy() for a in contrast_arrays(batch)]
     arrays[3][0, 0, 0] = 1e308
     bad = EmbeddingBatch(*arrays)
     for check in (gradient_check, gradient_check_ref):
@@ -398,3 +457,89 @@ def test_total_loss_arithmetic():
     with pytest.raises(ValueError):
         LossComponents(-1.0, 0.0, 0.0)
 
+
+
+def test_overflowing_logits_raise_naming_the_loss():
+    """At tau 1e-320 every dot product over tau overflows."""
+    batch = toy_batch(seed=0)
+    cfg = ContrastConfig(tau=1e-320)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        for loss, name in ((spatial_loss, "spatial_loss"), (semantic_loss, "semantic_loss")):
+            with pytest.raises(ValueError, match=f"^{name}: .*not finite"):
+                loss(batch, cfg)
+        with pytest.raises(ValueError, match="^spatial_loss: "):
+            contrast_grad(batch, cfg)
+        assert batch._saved == {}
+        huge = np.array([1e150, 0.0])  # squared norm 1e300
+        for fn in (info_nce, info_nce_grad):
+            with pytest.raises(ValueError, match=f"^{fn.__name__}: "):
+                fn(huge, huge, [], tau=1e-10)  # positive logit +inf
+            with pytest.raises(ValueError, match=f"^{fn.__name__}: "):
+                fn(huge, -huge, [huge], tau=1e-10)  # positive -inf, largest +inf
+        # Huge but finite logits still give a finite loss.
+        assert info_nce(huge, -huge, [huge], tau=1.0) == pytest.approx(2e300, rel=1e-12)
+
+
+def loss_and_grad_bytes(batch, cfg, grad_first=False):
+    if grad_first:
+        grads = contrast_grad(batch, cfg)
+        losses = spatial_loss(batch, cfg), semantic_loss(batch, cfg)
+    else:
+        losses = spatial_loss(batch, cfg), semantic_loss(batch, cfg)
+        grads = contrast_grad(batch, cfg)
+    return [np.array(losses).tobytes()] + [g.tobytes() for g in grads.as_tuple()]
+
+
+@pytest.mark.parametrize("flags", FLAG_SETS)
+def test_saved_forward_matches_a_fresh_batch_in_any_order(flags):
+    cfg = ContrastConfig(**flags)
+    fresh = loss_and_grad_bytes(toy_batch(seed=6), cfg)
+
+    batch = toy_batch(seed=6)
+    assert loss_and_grad_bytes(batch, cfg, grad_first=True) == fresh
+    assert batch._saved.keys() == {"spatial_loss", "semantic_loss"}  # the losses ran last
+    grads = contrast_grad(batch, cfg).as_tuple()
+    assert batch._saved == {}
+    assert [g.tobytes() for g in grads] == fresh[1:]
+    assert [g.tobytes() for g in contrast_grad(batch, cfg).as_tuple()] == fresh[1:]
+    assert loss_and_grad_bytes(batch, cfg) == fresh
+    assert batch._saved == {}
+
+
+def test_a_second_config_replaces_the_saved_forward():
+    first, second = ContrastConfig(), ContrastConfig(tau=0.5, include_same_image_other_levels=True)
+    batch = toy_batch(seed=7)
+    spatial_loss(batch, first), semantic_loss(batch, first)
+    losses = spatial_loss(batch, second), semantic_loss(batch, second)
+    assert len(batch._saved) == 2
+    assert all(entry[0] is second for entry in batch._saved.values())
+    grads = [g.tobytes() for g in contrast_grad(batch, second).as_tuple()]
+    assert batch._saved == {}
+    assert [np.array(losses).tobytes()] + grads == loss_and_grad_bytes(toy_batch(seed=7), second)
+
+    # An entry saved under another config is dropped, not used.
+    spatial_loss(batch, first)
+    grads = [g.tobytes() for g in contrast_grad(batch, second).as_tuple()]
+    assert batch._saved == {}
+    assert grads == loss_and_grad_bytes(toy_batch(seed=7), second)[1:]
+
+
+# SHA-256 of the float64 losses [spatial, semantic], then the four
+# gradient arrays, at L=5, N=64, D=128, seed 0.
+TRAINING_SHAPE_DIGESTS = {
+    (): "9451fa936cc9465186043cd6bfbee3edbe2ca663457a92bf979bb62a8ba9700d",
+    ("include_same_image_other_levels",): "649215f06c52f142740fda441ee4e67e4266e2d3300f78be6fa8c5a51a0c2f7c",
+    ("l2_normalize",): "179dbc26447e0ee19d46da4de57af1242c957f6dacb7507bf2a83d147f4f1a45",
+    ("include_same_image_other_levels", "l2_normalize"):
+        "df2ca96907fba54710b4081eefb6324c2075322490009fce848228e348702dfc",
+}
+
+
+def test_training_shape_losses_and_gradients_are_pinned():
+    batch = toy_batch(seed=0, levels=5, batch=64, dim=128)
+    for flags in FLAG_SETS:
+        digest = hashlib.sha256()
+        for chunk in loss_and_grad_bytes(batch, ContrastConfig(**flags)):
+            digest.update(chunk)
+        assert digest.hexdigest() == TRAINING_SHAPE_DIGESTS[tuple(sorted(flags))], flags
