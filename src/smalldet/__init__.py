@@ -15,12 +15,14 @@ from .assigner import (
     AssignResult,
     AssignThresholds,
     BucketStats,
+    ImageCounts,
     Metric,
     StatsReport,
     assign,
     assign_with_metric,
     assignment_stats,
     check_bucket_edges,
+    count_with_metric,
     report_to_dict,
     reports_to_csv,
     reports_to_json,
@@ -113,10 +115,12 @@ __all__ = [
     "Metric",
     "AssignThresholds",
     "AssignResult",
+    "ImageCounts",
     "BucketStats",
     "StatsReport",
     "assign",
     "assign_with_metric",
+    "count_with_metric",
     "assignment_stats",
     "check_bucket_edges",
     "report_to_dict",

@@ -20,7 +20,15 @@ import numpy as np
 
 # ps_matrix and iou_matrix are no longer called here, but they stay
 # importable from this module: perfbench/child.py wraps them by this path.
-from .geometry import AnchorSet, boxes_to_array, iou_matrix, iou_rows, row_blocks  # noqa: F401
+from .geometry import (  # noqa: F401
+    AnchorSet,
+    anchor_tiles,
+    boxes_to_array,
+    iou_matrix,
+    iou_rows,
+    overlapping,
+    row_blocks,
+)
 from .similarity import DatasetNormalizers, ps_matrix, ps_rows  # noqa: F401
 
 __all__ = [
@@ -30,10 +38,12 @@ __all__ = [
     "Metric",
     "AssignThresholds",
     "AssignResult",
+    "ImageCounts",
     "BucketStats",
     "StatsReport",
     "assign",
     "assign_with_metric",
+    "count_with_metric",
     "assignment_stats",
     "check_bucket_edges",
     "report_to_dict",
@@ -145,60 +155,182 @@ def _count_matched(matched: np.ndarray, num_gts: int) -> np.ndarray:
     return np.bincount(matched, minlength=num_gts) if num_gts else np.zeros(0, dtype=np.int64)
 
 
-def _assign_rows(blocks, num_gts: int, num_anchors: int, thr: AssignThresholds) -> AssignResult:
-    """The streaming pass behind assign and assign_with_metric.
+class _GtBest:
+    """Each gt's running best (score, lowest anchor) across anchor tiles.
 
-    Consumes (rows, block) score blocks that cover the gt rows in order.
-    Each row folds into the per-anchor best score with one np.maximum.
-    The best gt is tracked only where a row reaches pos_thr, that is on
-    anchors that end up positive: there a strict > against the running
-    best keeps the lowest gt on ties, within a block and across blocks.
-    Rows whose max stays below pos_thr skip that step. Each gt's best
-    anchor comes from argmax, which keeps the lowest anchor on ties. A
-    column whose max is a zero held as both -0.0 and +0.0 keeps the
-    earliest row's sign, as a strict > fold does: np.maximum(row, best)
-    returns its second operand on that tie, which tests/test_assigner.py
-    pins. Working memory is O(num_anchors) beyond the blocks themselves.
+    With the best anchor it keeps that anchor's pre-rescue state, its
+    best_score and matched gt, so a rescue can be undone and redone
+    without the tile it came from.
+    """
+
+    def __init__(self, num_gts: int):
+        self.score = np.full(num_gts, -np.inf)
+        self.anchor = np.zeros(num_gts, dtype=np.int64)
+        self.best_at = np.zeros(num_gts)
+        self.match_at = np.full(num_gts, -1, dtype=np.int64)
+
+    def update(self, start: int, top, arg, best, match) -> None:
+        # Strict >: on a tie an earlier tile, so the lower anchor, stays.
+        better = top > self.score
+        at = arg[better]
+        self.score[better] = top[better]
+        self.anchor[better] = start + at
+        self.best_at[better] = best[at]
+        self.match_at[better] = match[at]
+
+    def rescuers(self, min_pos_thr: float) -> np.ndarray:
+        """The gts whose best anchor is rescued, in the order they claim it."""
+        return np.flatnonzero(self.score >= min_pos_thr)
+
+
+def _fold(tiles, gt_best: _GtBest, floor: float, pos_thr: float, buffers):
+    """The one pass behind every assignment: a fold over anchor tiles.
+
+    tiles yields (start, length, gts, blocks) per tile, in anchor order:
+    blocks yields (rows, block) score blocks of the gts gts[rows], in gt
+    order, over the tile's anchors. A gt that no block covers scores
+    floor on every anchor of the tile, and no score is below floor.
+    buffers(start, length) gives the tile's best-score and matched-gt
+    arrays. Within a tile, each row folds into the per-anchor best with
+    one np.maximum, and the matched gt is tracked only where a row
+    reaches pos_thr: there a strict > against the running best keeps the
+    lowest gt on ties, within a block and across blocks. Each gt's max
+    and argmax (lowest anchor on ties) in the tile then merge into
+    gt_best. A column whose max is a zero held as both -0.0 and +0.0
+    keeps the earliest row's sign, as a strict > fold does:
+    np.maximum(row, best) returns its second operand on that tie, which
+    tests/test_assigner.py pins.
+
+    Yields (best, match) per tile once the tile is folded, before the
+    rescue; the sink reads them before it asks for the next tile.
 
     Raises:
         ValueError: If a block holds a non-finite score.
     """
+    num_gts = gt_best.score.shape[0]
+    for start, length, gts, blocks in tiles:
+        best, match = buffers(start, length)
+        best.fill(floor)
+        # Written only where a row reaches pos_thr, so -1 stays everywhere else.
+        match.fill(-1)
+        top = np.full(num_gts, floor)
+        arg = np.zeros(num_gts, dtype=np.int64)
+        for rows, block in blocks:
+            if not np.isfinite(block).all():
+                raise ValueError("score matrix contains non-finite values")
+            ids = gts[rows]
+            row_best = block.argmax(axis=1)
+            row_top = block[np.arange(block.shape[0]), row_best]
+            arg[ids] = row_best
+            top[ids] = row_top
+            for g, row, row_max in zip(ids.tolist(), block, row_top):
+                if row_max >= pos_thr:
+                    reached = np.flatnonzero(row >= pos_thr)
+                    match[reached[row[reached] > best[reached]]] = g
+                np.maximum(row, best, out=best)
+        gt_best.update(start, top, arg, best, match)
+        yield best, match
+
+
+def _assign_tiles(tiles, num_gts: int, num_anchors: int, thr: AssignThresholds, floor: float) -> AssignResult:
+    """The AssignResult sink: the fold writes each tile into the result."""
     if num_gts == 0 or num_anchors == 0:
         return AssignResult(
             labels=np.full(num_anchors, NEGATIVE, dtype=np.int8),
             gt_index=np.full(num_anchors, -1, dtype=np.int64),
             best_score=np.zeros(num_anchors, dtype=np.float64),
         )
+    best_score = np.empty(num_anchors)
+    gt_index = np.empty(num_anchors, dtype=np.int64)
+    gt_best = _GtBest(num_gts)
 
-    pos_thr = thr.pos_thr
-    best_score = np.full(num_anchors, -np.inf)
-    # Written only where a row reaches pos_thr, so -1 stays everywhere else.
-    gt_index = np.full(num_anchors, -1, dtype=np.int64)
-    gt_best_anchor = np.empty(num_gts, dtype=np.int64)
-    gt_best_score = np.empty(num_gts, dtype=np.float64)
-    for rows, block in blocks:
-        if not np.isfinite(block).all():
-            raise ValueError("score matrix contains non-finite values")
-        row_best = block.argmax(axis=1)
-        row_top = block[np.arange(block.shape[0]), row_best]
-        gt_best_anchor[rows] = row_best
-        gt_best_score[rows] = row_top
-        for g, row, top in zip(range(rows.start, rows.stop), block, row_top):
-            if top >= pos_thr:
-                reached = np.flatnonzero(row >= pos_thr)
-                gt_index[reached[row[reached] > best_score[reached]]] = g
-            np.maximum(row, best_score, out=best_score)
+    def buffers(start: int, length: int):
+        return best_score[start : start + length], gt_index[start : start + length]
 
+    for _ in _fold(tiles, gt_best, floor, thr.pos_thr, buffers):
+        pass
     # As neg_thr <= pos_thr, 2 * [>= pos_thr] - [>= neg_thr] is POSITIVE (1),
     # IGNORE (-1) or NEGATIVE (0).
-    labels = (best_score >= pos_thr).view(np.int8) * np.int8(2)
+    labels = (best_score >= thr.pos_thr).view(np.int8) * np.int8(2)
     labels -= (best_score >= thr.neg_thr).view(np.int8)
-    for g in np.flatnonzero(gt_best_score >= thr.min_pos_thr):
-        anchor = gt_best_anchor[g]
+    for g in gt_best.rescuers(thr.min_pos_thr):
+        anchor = gt_best.anchor[g]
         labels[anchor] = POSITIVE
         gt_index[anchor] = g
-
     return AssignResult(labels=labels, gt_index=gt_index, best_score=best_score)
+
+
+@dataclass(frozen=True)
+class ImageCounts:
+    """One image's assignment outcome, as much of it as a report reads.
+
+    Attributes:
+        positives_per_gt: int64 count of the positive anchors matched to
+            each ground truth.
+        positive: Positive anchors (the sum of positives_per_gt).
+        negative: Negative anchors.
+        anchors: All anchors; the rest are ignored.
+    """
+
+    positives_per_gt: np.ndarray
+    positive: int
+    negative: int
+    anchors: int
+
+    def __add__(self, other: "ImageCounts") -> "ImageCounts":
+        """Counts of two assignments of one image's gts (per-level parts)."""
+        return ImageCounts(
+            self.positives_per_gt + other.positives_per_gt,
+            self.positive + other.positive,
+            self.negative + other.negative,
+            self.anchors + other.anchors,
+        )
+
+
+def _count_tiles(tiles, num_gts: int, num_anchors: int, thr: AssignThresholds, floor: float) -> ImageCounts:
+    """The counting sink: label totals and per-gt positives, tile by tile.
+
+    Memory is one tile's arrays. Before the rescue, an anchor is positive
+    exactly where it has a matched gt (best_score >= pos_thr). Each rescued
+    anchor's count is then undone from the pre-rescue state _GtBest kept
+    and redone as a positive of the gt that claims it last, so the counts
+    equal those of the AssignResult the same fold makes.
+    """
+    per_gt = np.zeros(num_gts, dtype=np.int64)
+    if num_gts == 0 or num_anchors == 0:
+        return ImageCounts(per_gt, 0, num_anchors, num_anchors)
+    positive = negative = 0
+    gt_best = _GtBest(num_gts)
+
+    def buffers(start: int, length: int):
+        return np.empty(length), np.empty(length, dtype=np.int64)
+
+    for best, match in _fold(tiles, gt_best, floor, thr.pos_thr, buffers):
+        matched = match[match >= 0]
+        per_gt += np.bincount(matched, minlength=num_gts)
+        positive += matched.size
+        negative += int(np.count_nonzero(best < thr.neg_thr))
+    # A later gt's rescue overrides an earlier one's on the same anchor.
+    owner = {int(gt_best.anchor[g]): g for g in gt_best.rescuers(thr.min_pos_thr).tolist()}
+    for g in owner.values():
+        # Every gt that claims an anchor kept the same pre-rescue state of it.
+        was = int(gt_best.match_at[g])
+        if was >= 0:
+            per_gt[was] -= 1
+        else:
+            positive += 1
+            if gt_best.best_at[g] < thr.neg_thr:
+                negative -= 1
+        per_gt[g] += 1
+    return ImageCounts(per_gt, positive, negative, num_anchors)
+
+
+def _matrix_tiles(score: np.ndarray):
+    """(start, length, gts, blocks) per column tile of a score matrix."""
+    gts = np.arange(score.shape[0])
+    for start, columns in anchor_tiles(score.T):
+        tile = columns.T
+        yield start, tile.shape[1], gts, ((rows, tile[rows]) for rows in row_blocks(*tile.shape))
 
 
 def assign(score, thr: AssignThresholds = AssignThresholds()) -> AssignResult:
@@ -218,8 +350,8 @@ def assign(score, thr: AssignThresholds = AssignThresholds()) -> AssignResult:
          the band label. A later ground truth overrides an earlier one when
          both claim the same anchor.
     Every argmax tie breaks toward the lowest index, whichever row blocks
-    the tied rows fall in. The matrix rows are streamed through the same
-    pass assign_with_metric uses.
+    and column tiles the tied entries fall in. The matrix is folded in the
+    tiles and row blocks assign_with_metric uses.
 
     Args:
         score: Finite matrix of shape (num_gts, num_anchors).
@@ -232,8 +364,30 @@ def assign(score, thr: AssignThresholds = AssignThresholds()) -> AssignResult:
     if score.ndim != 2:
         raise ValueError(f"score must be 2-d (gts x anchors), got shape {score.shape}")
     num_gts, num_anchors = score.shape
-    blocks = ((rows, score[rows]) for rows in row_blocks(num_gts, num_anchors))
-    return _assign_rows(blocks, num_gts, num_anchors, thr)
+    return _assign_tiles(_matrix_tiles(score), num_gts, num_anchors, thr, -np.inf)
+
+
+def _metric_tiles(g: np.ndarray, anchors, norm: DatasetNormalizers | None, metric: Metric):
+    """(start, length, gts, blocks) per anchor tile, scored with metric.
+
+    IoU is exact 0.0 for a gt that does not meet a tile's bounding box,
+    so a tile cut from a larger set scores only the gts that meet it.
+    """
+    every = np.arange(g.shape[0])
+    for start, tile in anchor_tiles(anchors):
+        if metric is Metric.PS:
+            yield start, len(tile), every, ps_rows(g, tile, norm)
+        else:
+            gts = overlapping(g, tile) if tile is not anchors and isinstance(tile, AnchorSet) else every
+            yield start, len(tile), gts, iou_rows(g[gts], tile)
+
+
+def _checked(anchors, norm, metric):
+    """The metric, and the anchors as the kernels take them."""
+    metric = Metric(metric)
+    if metric is Metric.PS and norm is None:
+        raise ValueError("the PS metric requires dataset normalizers")
+    return metric, anchors if isinstance(anchors, AnchorSet) else boxes_to_array(anchors)
 
 
 def assign_with_metric(
@@ -245,9 +399,11 @@ def assign_with_metric(
 ) -> AssignResult:
     """Score the anchors with the chosen metric and assign in one pass.
 
-    Scores are computed one gt row block at a time and folded straight
-    into the assignment, so the full score matrix never exists; the
-    result is bit-identical to assign(ps_matrix(...)) or
+    The anchors are scored one tile at a time (geometry.anchor_tiles),
+    one gt row block at a time within a tile, and each block is folded
+    straight into the assignment, so the score matrix never exists and
+    scoring needs memory for one tile beyond the result's 17 bytes per
+    anchor. The result is bit-identical to assign(ps_matrix(...)) or
     assign(iou_matrix(...)).
 
     Args:
@@ -259,13 +415,37 @@ def assign_with_metric(
         thr: Decision thresholds.
         metric: Metric.PS or Metric.IOU (or their string values).
     """
-    metric = Metric(metric)
-    if metric is Metric.PS and norm is None:
-        raise ValueError("the PS metric requires dataset normalizers")
+    metric, a = _checked(anchors, norm, metric)
     g = boxes_to_array(gts)
-    a = anchors if isinstance(anchors, AnchorSet) else boxes_to_array(anchors)
-    blocks = ps_rows(g, a, norm) if metric is Metric.PS else iou_rows(g, a)
-    return _assign_rows(blocks, g.shape[0], len(a), thr)
+    # PS and IoU scores are never below +0.0 and never -0.0.
+    return _assign_tiles(_metric_tiles(g, a, norm, metric), g.shape[0], len(a), thr, 0.0)
+
+
+def count_with_metric(
+    g: np.ndarray,
+    anchors,
+    norm: DatasetNormalizers | None,
+    thr: AssignThresholds = AssignThresholds(),
+    metric: Metric | str = Metric.PS,
+) -> ImageCounts:
+    """The counts of assign_with_metric's result, in memory for one tile.
+
+    The same fold as assign_with_metric, with a sink that counts each
+    tile's labels and per-gt positives and then drops the tile, so no
+    per-anchor array of the image is made: working memory is one tile's,
+    whatever the image size. The counts equal those assignment_stats
+    takes from the AssignResult.
+
+    Args:
+        g: Validated (G, 4) float64 ground-truth array, as from
+            boxes_to_array or a DatasetIndex; it is not checked again.
+        anchors: Anchor boxes, or an AnchorSet.
+        norm: Dataset normalizers; required for the PS metric.
+        thr: Decision thresholds.
+        metric: Metric.PS or Metric.IOU (or their string values).
+    """
+    metric, a = _checked(anchors, norm, metric)
+    return _count_tiles(_metric_tiles(g, a, norm, metric), g.shape[0], len(a), thr, 0.0)
 
 
 @dataclass(frozen=True)
@@ -328,6 +508,20 @@ def check_bucket_edges(bucket_edges) -> tuple[float, ...]:
 _END = object()
 
 
+def _result_counts(results, num_gts: int) -> ImageCounts:
+    """The counts of one image's AssignResult, or of its per-level parts."""
+    if isinstance(results, AssignResult):
+        results = (results,)
+    if not results:
+        raise ValueError("each image needs at least one AssignResult")
+    counts = ImageCounts(np.zeros(num_gts, dtype=np.int64), 0, 0, 0)
+    for result in results:
+        matched = result.gt_index[result.labels == POSITIVE]
+        negative = int(np.count_nonzero(result.labels == NEGATIVE))
+        counts += ImageCounts(_count_matched(matched, num_gts), matched.size, negative, result.num_anchors)
+    return counts
+
+
 def assignment_stats(
     results,
     gt_areas,
@@ -335,17 +529,19 @@ def assignment_stats(
     metric: Metric | str,
     bucket_edges=(1024.0, 9216.0),
 ) -> StatsReport:
-    """Aggregate per-image assignment results into a bucketed report.
+    """Aggregate per-image assignment outcomes into a bucketed report.
 
-    Both inputs are consumed as streams, one image at a time, and only
-    per-bucket integer sums are kept, so a generator of results needs
-    memory for one image's results, however many images there are.
+    Both inputs are consumed as streams, one image at a time. Each image
+    becomes one ImageCounts record, folded into per-bucket integer sums
+    and dropped, so a generator needs memory for one image's entry,
+    however many images there are; a stream of ImageCounts, as
+    count_with_metric makes them, holds no per-anchor array at all.
 
     Args:
-        results: Iterable of per-image results. Each entry is an
+        results: Iterable of per-image entries. Each is an ImageCounts, an
             AssignResult, or a sequence of AssignResult over disjoint
-            anchor subsets of the same image (per-level assignment); these
-            are summed per gt.
+            anchor subsets of the same image (per-level assignment), whose
+            counts are summed per gt.
         gt_areas: Iterable of per-image arrays of ground-truth areas
             (px^2), parallel to results. Ground truth g of image i is the
             one scored by row g of that image's matrices.
@@ -361,7 +557,7 @@ def assignment_stats(
         ValueError: If results and gt_areas differ in length (found when
             the shorter one runs out), if an image's areas are not 1-d or
             hold a non-finite or negative area (naming the image's
-            position), or on bad edges or results.
+            position), or on bad edges, results or counts.
     """
     edges = check_bucket_edges(bucket_edges)
     metric = Metric(metric)
@@ -377,15 +573,11 @@ def assignment_stats(
 
     area_lists = iter(gt_areas)
     images = 0
-    for image_results in results:
+    for entry in results:
         areas = next(area_lists, _END)
         if areas is _END:
             raise ValueError(f"got more image results than the {images} gt area lists")
         images += 1
-        if isinstance(image_results, AssignResult):
-            image_results = (image_results,)
-        if not image_results:
-            raise ValueError("each image needs at least one AssignResult")
         areas = np.asarray(areas, dtype=np.float64)
         if areas.ndim != 1:
             raise ValueError(f"gt areas of image {images - 1} must be 1-d, got shape {areas.shape}")
@@ -395,15 +587,17 @@ def assignment_stats(
                 f"gt areas of image {images - 1} must be finite and non-negative, got {float(bad[0])!r}"
             )
         num_gts = int(areas.shape[0])
-        per_gt = np.zeros(num_gts, dtype=np.int64)
-        for result in image_results:
-            matched = result.gt_index[result.labels == POSITIVE]
-            per_gt += _count_matched(matched, num_gts)
-            total_positive += matched.size
-            total_negative += int(np.count_nonzero(result.labels == NEGATIVE))
-            total_anchors += result.num_anchors
+        counts = entry if isinstance(entry, ImageCounts) else _result_counts(entry, num_gts)
         # Drop this image's results before the iterator makes the next ones.
-        del image_results, result
+        del entry
+        per_gt = counts.positives_per_gt
+        if per_gt.shape != (num_gts,):
+            raise ValueError(
+                f"counts of image {images - 1} cover {per_gt.shape[0]} gts but it has {num_gts}"
+            )
+        total_positive += counts.positive
+        total_negative += counts.negative
+        total_anchors += counts.anchors
         bucket_of = np.searchsorted(edge_array, areas, side="right")
         gt_count += np.bincount(bucket_of, minlength=num_buckets)
         # Integer counts summed as float64 weights are exact below 2**53.

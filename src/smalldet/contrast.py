@@ -23,7 +23,7 @@ batch's arrays are read-only copies, so what was saved cannot go stale.
 
 A loss whose positive logit or largest logit is not finite (the logits
 overflow at a tiny tau or for huge embeddings) raises ValueError naming
-the loss. Results are deterministic: repeated calls on the same batch and
+the loss, and so does contrast_grad when a gradient is not finite. Results are deterministic: repeated calls on the same batch and
 config, in any order, return identical values.
 """
 
@@ -439,38 +439,50 @@ def contrast_grad(batch: EmbeddingBatch, cfg: ContrastConfig = ContrastConfig())
     through the normalization. A loss's forward pass saved on the batch
     under an equal cfg is reused, and the call leaves no saved forward on
     the batch.
+
+    Raises:
+        ValueError: Naming the loss, when its logits or a gradient it
+            contributes are not finite (at a tiny tau, the gradients, about
+            embedding / tau, can overflow while the losses stay finite).
     """
     saved = dict(batch._saved)
     batch._saved.clear()
     levels, images, dim = batch.shape
     grads = {}
-    for name in _LOSS_FAMILIES:
-        entry = saved.get(name)
-        if entry is not None and entry[0] == cfg:
-            terms, forward = entry[1:]
-        else:
-            terms, forward = _loss_forward(batch, name, cfg)
-        g_q, g_k, g_keys = _info_nce_backward(*terms[:3], forward, cfg.tau)
-        grads[name] = g_q, g_k, g_keys.reshape(levels, images, 2, dim)
+    # A gradient that overflows (about embedding / tau, so at a tiny tau)
+    # is reported below as a ValueError, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in _LOSS_FAMILIES:
+            entry = saved.get(name)
+            if entry is not None and entry[0] == cfg:
+                terms, forward = entry[1:]
+            else:
+                terms, forward = _loss_forward(batch, name, cfg)
+            g_q, g_k, g_keys = _info_nce_backward(*terms[:3], forward, cfg.tau)
+            grads[name] = g_q, g_k, g_keys.reshape(levels, images, 2, dim)
 
-    g_q, g_k, g_keys = grads["spatial_loss"]
-    weight = 1.0 / (levels * images)
-    g_sp_lat = weight * (g_k.reshape(levels, images, dim) + g_keys[:, :, 0])
-    g_sp_fus = weight * (g_q.reshape(levels, images, dim) + g_keys[:, :, 1])
+        g_q, g_k, g_keys = grads["spatial_loss"]
+        weight = 1.0 / (levels * images)
+        g_sp_lat = weight * (g_k.reshape(levels, images, dim) + g_keys[:, :, 0])
+        g_sp_fus = weight * (g_q.reshape(levels, images, dim) + g_keys[:, :, 1])
 
-    g_q, g_k, g_keys = grads["semantic_loss"]
-    weight = 1.0 / ((levels - 1) * images)
-    g_se_lat = weight * g_keys[:, :, 0]
-    g_se_fus = g_keys[:, :, 1].copy()
-    g_se_fus[:-1] += g_q.reshape(levels - 1, images, dim)
-    g_se_fus[1:] += g_k.reshape(levels - 1, images, dim)
-    g_se_fus *= weight
+        g_q, g_k, g_keys = grads["semantic_loss"]
+        weight = 1.0 / ((levels - 1) * images)
+        g_se_lat = weight * g_keys[:, :, 0]
+        g_se_fus = g_keys[:, :, 1].copy()
+        g_se_fus[:-1] += g_q.reshape(levels - 1, images, dim)
+        g_se_fus[1:] += g_k.reshape(levels - 1, images, dim)
+        g_se_fus *= weight
 
-    if cfg.l2_normalize:
-        g_sp_lat = _chain_through_normalize(batch.spatial_lateral, g_sp_lat)
-        g_se_lat = _chain_through_normalize(batch.semantic_lateral, g_se_lat)
-        g_sp_fus = _chain_through_normalize(batch.spatial_fused, g_sp_fus)
-        g_se_fus = _chain_through_normalize(batch.semantic_fused, g_se_fus)
+        if cfg.l2_normalize:
+            g_sp_lat = _chain_through_normalize(batch.spatial_lateral, g_sp_lat)
+            g_se_lat = _chain_through_normalize(batch.semantic_lateral, g_se_lat)
+            g_sp_fus = _chain_through_normalize(batch.spatial_fused, g_sp_fus)
+            g_se_fus = _chain_through_normalize(batch.semantic_fused, g_se_fus)
+
+    for name, arrays in (("spatial_loss", (g_sp_lat, g_sp_fus)), ("semantic_loss", (g_se_lat, g_se_fus))):
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError(f"{name}: a gradient is not finite at tau={cfg.tau!r}")
 
     return ContrastGradients(
         spatial_lateral=g_sp_lat,

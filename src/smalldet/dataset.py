@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from _blake2 import blake2b  # hashlib's blake2b; hashlib itself loads OpenSSL
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -203,11 +204,7 @@ def fingerprint(records) -> str:
 
     The records are hashed as their UTF-8 bytes, one after another.
     """
-    # Imported on first use: hashlib loads OpenSSL (about 4 MB resident),
-    # which commands that hash nothing should not pay for.
-    import hashlib
-
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     for record in records:
         h.update(record.encode("utf-8"))
     return h.hexdigest()

@@ -10,10 +10,12 @@ heights, and the image rectangle when the layout clips). Clipping is
 separable by axis, so a clipped level is a grid too, with its x extents
 on a (cols, shapes) table and its y extents on a (rows, shapes) one.
 The set's per-anchor boxes and corner table are made only if a caller
-reads them. iou_rows reads the tables to compute each ground truth's IoU
-only inside the row and column window where it overlaps the grid,
-writing exact 0.0 elsewhere; the values are bit-identical to the
-pairwise kernel's, which plain (N, 4) arrays take.
+reads them. anchor_tiles cuts a large set into tiles of whole grid
+rows, which the kernels score as they score the set. iou_rows reads the
+tables to compute each ground truth's IoU only inside the row and
+column window where it overlaps the grid, writing exact 0.0 elsewhere;
+the values are bit-identical to the pairwise kernel's, which plain
+(N, 4) arrays take.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ __all__ = [
     "iou",
     "iou_matrix",
     "iou_rows",
+    "overlapping",
     "row_blocks",
+    "anchor_tiles",
     "generate_anchors",
 ]
 
@@ -130,6 +134,7 @@ def boxes_to_array(boxes) -> np.ndarray:
 # A row block holds at most this many (row, column) pairs, so its float64
 # temporaries (512 KiB each) stay in cache. A row longer than this is
 # still one block: working memory is O(columns), never O(rows x columns).
+# An anchor tile holds at most this many anchors, or one grid row.
 _BLOCK_PAIRS = 1 << 16
 
 
@@ -142,6 +147,55 @@ def row_blocks(num_rows: int, num_cols: int):
     step = max(1, _BLOCK_PAIRS // max(num_cols, 1))
     for start in range(0, num_rows, step):
         yield slice(start, min(start + step, num_rows))
+
+
+def anchor_tiles(anchors):
+    """Yield (start, tile) pairs that cover the anchors in flat order.
+
+    A set of at most _BLOCK_PAIRS anchors is one tile, itself. A larger
+    AnchorSet is tiled level by level, each tile an AnchorSet of one level
+    cut to a range of whole grid rows (LevelGrid.rows): at most
+    _BLOCK_PAIRS anchors, or one grid row where a row holds more. Any
+    other sequence, such as an (N, 4) array, is cut into slices of at
+    most _BLOCK_PAIRS. The kernels score a tile as they score the whole
+    set, so scoring an image tile by tile needs memory for one tile.
+    """
+    budget = _BLOCK_PAIRS
+    if len(anchors) <= budget:
+        yield 0, anchors
+        return
+    if not isinstance(anchors, AnchorSet):
+        for start in range(0, len(anchors), budget):
+            yield start, anchors[start : start + budget]
+        return
+    for index, (level, (start, end)) in enumerate(zip(anchors.grid, anchors.level_offsets)):
+        if end - start <= budget:
+            yield start, anchors.level_sets[index]
+            continue
+        rows, cols, shapes = level.shape
+        step = max(1, budget // (cols * shapes))
+        for row in range(0, rows, step):
+            yield start + row * cols * shapes, AnchorSet((level.rows(row, row + step),))
+
+
+def overlapping(boxes: np.ndarray, anchors: "AnchorSet") -> np.ndarray:
+    """Indices of the boxes that meet the bounding box of the anchors.
+
+    Every other box has exact 0.0 IoU with every anchor of the set: a pair
+    overlaps only where both of its axis overlaps are positive, and each
+    needs the box to reach past the set's outermost corner on that axis.
+
+    Args:
+        boxes: Validated (N, 4) float64 array, as from boxes_to_array.
+        anchors: An AnchorSet.
+    """
+    x1, y1, x2, y2, _ = _corner_table(boxes)
+    corners = [level.corners for level in anchors.grid]
+    meets = x2 > min(c[0].min() for c in corners)
+    meets &= x1 < max(c[1].max() for c in corners)
+    meets &= y2 > min(c[2].min() for c in corners)
+    meets &= y1 < max(c[3].max() for c in corners)
+    return np.flatnonzero(meets)
 
 
 def _corner_table(arr: np.ndarray) -> np.ndarray:
@@ -370,14 +424,16 @@ class AnchorGridSpec:
 
 
 # The most anchors generate_anchors lays on one image (2**23, about 8.4M).
-# `smalldet assign` holds about 32 bytes per anchor of the image it works
-# on (running best scores, matched gts, labels, one score row; an anchor
-# set keeps only its grid tables). A clipped layout adds 8, the shape term
-# of a score row. With the default layout on an x86-64 Linux host, an
-# 8000x6000 image (1.69M anchors) peaked at 89 MB RSS (112 MB clipped)
-# and a 16000x14900 one (8.39M) at 298 MB (363 MB clipped), so this
-# bounds one image at about 300 MB, or 365 MB clipped. The CLI rejects a
-# larger image as a data error.
+# It no longer bounds memory: `smalldet assign` counts an image one anchor
+# tile at a time (anchor_tiles, at most _BLOCK_PAIRS anchors or one grid
+# row) and an anchor set keeps only its grid tables, so its working memory
+# is one tile's, 3-4 MB traced. With the default layout and 100 gts on an
+# x86-64 Linux host, an 8000x6000 image (1.69M anchors) peaked at 35 MB
+# RSS (36 MB clipped) and a 16000x14900 one (8.39M) at 35 MB (38 MB
+# clipped), about 5 MB over the imported package. The cap bounds the time
+# of one image instead, about 11 s (13 s clipped) at the cap. Only
+# assign_with_metric, whose AssignResult is 17 bytes per anchor, still
+# grows with the image. The CLI rejects a larger image as a data error.
 MAX_ANCHORS = 1 << 23
 
 # The side an anchor clamped to nothing keeps: a sliver on the nearest
@@ -480,6 +536,11 @@ class LevelGrid:
         half_w = w / 2.0
         half_h = h / 2.0
         return x - half_w, x + half_w, y - half_h, y + half_h
+
+    def rows(self, start: int, stop: int) -> "LevelGrid":
+        """The level cut to grid rows start:stop. Clipping is per axis, so
+        its tables are the rows start:stop of this level's, bit for bit."""
+        return LevelGrid(self.cx, self.cy[start:stop], self.ws, self.hs, self.clip)
 
 
 @dataclass(frozen=True, eq=False)

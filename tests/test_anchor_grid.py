@@ -24,6 +24,7 @@ from smalldet import (
     NormalizerAccumulator,
     accumulate,
     assign_with_metric,
+    count_with_metric,
     finalize,
     generate_anchors,
     iou_matrix,
@@ -374,3 +375,99 @@ def test_level_grids_compare_and_hash_by_identity():
     level, twin = generate_anchors(spec).grid[0], generate_anchors(spec).grid[0]
     assert level == level and level != twin
     assert hash(level) == hash(level) and len({level, twin}) == 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_sliced_levels_keep_the_full_tables_rows(seed):
+    # Clipping is per axis, so a level cut to some of its grid rows has
+    # the same x tables and the y rows of the full level, bit for bit.
+    rng = np.random.default_rng(700 + seed)
+    spec = random_spec(rng)
+    for clip in (False, True):
+        for level in generate_anchors(dataclasses.replace(spec, clip=clip)).grid:
+            rows, cols, shapes = level.shape
+            start = int(rng.integers(0, rows))
+            stop = int(rng.integers(start + 1, rows + 1))
+            part = level.rows(start, stop)
+            assert part.shape == (stop - start, cols, shapes) and part.clip == level.clip
+            (x, w), (y, h) = level.axes
+            (px, pw), (py, ph) = part.axes
+            assert_same_bits(np.broadcast_to(px, (cols, shapes)), np.broadcast_to(x, (cols, shapes)))
+            assert_same_bits(np.broadcast_to(pw, (cols, shapes)), np.broadcast_to(w, (cols, shapes)))
+            full_y, full_h = (np.broadcast_to(t, (rows, shapes))[start:stop] for t in (y, h))
+            assert_same_bits(np.broadcast_to(py, full_y.shape), full_y)
+            assert_same_bits(np.broadcast_to(ph, full_h.shape), full_h)
+            for mine, theirs in zip(part.corners[:2], level.corners[:2]):
+                assert_same_bits(mine, theirs)
+            for mine, theirs in zip(part.corners[2:], level.corners[2:]):
+                assert_same_bits(mine, theirs[start:stop])
+            assert_same_bits(part.boxes(), level.boxes()[start * cols * shapes : stop * cols * shapes])
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40, 97, 250, 1 << 16])
+def test_anchor_tiles_cover_the_set_in_order(monkeypatch, budget):
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", budget)
+    rng = np.random.default_rng(710 + budget)
+    for _ in range(4):
+        spec = random_spec(rng)
+        for clip in (False, True):
+            anchors = generate_anchors(dataclasses.replace(spec, clip=clip))
+            boxes = stripped(anchors)
+            tiles = list(geometry.anchor_tiles(anchors))
+            starts = [start for start, _ in tiles]
+            ends = [start + len(tile) for start, tile in tiles]
+            assert starts == [0] + ends[:-1] and ends[-1] == len(anchors)
+            if len(anchors) <= budget:
+                assert tiles == [(0, anchors)]
+                continue
+            for start, tile in tiles:
+                assert isinstance(tile, AnchorSet) and tile.num_levels == 1
+                level = tile.grid[0]
+                # At most the budget, or a single grid row when one row holds more.
+                assert len(tile) <= budget or level.shape[0] == 1
+                assert_same_bits(tile.boxes, boxes[start : start + len(tile)])
+            # A plain array is cut into slices of the budget.
+            plain = list(geometry.anchor_tiles(boxes))
+            assert [start for start, _ in plain] == list(range(0, len(boxes), budget))
+            assert_same_bits(np.concatenate([part for _, part in plain]), boxes)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gts_that_miss_a_tile_have_zero_iou_with_it(monkeypatch, seed):
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 60)
+    rng = np.random.default_rng(720 + seed)
+    spec = random_spec(rng)
+    gts = random_gts(rng, spec, 30)
+    for clip in (False, True):
+        for _, tile in geometry.anchor_tiles(generate_anchors(dataclasses.replace(spec, clip=clip))):
+            iou = iou_matrix(gts, tile)
+            meets = geometry.overlapping(gts, tile)
+            missed = np.setdiff1d(np.arange(gts.shape[0]), meets)
+            assert not np.any(bits(iou[missed]))
+            # The far gt meets no tile.
+            assert gts.shape[0] - 1 not in meets
+
+
+def test_counting_memory_does_not_grow_with_the_image():
+    # The default CLI layout on an 8000x6000 image: 1.69M anchors, so an
+    # AssignResult alone is 27 MiB. The counting sink holds one anchor tile
+    # at a time, at most geometry._BLOCK_PAIRS (65,536) anchors: a few
+    # tile-sized arrays, 3-4 MiB traced, for any image size.
+    rng = np.random.default_rng(9)
+    gts = np.column_stack([rng.uniform(0, 8000, 30), rng.uniform(0, 6000, 30),
+                           rng.uniform(4, 300, 30), rng.uniform(4, 300, 30)])
+    norm = DatasetNormalizers(0.8, 0.7)
+    for clip in (False, True):
+        anchors = generate_anchors(AnchorGridSpec(
+            levels=((16.0, 16.0),), image_w=8000.0, image_h=6000.0,
+            ratios=(0.5, 1.0, 2.0), scales=(8.0, 16.0, 32.0), clip=clip))
+        for metric in Metric:
+            tracemalloc.start()
+            try:
+                counts = count_with_metric(gts, anchors, norm, THRESHOLDS[0], metric)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert counts.anchors == len(anchors) == 1_687_500
+            assert peak < 6 << 20, f"{metric.value} clip={clip}: {peak / 2**20:.2f} MiB"
+            assert not made_tables(anchors)

@@ -23,6 +23,7 @@ from smalldet import (
     accumulate,
     assign_with_metric,
     assignment_stats,
+    count_with_metric,
     finalize,
     generate_anchors,
     iou_matrix,
@@ -32,6 +33,7 @@ from smalldet import (
     reports_to_json,
 )
 from smalldet import geometry
+from smalldet.assigner import _count_tiles, _matrix_tiles
 from oracles import assign_ref
 
 DEFAULT = AssignThresholds()
@@ -583,3 +585,182 @@ def test_report_serialization_identical_numbers():
 
     as_dict = report_to_dict(reports[0])
     assert as_dict["totals"]["anchors"] == reports[0].total_anchors
+
+
+def count_matrix(scores, thr=DEFAULT):
+    """The counting sink's record of assign(scores), from the same fold."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return _count_tiles(_matrix_tiles(scores), *scores.shape, thr, -np.inf)
+
+
+def assert_counts_match(counts, result, num_gts):
+    np.testing.assert_array_equal(counts.positives_per_gt, result.positives_per_gt(num_gts))
+    assert counts.positive == int(np.count_nonzero(result.labels == POSITIVE))
+    assert counts.negative == int(np.count_nonzero(result.labels == NEGATIVE))
+    assert counts.anchors == result.num_anchors
+    areas = [np.linspace(100.0, 20000.0, num_gts)]
+    assert assignment_stats([counts], areas, DEFAULT, Metric.PS) == assignment_stats(
+        [result], areas, DEFAULT, Metric.PS
+    )
+
+
+# Three anchors per tile over six anchors, one anchor per tile, or one tile.
+TILE_BUDGETS = [3, 1, None]
+
+
+@pytest.mark.parametrize("block_pairs", TILE_BUDGETS)
+def test_tile_ties_keep_the_lowest_anchor_and_the_lowest_gt(monkeypatch, block_pairs):
+    if block_pairs is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    # gt 0 reaches 0.9 in both tiles (anchors 1 and 4) and gt 2 reaches
+    # 0.5 in both (anchors 2 and 5): each rescues the lower anchor. Anchor
+    # 4 ties at 0.9 between gt 0 and gt 1, whose own best is anchor 3, so
+    # the fold matches it to gt 0 and no rescue touches it.
+    scores = np.array(
+        [
+            [0.1, 0.9, 0.1, 0.1, 0.9, 0.1],
+            [0.1, 0.1, 0.1, 0.95, 0.9, 0.1],
+            [0.1, 0.1, 0.5, 0.1, 0.1, 0.5],
+        ]
+    )
+    result = check_against_ref(scores)
+    np.testing.assert_array_equal(result.gt_index, [-1, 0, 2, 1, 0, -1])
+    np.testing.assert_array_equal(result.labels, [NEGATIVE, POSITIVE, POSITIVE, POSITIVE, POSITIVE, IGNORE])
+    assert_counts_match(count_matrix(scores), result, 3)
+
+
+@pytest.mark.parametrize("block_pairs", TILE_BUDGETS)
+def test_rescue_collision_across_tiles(monkeypatch, block_pairs):
+    if block_pairs is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    # Both gts have their runner-up in the first tile and their best on
+    # anchor 4 in the second. gt 0 holds anchor 4 by the fold (0.8), then
+    # gt 1 rescues it last and keeps it: gt 0 ends with no positive.
+    scores = np.array(
+        [
+            [0.6, 0.1, 0.1, 0.1, 0.8, 0.1],
+            [0.1, 0.1, 0.65, 0.1, 0.75, 0.1],
+        ]
+    )
+    result = check_against_ref(scores)
+    np.testing.assert_array_equal(result.gt_index, [-1, -1, -1, -1, 1, -1])
+    np.testing.assert_array_equal(result.positives_per_gt(2), [0, 1])
+    counts = count_matrix(scores)
+    np.testing.assert_array_equal(counts.positives_per_gt, [0, 1])
+    assert_counts_match(counts, result, 2)
+
+
+@pytest.mark.parametrize("block_pairs", TILE_BUDGETS)
+def test_rescue_takes_a_positive_from_another_gt_across_tiles(monkeypatch, block_pairs):
+    if block_pairs is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    # Anchor 0 is positive for gt 0 by the fold (0.9). gt 1 reaches 0.8 on
+    # anchors 0 and 3, in different tiles; its rescue takes the lower,
+    # anchor 0, from gt 0, whose own rescue stays on anchor 5. The count
+    # of gt 0's positive on anchor 0 is undone, then redone for gt 1.
+    scores = np.array(
+        [
+            [0.9, 0.1, 0.1, 0.1, 0.1, 0.95],
+            [0.8, 0.1, 0.1, 0.8, 0.1, 0.1],
+        ]
+    )
+    result = check_against_ref(scores)
+    np.testing.assert_array_equal(result.gt_index, [1, -1, -1, 1, -1, 0])
+    counts = count_matrix(scores)
+    np.testing.assert_array_equal(counts.positives_per_gt, [1, 2])
+    assert (counts.positive, counts.negative) == (3, 3)
+    assert_counts_match(counts, result, 2)
+    # A rescue of a negative or ignored anchor adds a positive instead.
+    band = np.array([[0.5, 0.1, 0.1, 0.2, 0.1, 0.1], [0.1, 0.1, 0.1, 0.1, 0.35, 0.1]])
+    low = AssignThresholds(0.7, 0.4, 0.3)
+    band_counts = count_matrix(band, low)
+    assert (band_counts.positive, band_counts.negative) == (2, 4)
+    assert_counts_match(band_counts, check_against_ref(band, low), 2)
+
+
+@pytest.mark.parametrize("block_pairs", [1, 2, 5])
+def test_non_finite_score_in_a_later_tile_raises(monkeypatch, block_pairs):
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    scores = np.full((2, 6), 0.5)
+    scores[1, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        assign(scores, DEFAULT)
+    with pytest.raises(ValueError, match="non-finite"):
+        count_matrix(scores)
+    # Through a metric: only the last anchor is far enough off for its
+    # offset to overflow, and m = n = 0 turns inf into NaN.
+    anchors = np.array([[0.0, 0.0, 1.0, 1.0]] * 5 + [[-1e308, 0.0, 1.0, 1.0]])
+    gts = np.array([[1e308, 0.0, 1.0, 1.0]])
+    zero = DatasetNormalizers(0.0, 0.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            assign_with_metric(gts, anchors, zero, DEFAULT, Metric.PS)
+        with pytest.raises(ValueError, match="non-finite"):
+            count_with_metric(gts, anchors, zero, DEFAULT, Metric.PS)
+
+
+GRID_LAYOUTS = {
+    "one level": dict(levels=((8.0, 8.0),), ratios=(0.5, 1.0, 2.0), scales=(2.0, 4.0)),
+    "three levels": dict(levels=((4.0, 8.0), (8.0, 16.0), (16.0, 32.0)), ratios=(0.5, 2.0), scales=(1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("clip", [False, True])
+@pytest.mark.parametrize("layout", sorted(GRID_LAYOUTS))
+# The levels of the 150x90 image hold 6 to 23 rows of 40 to 152 anchors.
+# 803 anchors cut 12 rows of 114 into 7 + 5 and 23 rows of 152 into four
+# tiles of 5 and one of 3; 17 anchors are less than any row.
+@pytest.mark.parametrize("block_pairs", [17, 7 * 114 + 5, None])
+def test_tiled_grid_assignment_is_exact(monkeypatch, layout, clip, block_pairs):
+    if block_pairs is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    anchors = generate_anchors(AnchorGridSpec(image_w=150.0, image_h=90.0, clip=clip, **GRID_LAYOUTS[layout]))
+    if block_pairs is not None:
+        assert len(list(geometry.anchor_tiles(anchors))) > anchors.num_levels
+    rng = np.random.default_rng(41)
+    gts = np.column_stack([rng.uniform(-10, 160, 9), rng.uniform(-10, 100, 9), rng.uniform(2, 60, (9, 2))])
+    gts[5] = gts[2]  # a duplicate gt ties with an earlier one everywhere
+    norm = finalize(accumulate(NormalizerAccumulator(), gts, anchors))
+    for thr in (DEFAULT, AssignThresholds(0.5, 0.2, 0.1)):
+        for part in (anchors, *anchors.level_sets):  # pooled, then --per-level
+            for metric, scores in ((Metric.PS, ps_matrix(gts, part, norm)), (Metric.IOU, iou_matrix(gts, part))):
+                result = assign_with_metric(gts, part, norm, thr, metric)
+                labels, gt_index, best = assign_ref(
+                    scores, pos_thr=thr.pos_thr, neg_thr=thr.neg_thr, min_pos_thr=thr.min_pos_thr
+                )
+                np.testing.assert_array_equal(result.labels, labels)
+                np.testing.assert_array_equal(result.gt_index, gt_index)
+                np.testing.assert_array_equal(result.best_score.view(np.int64), np.array(best).view(np.int64))
+                counts = count_with_metric(gts, part, norm, thr, metric)
+                assert_counts_match(counts, result, gts.shape[0])
+
+
+def test_counting_sink_equals_stats_over_results_on_random_cases(monkeypatch):
+    rng = np.random.default_rng(42)
+    for case in range(30):
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", int(rng.choice([13, 97, 400, 1 << 16])))
+        anchors = generate_anchors(AnchorGridSpec(
+            levels=((6.0, 8.0), (12.0, 20.0))[: 1 + case % 2],
+            image_w=float(rng.integers(20, 120)), image_h=float(rng.integers(20, 120)),
+            ratios=(0.5, 1.0, 2.0), scales=(1.0, 2.5), clip=bool(case % 3 == 0)))
+        num_gts = int(rng.integers(0, 7))
+        gts = np.column_stack([rng.uniform(0, 120, (num_gts, 2)), rng.uniform(1, 50, (num_gts, 2))])
+        norm = DatasetNormalizers(float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.2, 1.5)))
+        thr = AssignThresholds(*sorted(rng.uniform(0.05, 0.9, 2))[::-1], float(rng.uniform(0, 0.6)))
+        for metric in Metric:
+            result = assign_with_metric(gts, anchors, norm, thr, metric)
+            counts = count_with_metric(gts, anchors, norm, thr, metric)
+            assert_counts_match(counts, result, num_gts)
+        # Per-level: the records of the level sets sum like the results.
+        parts = [count_with_metric(gts, part, norm, thr, Metric.IOU) for part in anchors.level_sets]
+        results = [assign_with_metric(gts, part, norm, thr, Metric.IOU) for part in anchors.level_sets]
+        areas = [rng.uniform(10, 20000, num_gts)]
+        assert assignment_stats([sum(parts[1:], parts[0])], areas, thr, Metric.IOU) == assignment_stats(
+            [results], areas, thr, Metric.IOU
+        )
+
+
+def test_stats_checks_count_records_against_the_areas():
+    counts = count_matrix(np.array([[0.9, 0.2], [0.1, 0.8]]))
+    with pytest.raises(ValueError, match="counts of image 0 cover 2 gts but it has 3"):
+        assignment_stats([counts], [[1.0, 2.0, 3.0]], DEFAULT, Metric.PS)

@@ -553,6 +553,25 @@ def test_contrast_demo_overflowing_logits_end_in_one_error_line():
     ]
 
 
+def test_contrast_demo_overflowing_gradient_ends_in_one_error_line():
+    """At tau 1e-309 the losses print, then the gradient overflows: one
+    error line after them, exit 1, no RuntimeWarning and no [FAIL]."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "from smalldet.cli import entrypoint; entrypoint()",
+         "contrast-demo", "--tau", "1e-309"],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("spatial_loss=") and "gradient check" not in proc.stdout
+    assert proc.stderr.splitlines() == [
+        "error: spatial_loss: a gradient is not finite at tau=1e-309"
+    ]
+
+
 def test_contrast_demo_dim_cap_boundary(capsys, monkeypatch):
     # At the default 4 levels and batch 3 the check perturbs 48 * dim
     # coordinates in two copies each: 2 * (48 * 60)^2 = 16,588,800 values
@@ -823,6 +842,59 @@ def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):
     # Three images and seven gts: the zero-size annotation is dropped, the
     # crowd ones are kept in the index.
     assert result["counts"]["dataset.records"] == 10
+
+
+# What stats wrote for interleaved_dataset under MINI_LAYOUT when the
+# fingerprint still came from hashlib.
+HASHLIB_CACHE = {
+    "m": 0.27083333333333337,
+    "n": 0.041666666666666664,
+    "pair_count": 8,
+    "dataset_hash": "7e34c932ec5a41a4",
+    "anchor_spec_hash": "c6a8263492e6ab88",
+}
+
+
+def test_stats_and_assign_hash_without_openssl(tmp_path):
+    # The fingerprint takes blake2b from the builtin _blake2 module, so
+    # neither command loads hashlib's OpenSSL backend. The digests are
+    # hashlib.blake2b's, and a cache written with hashlib's still hits.
+    ann = interleaved_dataset(tmp_path)
+    cache = write_json(tmp_path / "cache.json", HASHLIB_CACHE)
+    script = (
+        "import json, sys\n"
+        "from smalldet import cli, dataset, load_coco\n"
+        "codes = [cli.main(['stats', '--ann', sys.argv[1], '--anchors', sys.argv[2]]),\n"
+        "         cli.main(['assign', '--ann', sys.argv[1], '--anchors', sys.argv[2], '--cache', sys.argv[3]])]\n"
+        "layout = cli.AnchorLayout.from_json_value(json.loads(sys.argv[2]))\n"
+        "print(json.dumps({'codes': codes, 'openssl': '_hashlib' in sys.modules,\n"
+        "    'records': list(dataset._canonical_records(load_coco(sys.argv[1]))),\n"
+        "    'dataset_hash': dataset.dataset_hash(load_coco(sys.argv[1])),\n"
+        "    'config_hash': layout.config_hash()}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, ann, MINI_LAYOUT, cache],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    assert result["openssl"] is False
+    import hashlib
+
+    digest = hashlib.blake2b(digest_size=8)
+    for record in result["records"]:
+        digest.update(record.encode("utf-8"))
+    assert result["dataset_hash"] == digest.hexdigest() == HASHLIB_CACHE["dataset_hash"]
+    layout = cli.AnchorLayout.from_json_value(json.loads(MINI_LAYOUT))
+    parts = "L|4.0,4.0|R1.0|S1.0|C0"
+    assert layout.config_hash() == result["config_hash"] == HASHLIB_CACHE["anchor_spec_hash"]
+    assert hashlib.blake2b(parts.encode("utf-8"), digest_size=8).hexdigest() == result["config_hash"]
+    assert "normalizer cache hit" in proc.stderr
 
 
 NOT_UTF8 = b'{"images": [], "annotations": [], "note": "\xff\xfe"}'

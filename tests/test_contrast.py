@@ -459,6 +459,24 @@ def test_total_loss_arithmetic():
 
 
 
+def test_overflowing_gradient_raises_naming_the_loss():
+    """At tau 1e-309 the losses are finite but the gradients, about
+    embedding / tau, overflow: contrast_grad raises instead of returning
+    infinities, with or without the forward the losses saved."""
+    batch = toy_batch(seed=0)
+    cfg = ContrastConfig(tau=1e-309)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        assert math.isfinite(spatial_loss(batch, cfg)) and math.isfinite(semantic_loss(batch, cfg))
+        with pytest.raises(ValueError, match=r"^spatial_loss: a gradient is not finite at tau=1e-309$"):
+            contrast_grad(batch, cfg)
+        assert batch._saved == {}
+        with pytest.raises(ValueError, match="^spatial_loss: a gradient is not finite"):
+            contrast_grad(batch, cfg)
+        with pytest.raises(ValueError, match="^spatial_loss: a gradient is not finite"):
+            gradient_check(batch, cfg)
+
+
 def test_overflowing_logits_raise_naming_the_loss():
     """At tau 1e-320 every dot product over tau overflows."""
     batch = toy_batch(seed=0)
