@@ -430,8 +430,8 @@ class AnchorGridSpec:
 # is one tile's, 3-4 MB traced. With the default layout and 100 gts on an
 # x86-64 Linux host, an 8000x6000 image (1.69M anchors) peaked at 35 MB
 # RSS (36 MB clipped) and a 16000x14900 one (8.39M) at 35 MB (38 MB
-# clipped), about 5 MB over the imported package. The cap bounds the time
-# of one image instead, about 11 s (13 s clipped) at the cap. Only
+# clipped), 4-7 MB over the imported package. The cap bounds the time of
+# one image instead: 9-11 s (11-13 s clipped) at the cap. Only
 # assign_with_metric, whose AssignResult is 17 bytes per anchor, still
 # grows with the image. The CLI rejects a larger image as a data error.
 MAX_ANCHORS = 1 << 23
