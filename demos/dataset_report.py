@@ -88,15 +88,16 @@ with tempfile.TemporaryDirectory(prefix="dataset_report_") as tmp:
     print()
 
     # --- assignment under both metrics ------------------------------------
+    # Each image's result becomes one ImageCounts record, which carries the
+    # gt areas (w * h) that pick the size buckets.
     thr = AssignThresholds()
-    areas = [b[:, 2] * b[:, 3] for b in scenes]
     reports = []
     for metric in (Metric.PS, Metric.IOU):
-        results = []
+        counts = []
         for boxes in scenes:
             scores = ps_matrix(boxes, anchors, norm) if metric is Metric.PS else iou_matrix(boxes, anchors)
-            results.append(assign(scores, thr))
-        reports.append(assignment_stats(results, areas, thr, metric))
+            counts.append(assign(scores, thr).counts(boxes[:, 2] * boxes[:, 3]))
+        reports.append(assignment_stats(counts, thr, metric))
 
     print("metric  bucket          gts  mean_pos  uncovered")
     for report in reports:

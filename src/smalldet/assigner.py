@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -143,16 +144,19 @@ class AssignResult:
 
     def positives_per_gt(self, num_gts: int) -> np.ndarray:
         """Count of positive anchors matched to each ground truth."""
-        return _count_matched(self.gt_index[self.labels == POSITIVE], num_gts)
+        matched = self.gt_index[self.labels == POSITIVE]
+        if matched.size and int(matched.max()) >= num_gts:
+            raise ValueError(
+                f"result references gt {int(matched.max())} but only {num_gts} gts were given"
+            )
+        return np.bincount(matched, minlength=num_gts)
 
-
-def _count_matched(matched: np.ndarray, num_gts: int) -> np.ndarray:
-    """Per-gt counts of the matched gt indices of positive anchors."""
-    if matched.size and int(matched.max()) >= num_gts:
-        raise ValueError(
-            f"result references gt {int(matched.max())} but only {num_gts} gts were given"
-        )
-    return np.bincount(matched, minlength=num_gts) if num_gts else np.zeros(0, dtype=np.int64)
+    def counts(self, gt_areas) -> "ImageCounts":
+        """This result's ImageCounts record, for gts of these areas (px^2) by row."""
+        areas = np.asarray(gt_areas, dtype=np.float64)
+        negative = int(np.count_nonzero(self.labels == NEGATIVE))
+        # areas.size, not len(): a 0-d or 2-d array is ImageCounts' to reject.
+        return ImageCounts(areas, self.positives_per_gt(areas.size), negative, self.num_anchors)
 
 
 class _GtBest:
@@ -260,34 +264,68 @@ def _assign_tiles(tiles, num_gts: int, num_anchors: int, thr: AssignThresholds, 
     return AssignResult(labels=labels, gt_index=gt_index, best_score=best_score)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageCounts:
     """One image's assignment outcome, as much of it as a report reads.
 
+    The record assignment_stats folds, made by count_with_metric or
+    AssignResult.counts, and checked when made (ValueError otherwise).
+
     Attributes:
-        positives_per_gt: int64 count of the positive anchors matched to
-            each ground truth.
-        positive: Positive anchors (the sum of positives_per_gt).
-        negative: Negative anchors.
+        gt_areas: float64 area (px^2) of each ground truth, finite and >= 0.
+        positives_per_gt: int64 count (>= 0) of the positive anchors
+            matched to each ground truth, one per area.
+        negative: Negative anchors, 0 <= negative <= anchors - positive.
         anchors: All anchors; the rest are ignored.
     """
 
+    gt_areas: np.ndarray
     positives_per_gt: np.ndarray
-    positive: int
     negative: int
     anchors: int
 
+    def __post_init__(self) -> None:
+        areas = np.asarray(self.gt_areas, dtype=np.float64)
+        per_gt = np.asarray(self.positives_per_gt)
+        if areas.ndim != 1:
+            raise ValueError(f"gt areas must be 1-d, got shape {areas.shape}")
+        bad = areas[~(np.isfinite(areas) & (areas >= 0))]
+        if bad.size:
+            raise ValueError(f"gt areas must be finite and non-negative, got {float(bad[0])!r}")
+        if per_gt.shape != areas.shape:
+            raise ValueError(f"counts cover {per_gt.size} gts but there are {areas.size} gt areas")
+        if per_gt.size and (per_gt.dtype.kind not in "iu" or per_gt.min() < 0):
+            raise ValueError("positives_per_gt must be non-negative integers")
+        positive = int(per_gt.sum())
+        negative, anchors = operator.index(self.negative), operator.index(self.anchors)
+        if not 0 <= negative <= anchors - positive:
+            raise ValueError(
+                f"negative anchors must be in [0, anchors - positive], got {negative} "
+                f"of {anchors} anchors with {positive} positive"
+            )
+        object.__setattr__(self, "gt_areas", areas)
+        object.__setattr__(self, "positives_per_gt", per_gt.astype(np.int64, copy=False))
+        object.__setattr__(self, "negative", negative)
+        object.__setattr__(self, "anchors", anchors)
+
+    @property
+    def positive(self) -> int:
+        """Positive anchors: the sum of positives_per_gt."""
+        return int(self.positives_per_gt.sum())
+
     def __add__(self, other: "ImageCounts") -> "ImageCounts":
         """Counts of two assignments of one image's gts (per-level parts)."""
+        if not np.array_equal(self.gt_areas, other.gt_areas):
+            raise ValueError("only counts of the same image's gts add up: the gt areas differ")
         return ImageCounts(
+            self.gt_areas,
             self.positives_per_gt + other.positives_per_gt,
-            self.positive + other.positive,
             self.negative + other.negative,
             self.anchors + other.anchors,
         )
 
 
-def _count_tiles(tiles, num_gts: int, num_anchors: int, thr: AssignThresholds, floor: float) -> ImageCounts:
+def _count_tiles(tiles, gt_areas: np.ndarray, num_anchors: int, thr: AssignThresholds, floor: float) -> ImageCounts:
     """The counting sink: label totals and per-gt positives, tile by tile.
 
     Memory is one tile's arrays. Before the rescue, an anchor is positive
@@ -296,10 +334,11 @@ def _count_tiles(tiles, num_gts: int, num_anchors: int, thr: AssignThresholds, f
     and redone as a positive of the gt that claims it last, so the counts
     equal those of the AssignResult the same fold makes.
     """
+    num_gts = len(gt_areas)
     per_gt = np.zeros(num_gts, dtype=np.int64)
     if num_gts == 0 or num_anchors == 0:
-        return ImageCounts(per_gt, 0, num_anchors, num_anchors)
-    positive = negative = 0
+        return ImageCounts(gt_areas, per_gt, num_anchors, num_anchors)
+    negative = 0
     gt_best = _GtBest(num_gts)
 
     def buffers(start: int, length: int):
@@ -308,7 +347,6 @@ def _count_tiles(tiles, num_gts: int, num_anchors: int, thr: AssignThresholds, f
     for best, match in _fold(tiles, gt_best, floor, thr.pos_thr, buffers):
         matched = match[match >= 0]
         per_gt += np.bincount(matched, minlength=num_gts)
-        positive += matched.size
         negative += int(np.count_nonzero(best < thr.neg_thr))
     # A later gt's rescue overrides an earlier one's on the same anchor.
     owner = {int(gt_best.anchor[g]): g for g in gt_best.rescuers(thr.min_pos_thr).tolist()}
@@ -317,12 +355,10 @@ def _count_tiles(tiles, num_gts: int, num_anchors: int, thr: AssignThresholds, f
         was = int(gt_best.match_at[g])
         if was >= 0:
             per_gt[was] -= 1
-        else:
-            positive += 1
-            if gt_best.best_at[g] < thr.neg_thr:
-                negative -= 1
+        elif gt_best.best_at[g] < thr.neg_thr:
+            negative -= 1
         per_gt[g] += 1
-    return ImageCounts(per_gt, positive, negative, num_anchors)
+    return ImageCounts(gt_areas, per_gt, negative, num_anchors)
 
 
 def _matrix_tiles(score: np.ndarray):
@@ -433,19 +469,21 @@ def count_with_metric(
     The same fold as assign_with_metric, with a sink that counts each
     tile's labels and per-gt positives and then drops the tile, so no
     per-anchor array of the image is made: working memory is one tile's,
-    whatever the image size. The counts equal those assignment_stats
-    takes from the AssignResult.
+    whatever the image size. The record equals
+    assign_with_metric(...).counts(areas) for the gt areas w * h, which it
+    carries as gt_areas.
 
     Args:
-        g: Validated (G, 4) float64 ground-truth array, as from
-            boxes_to_array or a DatasetIndex; it is not checked again.
+        g: Validated (G, 4) float64 center-form (cx, cy, w, h)
+            ground-truth array, as from boxes_to_array or a DatasetIndex;
+            it is not checked again.
         anchors: Anchor boxes, or an AnchorSet.
         norm: Dataset normalizers; required for the PS metric.
         thr: Decision thresholds.
         metric: Metric.PS or Metric.IOU (or their string values).
     """
     metric, a = _checked(anchors, norm, metric)
-    return _count_tiles(_metric_tiles(g, a, norm, metric), g.shape[0], len(a), thr, 0.0)
+    return _count_tiles(_metric_tiles(g, a, norm, metric), g[:, 2] * g[:, 3], len(a), thr, 0.0)
 
 
 @dataclass(frozen=True)
@@ -504,47 +542,24 @@ def check_bucket_edges(bucket_edges) -> tuple[float, ...]:
     return edges
 
 
-# Marks an exhausted iterator in assignment_stats.
-_END = object()
-
-
-def _result_counts(results, num_gts: int) -> ImageCounts:
-    """The counts of one image's AssignResult, or of its per-level parts."""
-    if isinstance(results, AssignResult):
-        results = (results,)
-    if not results:
-        raise ValueError("each image needs at least one AssignResult")
-    counts = ImageCounts(np.zeros(num_gts, dtype=np.int64), 0, 0, 0)
-    for result in results:
-        matched = result.gt_index[result.labels == POSITIVE]
-        negative = int(np.count_nonzero(result.labels == NEGATIVE))
-        counts += ImageCounts(_count_matched(matched, num_gts), matched.size, negative, result.num_anchors)
-    return counts
-
-
 def assignment_stats(
-    results,
-    gt_areas,
+    counts,
     thr: AssignThresholds,
     metric: Metric | str,
     bucket_edges=(1024.0, 9216.0),
 ) -> StatsReport:
     """Aggregate per-image assignment outcomes into a bucketed report.
 
-    Both inputs are consumed as streams, one image at a time. Each image
-    becomes one ImageCounts record, folded into per-bucket integer sums
-    and dropped, so a generator needs memory for one image's entry,
-    however many images there are; a stream of ImageCounts, as
-    count_with_metric makes them, holds no per-anchor array at all.
+    counts is consumed as a stream, one image at a time: each ImageCounts
+    record is folded into per-bucket integer sums and dropped, so a
+    generator needs memory for one image's record, however many images
+    there are. A record of count_with_metric holds no per-anchor array;
+    an AssignResult enters through AssignResult.counts, and per-level
+    parts of one image as the sum of their records.
 
     Args:
-        results: Iterable of per-image entries. Each is an ImageCounts, an
-            AssignResult, or a sequence of AssignResult over disjoint
-            anchor subsets of the same image (per-level assignment), whose
-            counts are summed per gt.
-        gt_areas: Iterable of per-image arrays of ground-truth areas
-            (px^2), parallel to results. Ground truth g of image i is the
-            one scored by row g of that image's matrices.
+        counts: Iterable of ImageCounts, one per image. Each carries its
+            gt areas, which pick the gts' buckets.
         thr: Thresholds the assignments used (recorded in the report).
         metric: Metric name recorded in the report.
         bucket_edges: Ascending area edges; k edges produce k+1 buckets.
@@ -554,10 +569,8 @@ def assignment_stats(
         StatsReport with one record per bucket, in edge order.
 
     Raises:
-        ValueError: If results and gt_areas differ in length (found when
-            the shorter one runs out), if an image's areas are not 1-d or
-            hold a non-finite or negative area (naming the image's
-            position), or on bad edges, results or counts.
+        ValueError: On bad edges, or if an entry is not an ImageCounts
+            (naming its position).
     """
     edges = check_bucket_edges(bucket_edges)
     metric = Metric(metric)
@@ -567,46 +580,26 @@ def assignment_stats(
     gt_count = np.zeros(num_buckets, dtype=np.int64)
     positive_sum = np.zeros(num_buckets, dtype=np.int64)
     zero_positive = np.zeros(num_buckets, dtype=np.int64)
-    total_positive = 0
     total_negative = 0
     total_anchors = 0
 
-    area_lists = iter(gt_areas)
-    images = 0
-    for entry in results:
-        areas = next(area_lists, _END)
-        if areas is _END:
-            raise ValueError(f"got more image results than the {images} gt area lists")
+    images = 0  # not enumerate, whose reused tuple would keep the last record
+    for record in counts:
+        if not isinstance(record, ImageCounts):
+            raise ValueError(f"entry {images} of counts is a {type(record).__name__}, not an ImageCounts")
         images += 1
-        areas = np.asarray(areas, dtype=np.float64)
-        if areas.ndim != 1:
-            raise ValueError(f"gt areas of image {images - 1} must be 1-d, got shape {areas.shape}")
-        bad = areas[~(np.isfinite(areas) & (areas >= 0))]
-        if bad.size:
-            raise ValueError(
-                f"gt areas of image {images - 1} must be finite and non-negative, got {float(bad[0])!r}"
-            )
-        num_gts = int(areas.shape[0])
-        counts = entry if isinstance(entry, ImageCounts) else _result_counts(entry, num_gts)
-        # Drop this image's results before the iterator makes the next ones.
-        del entry
-        per_gt = counts.positives_per_gt
-        if per_gt.shape != (num_gts,):
-            raise ValueError(
-                f"counts of image {images - 1} cover {per_gt.shape[0]} gts but it has {num_gts}"
-            )
-        total_positive += counts.positive
-        total_negative += counts.negative
-        total_anchors += counts.anchors
-        bucket_of = np.searchsorted(edge_array, areas, side="right")
+        per_gt = record.positives_per_gt
+        bucket_of = np.searchsorted(edge_array, record.gt_areas, side="right")
+        total_negative += record.negative
+        total_anchors += record.anchors
+        # Drop this image's record before the iterator makes the next one.
+        del record
         gt_count += np.bincount(bucket_of, minlength=num_buckets)
         # Integer counts summed as float64 weights are exact below 2**53.
         positive_sum += np.bincount(bucket_of, weights=per_gt, minlength=num_buckets).astype(
             np.int64
         )
         zero_positive += np.bincount(bucket_of[per_gt == 0], minlength=num_buckets)
-    if next(area_lists, _END) is not _END:
-        raise ValueError(f"got {images} image results but more gt area lists")
 
     buckets = []
     for name, count, pos, zero in zip(_bucket_names(edges), gt_count, positive_sum, zero_positive):
@@ -620,6 +613,7 @@ def assignment_stats(
                 positive_anchors=int(pos),
             )
         )
+    total_positive = int(positive_sum.sum())
     return StatsReport(
         metric=metric.value,
         thresholds=thr,

@@ -279,16 +279,14 @@ def _map_in_order(fn, items, jobs: int):
             yield window.popleft().result()
 
 
-def _image_gts(index: DatasetIndex) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-image views of the non-crowd gt boxes and of their areas (w * h)."""
+def _image_gts(index: DatasetIndex) -> list[np.ndarray]:
+    """Per-image views of the non-crowd gt boxes."""
     keep = ~index.iscrowd
     crowd = index.num_gts - int(np.count_nonzero(keep))
     if crowd:
         logger.info("excluded %d crowd annotation(s) from assignment", crowd)
     kept_before = np.concatenate(([0], np.cumsum(keep)))
-    cuts = kept_before[index.gt_start[1:-1]]
-    boxes = index.boxes[keep]
-    return np.split(boxes, cuts), np.split(boxes[:, 2] * boxes[:, 3], cuts)
+    return np.split(index.boxes[keep], kept_before[index.gt_start[1:-1]])
 
 
 class _AnchorCache:
@@ -407,7 +405,7 @@ def cmd_stats(cfg: ExperimentConfig) -> int:
         _check_writable(cfg.cache_path, f"cannot write normalizer cache {cfg.cache_path}")
     index = load_coco(cfg.ann)
     anchors = _AnchorCache(cfg.ann, cfg.layout, index)
-    gt_boxes, _ = _image_gts(index)
+    gt_boxes = _image_gts(index)
     norm, pair_count, cached = _resolve_normalizers(cfg, index, gt_boxes, anchors)
     suffix = " (cached)" if cached else ""
     print(f"m={norm.m!r} n={norm.n!r} pair_count={pair_count}{suffix}")
@@ -437,7 +435,7 @@ def cmd_assign(cfg: ExperimentConfig) -> int:
         _check_writable(cfg.cache_path, f"cannot write normalizer cache {cfg.cache_path}")
     index = load_coco(cfg.ann)
     anchors = _AnchorCache(cfg.ann, cfg.layout, index)
-    gt_boxes, gt_areas = _image_gts(index)
+    gt_boxes = _image_gts(index)
     norm: DatasetNormalizers | None = None
     if Metric.PS.value in cfg.metrics:
         norm, _, _ = _resolve_normalizers(cfg, index, gt_boxes, anchors)
@@ -454,12 +452,11 @@ def cmd_assign(cfg: ExperimentConfig) -> int:
                 cfg.per_level,
             )
 
-        # A lazy stream of per-image counts: assignment_stats folds each
-        # into the report as it arrives, and no image's per-anchor arrays
-        # outlive the tile they were counted in.
+        # A lazy stream of per-image counts, each carrying its gt areas:
+        # assignment_stats folds each into the report as it arrives, and no
+        # image's per-anchor arrays outlive the tile they were counted in.
         report = assignment_stats(
             _map_in_order(one_image, range(len(gt_boxes)), cfg.jobs),
-            gt_areas,
             cfg.thresholds,
             metric,
             cfg.bucket_edges,

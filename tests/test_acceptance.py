@@ -351,7 +351,8 @@ def test_criterion_10_small_object_direction():
             _check(failures, abs(iou_scores[g, a] - iou_want) <= 1e-12, f"IoU[{g},{a}] off oracle")
 
     reports = {
-        name: assignment_stats(results[name], areas, thr, Metric(name)) for name in results
+        name: assignment_stats((r.counts(a) for r, a in zip(results[name], areas)), thr, Metric(name))
+        for name in results
     }
     ps_bucket = reports["ps"].buckets[0]
     iou_bucket = reports["iou"].buckets[0]

@@ -18,6 +18,7 @@ from smalldet import (
     AssignThresholds,
     Box,
     DatasetNormalizers,
+    ImageCounts,
     Metric,
     assign,
     accumulate,
@@ -436,17 +437,17 @@ def test_assign_result_validation_and_per_gt_counts():
     with pytest.raises(ValueError, match="result references gt 1 but only 1 gts were given"):
         result.positives_per_gt(1)
     with pytest.raises(ValueError, match="result references gt 1 but only 1 gts were given"):
-        assignment_stats([result], [[100.0]], DEFAULT, Metric.PS)
+        result.counts([100.0])
     assert make([], []).positives_per_gt(0).tolist() == []
 
 
 def test_stats_empty_and_single_gt():
-    empty = assignment_stats([], [], DEFAULT, Metric.PS)
+    empty = assignment_stats([], DEFAULT, Metric.PS)
     assert empty.total_anchors == 0
     assert all(b.gt_count == 0 and b.mean_positives_per_gt is None for b in empty.buckets)
 
     result = assign(np.array([[0.9, 0.95, 0.1]]), DEFAULT)
-    report = assignment_stats([result], [np.array([100.0])], DEFAULT, Metric.PS)
+    report = assignment_stats([result.counts(np.array([100.0]))], DEFAULT, Metric.PS)
     small = report.buckets[0]
     assert small.name == "area<1024"
     assert small.gt_count == 1
@@ -464,7 +465,7 @@ def test_stats_totals_match_recount():
         scores = rng.uniform(size=(num_gts, 30))
         results.append(assign(scores, DEFAULT))
         areas.append(rng.uniform(10, 20000, size=num_gts))
-    report = assignment_stats(results, areas, DEFAULT, Metric.IOU)
+    report = assignment_stats([r.counts(a) for r, a in zip(results, areas)], DEFAULT, Metric.IOU)
 
     positives = sum(int(np.count_nonzero(r.labels == POSITIVE)) for r in results)
     anchors = sum(r.labels.shape[0] for r in results)
@@ -480,8 +481,9 @@ def test_stats_accepts_per_level_result_lists():
     pooled = assign(np.array([[0.5, 0.1, 0.4]]), DEFAULT)
     split = [assign(scores_a, DEFAULT), assign(scores_b, DEFAULT)]
 
-    pooled_report = assignment_stats([pooled], [[400.0]], DEFAULT, Metric.PS)
-    split_report = assignment_stats([split], [[400.0]], DEFAULT, Metric.PS)
+    # Per-level parts of one image enter the report as one summed record.
+    pooled_report = assignment_stats([pooled.counts([400.0])], DEFAULT, Metric.PS)
+    split_report = assignment_stats([split[0].counts([400.0]) + split[1].counts([400.0])], DEFAULT, Metric.PS)
     # Splitting changes the rescue outcome per level, not the bookkeeping:
     # the split run rescues one anchor per level.
     assert pooled_report.buckets[0].mean_positives_per_gt == 1.0
@@ -489,48 +491,85 @@ def test_stats_accepts_per_level_result_lists():
     assert split_report.total_anchors == pooled_report.total_anchors == 3
 
 
-def random_image_results(rng, images=7):
-    """Per-image results and gt areas; every third image is split per level."""
-    results, areas = [], []
+def random_image_counts(rng, images=7):
+    """One ImageCounts per image; every third image sums two per-level parts."""
+    records = []
     for i in range(images):
         num_gts = int(rng.integers(0, 4))
-        parts = [assign(rng.uniform(size=(num_gts, 20)), DEFAULT) for _ in range(1 + (i % 3 == 0))]
-        results.append(parts if len(parts) > 1 else parts[0])
-        areas.append(rng.uniform(10, 20000, size=num_gts))
-    return results, areas
+        areas = rng.uniform(10, 20000, size=num_gts)
+        parts = [assign(rng.uniform(size=(num_gts, 20)), DEFAULT).counts(areas) for _ in range(1 + (i % 3 == 0))]
+        records.append(sum(parts[1:], parts[0]))
+    return records
 
 
 def test_stats_over_a_generator_equals_stats_over_a_list():
-    results, areas = random_image_results(np.random.default_rng(38))
-    assert any(isinstance(r, list) for r in results)
-    from_list = assignment_stats(results, areas, DEFAULT, Metric.PS)
-    from_stream = assignment_stats(iter(results), iter(areas), DEFAULT, Metric.PS)
+    records = random_image_counts(np.random.default_rng(38))
+    from_list = assignment_stats(records, DEFAULT, Metric.PS)
+    from_stream = assignment_stats(iter(records), DEFAULT, Metric.PS)
     assert from_stream == from_list
-    assert from_list.total_anchors == 20 * sum(len(r) if isinstance(r, list) else 1 for r in results)
+    # Images 0, 3 and 6 hold two parts of 20 anchors each.
+    assert from_list.total_anchors == 20 * (7 + 3)
 
 
-def test_stats_rejects_unequal_lengths_in_either_direction():
-    results, areas = random_image_results(np.random.default_rng(39), images=3)
-    for extra_results, extra_areas in ((results, areas[:2]), (results[:2], areas)):
-        with pytest.raises(ValueError, match="gt area lists"):
-            assignment_stats(extra_results, extra_areas, DEFAULT, Metric.PS)
-        with pytest.raises(ValueError, match="gt area lists"):
-            assignment_stats(iter(extra_results), iter(extra_areas), DEFAULT, Metric.PS)
-
-
-def test_stats_rejects_bad_areas_naming_the_image():
-    results, areas = random_image_results(np.random.default_rng(40), images=3)
-    num_gts = len(areas[1])
-    assert num_gts > 0
+def test_image_counts_rejects_bad_areas():
     for bad, match in (
-        (np.full((num_gts, 1), 50.0), r"image 1 must be 1-d, got shape"),
-        (np.array(5.0), r"image 1 must be 1-d, got shape \(\)"),
-        (np.full(num_gts, np.nan), r"image 1 must be finite and non-negative, got nan"),
-        (np.full(num_gts, np.inf), r"image 1 must be finite and non-negative, got inf"),
-        (np.full(num_gts, -5.0), r"image 1 must be finite and non-negative, got -5.0"),
+        (np.full((2, 1), 50.0), r"gt areas must be 1-d, got shape \(2, 1\)"),
+        (np.array(5.0), r"gt areas must be 1-d, got shape \(\)"),
+        (np.full(2, np.nan), r"gt areas must be finite and non-negative, got nan"),
+        (np.full(2, np.inf), r"gt areas must be finite and non-negative, got inf"),
+        (np.full(2, -5.0), r"gt areas must be finite and non-negative, got -5.0"),
     ):
         with pytest.raises(ValueError, match=match):
-            assignment_stats(results, [areas[0], bad, areas[2]], DEFAULT, Metric.PS)
+            ImageCounts(bad, np.array([1, 0]), 3, 6)
+        # A result's record is checked the same way.
+        with pytest.raises(ValueError, match=match):
+            assign(np.array([[0.9, 0.1], [0.1, 0.2]]), DEFAULT).counts(bad)
+
+
+def test_image_counts_sum_only_the_same_image():
+    # Two records over different gts used to broadcast their per-gt counts
+    # (1 gt against 3): a report over the sum showed 3 positive anchors in
+    # the bucket but total_positive 1.
+    one = ImageCounts(np.array([50.0]), np.array([1]), 0, 5)
+    three = ImageCounts(np.array([50.0, 60.0, 70.0]), np.array([0, 0, 0]), 2, 5)
+    with pytest.raises(ValueError, match="gt areas differ"):
+        one + three
+    with pytest.raises(ValueError, match="gt areas differ"):
+        one + ImageCounts(np.array([51.0]), np.array([0]), 2, 5)
+    both = one + ImageCounts(np.array([50.0]), np.array([2]), 2, 5)
+    assert (both.positives_per_gt.tolist(), both.positive, both.negative, both.anchors) == ([3], 3, 2, 10)
+
+
+def test_image_counts_rejects_counts_that_do_not_add_up():
+    # ImageCounts([-4, 9] per gt, 5 positive, -3 negative, 2 anchors) used
+    # to report total_negative = -3.
+    areas = np.array([10.0, 20.0])
+    for per_gt, negative, anchors, match in (
+        ([-4, 9], -3, 2, "non-negative integers"),
+        ([-4, 9], 0, 9, "non-negative integers"),
+        ([1.0, 2.0], 0, 9, "non-negative integers"),
+        ([True, False], 0, 9, "non-negative integers"),
+        ([1, 2], -3, 9, "negative anchors must be in"),
+        ([1, 2], 7, 9, r"got 7 of 9 anchors with 3 positive"),
+        ([4, 9], 0, 2, r"got 0 of 2 anchors with 13 positive"),
+        ([1], 0, 9, "counts cover 1 gts but there are 2 gt areas"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            ImageCounts(areas, np.array(per_gt), negative, anchors)
+    with pytest.raises(TypeError):
+        ImageCounts(areas, np.array([1, 2]), 1.5, 9)
+    record = ImageCounts([10.0, 20.0], [1, 2], 6, 9)
+    assert record.positives_per_gt.dtype == np.int64 and record.gt_areas.dtype == np.float64
+    assert (record.positive, record.negative, record.anchors) == (3, 6, 9)
+    assert ImageCounts([], [], 0, 0).positive == 0
+
+
+def test_stats_rejects_entries_that_are_not_image_counts():
+    result = assign(np.array([[0.9, 0.1]]), DEFAULT)
+    good = result.counts([100.0])
+    for bad in (object(), [], [result], result, (good,)):
+        with pytest.raises(ValueError, match=rf"entry 1 of counts is a {type(bad).__name__}, not an ImageCounts"):
+            assignment_stats([good, bad], DEFAULT, Metric.PS)
 
 
 def test_stats_does_not_retain_results():
@@ -540,29 +579,28 @@ def test_stats_does_not_retain_results():
         for _ in range(4):
             # The report has folded the previous result and let it go.
             assert all(ref() is None for ref in refs)
-            result = assign(np.array([[0.9, 0.2, 0.1]]), DEFAULT)
-            refs.append(weakref.ref(result))
-            yield result
-            del result
+            record = assign(np.array([[0.9, 0.2, 0.1]]), DEFAULT).counts([100.0])
+            refs.append(weakref.ref(record))
+            yield record
+            del record
 
-    report = assignment_stats(stream(), [[100.0]] * 4, DEFAULT, Metric.PS)
+    report = assignment_stats(stream(), DEFAULT, Metric.PS)
     assert len(refs) == 4
     assert report.total_anchors == 12
     assert report.buckets[0].positive_anchors == 4
 
 def test_stats_bucket_edges_and_names():
-    report = assignment_stats([], [], DEFAULT, Metric.PS, bucket_edges=(4.0, 100.0))
+    report = assignment_stats([], DEFAULT, Metric.PS, bucket_edges=(4.0, 100.0))
     assert [b.name for b in report.buckets] == ["area<4", "4<=area<100", "area>=100"]
     with pytest.raises(ValueError):
-        assignment_stats([], [], DEFAULT, Metric.PS, bucket_edges=(100.0, 4.0))
+        assignment_stats([], DEFAULT, Metric.PS, bucket_edges=(100.0, 4.0))
 
 
 def test_report_serialization_identical_numbers():
     rng = np.random.default_rng(34)
-    results = [assign(rng.uniform(size=(3, 25)), DEFAULT)]
-    areas = [np.array([50.0, 2000.0, 12000.0])]
+    counts = [assign(rng.uniform(size=(3, 25)), DEFAULT).counts(np.array([50.0, 2000.0, 12000.0]))]
     reports = [
-        assignment_stats(results, areas, DEFAULT, metric)
+        assignment_stats(counts, DEFAULT, metric)
         for metric in (Metric.PS, Metric.IOU)
     ]
 
@@ -590,7 +628,8 @@ def test_report_serialization_identical_numbers():
 def count_matrix(scores, thr=DEFAULT):
     """The counting sink's record of assign(scores), from the same fold."""
     scores = np.asarray(scores, dtype=np.float64)
-    return _count_tiles(_matrix_tiles(scores), *scores.shape, thr, -np.inf)
+    areas = np.linspace(100.0, 20000.0, scores.shape[0])
+    return _count_tiles(_matrix_tiles(scores), areas, scores.shape[1], thr, -np.inf)
 
 
 def assert_counts_match(counts, result, num_gts):
@@ -598,9 +637,8 @@ def assert_counts_match(counts, result, num_gts):
     assert counts.positive == int(np.count_nonzero(result.labels == POSITIVE))
     assert counts.negative == int(np.count_nonzero(result.labels == NEGATIVE))
     assert counts.anchors == result.num_anchors
-    areas = [np.linspace(100.0, 20000.0, num_gts)]
-    assert assignment_stats([counts], areas, DEFAULT, Metric.PS) == assignment_stats(
-        [result], areas, DEFAULT, Metric.PS
+    assert assignment_stats([counts], DEFAULT, Metric.PS) == assignment_stats(
+        [result.counts(counts.gt_areas)], DEFAULT, Metric.PS
     )
 
 
@@ -750,17 +788,22 @@ def test_counting_sink_equals_stats_over_results_on_random_cases(monkeypatch):
         for metric in Metric:
             result = assign_with_metric(gts, anchors, norm, thr, metric)
             counts = count_with_metric(gts, anchors, norm, thr, metric)
+            # count_with_metric takes each gt's area as w * h.
+            np.testing.assert_array_equal(counts.gt_areas, gts[:, 2] * gts[:, 3])
             assert_counts_match(counts, result, num_gts)
-        # Per-level: the records of the level sets sum like the results.
+        # Per-level: the records of the level sets sum like the results'.
+        areas = gts[:, 2] * gts[:, 3]
         parts = [count_with_metric(gts, part, norm, thr, Metric.IOU) for part in anchors.level_sets]
-        results = [assign_with_metric(gts, part, norm, thr, Metric.IOU) for part in anchors.level_sets]
-        areas = [rng.uniform(10, 20000, num_gts)]
-        assert assignment_stats([sum(parts[1:], parts[0])], areas, thr, Metric.IOU) == assignment_stats(
-            [results], areas, thr, Metric.IOU
+        results = [assign_with_metric(gts, part, norm, thr, Metric.IOU).counts(areas) for part in anchors.level_sets]
+        assert assignment_stats([sum(parts[1:], parts[0])], thr, Metric.IOU) == assignment_stats(
+            [sum(results[1:], results[0])], thr, Metric.IOU
         )
 
 
 def test_stats_checks_count_records_against_the_areas():
+    # A record holds one count per gt area, so no report can pair the
+    # counts of one image with the areas of another.
     counts = count_matrix(np.array([[0.9, 0.2], [0.1, 0.8]]))
-    with pytest.raises(ValueError, match="counts of image 0 cover 2 gts but it has 3"):
-        assignment_stats([counts], [[1.0, 2.0, 3.0]], DEFAULT, Metric.PS)
+    assert counts.gt_areas.shape == counts.positives_per_gt.shape == (2,)
+    with pytest.raises(ValueError, match="counts cover 2 gts but there are 3 gt areas"):
+        ImageCounts([1.0, 2.0, 3.0], counts.positives_per_gt, counts.negative, counts.anchors)

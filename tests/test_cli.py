@@ -812,25 +812,24 @@ def test_anchor_layout_clip_text_is_read_as_a_boolean():
     assert parse({"clip": True}).config_hash() != cli.AnchorLayout().config_hash()
 
 
-def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):
-    # perfbench/child.py wraps functions where smalldet.cli (and other
-    # modules) look them up; a name dropped there makes install() raise.
-    # A traced stats run then checks that the after-hooks find what they
-    # read, such as the index's num_images and num_gts.
-    ann = interleaved_dataset(tmp_path)
+def traced_main(tmp_path, argv):
+    """cli.main(argv) in a subprocess, under perfbench/child.py's installed tracer.
+
+    Returns the exit code, the tracer's counters and the names of its spans.
+    """
     script = (
         "import json, sys, child\n"
         "tracer = child.Tracer()\n"
         "child.install(tracer, False)\n"
         "from smalldet import cli\n"
         "code = cli.main(sys.argv[1:])\n"
-        "print(json.dumps({'code': code, 'counts': tracer.counts}))\n"
+        "spans = sorted({span[0] for span in tracer.spans})\n"
+        "print(json.dumps({'code': code, 'counts': tracer.counts, 'spans': spans}))\n"
     )
-    argv = ["stats", "--ann", ann, "--anchors", MINI_LAYOUT, "--out", str(tmp_path / "c.json")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv],
-        cwd=ROOT,
+        cwd=tmp_path,
         env=env,
         capture_output=True,
         text=True,
@@ -838,10 +837,47 @@ def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["code"] == 0
+    return result["code"], result["counts"], result["spans"]
+
+
+def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):
+    # perfbench/child.py wraps functions where smalldet.cli (and other
+    # modules) look them up; a name dropped there makes install() raise.
+    # A traced stats run then checks that the after-hooks find what they
+    # read, such as the index's num_images and num_gts.
+    ann = interleaved_dataset(tmp_path)
+    code, counts, _ = traced_main(tmp_path, ["stats", "--ann", ann, "--anchors", MINI_LAYOUT, "--out", "c.json"])
+    assert code == 0
     # Three images and seven gts: the zero-size annotation is dropped, the
     # crowd ones are kept in the index.
-    assert result["counts"]["dataset.records"] == 10
+    assert counts["dataset.records"] == 10
+
+
+TWO_LEVEL_LAYOUT = '{"levels": [[4, 4], [8, 8]], "ratios": [1], "scales": [1]}'
+
+
+@pytest.mark.parametrize(
+    "argv, records",
+    [
+        (["assign", "--anchors", MINI_LAYOUT, "--metrics", "ps,iou"], 10),
+        (["assign", "--anchors", TWO_LEVEL_LAYOUT, "--metrics", "ps,iou", "--per-level"], 10),
+        (["contrast-demo", "--seed", "1"], 0),
+    ],
+    ids=["assign", "assign-per-level", "contrast-demo"],
+)
+def test_perfbench_tracer_runs_assign_and_the_demo(tmp_path, argv, records):
+    # The traced runs of the benchmark's other workloads. The after-hook of
+    # assignment_stats iterates the stream it was given, so assign must
+    # hand it a lazy generator: a list of ImageCounts would make the hook
+    # raise TypeError in every traced assign run.
+    if argv[0] == "assign":
+        argv = [*argv, "--ann", interleaved_dataset(tmp_path), "--out", "reports"]
+    code, counts, spans = traced_main(tmp_path, argv)
+    assert code == 0
+    assert counts.get("dataset.records", 0) == records
+    if argv[0] == "assign":
+        assert "assigner.assignment_stats" in spans
+        assert (tmp_path / "reports" / "report.json").is_file()
 
 
 # What stats wrote for interleaved_dataset under MINI_LAYOUT when the
