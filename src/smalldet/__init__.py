@@ -8,147 +8,102 @@ them (contrast, pyramid). COCO-style ingestion and the CLI live in
 dataset and cli.
 """
 
-from .assigner import (
-    IGNORE,
-    NEGATIVE,
-    POSITIVE,
-    AssignResult,
-    AssignThresholds,
-    BucketStats,
-    ImageCounts,
-    Metric,
-    StatsReport,
-    assign,
-    assign_with_metric,
-    assignment_stats,
-    check_bucket_edges,
-    count_with_metric,
-    report_to_dict,
-    reports_to_csv,
-    reports_to_json,
-)
-from .contrast import (
-    ContrastConfig,
-    ContrastGradients,
-    EmbeddingBatch,
-    GradientCheckResult,
-    LossComponents,
-    contrast_grad,
-    gradient_check,
-    info_nce,
-    info_nce_grad,
-    semantic_loss,
-    spatial_loss,
-    total_loss,
-)
-from .dataset import (
-    DatasetError,
-    DatasetIndex,
-    dataset_hash,
-    load_coco,
-)
-from .geometry import (
-    AnchorGridSpec,
-    AnchorSet,
-    Box,
-    boxes_to_array,
-    from_topleft,
-    generate_anchors,
-    iou,
-    iou_matrix,
-    make_box,
-)
-from .pyramid import (
-    FeatureMap,
-    ToyPyramidConfig,
-    build_embedding_batch,
-    encode,
-    fuse_topdown,
-    synth_pyramid,
-)
-from .similarity import (
-    DatasetNormalizers,
-    EmptyDatasetError,
-    NormalizerAccumulator,
-    NormalizerCache,
-    accumulate,
-    finalize,
-    load_normalizer_cache,
-    pairwise_similarity,
-    position_similarity,
-    ps_matrix,
-    save_normalizer_cache,
-    shape_similarity,
-)
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # geometry
-    "Box",
-    "AnchorGridSpec",
-    "AnchorSet",
-    "make_box",
-    "from_topleft",
-    "boxes_to_array",
-    "iou",
-    "iou_matrix",
-    "generate_anchors",
-    # similarity
-    "DatasetNormalizers",
-    "NormalizerAccumulator",
-    "NormalizerCache",
-    "EmptyDatasetError",
-    "position_similarity",
-    "shape_similarity",
-    "pairwise_similarity",
-    "ps_matrix",
-    "accumulate",
-    "finalize",
-    "save_normalizer_cache",
-    "load_normalizer_cache",
-    # assigner
-    "POSITIVE",
-    "NEGATIVE",
-    "IGNORE",
-    "Metric",
-    "AssignThresholds",
-    "AssignResult",
-    "ImageCounts",
-    "BucketStats",
-    "StatsReport",
-    "assign",
-    "assign_with_metric",
-    "count_with_metric",
-    "assignment_stats",
-    "check_bucket_edges",
-    "report_to_dict",
-    "reports_to_json",
-    "reports_to_csv",
-    # contrast
-    "EmbeddingBatch",
-    "ContrastConfig",
-    "LossComponents",
-    "ContrastGradients",
-    "GradientCheckResult",
-    "info_nce",
-    "info_nce_grad",
-    "spatial_loss",
-    "semantic_loss",
-    "contrast_grad",
-    "total_loss",
-    "gradient_check",
-    # pyramid
-    "FeatureMap",
-    "ToyPyramidConfig",
-    "synth_pyramid",
-    "fuse_topdown",
-    "encode",
-    "build_embedding_batch",
-    # dataset
-    "DatasetError",
-    "DatasetIndex",
-    "load_coco",
-    "dataset_hash",
-]
+# Each exported name, by the module that defines it. A name is imported
+# on first access (PEP 562), so `import smalldet` loads no submodule and
+# a command loads only the modules it runs.
+_EXPORTS = {
+    "geometry": (
+        "Box",
+        "AnchorGridSpec",
+        "AnchorSet",
+        "make_box",
+        "from_topleft",
+        "boxes_to_array",
+        "iou",
+        "iou_matrix",
+        "generate_anchors",
+    ),
+    "similarity": (
+        "DatasetNormalizers",
+        "NormalizerAccumulator",
+        "NormalizerCache",
+        "EmptyDatasetError",
+        "position_similarity",
+        "shape_similarity",
+        "pairwise_similarity",
+        "ps_matrix",
+        "accumulate",
+        "finalize",
+        "save_normalizer_cache",
+        "load_normalizer_cache",
+    ),
+    "assigner": (
+        "POSITIVE",
+        "NEGATIVE",
+        "IGNORE",
+        "Metric",
+        "AssignThresholds",
+        "AssignResult",
+        "ImageCounts",
+        "BucketStats",
+        "StatsReport",
+        "assign",
+        "assign_with_metric",
+        "count_with_metric",
+        "assignment_stats",
+        "check_bucket_edges",
+        "report_to_dict",
+        "reports_to_json",
+        "reports_to_csv",
+    ),
+    "contrast": (
+        "EmbeddingBatch",
+        "ContrastConfig",
+        "LossComponents",
+        "ContrastGradients",
+        "GradientCheckResult",
+        "info_nce",
+        "info_nce_grad",
+        "spatial_loss",
+        "semantic_loss",
+        "contrast_grad",
+        "total_loss",
+        "gradient_check",
+    ),
+    "pyramid": (
+        "FeatureMap",
+        "ToyPyramidConfig",
+        "synth_pyramid",
+        "fuse_topdown",
+        "encode",
+        "build_embedding_batch",
+    ),
+    "dataset": (
+        "DatasetError",
+        "DatasetIndex",
+        "load_coco",
+        "dataset_hash",
+    ),
+}
+_DEFINED_IN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_DEFINED_IN]
+
+
+def __getattr__(name: str):
+    module = _DEFINED_IN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    qualified = f"{__name__}.{module}"
+    __import__(qualified)  # an import statement's path, which -X importtime reports
+    value = getattr(sys.modules[qualified], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

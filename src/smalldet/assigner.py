@@ -23,14 +23,15 @@ import numpy as np
 # importable from this module: perfbench/child.py wraps them by this path.
 from .geometry import (  # noqa: F401
     AnchorSet,
+    _iou_rows,
+    _scratch,
     anchor_tiles,
     boxes_to_array,
     iou_matrix,
-    iou_rows,
     overlapping,
     row_blocks,
 )
-from .similarity import DatasetNormalizers, ps_matrix, ps_rows  # noqa: F401
+from .similarity import DatasetNormalizers, _ps_rows, ps_matrix  # noqa: F401
 
 __all__ = [
     "POSITIVE",
@@ -328,11 +329,13 @@ class ImageCounts:
 def _count_tiles(tiles, gt_areas: np.ndarray, num_anchors: int, thr: AssignThresholds, floor: float) -> ImageCounts:
     """The counting sink: label totals and per-gt positives, tile by tile.
 
-    Memory is one tile's arrays. Before the rescue, an anchor is positive
-    exactly where it has a matched gt (best_score >= pos_thr). Each rescued
-    anchor's count is then undone from the pre-rescue state _GtBest kept
-    and redone as a positive of the gt that claims it last, so the counts
-    equal those of the AssignResult the same fold makes.
+    Memory is one tile's arrays, and they are this thread's reused buffers
+    (geometry._Scratch), so no image makes its own. Before the rescue, an
+    anchor is positive exactly where it has a matched gt (best_score >=
+    pos_thr). Each rescued anchor's count is then undone from the
+    pre-rescue state _GtBest kept and redone as a positive of the gt that
+    claims it last, so the counts equal those of the AssignResult the
+    same fold makes.
     """
     num_gts = len(gt_areas)
     per_gt = np.zeros(num_gts, dtype=np.int64)
@@ -342,7 +345,7 @@ def _count_tiles(tiles, gt_areas: np.ndarray, num_anchors: int, thr: AssignThres
     gt_best = _GtBest(num_gts)
 
     def buffers(start: int, length: int):
-        return np.empty(length), np.empty(length, dtype=np.int64)
+        return _scratch.take("best", (length,)), _scratch.take("match", (length,), np.int64)
 
     for best, match in _fold(tiles, gt_best, floor, thr.pos_thr, buffers):
         matched = match[match >= 0]
@@ -408,14 +411,16 @@ def _metric_tiles(g: np.ndarray, anchors, norm: DatasetNormalizers | None, metri
 
     IoU is exact 0.0 for a gt that does not meet a tile's bounding box,
     so a tile cut from a larger set scores only the gts that meet it.
+    Every score block is a view of this thread's one score buffer.
     """
     every = np.arange(g.shape[0])
+    alloc = _scratch.block
     for start, tile in anchor_tiles(anchors):
         if metric is Metric.PS:
-            yield start, len(tile), every, ps_rows(g, tile, norm)
+            yield start, len(tile), every, _ps_rows(g, tile, norm, alloc)
         else:
             gts = overlapping(g, tile) if tile is not anchors and isinstance(tile, AnchorSet) else every
-            yield start, len(tile), gts, iou_rows(g[gts], tile)
+            yield start, len(tile), gts, _iou_rows(g[gts], tile, alloc)
 
 
 def _checked(anchors, norm, metric):

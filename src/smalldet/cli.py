@@ -11,50 +11,89 @@ flag can also come from a JSON config file (--config) through the same
 parser; command-line values win over file values. Exit codes: 0 success,
 1 usage or config error or an output file that cannot be written, 2 data
 error, 3 verification failure.
+
+Importing this module loads only the standard library and numpy. The
+library names the commands call are bound into it from _LIBRARY when
+first read, and main binds those of the command it runs, so
+contrast-demo loads only contrast and pyramid, and stats and assign
+only assigner, dataset, geometry and similarity. The config classes and
+option parsers import what they use where they use it, so they work
+before main has bound anything; so do json and logging, which the demo
+does not need.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import math
 import sys
 from collections import deque
-from dataclasses import MISSING, asdict, astuple, dataclass, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-# assign_with_metric is no longer called here, but it stays importable
-# from this module: perfbench/child.py wraps it by this path.
-from .assigner import (  # noqa: F401
-    AssignThresholds,
-    ImageCounts,
-    Metric,
-    assign_with_metric,
-    assignment_stats,
-    count_with_metric,
-    check_bucket_edges,
-    reports_to_csv,
-    reports_to_json,
-)
-from .contrast import ContrastConfig, LossComponents, gradient_check, spatial_loss, semantic_loss, total_loss
-from .dataset import DatasetError, DatasetIndex, dataset_hash, fingerprint, load_coco
-from . import geometry
-from .geometry import AnchorGridSpec, AnchorSet, generate_anchors
-from .pyramid import ToyPyramidConfig, build_embedding_batch
-from .similarity import (
-    DatasetNormalizers,
-    EmptyDatasetError,
-    NormalizerAccumulator,
-    NormalizerCache,
-    accumulate,
-    finalize,
-    load_normalizer_cache,
-    save_normalizer_cache,
-)
+# The library names the commands call (or name in annotations), by the
+# module that defines them. A name is bound into this module's globals the
+# first time it is read (__getattr__), or with the rest of its command's
+# by main. Binding never replaces a name already set, so a wrapper set on
+# this module from outside (monkeypatch, perfbench/child.py) is what the
+# command calls.
+_LIBRARY = {
+    "assigner": (
+        "AssignThresholds",
+        "ImageCounts",
+        "Metric",
+        "assign_with_metric",
+        "assignment_stats",
+        "count_with_metric",
+        "reports_to_csv",
+        "reports_to_json",
+    ),
+    "contrast": (
+        "ContrastConfig",
+        "LossComponents",
+        "gradient_check",
+        "spatial_loss",
+        "semantic_loss",
+        "total_loss",
+    ),
+    "dataset": ("DatasetError", "DatasetIndex", "dataset_hash", "load_coco"),
+    "geometry": ("AnchorGridSpec", "AnchorSet", "generate_anchors"),
+    "pyramid": ("ToyPyramidConfig", "build_embedding_batch"),
+    "similarity": (
+        "DatasetNormalizers",
+        "EmptyDatasetError",
+        "NormalizerAccumulator",
+        "NormalizerCache",
+        "accumulate",
+        "finalize",
+        "load_normalizer_cache",
+        "save_normalizer_cache",
+    ),
+}
+_DEFINED_IN = {name: module for module, names in _LIBRARY.items() for name in names}
+
+
+def _bind(module: str) -> None:
+    """Import a library module and bind each of its _LIBRARY names that is unset here."""
+    qualified = f"{__package__}.{module}"
+    __import__(qualified)  # an import statement's path, which -X importtime reports
+    loaded = sys.modules[qualified]
+    bound = globals()
+    for name in _LIBRARY[module]:
+        if name not in bound:
+            bound[name] = getattr(loaded, name)
+
+
+def __getattr__(name: str):
+    module = _DEFINED_IN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
+
 
 __all__ = [
     "EXIT_OK",
@@ -73,8 +112,6 @@ __all__ = [
     "entrypoint",
 ]
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -89,6 +126,18 @@ _MAX_DEMO_FEATURE_VALUES = 1 << 24
 
 class CliUsageError(Exception):
     """Bad flags or configuration, or an unwritable output; maps to exit code 1."""
+
+
+def _log():
+    """This module's logger; logging.basicConfig sets logging up if nothing has.
+
+    Only stats and assign log, so the demo never imports logging. They
+    call this before the annotation file is read, whose loader logs too.
+    """
+    import logging
+
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    return logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -115,6 +164,8 @@ class AnchorLayout:
         self.spec_for(1.0, 1.0)
 
     def spec_for(self, image_w: float, image_h: float) -> AnchorGridSpec:
+        from .geometry import AnchorGridSpec
+
         return AnchorGridSpec(
             levels=self.levels,
             image_w=image_w,
@@ -126,6 +177,8 @@ class AnchorLayout:
 
     def config_hash(self) -> str:
         """Content fingerprint of the layout, as 16 hex digits."""
+        from .dataset import fingerprint
+
         parts = ["L"]
         for stride, base in self.levels:
             parts.append(f"{stride!r},{base!r}")
@@ -161,6 +214,12 @@ class AnchorLayout:
             raise CliUsageError(f"bad anchor config: {exc}") from exc
 
 
+def _default_thresholds() -> AssignThresholds:
+    from .assigner import AssignThresholds
+
+    return AssignThresholds()
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved configuration of the stats and assign commands.
@@ -179,9 +238,9 @@ class ExperimentConfig:
     """
 
     ann: str
-    layout: AnchorLayout = AnchorLayout()
-    thresholds: AssignThresholds = AssignThresholds()
-    metrics: tuple[str, ...] = (Metric.PS.value,)
+    layout: AnchorLayout = field(default_factory=AnchorLayout)
+    thresholds: AssignThresholds = field(default_factory=_default_thresholds)
+    metrics: tuple[str, ...] = ("ps",)
     bucket_edges: tuple[float, ...] = (1024.0, 9216.0)
     cache_path: str | None = None
     jobs: int = 1
@@ -189,6 +248,8 @@ class ExperimentConfig:
     per_level: bool = False
 
     def __post_init__(self) -> None:
+        from .assigner import check_bucket_edges
+
         try:
             object.__setattr__(self, "bucket_edges", check_bucket_edges(self.bucket_edges))
         except ValueError as exc:
@@ -284,7 +345,7 @@ def _image_gts(index: DatasetIndex) -> list[np.ndarray]:
     keep = ~index.iscrowd
     crowd = index.num_gts - int(np.count_nonzero(keep))
     if crowd:
-        logger.info("excluded %d crowd annotation(s) from assignment", crowd)
+        _log().info("excluded %d crowd annotation(s) from assignment", crowd)
     kept_before = np.concatenate(([0], np.cumsum(keep)))
     return np.split(index.boxes[keep], kept_before[index.gt_start[1:-1]])
 
@@ -302,6 +363,8 @@ class _AnchorCache:
     """
 
     def __init__(self, path: str, layout: AnchorLayout, index: DatasetIndex):
+        from . import geometry
+
         self._layout = layout
         self._sizes = [(w, h) for w, h in index.sizes.tolist()]
         self._cache: dict[tuple[float, float], AnchorSet] = {}
@@ -375,12 +438,12 @@ def _resolve_normalizers(
         try:
             cache = load_normalizer_cache(path)
         except (OSError, ValueError) as exc:
-            logger.warning("ignoring unreadable normalizer cache: %s", exc)
+            _log().warning("ignoring unreadable normalizer cache: %s", exc)
         else:
             if cache.dataset_hash == ds_hash and cache.anchor_spec_hash == layout_hash:
-                logger.info("normalizer cache hit at %s, skipping recompute", path)
+                _log().info("normalizer cache hit at %s, skipping recompute", path)
                 return cache.normalizers, cache.pair_count, True
-            logger.info("normalizer cache at %s is stale (hash mismatch), recomputing", path)
+            _log().info("normalizer cache at %s is stale (hash mismatch), recomputing", path)
     acc = _accumulate_normalizers(gt_boxes, anchors, cfg.jobs)
     norm = finalize(acc)
     if path:
@@ -395,12 +458,13 @@ def _resolve_normalizers(
             save_normalizer_cache(path, cache)
         except OSError as exc:
             raise CliUsageError(f"cannot write normalizer cache {path}: {exc}") from exc
-        logger.info("wrote normalizer cache to %s", path)
+        _log().info("wrote normalizer cache to %s", path)
     return norm, acc.pair_count, False
 
 
 def cmd_stats(cfg: ExperimentConfig) -> int:
     """Compute dataset normalizers and write the cache file."""
+    _log()
     if cfg.cache_path:
         _check_writable(cfg.cache_path, f"cannot write normalizer cache {cfg.cache_path}")
     index = load_coco(cfg.ann)
@@ -429,6 +493,7 @@ def _count_one_image(
 
 def cmd_assign(cfg: ExperimentConfig) -> int:
     """Run per-metric assignments over the dataset and emit reports."""
+    _log()
     if cfg.out_dir is not None:
         _check_writable(cfg.out_dir, f"cannot write reports to {cfg.out_dir}", directory=True)
     if Metric.PS.value in cfg.metrics and cfg.cache_path:
@@ -482,7 +547,7 @@ def cmd_assign(cfg: ExperimentConfig) -> int:
             (out_dir / "report.csv").write_text(reports_to_csv(reports), encoding="utf-8")
         except OSError as exc:
             raise CliUsageError(f"cannot write reports to {out_dir}: {exc}") from exc
-        logger.info("wrote report.json and report.csv to %s", out_dir)
+        _log().info("wrote report.json and report.csv to %s", out_dir)
     return EXIT_OK
 
 
@@ -589,6 +654,8 @@ def _as_float_list(value, key: str) -> tuple[float, ...]:
 
 
 def _as_metrics(value, key: str) -> tuple[str, ...]:
+    from .assigner import Metric
+
     names = [str(p) for p in _as_list(value, key)]
     try:
         return tuple(Metric(m).value for m in names)
@@ -597,6 +664,8 @@ def _as_metrics(value, key: str) -> tuple[str, ...]:
 
 
 def _as_thresholds(value, key: str) -> AssignThresholds:
+    from .assigner import AssignThresholds
+
     numbers = _as_float_list(value, key)
     if len(numbers) != 3:
         raise CliUsageError(f"{key} needs exactly three values pos,neg,min_pos, got {len(numbers)}")
@@ -607,6 +676,8 @@ def _as_thresholds(value, key: str) -> AssignThresholds:
 
 
 def _as_anchor_layout(value, key: str) -> AnchorLayout:
+    import json
+
     if isinstance(value, dict):
         return AnchorLayout.from_json_value(value)
     text = _as_path(value, key).strip()
@@ -678,13 +749,17 @@ _OPTIONS = (
 class _Command(NamedTuple):
     run: Callable
     config: type
+    modules: tuple[str, ...]
     help: str
 
 
+_EXPERIMENT_MODULES = ("assigner", "dataset", "geometry", "similarity")
+
 _COMMANDS = {
-    "stats": _Command(cmd_stats, ExperimentConfig, "compute and cache dataset normalizers"),
-    "assign": _Command(cmd_assign, ExperimentConfig, "run metric assignments and write reports"),
-    "contrast-demo": _Command(cmd_contrast_demo, ContrastDemoConfig, "toy-pyramid losses plus gradient check"),
+    "stats": _Command(cmd_stats, ExperimentConfig, _EXPERIMENT_MODULES, "compute and cache dataset normalizers"),
+    "assign": _Command(cmd_assign, ExperimentConfig, _EXPERIMENT_MODULES, "run metric assignments and write reports"),
+    "contrast-demo": _Command(cmd_contrast_demo, ContrastDemoConfig, ("contrast", "pyramid"),
+                              "toy-pyramid losses plus gradient check"),
 }
 
 
@@ -692,11 +767,18 @@ def _options(command: str) -> list[_Option]:
     return [option for option in _OPTIONS if command in option.commands]
 
 
+def _default(f):
+    """A config field's default, from its factory if it has one; MISSING if required."""
+    return f.default if f.default_factory is MISSING else f.default_factory()
+
+
 def _shown(value) -> str:
     """A default written the way its option takes it."""
     if isinstance(value, AnchorLayout):
+        import json
+
         return json.dumps(asdict(value))
-    if isinstance(value, AssignThresholds):
+    if is_dataclass(value):  # AssignThresholds
         value = astuple(value)
     if isinstance(value, tuple):
         return ",".join(_shown(v) for v in value)
@@ -710,13 +792,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand. Given a command, only its subparser
+    gets options, so only its config's defaults are made for the help."""
     parser = _Parser(prog="smalldet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+    for name, spec in _COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", help="JSON file supplying default flag values")
-        defaults = {f.name: f.default for f in fields(command.config)}
+        defaults = {f.name: _default(f) for f in fields(spec.config)}
         for option in _options(name):
             default = defaults[option.field]
             if default is MISSING:
@@ -734,6 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str, command: str) -> dict:
+    import json
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -760,7 +848,7 @@ def _config(args: argparse.Namespace):
     """
     command = _COMMANDS[args.command]
     given = _load_config_file(args.config, args.command) if args.config else {}
-    defaults = {f.name: f.default for f in fields(command.config)}
+    required = {f.name for f in fields(command.config) if f.default is MISSING and f.default_factory is MISSING}
     kwargs = {}
     for option in _options(args.command):
         value = getattr(args, option.key)
@@ -768,15 +856,26 @@ def _config(args: argparse.Namespace):
             value = given.get(option.key)
         if value is not None:
             kwargs[option.field] = option.parse(value, option.key)
-        elif defaults[option.field] is MISSING:
+        elif option.field in required:
             raise CliUsageError(f"{option.flag} is required (flag or config file)")
     return command.config(**kwargs)
 
 
+def _data_errors() -> tuple[type, ...]:
+    """The data-error classes bound so far. contrast-demo binds neither,
+    and its modules cannot raise them."""
+    bound = globals()
+    return tuple(bound[name] for name in ("DatasetError", "EmptyDatasetError") if name in bound)
+
+
 def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command is not None:
+        for module in _COMMANDS[command].modules:
+            _bind(module)
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -786,7 +885,7 @@ def main(argv=None) -> int:
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetError, EmptyDatasetError) as exc:
+    except _data_errors() as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -246,22 +247,75 @@ def iou_rows(a, b, out=None):
     Yields:
         (rows, block): a row slice and the (rows, M) IoU values, in [0, 1].
     """
+    return _iou_rows(a, b, _block_alloc(out))
+
+
+def _block_alloc(out=None):
+    """The block allocator of the public row kernels.
+
+    alloc(rows, shape) makes a fresh float64 array of that shape, so the
+    blocks a caller keeps never share memory, or returns out[rows] when
+    out is given. A fold that reads each block before it asks for the
+    next passes an allocator that hands out one reused buffer instead.
+    """
+    if out is None:
+        return lambda rows, shape: np.empty(shape)
+    return lambda rows, shape: out[rows]
+
+
+class _Scratch(threading.local):
+    """This thread's reusable arrays, one buffer per role.
+
+    Each buffer grows to the largest size asked for and is handed out as
+    views, so a run of images makes its tile arrays once per thread, not
+    once per image: freed per image, their pages were trimmed from the
+    heap and faulted in again for the next. A request past the tile
+    budget (_BLOCK_PAIRS values: a grid row longer than that, or a window
+    of a set that was not tiled) gets a fresh array instead, so a thread
+    keeps at most _BLOCK_PAIRS values per role. A view is valid until its
+    role is taken again in this thread, so each user reads it before it
+    asks again: the fold each score block and each tile's arrays, and
+    _grid_iou_rows each window's union.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        if size > _BLOCK_PAIRS:
+            return np.empty(shape, dtype)
+        buffer = self.buffers.get(role)
+        if buffer is None or buffer.size < size:
+            buffer = self.buffers[role] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+    def block(self, rows, shape) -> np.ndarray:
+        """A block allocator (see _block_alloc) that reuses one score buffer."""
+        return self.take("score", shape)
+
+
+_scratch = _Scratch()
+
+
+def _iou_rows(a, b, alloc):
+    """iou_rows with each block from alloc(rows, shape)."""
     if isinstance(b, AnchorSet):
-        return _grid_iou_rows(_corners_of(a), b, out)
-    return _pair_iou_rows(_corners_of(a), _corners_of(b), out)
+        return _grid_iou_rows(_corners_of(a), b, alloc)
+    return _pair_iou_rows(_corners_of(a), _corners_of(b), alloc)
 
 
-def _pair_iou_rows(ca: np.ndarray, cb: np.ndarray, out):
+def _pair_iou_rows(ca: np.ndarray, cb: np.ndarray, alloc):
     for rows in row_blocks(ca.shape[1], cb.shape[1]):
         x1, y1, x2, y2, area = ca[:, rows, None]
         inter = _overlap(x1, x2, cb[0], cb[2])
         inter *= _overlap(y1, y2, cb[1], cb[3])
         union = area + cb[4]
         union -= inter
-        yield rows, np.divide(inter, union, out=None if out is None else out[rows])
+        yield rows, np.divide(inter, union, out=alloc(rows, inter.shape))
 
 
-def _grid_iou_rows(ca: np.ndarray, anchors: "AnchorSet", out):
+def _grid_iou_rows(ca: np.ndarray, anchors: "AnchorSet", alloc):
     """iou_rows over a grid set: per-axis overlaps on (cols, S) and (rows, S).
 
     A pair overlaps only where both axis overlaps are positive, so each
@@ -274,11 +328,8 @@ def _grid_iou_rows(ca: np.ndarray, anchors: "AnchorSet", out):
     num_anchors = len(anchors)
     for rows in row_blocks(ca.shape[1], num_anchors):
         x1, y1, x2, y2, gt_area = ca[:, rows, None, None]
-        if out is None:
-            block = np.zeros((x1.shape[0], num_anchors))
-        else:
-            block = out[rows]
-            block.fill(0.0)
+        block = alloc(rows, (x1.shape[0], num_anchors))
+        block.fill(0.0)
         for level, (start, end) in zip(anchors.grid, anchors.level_offsets):
             ax1, ax2, ay1, ay2 = level.corners
             inter_w = _overlap(x1, x2, ax1, ax2)  # (B, cols, S)
@@ -295,8 +346,10 @@ def _grid_iou_rows(ca: np.ndarray, anchors: "AnchorSet", out):
                     continue
                 c = slice(cols[0], cols[-1] + 1)
                 r = slice(grid_rows[0], grid_rows[-1] + 1)
-                inter = inter_w[b, None, c] * inter_h[b, r, None]
-                union = span_w[None, c] * span_h[r, None]
+                # Both window-sized temporaries are this thread's buffers.
+                window = (r.stop - r.start, c.stop - c.start, span_w.shape[1])
+                inter = np.multiply(inter_w[b, None, c], inter_h[b, r, None], out=_scratch.take("inter", window))
+                union = np.multiply(span_w[None, c], span_h[r, None], out=_scratch.take("union", window))
                 union += gt_area[b]
                 union -= inter
                 np.divide(inter, union, out=level_block[b, r, c])

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import AnchorSet, Box, boxes_to_array, row_blocks
+from .geometry import AnchorSet, Box, boxes_to_array, _block_alloc, row_blocks
 
 __all__ = [
     "EmptyDatasetError",
@@ -192,21 +192,26 @@ def ps_rows(g: np.ndarray, a, norm: DatasetNormalizers, out=None):
     Yields:
         (rows, block): a row slice and the (rows, A) similarities.
     """
+    return _ps_rows(g, a, norm, _block_alloc(out))
+
+
+def _ps_rows(g: np.ndarray, a, norm: DatasetNormalizers, alloc):
+    """ps_rows with each block from alloc(rows, shape) (geometry._block_alloc)."""
     if isinstance(a, AnchorSet):
-        return _grid_ps_rows(g, a, norm, out)
-    return _pair_ps_rows(g, np.asfortranarray(a), norm, out)
+        return _grid_ps_rows(g, a, norm, alloc)
+    return _pair_ps_rows(g, np.asfortranarray(a), norm, alloc)
 
 
-def _pair_ps_rows(g: np.ndarray, a: np.ndarray, norm: DatasetNormalizers, out):
+def _pair_ps_rows(g: np.ndarray, a: np.ndarray, norm: DatasetNormalizers, alloc):
     a = a[None, :, :]
     for rows in row_blocks(g.shape[0], a.shape[1]):
         position, shape = _ps_terms(g[rows, None, :], a, norm.m, norm.n)
         position += shape
         np.negative(position, out=position)
-        yield rows, np.exp(position, out=position if out is None else out[rows])
+        yield rows, np.exp(position, out=alloc(rows, position.shape))
 
 
-def _grid_ps_rows(g: np.ndarray, anchors: AnchorSet, norm: DatasetNormalizers, out):
+def _grid_ps_rows(g: np.ndarray, anchors: AnchorSet, norm: DatasetNormalizers, alloc):
     """ps_rows over an AnchorSet, with the terms factored per level.
 
     The x terms depend only on (column, shape) and the y terms only on
@@ -220,7 +225,7 @@ def _grid_ps_rows(g: np.ndarray, anchors: AnchorSet, norm: DatasetNormalizers, o
     num_anchors = len(anchors)
     for rows in row_blocks(g.shape[0], num_anchors):
         gx, gy, gw, gh = g[rows, :, None, None].transpose(1, 0, 2, 3)
-        block = np.empty((gx.shape[0], num_anchors)) if out is None else out[rows]
+        block = alloc(rows, (gx.shape[0], num_anchors))
         for level, (start, end) in zip(anchors.grid, anchors.level_offsets):
             (x, w), (y, h) = level.axes
             px, qw = _axis_terms(gx, x, gw, w, norm.m)
@@ -292,11 +297,13 @@ def _offset_sum(gc: np.ndarray, gs: np.ndarray, centers: np.ndarray, sides: np.n
     table = np.broadcast(centers, sides)
     total = 0.0
     for rows in row_blocks(gc.size, table.size):
-        g = gc[rows, None, None]
-        d = np.subtract(g, centers, out=np.empty((g.shape[0],) + table.shape))
+        # |gc - centers| on the centers' own shape: once per column of an
+        # unclipped level, (B, cols, 1), then divided into a (B, cols, S)
+        # block; a clipped level's (B, cols, S) is divided in place.
+        d = np.subtract(gc[rows, None, None], centers)
         np.abs(d, out=d)
-        d /= gs[rows, None, None] + sides
-        total += float(d.sum())
+        block = d if d.shape[1:] == table.shape else np.empty((d.shape[0],) + table.shape)
+        total += float(np.divide(d, gs[rows, None, None] + sides, out=block).sum())
     return total
 
 

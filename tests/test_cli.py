@@ -679,7 +679,8 @@ def resolve(argv):
 
 
 def field_default(command, field):
-    return {f.name: f.default for f in dataclasses.fields(cli._COMMANDS[command].config)}[field]
+    f = next(f for f in dataclasses.fields(cli._COMMANDS[command].config) if f.name == field)
+    return f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
 
 
 @pytest.mark.parametrize(
@@ -931,6 +932,87 @@ def test_stats_and_assign_hash_without_openssl(tmp_path):
     assert layout.config_hash() == result["config_hash"] == HASHLIB_CACHE["anchor_spec_hash"]
     assert hashlib.blake2b(parts.encode("utf-8"), digest_size=8).hexdigest() == result["config_hash"]
     assert "normalizer cache hit" in proc.stderr
+
+
+# Run in a fresh interpreter: what each way in imports, and what cli's own
+# classes need before any main call. Prints one JSON object.
+MODULE_SPLIT_SCRIPT = """
+import importlib, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("smalldet."))
+
+argv = json.loads(sys.argv[1])
+import smalldet
+found = {"bare": loaded()}
+from smalldet import cli
+found["cli"] = loaded()
+if argv == ["classes"]:
+    layout = cli.AnchorLayout()
+    config = cli.ExperimentConfig(ann="a.json")
+    found["classes"] = [layout.config_hash(), config.layout == layout, config.metrics]
+    found["unbound"] = [n for n in cli._DEFINED_IN if n not in vars(cli)]
+    found["same"] = [n for n, m in cli._DEFINED_IN.items()
+                     if getattr(cli, n) is getattr(importlib.import_module("smalldet." + m), n)]
+elif argv == ["demo-error"]:
+    def broken(*args):
+        raise ValueError("no pyramid today")
+    cli.build_embedding_batch = broken
+    try:
+        cli.main(["contrast-demo"])
+    except ValueError as exc:
+        found["raised"] = [type(exc).__name__, str(exc)]
+else:
+    found["code"] = cli.main(argv)
+found["after"] = loaded()
+print(json.dumps(found))
+"""
+
+EXPERIMENT_MODULES = ["smalldet.assigner", "smalldet.cli", "smalldet.dataset", "smalldet.geometry",
+                      "smalldet.similarity"]
+
+
+def fresh_process(tmp_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULE_SPLIT_SCRIPT, json.dumps(argv)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    ann = interleaved_dataset(tmp_path)
+    demo = fresh_process(tmp_path, ["contrast-demo", "--seed", "1"])
+    assert demo["bare"] == [] and demo["cli"] == ["smalldet.cli"]
+    assert demo["code"] == 0
+    assert demo["after"] == ["smalldet.cli", "smalldet.contrast", "smalldet.pyramid"]
+    for argv in (["stats", "--ann", ann, "--anchors", MINI_LAYOUT, "--out", "c.json"],
+                 ["assign", "--ann", ann, "--anchors", MINI_LAYOUT, "--metrics", "ps,iou", "--cache", "c.json"]):
+        found = fresh_process(tmp_path, argv)
+        assert found["code"] == 0
+        assert found["after"] == EXPERIMENT_MODULES
+
+
+def test_cli_classes_work_and_every_library_name_resolves_before_main(tmp_path):
+    found = fresh_process(tmp_path, ["classes"])
+    assert found["classes"] == [cli.AnchorLayout().config_hash(), True, ["ps"]]
+    # Nothing was bound before the names were read, and each read bound
+    # the defining module's own object.
+    assert found["unbound"] == list(cli._DEFINED_IN)
+    assert found["same"] == list(cli._DEFINED_IN)
+
+
+def test_an_error_inside_the_demo_reaches_the_caller_as_itself(tmp_path):
+    # The demo binds no data-error class, so main's data-error clause must
+    # not name one: the ValueError passes through, not a NameError.
+    found = fresh_process(tmp_path, ["demo-error"])
+    assert found["raised"] == ["ValueError", "no pyramid today"]
+    assert "smalldet.dataset" not in found["after"]
 
 
 NOT_UTF8 = b'{"images": [], "annotations": [], "note": "\xff\xfe"}'
