@@ -481,8 +481,9 @@ REUSED_PEAK_KIB = {Metric.PS: 284, Metric.IOU: 411}
 
 def test_counting_an_image_again_reuses_the_fold_arrays():
     # The default CLI layout on a 640x480 image: 10,800 anchors, one tile.
-    # The first call makes this thread's score block, best-score and
-    # matched-gt buffers; a second image of that size makes none of them.
+    # The first call makes this thread's fold buffers (score block, best
+    # scores, matched gts, IoU window temporaries); a second image of that
+    # size makes none of them.
     anchors = generate_anchors(AnchorGridSpec(levels=((16.0, 16.0),), image_w=640.0, image_h=480.0,
                                               ratios=(0.5, 1.0, 2.0), scales=(8.0, 16.0, 32.0)))
     gts = np.array([[100.0, 80.0, 12.0, 9.0], [320.0, 240.0, 60.0, 90.0], [500.0, 400.0, 200.0, 150.0]])
@@ -503,9 +504,8 @@ def test_counting_an_image_again_reuses_the_fold_arrays():
 
 def test_public_row_kernels_yield_blocks_that_share_no_memory():
     # 13 gts (random_gts adds one far off) over 10,800 anchors are three
-    # row blocks of 6, 6 and 1 rows.
-    # The fold reuses one buffer for every block; a caller of the public
-    # kernels keeps each block it was given.
+    # row blocks of 6, 6 and 1 rows. The fold reuses one buffer for every
+    # block; a caller of the public kernels keeps each block it was given.
     rng = np.random.default_rng(11)
     spec = AnchorGridSpec(levels=((16.0, 16.0),), image_w=640.0, image_h=480.0,
                           ratios=(0.5, 1.0, 2.0), scales=(8.0, 16.0, 32.0))
