@@ -24,6 +24,7 @@ import numpy as np
 from .geometry import (  # noqa: F401
     AnchorSet,
     _iou_rows,
+    _scorable,
     _scratch,
     anchor_tiles,
     boxes_to_array,
@@ -428,7 +429,7 @@ def _checked(anchors, norm, metric):
     metric = Metric(metric)
     if metric is Metric.PS and norm is None:
         raise ValueError("the PS metric requires dataset normalizers")
-    return metric, anchors if isinstance(anchors, AnchorSet) else boxes_to_array(anchors)
+    return metric, _scorable(anchors)
 
 
 def assign_with_metric(

@@ -13,9 +13,9 @@ The set's per-anchor boxes and corner table are made only if a caller
 reads them. anchor_tiles cuts a large set into tiles of whole grid
 rows, which the kernels score as they score the set. iou_rows reads the
 tables to compute each ground truth's IoU only inside the row and
-column window where it overlaps the grid, writing exact 0.0 elsewhere;
-the values are bit-identical to the pairwise kernel's, which plain
-(N, 4) arrays take.
+column window where it overlaps the grid, writing exact 0.0 elsewhere.
+A plain (N, 4) array is scored as one level of one row and one column
+with S = N shapes, so one kernel per metric serves every input.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def row_blocks(num_rows: int, num_cols: int):
     """Yield consecutive row slices that cover range(num_rows) in order.
 
     Each slice holds at least one row and at most max(1, _BLOCK_PAIRS //
-    num_cols) rows. The pairwise kernels score one such block at a time.
+    num_cols) rows. The row kernels score one such block at a time.
     """
     step = max(1, _BLOCK_PAIRS // max(num_cols, 1))
     for start in range(0, num_rows, step):
@@ -220,6 +220,46 @@ def _corners_of(boxes) -> np.ndarray:
     return boxes.corners if isinstance(boxes, AnchorSet) else _corner_table(boxes)
 
 
+def _scorable(boxes):
+    """An AnchorSet as it is, anything else through boxes_to_array: the
+    forms the kernels take, with no per-anchor boxes made for a set."""
+    return boxes if isinstance(boxes, AnchorSet) else boxes_to_array(boxes)
+
+
+class _PlainLevel:
+    """A validated (N, 4) array as one level of one row and one column
+    with S = N shapes. Its x/w and y/h tables are its own columns as full
+    (1, N) tables, the form LevelGrid.axes gives a clipped level, so the
+    kernels score it as they score any level."""
+
+    def __init__(self, boxes: np.ndarray) -> None:
+        x, y, w, h = np.ascontiguousarray(boxes.T)[:, None, :]
+        self.shape = (1, 1, boxes.shape[0])
+        self.axes = (x, w), (y, h)
+
+    @cached_property
+    def corners(self) -> tuple[np.ndarray, ...]:
+        return _axis_corners(self.axes)
+
+
+def _levels(anchors) -> list:
+    """(start, end, level) of each level in flat order: an AnchorSet's
+    LevelGrids, or a validated array's one _PlainLevel. The kernels and
+    accumulate read only a level's shape, axes and corners."""
+    if isinstance(anchors, AnchorSet):
+        return [(start, end, level) for level, (start, end) in zip(anchors.grid, anchors.level_offsets)]
+    return [(0, len(anchors), _PlainLevel(anchors))]
+
+
+def _axis_corners(axes) -> tuple[np.ndarray, ...]:
+    """x1, x2, y1, y2 of a level's ((x, w), (y, h)) tables, computed as
+    the corner table computes them, so the values are the same."""
+    (x, w), (y, h) = axes
+    half_w = w / 2.0
+    half_h = h / 2.0
+    return x - half_w, x + half_w, y - half_h, y + half_h
+
+
 def _overlap(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     """Broadcast length of [lo_a, hi_a] ∩ [lo_b, hi_b] along one axis, clipped at 0."""
     inter = np.minimum(hi_a, hi_b)
@@ -230,12 +270,12 @@ def _overlap(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
 def iou_rows(a, b, out=None):
     """Yield (rows, block) pairs of the IoU matrix, one row block at a time.
 
-    Corners and areas are computed once per call, or once per AnchorSet;
-    each block then costs a few temporaries of its own size. Blocks
-    follow row_blocks order. When b is an AnchorSet, each row's IoU is
-    computed from its grid tables, only inside the grid window it
-    overlaps, and is exact 0.0 elsewhere, bit-identical to the pairwise
-    values.
+    Corners and areas are computed once per call, or once per grid
+    level; each block then costs a few temporaries of its own size.
+    Blocks follow row_blocks order. Each row's IoU is computed from b's
+    per-level tables (a plain array is one level of one cell, see
+    _levels), only inside the grid window it overlaps, and is exact 0.0
+    elsewhere.
 
     Args:
         a: Validated (N, 4) float64 array, as from boxes_to_array, or an
@@ -300,37 +340,27 @@ _scratch = _Scratch()
 
 def _iou_rows(a, b, alloc):
     """iou_rows with each block from alloc(rows, shape)."""
-    if isinstance(b, AnchorSet):
-        return _grid_iou_rows(_corners_of(a), b, alloc)
-    return _pair_iou_rows(_corners_of(a), _corners_of(b), alloc)
+    return _grid_iou_rows(_corners_of(a), b, alloc)
 
 
-def _pair_iou_rows(ca: np.ndarray, cb: np.ndarray, alloc):
-    for rows in row_blocks(ca.shape[1], cb.shape[1]):
-        x1, y1, x2, y2, area = ca[:, rows, None]
-        inter = _overlap(x1, x2, cb[0], cb[2])
-        inter *= _overlap(y1, y2, cb[1], cb[3])
-        union = area + cb[4]
-        union -= inter
-        yield rows, np.divide(inter, union, out=alloc(rows, inter.shape))
-
-
-def _grid_iou_rows(ca: np.ndarray, anchors: "AnchorSet", alloc):
-    """iou_rows over a grid set: per-axis overlaps on (cols, S) and (rows, S).
+def _grid_iou_rows(ca: np.ndarray, anchors, alloc):
+    """iou_rows level by level: per-axis overlaps on (cols, S) and (rows, S).
 
     A pair overlaps only where both axis overlaps are positive, so each
     gt row is divided out only inside the bounding window of the columns
-    and rows it overlaps on some shape; every other entry is the exact
-    0.0 that 0 / union gives in the pairwise kernel. An anchor's area is
-    (x2 - x1) * (y2 - y1) from the level's corner tables, the product
-    the corner table takes, so no per-anchor table is made.
+    and rows it overlaps on some shape; every other entry is exact 0.0.
+    A plain array's one level has a single cell, so its window is every
+    anchor or none. An anchor's area is (x2 - x1) * (y2 - y1) from the
+    level's corner tables, the product the corner table takes, so no
+    per-anchor table is made.
     """
     num_anchors = len(anchors)
+    levels = _levels(anchors)
     for rows in row_blocks(ca.shape[1], num_anchors):
         x1, y1, x2, y2, gt_area = ca[:, rows, None, None]
         block = alloc(rows, (x1.shape[0], num_anchors))
         block.fill(0.0)
-        for level, (start, end) in zip(anchors.grid, anchors.level_offsets):
+        for start, end, level in levels:
             ax1, ax2, ay1, ay2 = level.corners
             inter_w = _overlap(x1, x2, ax1, ax2)  # (B, cols, S)
             inter_h = _overlap(y1, y2, ay1, ay2)  # (B, rows, S)
@@ -362,15 +392,15 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
     Args:
         boxes_a: First collection (rows of the result).
         boxes_b: Second collection (columns of the result). An AnchorSet
-            is passed to iou_rows as it is, so it takes the grid kernel
-            and makes no per-anchor boxes.
+            is passed to iou_rows as it is, so it makes no per-anchor
+            boxes.
 
     Returns:
         Array of shape (len(a), len(b)) with values in [0, 1], filled
         block by block from iou_rows.
     """
-    a = boxes_a if isinstance(boxes_a, AnchorSet) else boxes_to_array(boxes_a)
-    b = boxes_b if isinstance(boxes_b, AnchorSet) else boxes_to_array(boxes_b)
+    a = _scorable(boxes_a)
+    b = _scorable(boxes_b)
     out = np.empty((len(a), len(b)), dtype=np.float64)
     for _ in iou_rows(a, b, out):
         pass
@@ -583,12 +613,8 @@ class LevelGrid:
 
     @cached_property
     def corners(self) -> tuple[np.ndarray, ...]:
-        """x1, x2 on (cols, S) and y1, y2 on (rows, S), computed as the
-        corner table computes them, so the values are the same."""
-        (x, w), (y, h) = self.axes
-        half_w = w / 2.0
-        half_h = h / 2.0
-        return x - half_w, x + half_w, y - half_h, y + half_h
+        """x1, x2 on (cols, S) and y1, y2 on (rows, S) (see _axis_corners)."""
+        return _axis_corners(self.axes)
 
     def rows(self, start: int, stop: int) -> "LevelGrid":
         """The level cut to grid rows start:stop. Clipping is per axis, so

@@ -11,13 +11,11 @@ m averages |x_gt - x_anchor| / (w_gt + w_anchor), n averages the analogous
 y/height ratio. m weights both x-offset and width terms; n weights both
 y-offset and height terms.
 
-An AnchorSet (the grid tables generate_anchors makes) takes a factored
-kernel: ps_rows builds the x, y and shape terms on small per-level
-tables and is bit-identical to the pairwise kernel, which plain (N, 4)
-anchor arrays take. accumulate sums every input over per-axis tables,
-one level at a time in O(gts * (rows + cols) * shapes); a plain array
-is one level whose tables are its own columns, and its sums are the
-pairwise ones.
+ps_rows builds the x, y and shape terms on small per-level tables: an
+AnchorSet's grid tables (generate_anchors), or a plain (N, 4) anchor
+array as one level of one row and one column with S = N shapes, whose
+tables are its own columns. accumulate sums over the same per-axis
+tables, one level at a time in O(gts * (rows + cols) * shapes).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import AnchorSet, Box, boxes_to_array, _block_alloc, row_blocks
+from .geometry import Box, boxes_to_array, _block_alloc, _levels, _scorable, row_blocks
 
 __all__ = [
     "EmptyDatasetError",
@@ -107,8 +105,8 @@ def _axis_terms(gc, ac, gs, as_, weight: float):
 
     ((gc - ac) / (gs + as_) * weight)**2 and ((gs - as_) / (gs + as_) *
     weight)**2, for centers gc/ac and sizes gs/as_ of the ground truths
-    and anchors. Both PS kernels take their terms from here, so they
-    round alike.
+    and anchors. The PS kernel and the scalar terms both take them from
+    here, so they round alike.
     """
     total = gs + as_
     offset = (gc - ac) / total
@@ -120,27 +118,14 @@ def _axis_terms(gc, ac, gs, as_, weight: float):
     return offset, size
 
 
-def _ps_terms(g: np.ndarray, a: np.ndarray, m: float, n: float):
-    """Position and shape penalty terms for broadcastable (..., 4) arrays.
-
-    The scalar operations and the pairwise row-block kernel (behind
-    ps_rows on plain anchor arrays) all funnel through this one kernel,
-    so every batch entry is bit-identical to scalar evaluation.
-    """
-    px, qw = _axis_terms(g[..., 0], a[..., 0], g[..., 2], a[..., 2], m)
-    py, qh = _axis_terms(g[..., 1], a[..., 1], g[..., 3], a[..., 3], n)
-    px += py
-    position = np.sqrt(px, out=px)
-    qw += qh
-    shape = np.sqrt(qw, out=qw)
-    return position, shape
-
-
-def _pair_terms(gt: Box, anchor: Box, norm: DatasetNormalizers):
-    """Kernel terms for one pair, shaped (1, 1) like a tiny matrix."""
-    g = np.array([[[gt.cx, gt.cy, gt.w, gt.h]]], dtype=np.float64)
-    a = np.array([[[anchor.cx, anchor.cy, anchor.w, anchor.h]]], dtype=np.float64)
-    return _ps_terms(g, a, norm.m, norm.n)
+def _pair_terms(gt: Box, anchor: Box, norm: DatasetNormalizers) -> tuple[float, float]:
+    """Position and shape penalty terms of one pair, rounded as ps_rows
+    rounds them: sqrt of the summed squared terms of _axis_terms."""
+    (gx, gy, gw, gh), (ax, ay, aw, ah) = np.array(
+        [(gt.cx, gt.cy, gt.w, gt.h), (anchor.cx, anchor.cy, anchor.w, anchor.h)], dtype=np.float64)
+    px, qw = _axis_terms(gx, ax, gw, aw, norm.m)
+    py, qh = _axis_terms(gy, ay, gh, ah, norm.n)
+    return float(np.sqrt(px + py)), float(np.sqrt(qw + qh))
 
 
 def position_similarity(gt: Box, anchor: Box, norm: DatasetNormalizers) -> float:
@@ -149,8 +134,7 @@ def position_similarity(gt: Box, anchor: Box, norm: DatasetNormalizers) -> float
     Returns sqrt((m*(x_g-x)/(w_g+w))^2 + (n*(y_g-y)/(h_g+h))^2), which is
     0 exactly when the centers coincide (or m = n = 0).
     """
-    position, _ = _pair_terms(gt, anchor, norm)
-    return float(position[0, 0])
+    return _pair_terms(gt, anchor, norm)[0]
 
 
 def shape_similarity(gt: Box, anchor: Box, norm: DatasetNormalizers) -> float:
@@ -159,16 +143,12 @@ def shape_similarity(gt: Box, anchor: Box, norm: DatasetNormalizers) -> float:
     Returns sqrt((m*(w_g-w)/(w_g+w))^2 + (n*(h_g-h)/(h_g+h))^2), which is
     0 exactly when the dimensions agree (or m = n = 0).
     """
-    _, shape = _pair_terms(gt, anchor, norm)
-    return float(shape[0, 0])
+    return _pair_terms(gt, anchor, norm)[1]
 
 
 def pairwise_similarity(gt: Box, anchor: Box, norm: DatasetNormalizers) -> float:
     """Similarity exp(-(position + shape)) in (0, 1]; 1 iff both terms are 0."""
-    position, shape = _pair_terms(gt, anchor, norm)
-    position += shape
-    np.negative(position, out=position)
-    return float(np.exp(position, out=position)[0, 0])
+    return float(ps_matrix([gt], [anchor], norm)[0, 0])
 
 
 def ps_rows(g: np.ndarray, a, norm: DatasetNormalizers, out=None):
@@ -176,9 +156,8 @@ def ps_rows(g: np.ndarray, a, norm: DatasetNormalizers, out=None):
 
     Each block costs a few temporaries of its own size, so scoring needs
     O(anchors) working memory whatever the gt count. Blocks follow
-    geometry.row_blocks order. For an AnchorSet the terms are factored
-    per level (see _grid_ps_rows); the values are bit-identical to the
-    pairwise kernel's.
+    geometry.row_blocks order. The terms are factored per level (see
+    _grid_ps_rows); a plain array is one level of one cell.
 
     Args:
         g: Validated (G, 4) float64 ground-truth array, as from
@@ -197,36 +176,26 @@ def ps_rows(g: np.ndarray, a, norm: DatasetNormalizers, out=None):
 
 def _ps_rows(g: np.ndarray, a, norm: DatasetNormalizers, alloc):
     """ps_rows with each block from alloc(rows, shape) (geometry._block_alloc)."""
-    if isinstance(a, AnchorSet):
-        return _grid_ps_rows(g, a, norm, alloc)
-    return _pair_ps_rows(g, np.asfortranarray(a), norm, alloc)
+    return _grid_ps_rows(g, a, norm, alloc)
 
 
-def _pair_ps_rows(g: np.ndarray, a: np.ndarray, norm: DatasetNormalizers, alloc):
-    a = a[None, :, :]
-    for rows in row_blocks(g.shape[0], a.shape[1]):
-        position, shape = _ps_terms(g[rows, None, :], a, norm.m, norm.n)
-        position += shape
-        np.negative(position, out=position)
-        yield rows, np.exp(position, out=alloc(rows, position.shape))
-
-
-def _grid_ps_rows(g: np.ndarray, anchors: AnchorSet, norm: DatasetNormalizers, alloc):
-    """ps_rows over an AnchorSet, with the terms factored per level.
+def _grid_ps_rows(g: np.ndarray, anchors, norm: DatasetNormalizers, alloc):
+    """ps_rows with the terms factored per level (geometry._levels).
 
     The x terms depend only on (column, shape) and the y terms only on
     (row, shape), so they come from _axis_terms on (B, cols, S) and
     (B, rows, S) tables (LevelGrid.axes). Unclipped, the size terms
     depend on the shape alone, so the shape term stays (B, 1, 1, S);
-    clipped, it is per pair. Each pair then costs the add, sqrt, add,
-    negate and exp that end _ps_terms and _pair_ps_rows, in the same
-    order, so every value is bit-identical to theirs.
+    clipped, or for a plain array's one cell of S = N shapes, it is per
+    pair. Each pair then costs an add, a sqrt, an add, a negation and an
+    exp, in the order of exp(-(position + shape)).
     """
     num_anchors = len(anchors)
+    levels = _levels(anchors)
     for rows in row_blocks(g.shape[0], num_anchors):
         gx, gy, gw, gh = g[rows, :, None, None].transpose(1, 0, 2, 3)
         block = alloc(rows, (gx.shape[0], num_anchors))
-        for level, (start, end) in zip(anchors.grid, anchors.level_offsets):
+        for start, end, level in levels:
             (x, w), (y, h) = level.axes
             px, qw = _axis_terms(gx, x, gw, w, norm.m)
             py, qh = _axis_terms(gy, y, gh, h, norm.n)
@@ -246,8 +215,7 @@ def ps_matrix(gts, anchors, norm: DatasetNormalizers) -> np.ndarray:
     Args:
         gts: Ground-truth boxes (rows of the result).
         anchors: Anchor boxes (columns). An AnchorSet is passed to
-            ps_rows as it is, so it takes the grid kernel and makes no
-            per-anchor boxes.
+            ps_rows as it is, so it makes no per-anchor boxes.
         norm: Dataset normalizers weighting the penalty terms.
 
     Returns:
@@ -256,7 +224,7 @@ def ps_matrix(gts, anchors, norm: DatasetNormalizers) -> np.ndarray:
         pairwise_similarity pair by pair.
     """
     g = boxes_to_array(gts)
-    a = anchors if isinstance(anchors, AnchorSet) else boxes_to_array(anchors)
+    a = _scorable(anchors)
     out = np.empty((g.shape[0], len(a)), dtype=np.float64)
     for _ in ps_rows(g, a, norm, out):
         pass
@@ -273,20 +241,18 @@ def accumulate(acc: NormalizerAccumulator, gts, anchors) -> NormalizerAccumulato
     anchors and each y entry for cols, so a level costs O(gts * (rows +
     cols) * S), in row blocks of bounded working memory (see
     _offset_sum), and the set's boxes are never made. A plain (N, 4)
-    array is one level of one row and one column whose tables are its
-    own x/w and y/h columns. Empty inputs leave the accumulator unchanged.
+    array is one level of one row and one column with S = N shapes,
+    whose (1, N) tables are its own x/w and y/h columns (geometry._levels).
+    Empty inputs leave the accumulator unchanged.
     """
     g = boxes_to_array(gts)
-    if isinstance(anchors, AnchorSet):
-        levels = [(level.shape[0], level.shape[1], level.axes) for level in anchors.grid]
-    else:
-        a = boxes_to_array(anchors)
-        levels = [(1, 1, ((a[:, 0, None], a[:, 2, None]), (a[:, 1, None], a[:, 3, None])))]
     sum_x, sum_y, pair_count = acc.sum_x, acc.sum_y, acc.pair_count
-    for rows, cols, ((x, w), (y, h)) in levels:
+    for start, end, level in _levels(_scorable(anchors)):
+        rows, cols, _ = level.shape
+        (x, w), (y, h) = level.axes
         sum_x += rows * _offset_sum(g[:, 0], g[:, 2], x, w)
         sum_y += cols * _offset_sum(g[:, 1], g[:, 3], y, h)
-        pair_count += g.shape[0] * rows * np.broadcast(x, w).size
+        pair_count += g.shape[0] * (end - start)
     return NormalizerAccumulator(sum_x, sum_y, pair_count)
 
 

@@ -1,7 +1,8 @@
 """Slow, literal reference implementations backing the test suite.
 
 Everything here trades speed for obviousness: scalar python loops, math
-module arithmetic, no vectorization beyond input unpacking. Agreement
+module arithmetic, no vectorization beyond input unpacking (the pairwise
+row kernels are the one exception, and say why). Agreement
 between these and the library only means something because the two are
 written so differently, so resist the urge to optimize this file.
 
@@ -12,6 +13,8 @@ import json
 import math
 
 import numpy as np
+
+from smalldet.geometry import row_blocks
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -108,6 +111,114 @@ def normalizers_ref(scenes):
     if pairs == 0:
         raise ZeroDivisionError("no pairs")
     return sum_x / pairs, sum_y / pairs, pairs
+
+
+# ---------------------------------------------------------------------------
+# pairwise row kernels
+#
+# The one vectorized reference in this file. The library's PS and IoU row
+# kernels factor each anchor level into per-axis tables; these score every
+# (gt, anchor) pair of plain (N, 4) arrays directly, with the same
+# operations in the same order, so the two must agree bit for bit. The PS
+# reference has to be vectorized for that: only numpy's exp, not
+# math.exp, gives the same bits as the library's. Blocks follow
+# geometry.row_blocks, so the row slices match too.
+
+
+def _fresh(rows, shape):
+    return np.empty(shape)
+
+
+def _axis_terms(gc, ac, gs, as_, weight):
+    total = gs + as_
+    offset = (gc - ac) / total
+    offset *= weight
+    offset *= offset
+    size = (gs - as_) / total
+    size *= weight
+    size *= size
+    return offset, size
+
+
+def _ps_terms(g, a, m, n):
+    px, qw = _axis_terms(g[..., 0], a[..., 0], g[..., 2], a[..., 2], m)
+    py, qh = _axis_terms(g[..., 1], a[..., 1], g[..., 3], a[..., 3], n)
+    px += py
+    position = np.sqrt(px, out=px)
+    qw += qh
+    shape = np.sqrt(qw, out=qw)
+    return position, shape
+
+
+def pair_ps_rows(g, a, norm, alloc=_fresh):
+    """(rows, block) pairs of the PS matrix of (G, 4) gts and (A, 4) anchors."""
+    a = np.asfortranarray(a)[None, :, :]
+    for rows in row_blocks(g.shape[0], a.shape[1]):
+        position, shape = _ps_terms(g[rows, None, :], a, norm.m, norm.n)
+        position += shape
+        np.negative(position, out=position)
+        yield rows, np.exp(position, out=alloc(rows, position.shape))
+
+
+def corner_table(arr):
+    """Rows x1, y1, x2, y2, area of (N, 4) center-form boxes, shape (5, N)."""
+    table = np.empty((5, arr.shape[0]), dtype=np.float64)
+    x1, y1, x2, y2, area = table
+    half_w = arr[:, 2] / 2.0
+    half_h = arr[:, 3] / 2.0
+    np.subtract(arr[:, 0], half_w, out=x1)
+    np.subtract(arr[:, 1], half_h, out=y1)
+    np.add(arr[:, 0], half_w, out=x2)
+    np.add(arr[:, 1], half_h, out=y2)
+    np.multiply(x2 - x1, y2 - y1, out=area)
+    return table
+
+
+def _overlap(lo_a, hi_a, lo_b, hi_b):
+    inter = np.minimum(hi_a, hi_b)
+    inter -= np.maximum(lo_a, lo_b)
+    return np.clip(inter, 0.0, None, out=inter)
+
+
+def pair_iou_rows(ca, cb, alloc=_fresh):
+    """(rows, block) pairs of the IoU matrix of two corner tables."""
+    for rows in row_blocks(ca.shape[1], cb.shape[1]):
+        x1, y1, x2, y2, area = ca[:, rows, None]
+        inter = _overlap(x1, x2, cb[0], cb[2])
+        inter *= _overlap(y1, y2, cb[1], cb[3])
+        union = area + cb[4]
+        union -= inter
+        yield rows, np.divide(inter, union, out=alloc(rows, inter.shape))
+
+
+def pair_ps_matrix(g, a, norm):
+    """The (G, A) PS matrix of plain arrays, from pair_ps_rows."""
+    out = np.empty((g.shape[0], a.shape[0]))
+    for rows, block in pair_ps_rows(g, a, norm):
+        out[rows] = block
+    return out
+
+
+def pair_iou_matrix(a, b):
+    """The (N, M) IoU matrix of plain arrays, from pair_iou_rows."""
+    out = np.empty((a.shape[0], b.shape[0]))
+    for rows, block in pair_iou_rows(corner_table(a), corner_table(b)):
+        out[rows] = block
+    return out
+
+
+def pair_offset_sums(g, a):
+    """(sum_x, sum_y) of |x_g - x_a| / (w_g + w_a) and the y analogue over
+    every pair of plain arrays, each summed by numpy one row block of
+    (block, A) terms at a time, as accumulate sums a plain array."""
+    sums = []
+    for center, side in ((0, 2), (1, 3)):
+        total = 0.0
+        for rows in row_blocks(g.shape[0], a.shape[0]):
+            d = np.abs(g[rows, None, center] - a[None, :, center])
+            total += float((d / (g[rows, None, side] + a[None, :, side])).sum())
+        sums.append(total)
+    return tuple(sums)
 
 
 # ---------------------------------------------------------------------------

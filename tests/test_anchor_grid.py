@@ -1,10 +1,11 @@
-"""Grid anchor sets: the grid kernels against the pairwise kernels.
+"""Grid anchor sets: the row kernels against the pairwise oracle kernels.
 
 Every set from generate_anchors, clipped or not, keeps per-level grid
-tables, and ps_rows, iou_rows and accumulate read them. The same boxes
-as a plain array take the pairwise kernels, which serve as the
-reference: PS and IoU must agree bit for bit, the normalizer sums to
-rel 1e-12.
+tables, and ps_rows, iou_rows and accumulate read them; a plain array
+takes the same kernels as one level of one cell. The same boxes as a
+plain array, scored pair by pair by the oracle kernels in oracles.py,
+serve as the reference: PS and IoU must agree bit for bit. The grid
+tables' normalizer sums must agree with the plain array's to rel 1e-12.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from smalldet import (
     AnchorGridSpec,
     AnchorSet,
@@ -23,6 +25,7 @@ from smalldet import (
     Metric,
     NormalizerAccumulator,
     accumulate,
+    assign,
     assign_with_metric,
     count_with_metric,
     finalize,
@@ -31,8 +34,9 @@ from smalldet import (
     ps_matrix,
 )
 from smalldet import geometry, similarity
-from smalldet.geometry import LevelGrid, iou_rows
-from smalldet.similarity import ps_rows
+from smalldet.geometry import Box, LevelGrid, iou_rows
+from smalldet.geometry import iou as iou_box
+from smalldet.similarity import pairwise_similarity, ps_rows
 
 THRESHOLDS = (AssignThresholds(), AssignThresholds(0.5, 0.2, 0.0))
 
@@ -66,8 +70,20 @@ def random_gts(rng, spec: AnchorGridSpec, count: int) -> np.ndarray:
 
 
 def stripped(anchors: AnchorSet) -> np.ndarray:
-    """The same boxes as a plain array: the pairwise kernels' input."""
+    """The same boxes as a plain array: the oracle kernels' input."""
     return np.array(anchors.boxes)
+
+
+def oracle_matrix(gts: np.ndarray, boxes: np.ndarray, norm, metric: Metric) -> np.ndarray:
+    """The score matrix of plain arrays from the pairwise oracle kernels."""
+    if metric is Metric.PS:
+        return oracles.pair_ps_matrix(gts, boxes, norm)
+    return oracles.pair_iou_matrix(gts, boxes)
+
+
+def oracle_result(gts, boxes, norm, thr, metric):
+    """assign over the oracle's score matrix: what assign_with_metric gives."""
+    return assign(oracle_matrix(gts, boxes, norm, metric), thr)
 
 
 def bits(values: np.ndarray) -> np.ndarray:
@@ -114,9 +130,10 @@ def check_grid_kernels(grid_set: AnchorSet, gts: np.ndarray, norm: DatasetNormal
     for anchors in (grid_set, *grid_set.level_sets):
         reference = stripped(anchors)
         ps = stacked(ps_rows(gts, anchors, norm), num)
-        assert_same_bits(ps, stacked(ps_rows(gts, reference, norm), num))
+        assert_same_bits(ps, stacked(oracles.pair_ps_rows(gts, reference, norm), num))
         iou = stacked(iou_rows(gts, anchors), num)
-        assert_same_bits(iou, stacked(iou_rows(gts, reference), num))
+        ca, cb = oracles.corner_table(gts), oracles.corner_table(reference)
+        assert_same_bits(iou, stacked(oracles.pair_iou_rows(ca, cb), num))
         # The out= form fills the same values.
         out = np.full((num, len(anchors)), np.nan)
         for _ in ps_rows(gts, anchors, norm, out):
@@ -132,14 +149,14 @@ def check_grid_kernels(grid_set: AnchorSet, gts: np.ndarray, norm: DatasetNormal
             for metric in Metric:
                 assert_same_result(
                     assign_with_metric(gts, anchors, norm, thr, metric),
-                    assign_with_metric(gts, reference, norm, thr, metric),
+                    oracle_result(gts, reference, norm, thr, metric),
                 )
 
     tables = accumulate(NormalizerAccumulator(), gts, grid_set)
-    pairwise = accumulate(NormalizerAccumulator(), gts, stripped(grid_set))
-    assert tables.pair_count == pairwise.pair_count == num * len(grid_set)
-    assert tables.sum_x == pytest.approx(pairwise.sum_x, rel=1e-12, abs=0)
-    assert tables.sum_y == pytest.approx(pairwise.sum_y, rel=1e-12, abs=0)
+    plain = accumulate(NormalizerAccumulator(), gts, stripped(grid_set))
+    assert tables.pair_count == plain.pair_count == num * len(grid_set)
+    assert tables.sum_x == pytest.approx(plain.sum_x, rel=1e-12, abs=0)
+    assert tables.sum_y == pytest.approx(plain.sum_y, rel=1e-12, abs=0)
 
 
 def test_one_cell_grids_and_a_gt_on_a_center():
@@ -157,7 +174,7 @@ def test_one_cell_grids_and_a_gt_on_a_center():
     for metric in Metric:
         assert_same_result(
             assign_with_metric(gts, grid_set, norm, THRESHOLDS[1], metric),
-            assign_with_metric(gts, stripped(grid_set), norm, THRESHOLDS[1], metric),
+            oracle_result(gts, stripped(grid_set), norm, THRESHOLDS[1], metric),
         )
 
 
@@ -174,7 +191,7 @@ def test_zero_iou_gt_still_rescues_anchor_zero():
     result = assign_with_metric(gts, grid_set, None, thr, Metric.IOU)
     # Its all-zero row clears a zero floor, so it claims its argmax: anchor 0.
     assert result.labels[0] == 1 and result.gt_index[0] == 1
-    assert_same_result(result, assign_with_metric(gts, stripped(grid_set), None, thr, Metric.IOU))
+    assert_same_result(result, oracle_result(gts, stripped(grid_set), None, thr, Metric.IOU))
 
 
 def test_every_generated_set_takes_the_grid_path(monkeypatch):
@@ -196,10 +213,10 @@ def test_every_generated_set_takes_the_grid_path(monkeypatch):
             # accumulate reads the grid tables alone: the set's boxes are never made.
             accumulate(NormalizerAccumulator(), gts, part)
             assert not made_tables(part)
-    # The same anchors as a plain array take the pairwise kernels.
+    # The same anchors as a plain array are one level of the same kernels.
     for metric in Metric:
-        assign_with_metric(gts, stripped(anchors), norm, THRESHOLDS[0], metric)
-    accumulate(NormalizerAccumulator(), gts, stripped(anchors))
+        with pytest.raises(AssertionError, match="grid kernel"):
+            assign_with_metric(gts, stripped(anchors), norm, THRESHOLDS[0], metric)
 
 
 def test_grid_tables_must_describe_the_boxes():
@@ -313,8 +330,8 @@ def check_matrices(grid_set: AnchorSet, gts: np.ndarray, norm: DatasetNormalizer
         assert not made_tables(anchors)
         assert ps.shape == iou.shape == (gts.shape[0], len(anchors))
         reference = stripped(anchors)
-        assert_same_bits(ps, ps_matrix(gts, reference, norm))
-        assert_same_bits(iou, iou_matrix(gts, reference))
+        assert_same_bits(ps, oracles.pair_ps_matrix(gts, reference, norm))
+        assert_same_bits(iou, oracles.pair_iou_matrix(gts, reference))
 
 
 def test_scoring_a_grid_set_holds_no_per_anchor_table():
@@ -519,3 +536,64 @@ def test_public_row_kernels_yield_blocks_that_share_no_memory():
         for i, (_, a) in enumerate(blocks):
             assert not any(np.shares_memory(a, b) for _, b in blocks[i + 1:])
         assert_same_bits(stacked(blocks, len(gts)), matrix)
+
+
+def random_boxes(rng, count: int) -> np.ndarray:
+    return np.column_stack([rng.uniform(-50.0, 850.0, count), rng.uniform(-50.0, 850.0, count),
+                            rng.uniform(0.5, 80.0, count), rng.uniform(0.5, 80.0, count)])
+
+
+@pytest.mark.parametrize("block_pairs", [None, 97])
+@pytest.mark.parametrize("num_gts, num_anchors", [(0, 40), (6, 0), (12, 500), (3, (1 << 16) + 3)])
+def test_plain_arrays_score_like_the_pairwise_oracle(monkeypatch, block_pairs, num_gts, num_anchors):
+    # A plain array is one level of one cell with S = N shapes; the oracle
+    # scores it pair by pair. Counts below and above _BLOCK_PAIRS, and a
+    # patched budget of 97 that makes many row blocks.
+    if block_pairs is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    rng = np.random.default_rng(800 + num_gts + num_anchors + (block_pairs or 0))
+    gts = random_boxes(rng, num_gts)
+    if num_gts:
+        # A far gt that overlaps no anchor.
+        gts[-1] = [1e5, -1e5, 3.0, 5.0]
+    anchors = random_boxes(rng, num_anchors)
+    norm = DatasetNormalizers(float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0)))
+
+    ps = ps_matrix(gts, anchors, norm)
+    iou = iou_matrix(gts, anchors)
+    assert ps.shape == iou.shape == (num_gts, num_anchors)
+    assert_same_bits(ps, oracles.pair_ps_matrix(gts, anchors, norm))
+    assert_same_bits(iou, oracles.pair_iou_matrix(gts, anchors))
+    out = np.full(ps.shape, np.nan)
+    assert_same_bits(stacked_into(ps_rows(gts, anchors, norm, out), out, num_gts), ps)
+    out[:] = np.nan
+    assert_same_bits(stacked_into(iou_rows(gts, anchors, out), out, num_gts), iou)
+    for g, a in zip(gts[:4], anchors[:4]):
+        gt, anchor = Box(*map(float, g)), Box(*map(float, a))
+        assert_same_bits(np.float64(pairwise_similarity(gt, anchor, norm)),
+                         oracles.pair_ps_matrix(g[None], a[None], norm)[0, 0])
+        assert_same_bits(np.float64(iou_box(gt, anchor)), oracles.pair_iou_matrix(g[None], a[None])[0, 0])
+
+    acc = accumulate(NormalizerAccumulator(), gts, anchors)
+    assert acc.pair_count == num_gts * num_anchors
+    assert (acc.sum_x, acc.sum_y) == oracles.pair_offset_sums(gts, anchors)
+
+    if num_gts and num_anchors:
+        assert not np.any(bits(iou[-1]))
+        # Its all-zero row clears a zero floor, so it claims its argmax: anchor 0.
+        thr = AssignThresholds(pos_thr=0.5, neg_thr=0.2, min_pos_thr=0.0)
+        result = assign_with_metric(gts, anchors, None, thr, Metric.IOU)
+        assert result.labels[0] == 1 and result.gt_index[0] == num_gts - 1
+        assert_same_result(result, oracle_result(gts, anchors, None, thr, Metric.IOU))
+        assert_same_result(assign_with_metric(gts, anchors, norm, THRESHOLDS[0], Metric.PS),
+                           oracle_result(gts, anchors, norm, THRESHOLDS[0], Metric.PS))
+
+
+def stacked_into(blocks, out: np.ndarray, num_rows: int) -> np.ndarray:
+    """Run the row kernel's out= form; each block must be a view of out."""
+    seen = []
+    for rows, block in blocks:
+        assert block.size == 0 or np.shares_memory(block, out)
+        seen.append(rows)
+    assert seen == list(geometry.row_blocks(num_rows, out.shape[1]))
+    return out

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from smalldet import cli, geometry, load_coco, similarity
 from smalldet.cli import _map_in_order, main
 
@@ -355,13 +356,14 @@ def test_assign_per_level_and_jobs_agree(tmp_path, capsys):
 
 def test_assign_reports_do_not_depend_on_grid_tables(tmp_path, capsys, monkeypatch):
     # The grid kernels (factored PS, windowed IoU) against the pairwise
-    # ones on the same boxes, end to end, unclipped and clipped. Both
-    # sides read one normalizer cache, so only the scoring kernels differ.
+    # oracle kernels on the same boxes, end to end, unclipped and clipped.
+    # Both sides read one normalizer cache, so only the scoring kernels differ.
     ann = varied_dataset(tmp_path)
     pairwise = (
         (similarity, "_grid_ps_rows",
-         lambda g, a, norm, out: similarity._pair_ps_rows(g, a.boxes, norm, out)),
-        (geometry, "_grid_iou_rows", lambda ca, a, out: geometry._pair_iou_rows(ca, a.corners, out)),
+         lambda g, a, norm, alloc: oracles.pair_ps_rows(g, a.boxes, norm, alloc)),
+        (geometry, "_grid_iou_rows",
+         lambda ca, a, alloc: oracles.pair_iou_rows(ca, oracles.corner_table(a.boxes), alloc)),
     )
     for clip in ("false", "true"):
         layout = f'{{"levels": [[4, 4], [8, 8]], "ratios": [0.5, 1, 2], "scales": [1, 2], "clip": {clip}}}'

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from smalldet import (
+    AnchorGridSpec,
+    AssignThresholds,
     Box,
     DatasetNormalizers,
     EmptyDatasetError,
@@ -14,6 +16,7 @@ from smalldet import (
     NormalizerCache,
     accumulate,
     finalize,
+    generate_anchors,
     load_normalizer_cache,
     pairwise_similarity,
     position_similarity,
@@ -207,6 +210,31 @@ def test_normalizers_scale_invariant():
     b = finalize(scaled)
     assert b.m == pytest.approx(a.m, rel=1e-9)
     assert b.n == pytest.approx(a.n, rel=1e-9)
+
+
+def test_normalizers_grow_with_the_image_extent():
+    # m and n average over every gt x anchor pair, so a larger image's far
+    # anchors raise them, and the weight they put on every term, the near
+    # pairs' included. The same gts and the same near anchors then score
+    # lower: here a tiny gt's best PS falls below the 0.3 rescue floor.
+    def layout(w, h):
+        return AnchorGridSpec(levels=((16.0, 16.0),), image_w=w, image_h=h,
+                              ratios=(0.5, 1.0, 2.0), scales=(8.0, 16.0, 32.0))
+
+    small, large = generate_anchors(layout(640.0, 480.0)), generate_anchors(layout(1600.0, 1600.0))
+    # The large grid holds every anchor of the small one and adds far ones.
+    assert {tuple(b) for b in small.boxes} < {tuple(b) for b in large.boxes}
+    gts = np.array([[100.0, 80.0, 12.0, 9.0], [320.0, 240.0, 60.0, 90.0], [500.0, 400.0, 200.0, 150.0]])
+    near, far = (finalize(accumulate(NormalizerAccumulator(), gts, a)) for a in (small, large))
+    assert far.m > 2 * near.m and far.n > 2 * near.n
+    min_pos_thr = AssignThresholds().min_pos_thr
+    assert min_pos_thr == 0.3
+    tiny_best = [ps_matrix(gts[:1], a, norm).max() for a, norm in ((small, near), (large, far))]
+    assert tiny_best[0] >= min_pos_thr > tiny_best[1]
+    # The best anchor is a near one either way: swapping the normalizers
+    # swaps the outcome.
+    assert ps_matrix(gts[:1], large, near).max() == tiny_best[0]
+    assert ps_matrix(gts[:1], small, far).max() == tiny_best[1]
 
 
 def test_ps_matrix_shapes_and_scalar_bit_identity():
