@@ -184,9 +184,12 @@ class _GtBest:
         self.best_at[better] = best[at]
         self.match_at[better] = match[at]
 
-    def rescuers(self, min_pos_thr: float) -> np.ndarray:
-        """The gts whose best anchor is rescued, in the order they claim it."""
-        return np.flatnonzero(self.score >= min_pos_thr)
+    def rescues(self, min_pos_thr: float) -> dict[int, int]:
+        """Each rescued anchor, mapped to the gt that claims it last in gt
+        order: of the gts whose best score reaches min_pos_thr, a later
+        gt's rescue overrides an earlier one's on the same anchor."""
+        gts = np.flatnonzero(self.score >= min_pos_thr).tolist()
+        return dict(zip(self.anchor[gts].tolist(), gts))
 
 
 def _fold(tiles, gt_best: _GtBest, floor: float, pos_thr: float, buffers):
@@ -259,8 +262,7 @@ def _assign_tiles(tiles, num_gts: int, num_anchors: int, thr: AssignThresholds, 
     # IGNORE (-1) or NEGATIVE (0).
     labels = (best_score >= thr.pos_thr).view(np.int8) * np.int8(2)
     labels -= (best_score >= thr.neg_thr).view(np.int8)
-    for g in gt_best.rescuers(thr.min_pos_thr):
-        anchor = gt_best.anchor[g]
+    for anchor, g in gt_best.rescues(thr.min_pos_thr).items():
         labels[anchor] = POSITIVE
         gt_index[anchor] = g
     return AssignResult(labels=labels, gt_index=gt_index, best_score=best_score)
@@ -352,9 +354,7 @@ def _count_tiles(tiles, gt_areas: np.ndarray, num_anchors: int, thr: AssignThres
         matched = match[match >= 0]
         per_gt += np.bincount(matched, minlength=num_gts)
         negative += int(np.count_nonzero(best < thr.neg_thr))
-    # A later gt's rescue overrides an earlier one's on the same anchor.
-    owner = {int(gt_best.anchor[g]): g for g in gt_best.rescuers(thr.min_pos_thr).tolist()}
-    for g in owner.values():
+    for g in gt_best.rescues(thr.min_pos_thr).values():
         # Every gt that claims an anchor kept the same pre-rescue state of it.
         was = int(gt_best.match_at[g])
         if was >= 0:
@@ -415,7 +415,7 @@ def _metric_tiles(g: np.ndarray, anchors, norm: DatasetNormalizers | None, metri
     Every score block is a view of this thread's one score buffer.
     """
     every = np.arange(g.shape[0])
-    alloc = _scratch.block
+    alloc = lambda rows, shape: _scratch.take("score", shape)  # noqa: E731
     for start, tile in anchor_tiles(anchors):
         if metric is Metric.PS:
             yield start, len(tile), every, _ps_rows(g, tile, norm, alloc)

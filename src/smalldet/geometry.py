@@ -11,11 +11,12 @@ separable by axis, so a clipped level is a grid too, with its x extents
 on a (cols, shapes) table and its y extents on a (rows, shapes) one.
 The set's per-anchor boxes and corner table are made only if a caller
 reads them. anchor_tiles cuts a large set into tiles of whole grid
-rows, which the kernels score as they score the set. iou_rows reads the
-tables to compute each ground truth's IoU only inside the row and
-column window where it overlaps the grid, writing exact 0.0 elsewhere.
-A plain (N, 4) array is scored as one level of one row and one column
-with S = N shapes, so one kernel per metric serves every input.
+rows, which the kernels score as they score the set. The IoU kernel
+reads the tables to compute each ground truth's IoU only inside the row
+and column window where it overlaps the grid, writing exact 0.0
+elsewhere. A plain (N, 4) array is scored as one level of one row and
+one column with S = N shapes, so one kernel per metric serves every
+input; iou_matrix and the assignment fold (assigner) are its two callers.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "boxes_to_array",
     "iou",
     "iou_matrix",
-    "iou_rows",
     "overlapping",
     "row_blocks",
     "anchor_tiles",
@@ -66,7 +66,8 @@ class Box:
     def __post_init__(self) -> None:
         for name in ("cx", "cy", "w", "h"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)):
+            # bool is an int subclass; True must not pass as a coordinate of 1
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"box field {name} must be a number, got {type(value).__name__}")
             if not math.isfinite(value):
                 raise ValueError(f"box field {name} must be finite, got {value!r}")
@@ -215,11 +216,6 @@ def _corner_table(arr: np.ndarray) -> np.ndarray:
     return table
 
 
-def _corners_of(boxes) -> np.ndarray:
-    """Corner table of a validated array, or the one an AnchorSet keeps."""
-    return boxes.corners if isinstance(boxes, AnchorSet) else _corner_table(boxes)
-
-
 def _scorable(boxes):
     """An AnchorSet as it is, anything else through boxes_to_array: the
     forms the kernels take, with no per-anchor boxes made for a set."""
@@ -267,42 +263,6 @@ def _overlap(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     return np.clip(inter, 0.0, None, out=inter)
 
 
-def iou_rows(a, b, out=None):
-    """Yield (rows, block) pairs of the IoU matrix, one row block at a time.
-
-    Corners and areas are computed once per call, or once per grid
-    level; each block then costs a few temporaries of its own size.
-    Blocks follow row_blocks order. Each row's IoU is computed from b's
-    per-level tables (a plain array is one level of one cell, see
-    _levels), only inside the grid window it overlaps, and is exact 0.0
-    elsewhere.
-
-    Args:
-        a: Validated (N, 4) float64 array, as from boxes_to_array, or an
-            AnchorSet (rows).
-        b: Validated (M, 4) float64 array, or an AnchorSet (columns).
-        out: Optional (N, M) float64 array; when given, each block is
-            written into (and returned as) out[rows].
-
-    Yields:
-        (rows, block): a row slice and the (rows, M) IoU values, in [0, 1].
-    """
-    return _iou_rows(a, b, _block_alloc(out))
-
-
-def _block_alloc(out=None):
-    """The block allocator of the public row kernels.
-
-    alloc(rows, shape) makes a fresh float64 array of that shape, so the
-    blocks a caller keeps never share memory, or returns out[rows] when
-    out is given. A fold that reads each block before it asks for the
-    next passes an allocator that hands out one reused buffer instead.
-    """
-    if out is None:
-        return lambda rows, shape: np.empty(shape)
-    return lambda rows, shape: out[rows]
-
-
 class _Scratch(threading.local):
     """This thread's reusable arrays, one buffer per role.
 
@@ -315,7 +275,7 @@ class _Scratch(threading.local):
     keeps at most _BLOCK_PAIRS values per role. A view is valid until its
     role is taken again in this thread, so each user reads it before it
     asks again: the fold each score block and each tile's arrays, and
-    _grid_iou_rows each window's union.
+    the IoU kernel each window's temporaries.
     """
 
     def __init__(self) -> None:
@@ -330,30 +290,26 @@ class _Scratch(threading.local):
             buffer = self.buffers[role] = np.empty(size, dtype)
         return buffer[:size].reshape(shape)
 
-    def block(self, rows, shape) -> np.ndarray:
-        """A block allocator (see _block_alloc) that reuses one score buffer."""
-        return self.take("score", shape)
-
 
 _scratch = _Scratch()
 
 
-def _iou_rows(a, b, alloc):
-    """iou_rows with each block from alloc(rows, shape)."""
-    return _grid_iou_rows(_corners_of(a), b, alloc)
+def _iou_rows(g: np.ndarray, anchors, alloc):
+    """The IoU kernel, which iou_matrix and the assignment fold call: yields
+    (rows, block) per row block of the center-form g (row_blocks order)
+    against anchors (a validated array or an AnchorSet), block =
+    alloc(rows, shape). g's corner table is made once per call.
 
-
-def _grid_iou_rows(ca: np.ndarray, anchors, alloc):
-    """iou_rows level by level: per-axis overlaps on (cols, S) and (rows, S).
-
-    A pair overlaps only where both axis overlaps are positive, so each
-    gt row is divided out only inside the bounding window of the columns
-    and rows it overlaps on some shape; every other entry is exact 0.0.
-    A plain array's one level has a single cell, so its window is every
-    anchor or none. An anchor's area is (x2 - x1) * (y2 - y1) from the
-    level's corner tables, the product the corner table takes, so no
-    per-anchor table is made.
+    Per-axis overlaps come on (cols, S) and (rows, S) tables. A pair
+    overlaps only where both axis overlaps are positive, so each gt row is
+    divided out only inside the bounding window of the columns and rows
+    it overlaps on some shape; every other entry is exact 0.0. A plain
+    array's one level has a single cell, so its window is every anchor or
+    none. An anchor's area is (x2 - x1) * (y2 - y1) from the level's
+    corner tables, the product the corner table takes, so no per-anchor
+    table is made.
     """
+    ca = _corner_table(g)
     num_anchors = len(anchors)
     levels = _levels(anchors)
     for rows in row_blocks(ca.shape[1], num_anchors):
@@ -390,19 +346,20 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
     """Pairwise intersection-over-union between two box collections.
 
     Args:
-        boxes_a: First collection (rows of the result).
+        boxes_a: First collection (rows of the result); an AnchorSet
+            gives its boxes.
         boxes_b: Second collection (columns of the result). An AnchorSet
-            is passed to iou_rows as it is, so it makes no per-anchor
+            is scored from its grid tables, so it makes no per-anchor
             boxes.
 
     Returns:
         Array of shape (len(a), len(b)) with values in [0, 1], filled
-        block by block from iou_rows.
+        block by block by the fold's IoU kernel.
     """
-    a = _scorable(boxes_a)
+    a = boxes_to_array(boxes_a)
     b = _scorable(boxes_b)
     out = np.empty((len(a), len(b)), dtype=np.float64)
-    for _ in iou_rows(a, b, out):
+    for _ in _iou_rows(a, b, lambda rows, shape: out[rows]):
         pass
     return out
 
@@ -473,7 +430,7 @@ class AnchorGridSpec:
                 )
         for name in ("image_w", "image_h"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
     def anchors_per_cell(self) -> int:

@@ -11,10 +11,11 @@ m averages |x_gt - x_anchor| / (w_gt + w_anchor), n averages the analogous
 y/height ratio. m weights both x-offset and width terms; n weights both
 y-offset and height terms.
 
-ps_rows builds the x, y and shape terms on small per-level tables: an
-AnchorSet's grid tables (generate_anchors), or a plain (N, 4) anchor
-array as one level of one row and one column with S = N shapes, whose
-tables are its own columns. accumulate sums over the same per-axis
+One PS kernel builds the x, y and shape terms on small per-level
+tables: an AnchorSet's grid tables (generate_anchors), or a plain (N, 4)
+anchor array as one level of one row and one column with S = N shapes,
+whose tables are its own columns. ps_matrix and the assignment fold
+(assigner) are its two callers. accumulate sums over the same per-axis
 tables, one level at a time in O(gts * (rows + cols) * shapes).
 """
 
@@ -22,12 +23,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import Box, boxes_to_array, _block_alloc, _levels, _scorable, row_blocks
+from .geometry import Box, boxes_to_array, _levels, _scorable, row_blocks
 
 __all__ = [
     "EmptyDatasetError",
@@ -38,7 +40,6 @@ __all__ = [
     "shape_similarity",
     "pairwise_similarity",
     "ps_matrix",
-    "ps_rows",
     "accumulate",
     "finalize",
     "save_normalizer_cache",
@@ -65,8 +66,9 @@ class DatasetNormalizers:
     def __post_init__(self) -> None:
         for name in ("m", "n"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValueError(f"normalizer {name} must be finite, got {v!r}")
+            # bool is an int subclass; True must not pass as a normalizer of 1
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v)):
+                raise ValueError(f"normalizer {name} must be a finite number, got {v!r}")
             if v < 0:
                 raise ValueError(f"normalizer {name} must be non-negative, got {v!r}")
 
@@ -84,12 +86,15 @@ class NormalizerAccumulator:
     pair_count: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sum_x) and self.sum_x >= 0):
-            raise ValueError(f"sum_x must be finite and non-negative, got {self.sum_x!r}")
-        if not (math.isfinite(self.sum_y) and self.sum_y >= 0):
-            raise ValueError(f"sum_y must be finite and non-negative, got {self.sum_y!r}")
-        if self.pair_count < 0:
-            raise ValueError(f"pair_count must be non-negative, got {self.pair_count!r}")
+        for name in ("sum_x", "sum_y"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
+        count = self.pair_count
+        # bool is an int subclass, which operator.index would take as 0 or 1.
+        if isinstance(count, bool) or not hasattr(count, "__index__") or operator.index(count) < 0:
+            raise ValueError(f"pair_count must be a non-negative integer, got {count!r}")
+        object.__setattr__(self, "pair_count", operator.index(count))
 
     def merge(self, other: "NormalizerAccumulator") -> "NormalizerAccumulator":
         """Field-wise sum of two accumulators."""
@@ -119,8 +124,8 @@ def _axis_terms(gc, ac, gs, as_, weight: float):
 
 
 def _pair_terms(gt: Box, anchor: Box, norm: DatasetNormalizers) -> tuple[float, float]:
-    """Position and shape penalty terms of one pair, rounded as ps_rows
-    rounds them: sqrt of the summed squared terms of _axis_terms."""
+    """Position and shape penalty terms of one pair, rounded as the PS
+    kernel rounds them: sqrt of the summed squared terms of _axis_terms."""
     (gx, gy, gw, gh), (ax, ay, aw, ah) = np.array(
         [(gt.cx, gt.cy, gt.w, gt.h), (anchor.cx, anchor.cy, anchor.w, anchor.h)], dtype=np.float64)
     px, qw = _axis_terms(gx, ax, gw, aw, norm.m)
@@ -151,44 +156,19 @@ def pairwise_similarity(gt: Box, anchor: Box, norm: DatasetNormalizers) -> float
     return float(ps_matrix([gt], [anchor], norm)[0, 0])
 
 
-def ps_rows(g: np.ndarray, a, norm: DatasetNormalizers, out=None):
-    """Yield (rows, block) pairs of the PS matrix, one gt row block at a time.
+def _ps_rows(g: np.ndarray, anchors, norm: DatasetNormalizers, alloc):
+    """The PS kernel, which ps_matrix and the assignment fold call: yields
+    (rows, block) per gt row block of g (geometry.row_blocks order) against
+    anchors (a validated array or an AnchorSet), block = alloc(rows, shape).
 
-    Each block costs a few temporaries of its own size, so scoring needs
-    O(anchors) working memory whatever the gt count. Blocks follow
-    geometry.row_blocks order. The terms are factored per level (see
-    _grid_ps_rows); a plain array is one level of one cell.
-
-    Args:
-        g: Validated (G, 4) float64 ground-truth array, as from
-            boxes_to_array (rows).
-        a: Validated (A, 4) float64 anchor array, or an AnchorSet
-            (columns).
-        norm: Dataset normalizers weighting the penalty terms.
-        out: Optional (G, A) float64 array; when given, each block is
-            written into (and returned as) out[rows].
-
-    Yields:
-        (rows, block): a row slice and the (rows, A) similarities.
-    """
-    return _ps_rows(g, a, norm, _block_alloc(out))
-
-
-def _ps_rows(g: np.ndarray, a, norm: DatasetNormalizers, alloc):
-    """ps_rows with each block from alloc(rows, shape) (geometry._block_alloc)."""
-    return _grid_ps_rows(g, a, norm, alloc)
-
-
-def _grid_ps_rows(g: np.ndarray, anchors, norm: DatasetNormalizers, alloc):
-    """ps_rows with the terms factored per level (geometry._levels).
-
-    The x terms depend only on (column, shape) and the y terms only on
-    (row, shape), so they come from _axis_terms on (B, cols, S) and
-    (B, rows, S) tables (LevelGrid.axes). Unclipped, the size terms
-    depend on the shape alone, so the shape term stays (B, 1, 1, S);
-    clipped, or for a plain array's one cell of S = N shapes, it is per
-    pair. Each pair then costs an add, a sqrt, an add, a negation and an
-    exp, in the order of exp(-(position + shape)).
+    The terms are factored per level (geometry._levels). The x terms
+    depend only on (column, shape) and the y terms only on (row, shape),
+    so they come from _axis_terms on (B, cols, S) and (B, rows, S) tables
+    (LevelGrid.axes). Unclipped, the size terms depend on the shape alone,
+    so the shape term stays (B, 1, 1, S); clipped, or for a plain array's
+    one cell of S = N shapes, it is per pair. Each pair then costs an add,
+    a sqrt, an add, a negation and an exp, in the order of
+    exp(-(position + shape)).
     """
     num_anchors = len(anchors)
     levels = _levels(anchors)
@@ -214,19 +194,19 @@ def ps_matrix(gts, anchors, norm: DatasetNormalizers) -> np.ndarray:
 
     Args:
         gts: Ground-truth boxes (rows of the result).
-        anchors: Anchor boxes (columns). An AnchorSet is passed to
-            ps_rows as it is, so it makes no per-anchor boxes.
+        anchors: Anchor boxes (columns). An AnchorSet is scored from its
+            grid tables, so it makes no per-anchor boxes.
         norm: Dataset normalizers weighting the penalty terms.
 
     Returns:
         Float64 array of shape (len(gts), len(anchors)), filled block by
-        block from ps_rows, whose entries are bit-identical to calling
-        pairwise_similarity pair by pair.
+        block by the fold's PS kernel, whose entries are bit-identical to
+        calling pairwise_similarity pair by pair.
     """
     g = boxes_to_array(gts)
     a = _scorable(anchors)
     out = np.empty((g.shape[0], len(a)), dtype=np.float64)
-    for _ in ps_rows(g, a, norm, out):
+    for _ in _ps_rows(g, a, norm, lambda rows, shape: out[rows]):
         pass
     return out
 

@@ -1,8 +1,8 @@
-"""Grid anchor sets: the row kernels against the pairwise oracle kernels.
+"""Grid anchor sets: the scoring kernels against the pairwise oracle kernels.
 
 Every set from generate_anchors, clipped or not, keeps per-level grid
-tables, and ps_rows, iou_rows and accumulate read them; a plain array
-takes the same kernels as one level of one cell. The same boxes as a
+tables, and the PS and IoU kernels and accumulate read them; a plain
+array takes the same kernels as one level of one cell. The same boxes as a
 plain array, scored pair by pair by the oracle kernels in oracles.py,
 serve as the reference: PS and IoU must agree bit for bit. The grid
 tables' normalizer sums must agree with the plain array's to rel 1e-12.
@@ -33,10 +33,10 @@ from smalldet import (
     iou_matrix,
     ps_matrix,
 )
-from smalldet import geometry, similarity
-from smalldet.geometry import Box, LevelGrid, iou_rows
+from smalldet import assigner, geometry, similarity
+from smalldet.geometry import Box, LevelGrid
 from smalldet.geometry import iou as iou_box
-from smalldet.similarity import pairwise_similarity, ps_rows
+from smalldet.similarity import pairwise_similarity
 
 THRESHOLDS = (AssignThresholds(), AssignThresholds(0.5, 0.2, 0.0))
 
@@ -129,20 +129,9 @@ def check_grid_kernels(grid_set: AnchorSet, gts: np.ndarray, norm: DatasetNormal
     num = gts.shape[0]
     for anchors in (grid_set, *grid_set.level_sets):
         reference = stripped(anchors)
-        ps = stacked(ps_rows(gts, anchors, norm), num)
-        assert_same_bits(ps, stacked(oracles.pair_ps_rows(gts, reference, norm), num))
-        iou = stacked(iou_rows(gts, anchors), num)
-        ca, cb = oracles.corner_table(gts), oracles.corner_table(reference)
-        assert_same_bits(iou, stacked(oracles.pair_iou_rows(ca, cb), num))
-        # The out= form fills the same values.
-        out = np.full((num, len(anchors)), np.nan)
-        for _ in ps_rows(gts, anchors, norm, out):
-            pass
-        assert_same_bits(out, ps)
-        out[:] = np.nan
-        for _ in iou_rows(gts, anchors, out):
-            pass
-        assert_same_bits(out, iou)
+        assert_same_bits(ps_matrix(gts, anchors, norm), oracles.pair_ps_matrix(gts, reference, norm))
+        iou = iou_matrix(gts, anchors)
+        assert_same_bits(iou, oracles.pair_iou_matrix(gts, reference))
         # The far gt overlaps nothing: its IoU row is exact +0.0.
         assert not np.any(bits(iou[-1]))
         for thr in THRESHOLDS:
@@ -184,9 +173,9 @@ def test_zero_iou_gt_still_rescues_anchor_zero():
     grid_set = generate_anchors(spec)
     # gt 0 overlaps some anchors; gt 1 lies far outside and overlaps none.
     gts = np.array([[20.0, 12.0, 8.0, 8.0], [-500.0, -500.0, 4.0, 4.0]])
-    rows = stacked(iou_rows(gts, grid_set), 2)
-    assert np.any(rows[0] > 0)
-    assert not np.any(bits(rows[1]))
+    iou = iou_matrix(gts, grid_set)
+    assert np.any(iou[0] > 0)
+    assert not np.any(bits(iou[1]))
     thr = AssignThresholds(pos_thr=0.5, neg_thr=0.2, min_pos_thr=0.0)
     result = assign_with_metric(gts, grid_set, None, thr, Metric.IOU)
     # Its all-zero row clears a zero floor, so it claims its argmax: anchor 0.
@@ -200,7 +189,10 @@ def test_every_generated_set_takes_the_grid_path(monkeypatch):
 
     gts = np.array([[10.0, 10.0, 6.0, 6.0]])
     norm = DatasetNormalizers(0.5, 0.5)
-    kernels = ((similarity, "_grid_ps_rows"), (geometry, "_grid_iou_rows"))
+    # assigner binds both kernels at import, so each is patched in every
+    # module that looks it up.
+    kernels = ((similarity, "_ps_rows"), (geometry, "_iou_rows"),
+               (assigner, "_ps_rows"), (assigner, "_iou_rows"))
     for module, name in kernels:
         monkeypatch.setattr(module, name, refuse)
     for clip in (False, True):
@@ -210,6 +202,10 @@ def test_every_generated_set_takes_the_grid_path(monkeypatch):
             for metric in Metric:
                 with pytest.raises(AssertionError, match="grid kernel"):
                     assign_with_metric(gts, part, norm, THRESHOLDS[0], metric)
+            with pytest.raises(AssertionError, match="grid kernel"):
+                ps_matrix(gts, part, norm)
+            with pytest.raises(AssertionError, match="grid kernel"):
+                iou_matrix(gts, part)
             # accumulate reads the grid tables alone: the set's boxes are never made.
             accumulate(NormalizerAccumulator(), gts, part)
             assert not made_tables(part)
@@ -302,6 +298,10 @@ def test_degenerate_anchor_shapes_are_rejected_without_the_box_scan():
     # 1 / ratio overflows: each anchor would be infinitely wide.
     with pytest.raises(ValueError, match="positive and finite"):
         AnchorGridSpec(levels=((16.0, 16.0),), image_w=64.0, image_h=64.0, ratios=(1e-320,))
+    # bool is an int subclass; True must not pass as an image 1 pixel wide.
+    for image_w, image_h, name in ((True, 5, "image_w"), (5, True, "image_h")):
+        with pytest.raises(ValueError, match=name):
+            AnchorGridSpec(levels=((16.0, 16.0),), image_w=image_w, image_h=image_h)
     level = generate_anchors(AnchorGridSpec(levels=((8.0, 8.0),), image_w=16.0, image_h=16.0,
                                             ratios=(0.5, 2.0))).grid[0]
     for bad in (0.0, -1.0):
@@ -332,6 +332,10 @@ def check_matrices(grid_set: AnchorSet, gts: np.ndarray, norm: DatasetNormalizer
         reference = stripped(anchors)
         assert_same_bits(ps, oracles.pair_ps_matrix(gts, reference, norm))
         assert_same_bits(iou, oracles.pair_iou_matrix(gts, reference))
+        # A set as rows is scored from its boxes. The union adds the two
+        # areas in the other order, and that sum is exact, so the matrix
+        # is the transpose bit for bit.
+        assert_same_bits(iou_matrix(anchors, gts), iou.T)
 
 
 def test_scoring_a_grid_set_holds_no_per_anchor_table():
@@ -519,22 +523,30 @@ def test_counting_an_image_again_reuses_the_fold_arrays():
         assert (again.negative, again.anchors) == (first.negative, first.anchors)
 
 
-def test_public_row_kernels_yield_blocks_that_share_no_memory():
+def test_row_kernels_yield_blocks_in_row_block_order():
     # 13 gts (random_gts adds one far off) over 10,800 anchors are three
-    # row blocks of 6, 6 and 1 rows. The fold reuses one buffer for every
-    # block; a caller of the public kernels keeps each block it was given.
+    # row blocks of 6, 6 and 1 rows, each asked of the allocator as the
+    # kernel comes to it and yielded as the array it gave.
     rng = np.random.default_rng(11)
     spec = AnchorGridSpec(levels=((16.0, 16.0),), image_w=640.0, image_h=480.0,
                           ratios=(0.5, 1.0, 2.0), scales=(8.0, 16.0, 32.0))
     anchors = generate_anchors(spec)
     gts = random_gts(rng, spec, 12)
     norm = DatasetNormalizers(0.76, 0.56)
-    for rows_of, matrix in ((lambda: ps_rows(gts, anchors, norm), ps_matrix(gts, anchors, norm)),
-                            (lambda: iou_rows(gts, anchors), iou_matrix(gts, anchors))):
-        blocks = list(rows_of())
+    kernels = ((lambda alloc: similarity._ps_rows(gts, anchors, norm, alloc), ps_matrix(gts, anchors, norm)),
+               (lambda alloc: geometry._iou_rows(gts, anchors, alloc), iou_matrix(gts, anchors)))
+    for kernel, matrix in kernels:
+        asked = []
+
+        def recording(rows, shape):
+            asked.append((rows, shape))
+            return np.full(shape, np.nan)
+
+        blocks = []
+        for rows, block in kernel(recording):
+            assert asked[-1] == (rows, block.shape)
+            blocks.append((rows, block))
         assert [rows.stop - rows.start for rows, _ in blocks] == [6, 6, 1]
-        for i, (_, a) in enumerate(blocks):
-            assert not any(np.shares_memory(a, b) for _, b in blocks[i + 1:])
         assert_same_bits(stacked(blocks, len(gts)), matrix)
 
 
@@ -564,10 +576,6 @@ def test_plain_arrays_score_like_the_pairwise_oracle(monkeypatch, block_pairs, n
     assert ps.shape == iou.shape == (num_gts, num_anchors)
     assert_same_bits(ps, oracles.pair_ps_matrix(gts, anchors, norm))
     assert_same_bits(iou, oracles.pair_iou_matrix(gts, anchors))
-    out = np.full(ps.shape, np.nan)
-    assert_same_bits(stacked_into(ps_rows(gts, anchors, norm, out), out, num_gts), ps)
-    out[:] = np.nan
-    assert_same_bits(stacked_into(iou_rows(gts, anchors, out), out, num_gts), iou)
     for g, a in zip(gts[:4], anchors[:4]):
         gt, anchor = Box(*map(float, g)), Box(*map(float, a))
         assert_same_bits(np.float64(pairwise_similarity(gt, anchor, norm)),
@@ -588,12 +596,3 @@ def test_plain_arrays_score_like_the_pairwise_oracle(monkeypatch, block_pairs, n
         assert_same_result(assign_with_metric(gts, anchors, norm, THRESHOLDS[0], Metric.PS),
                            oracle_result(gts, anchors, norm, THRESHOLDS[0], Metric.PS))
 
-
-def stacked_into(blocks, out: np.ndarray, num_rows: int) -> np.ndarray:
-    """Run the row kernel's out= form; each block must be a view of out."""
-    seen = []
-    for rows, block in blocks:
-        assert block.size == 0 or np.shares_memory(block, out)
-        seen.append(rows)
-    assert seen == list(geometry.row_blocks(num_rows, out.shape[1]))
-    return out

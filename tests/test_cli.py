@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from smalldet import cli, geometry, load_coco, similarity
+from smalldet import assigner, cli, geometry, load_coco, similarity
 from smalldet.cli import _map_in_order, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -359,11 +359,20 @@ def test_assign_reports_do_not_depend_on_grid_tables(tmp_path, capsys, monkeypat
     # oracle kernels on the same boxes, end to end, unclipped and clipped.
     # Both sides read one normalizer cache, so only the scoring kernels differ.
     ann = varied_dataset(tmp_path)
+
+    def pair_ps_rows(g, a, norm, alloc):
+        return oracles.pair_ps_rows(g, a.boxes, norm, alloc)
+
+    def pair_iou_rows(g, a, alloc):
+        return oracles.pair_iou_rows(oracles.corner_table(g), oracles.corner_table(a.boxes), alloc)
+
+    # assigner binds both kernels at import, so each is patched in every
+    # module that looks it up.
     pairwise = (
-        (similarity, "_grid_ps_rows",
-         lambda g, a, norm, alloc: oracles.pair_ps_rows(g, a.boxes, norm, alloc)),
-        (geometry, "_grid_iou_rows",
-         lambda ca, a, alloc: oracles.pair_iou_rows(ca, oracles.corner_table(a.boxes), alloc)),
+        (similarity, "_ps_rows", pair_ps_rows),
+        (assigner, "_ps_rows", pair_ps_rows),
+        (geometry, "_iou_rows", pair_iou_rows),
+        (assigner, "_iou_rows", pair_iou_rows),
     )
     for clip in ("false", "true"):
         layout = f'{{"levels": [[4, 4], [8, 8]], "ratios": [0.5, 1, 2], "scales": [1, 2], "clip": {clip}}}'

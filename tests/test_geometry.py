@@ -47,11 +47,17 @@ def test_make_box_identity_fields():
         (float("nan"), 0, 1, 1),
         (0, float("inf"), 1, 1),
         (0, 0, float("inf"), 1),
+        (True, 0, 1, 1),
+        (0, 0, 1, False),
     ],
 )
 def test_make_box_rejects_bad_fields(fields):
     with pytest.raises(ValueError):
-        make_box(*fields)
+        Box(*fields)
+    # make_box converts with float(), so a bool reaches Box as 1.0 or 0.0.
+    if not any(isinstance(f, bool) for f in fields):
+        with pytest.raises(ValueError):
+            make_box(*fields)
 
 
 def test_from_topleft_conversion():

@@ -259,6 +259,16 @@ def test_normalizer_validation():
         DatasetNormalizers(-0.1, 0.0)
     with pytest.raises(ValueError):
         DatasetNormalizers(float("nan"), 1.0)
+    # bool is an int subclass; neither it nor a fractional count is taken.
+    for m, n, name in ((True, 0.5, "m"), (0.5, False, "n")):
+        with pytest.raises(ValueError, match=f"normalizer {name}"):
+            DatasetNormalizers(m, n)
+    for fields, name in (({"sum_x": True}, "sum_x"), ({"sum_y": False}, "sum_y"),
+                         ({"sum_x": -1.0}, "sum_x"), ({"pair_count": 1.5}, "pair_count"),
+                         ({"pair_count": True}, "pair_count"), ({"pair_count": -1}, "pair_count")):
+        with pytest.raises(ValueError, match=name):
+            NormalizerAccumulator(**fields)
+    assert type(NormalizerAccumulator(pair_count=np.int64(3)).pair_count) is int
 
 
 def test_cache_roundtrip_and_errors(tmp_path):
