@@ -8,13 +8,15 @@ them (contrast, pyramid). COCO-style ingestion and the CLI live in
 dataset and cli.
 """
 
+import math
 import sys
 
 __version__ = "0.1.0"
 
 # Each exported name, by the module that defines it. A name is imported
 # on first access (PEP 562), so `import smalldet` loads no submodule and
-# a command loads only the modules it runs.
+# a command loads only the modules it runs; cli binds the names its
+# commands call from this table too.
 _EXPORTS = {
     "geometry": (
         "Box",
@@ -103,6 +105,21 @@ def __getattr__(name: str):
     value = getattr(sys.modules[qualified], name)
     globals()[name] = value
     return value
+
+
+def _finite_number(value, types=(int, float)) -> bool:
+    """Whether value is a finite number of one of `types`.
+
+    The library's value types check their numeric fields with this. bool
+    is an int subclass, but True must not pass as a value of 1; an int past
+    the float range is not finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, types):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def __dir__() -> list[str]:

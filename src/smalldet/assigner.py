@@ -19,6 +19,8 @@ from enum import Enum
 
 import numpy as np
 
+from . import _finite_number
+
 # ps_matrix and iou_matrix are no longer called here, but they stay
 # importable from this module: perfbench/child.py wraps them by this path.
 from .geometry import (  # noqa: F401
@@ -90,10 +92,7 @@ class AssignThresholds:
             ("min_pos_thr", 0.0, 1.0),
         ):
             v = getattr(self, name)
-            # bool is an int subclass; True must not pass as a threshold of 1
-            if isinstance(v, bool) or not (
-                isinstance(v, (int, float)) and math.isfinite(v) and lo <= v <= hi
-            ):
+            if not (_finite_number(v) and lo <= v <= hi):
                 raise ValueError(f"{name} must be in [{lo}, {hi}], got {v!r}")
         if self.pos_thr <= 0:
             raise ValueError(f"pos_thr must be positive, got {self.pos_thr!r}")
@@ -420,6 +419,7 @@ def _metric_tiles(g: np.ndarray, anchors, norm: DatasetNormalizers | None, metri
         if metric is Metric.PS:
             yield start, len(tile), every, _ps_rows(g, tile, norm, alloc)
         else:
+            # Kept for time: unpruned, counts match but IoU on a 4000x3000 image with 100 gts takes 2x.
             gts = overlapping(g, tile) if tile is not anchors and isinstance(tile, AnchorSet) else every
             yield start, len(tile), gts, _iou_rows(g[gts], tile, alloc)
 

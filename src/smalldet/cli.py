@@ -13,13 +13,13 @@ parser; command-line values win over file values. Exit codes: 0 success,
 error, 3 verification failure.
 
 Importing this module loads only the standard library and numpy. The
-library names the commands call are bound into it from _LIBRARY when
-first read, and main binds those of the command it runs, so
-contrast-demo loads only contrast and pyramid, and stats and assign
-only assigner, dataset, geometry and similarity. The config classes and
-option parsers import what they use where they use it, so they work
-before main has bound anything; so do json and logging, which the demo
-does not need.
+library names the commands call come from the package's export table:
+each command binds the modules it runs when it starts, so calling a
+cmd_* function directly works as main does. contrast-demo loads only
+contrast and pyramid, and stats and assign only assigner, dataset,
+geometry and similarity. The config classes and option parsers import
+what they use where they use it, so they work before any command has
+bound anything; so do json and logging, which the demo does not need.
 """
 
 from __future__ import annotations
@@ -34,57 +34,25 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# The library names the commands call (or name in annotations), by the
-# module that defines them. A name is bound into this module's globals the
-# first time it is read (__getattr__), or with the rest of its command's
-# by main. Binding never replaces a name already set, so a wrapper set on
-# this module from outside (monkeypatch, perfbench/child.py) is what the
-# command calls.
-_LIBRARY = {
-    "assigner": (
-        "AssignThresholds",
-        "ImageCounts",
-        "Metric",
-        "assign_with_metric",
-        "assignment_stats",
-        "count_with_metric",
-        "reports_to_csv",
-        "reports_to_json",
-    ),
-    "contrast": (
-        "ContrastConfig",
-        "LossComponents",
-        "gradient_check",
-        "spatial_loss",
-        "semantic_loss",
-        "total_loss",
-    ),
-    "dataset": ("DatasetError", "DatasetIndex", "dataset_hash", "load_coco"),
-    "geometry": ("AnchorGridSpec", "AnchorSet", "generate_anchors"),
-    "pyramid": ("ToyPyramidConfig", "build_embedding_batch"),
-    "similarity": (
-        "DatasetNormalizers",
-        "EmptyDatasetError",
-        "NormalizerAccumulator",
-        "NormalizerCache",
-        "accumulate",
-        "finalize",
-        "load_normalizer_cache",
-        "save_normalizer_cache",
-    ),
-}
-_DEFINED_IN = {name: module for module, names in _LIBRARY.items() for name in names}
+from . import _DEFINED_IN, _EXPORTS
 
 
-def _bind(module: str) -> None:
-    """Import a library module and bind each of its _LIBRARY names that is unset here."""
-    qualified = f"{__package__}.{module}"
-    __import__(qualified)  # an import statement's path, which -X importtime reports
-    loaded = sys.modules[qualified]
+def _bind(*modules: str) -> None:
+    """Import library modules and bind each of their package exports that is unset here.
+
+    Each command binds the modules it runs when it starts, and a name read
+    from outside binds its module first (__getattr__). Binding never
+    replaces a name already set, so a wrapper set on this module from
+    outside (monkeypatch, perfbench/child.py) is what the command calls.
+    """
     bound = globals()
-    for name in _LIBRARY[module]:
-        if name not in bound:
-            bound[name] = getattr(loaded, name)
+    for module in modules:
+        qualified = f"{__package__}.{module}"
+        __import__(qualified)  # an import statement's path, which -X importtime reports
+        loaded = sys.modules[qualified]
+        for name in _EXPORTS[module]:
+            if name not in bound:
+                bound[name] = getattr(loaded, name)
 
 
 def __getattr__(name: str):
@@ -155,13 +123,11 @@ class AnchorLayout:
     clip: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "levels", tuple((float(s), float(b)) for s, b in self.levels)
-        )
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
-        object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
-        # Bind to a dummy image so layout mistakes surface at construction.
-        self.spec_for(1.0, 1.0)
+        # Bind to a dummy image so layout mistakes surface at construction,
+        # and keep the fields as the spec checked and converted them.
+        spec = self.spec_for(1.0, 1.0)
+        for name in ("levels", "ratios", "scales"):
+            object.__setattr__(self, name, getattr(spec, name))
 
     def spec_for(self, image_w: float, image_h: float) -> AnchorGridSpec:
         from .geometry import AnchorGridSpec
@@ -464,6 +430,7 @@ def _resolve_normalizers(
 
 def cmd_stats(cfg: ExperimentConfig) -> int:
     """Compute dataset normalizers and write the cache file."""
+    _bind("dataset", "geometry", "similarity")
     _log()
     if cfg.cache_path:
         _check_writable(cfg.cache_path, f"cannot write normalizer cache {cfg.cache_path}")
@@ -493,6 +460,7 @@ def _count_one_image(
 
 def cmd_assign(cfg: ExperimentConfig) -> int:
     """Run per-metric assignments over the dataset and emit reports."""
+    _bind("assigner", "dataset", "geometry", "similarity")
     _log()
     if cfg.out_dir is not None:
         _check_writable(cfg.out_dir, f"cannot write reports to {cfg.out_dir}", directory=True)
@@ -553,6 +521,7 @@ def cmd_assign(cfg: ExperimentConfig) -> int:
 
 def cmd_contrast_demo(cfg: ContrastDemoConfig) -> int:
     """Build a toy batch, print the losses, and gradient-check them."""
+    _bind("contrast", "pyramid")
     base_size = 4 << (cfg.levels - 1)
     pyramid_cfg = ToyPyramidConfig(
         levels=cfg.levels,
@@ -749,17 +718,13 @@ _OPTIONS = (
 class _Command(NamedTuple):
     run: Callable
     config: type
-    modules: tuple[str, ...]
     help: str
 
 
-_EXPERIMENT_MODULES = ("assigner", "dataset", "geometry", "similarity")
-
 _COMMANDS = {
-    "stats": _Command(cmd_stats, ExperimentConfig, _EXPERIMENT_MODULES, "compute and cache dataset normalizers"),
-    "assign": _Command(cmd_assign, ExperimentConfig, _EXPERIMENT_MODULES, "run metric assignments and write reports"),
-    "contrast-demo": _Command(cmd_contrast_demo, ContrastDemoConfig, ("contrast", "pyramid"),
-                              "toy-pyramid losses plus gradient check"),
+    "stats": _Command(cmd_stats, ExperimentConfig, "compute and cache dataset normalizers"),
+    "assign": _Command(cmd_assign, ExperimentConfig, "run metric assignments and write reports"),
+    "contrast-demo": _Command(cmd_contrast_demo, ContrastDemoConfig, "toy-pyramid losses plus gradient check"),
 }
 
 
@@ -872,9 +837,6 @@ def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    if command is not None:
-        for module in _COMMANDS[command].modules:
-            _bind(module)
     parser = build_parser(command)
     try:
         args = parser.parse_args(argv)

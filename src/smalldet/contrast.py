@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _finite_number
+
 __all__ = [
     "EmbeddingBatch",
     "ContrastConfig",
@@ -64,10 +66,7 @@ _CHECK_BLOCK_BYTES = 1 << 20
 
 
 def _check_tau(tau) -> None:
-    # bool is an int subclass; True must not pass as tau = 1
-    if isinstance(tau, bool) or not (
-        isinstance(tau, (int, float, np.floating)) and math.isfinite(tau) and tau > 0
-    ):
+    if not (_finite_number(tau, (int, float, np.floating)) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
 
 
@@ -177,8 +176,7 @@ class LossComponents:
     def __post_init__(self) -> None:
         for name in ("spatial_loss", "semantic_loss", "detector_loss", "alpha"):
             v = getattr(self, name)
-            # bool is an int subclass; True must not pass as a value of 1
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not _finite_number(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
             if v < 0:
                 raise ValueError(f"{name} must be non-negative, got {v!r}")

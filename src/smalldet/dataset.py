@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from _blake2 import blake2b  # hashlib's blake2b; hashlib itself loads OpenSSL
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from . import _finite_number
 
 __all__ = [
     "DatasetError",
@@ -83,13 +84,8 @@ def _as_int(value, field: str, where: str) -> int:
 
 def _as_finite(value, field: str, where: str) -> float:
     """A finite JSON number as a float."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer past the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
+    if _finite_number(value):
+        return float(value)
     raise DatasetError(f"{where} field {field!r} must be a finite number, got {value!r}")
 
 

@@ -29,6 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _finite_number
+
 __all__ = [
     "Box",
     "AnchorGridSpec",
@@ -66,11 +68,8 @@ class Box:
     def __post_init__(self) -> None:
         for name in ("cx", "cy", "w", "h"):
             value = getattr(self, name)
-            # bool is an int subclass; True must not pass as a coordinate of 1
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"box field {name} must be a number, got {type(value).__name__}")
-            if not math.isfinite(value):
-                raise ValueError(f"box field {name} must be finite, got {value!r}")
+            if not _finite_number(value):
+                raise ValueError(f"box field {name} must be a finite number, got {value!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box dimensions must be positive, got w={self.w}, h={self.h}")
 
@@ -369,6 +368,13 @@ def iou(a: Box, b: Box) -> float:
     return float(iou_matrix([a], [b])[0, 0])
 
 
+def _positive_float(value, name: str) -> float:
+    """value as a float; it must be a positive, finite int or float."""
+    if not (_finite_number(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class AnchorGridSpec:
     """Layout of a multi-level anchor grid over one image.
@@ -399,28 +405,24 @@ class AnchorGridSpec:
     clip: bool = False
 
     def __post_init__(self) -> None:
-        levels = tuple((float(s), float(b)) for s, b in self.levels)
-        ratios = tuple(float(r) for r in self.ratios)
-        scales = tuple(float(s) for s in self.scales)
+        for name in ("image_w", "image_h"):
+            _positive_float(getattr(self, name), name)
+        levels = tuple(
+            (_positive_float(s, "levels stride"), _positive_float(b, "levels base size"))
+            for s, b in self.levels
+        )
+        ratios = tuple(_positive_float(r, "ratios") for r in self.ratios)
+        scales = tuple(_positive_float(s, "scales") for s in self.scales)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "scales", scales)
         if not levels:
             raise ValueError("anchor grid needs at least one level")
-        for stride, base in levels:
-            if not (math.isfinite(stride) and stride > 0):
-                raise ValueError(f"stride must be positive and finite, got {stride!r}")
-            if not (math.isfinite(base) and base > 0):
-                raise ValueError(f"base size must be positive and finite, got {base!r}")
         strides = [s for s, _ in levels]
         if any(b <= a for a, b in zip(strides, strides[1:])):
             raise ValueError(f"strides must be strictly increasing, got {strides}")
         if not ratios or not scales:
             raise ValueError("ratios and scales must be non-empty")
-        if any(not (math.isfinite(r) and r > 0) for r in ratios):
-            raise ValueError(f"ratios must be positive and finite, got {ratios}")
-        if any(not (math.isfinite(s) and s > 0) for s in scales):
-            raise ValueError(f"scales must be positive and finite, got {scales}")
         for _, base in levels:
             ws, hs = self.shape_sides(base)
             if not all(math.isfinite(v) and v > 0 for v in ws + hs):
@@ -428,10 +430,6 @@ class AnchorGridSpec:
                     f"anchor widths and heights must be positive and finite, got widths "
                     f"{list(ws)} and heights {list(hs)} at base size {base!r}"
                 )
-        for name in ("image_w", "image_h"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
     def anchors_per_cell(self) -> int:
         return len(self.ratios) * len(self.scales)

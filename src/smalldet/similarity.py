@@ -22,13 +22,13 @@ tables, one level at a time in O(gts * (rows + cols) * shapes).
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import _finite_number
 from .geometry import Box, boxes_to_array, _levels, _scorable, row_blocks
 
 __all__ = [
@@ -66,8 +66,7 @@ class DatasetNormalizers:
     def __post_init__(self) -> None:
         for name in ("m", "n"):
             v = getattr(self, name)
-            # bool is an int subclass; True must not pass as a normalizer of 1
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not _finite_number(v):
                 raise ValueError(f"normalizer {name} must be a finite number, got {v!r}")
             if v < 0:
                 raise ValueError(f"normalizer {name} must be non-negative, got {v!r}")
@@ -88,7 +87,7 @@ class NormalizerAccumulator:
     def __post_init__(self) -> None:
         for name in ("sum_x", "sum_y"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not (math.isfinite(v) and v >= 0):
+            if not (_finite_number(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
         count = self.pair_count
         # bool is an int subclass, which operator.index would take as 0 or 1.
@@ -298,13 +297,8 @@ def save_normalizer_cache(path, cache: NormalizerCache) -> None:
 
 def _cached_normalizer(value, name: str, path) -> float:
     """A finite, non-negative JSON number as a float; a boolean is not a number."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number) and number >= 0:
-            return number
+    if _finite_number(value) and value >= 0:
+        return float(value)
     raise ValueError(
         f"normalizer cache {path} field {name!r} must be a finite non-negative number, got {value!r}"
     )

@@ -298,10 +298,24 @@ def test_degenerate_anchor_shapes_are_rejected_without_the_box_scan():
     # 1 / ratio overflows: each anchor would be infinitely wide.
     with pytest.raises(ValueError, match="positive and finite"):
         AnchorGridSpec(levels=((16.0, 16.0),), image_w=64.0, image_h=64.0, ratios=(1e-320,))
-    # bool is an int subclass; True must not pass as an image 1 pixel wide.
-    for image_w, image_h, name in ((True, 5, "image_w"), (5, True, "image_h")):
+    # bool is an int subclass; True must not pass as an image 1 pixel wide,
+    # nor as a stride, base size, ratio or scale of 1. An int past the float
+    # range is not finite.
+    good = dict(levels=((16.0, 16.0),), image_w=5, image_h=5)
+    for bad, name in (
+        (dict(image_w=True), "image_w"),
+        (dict(image_h=True), "image_h"),
+        (dict(levels=((True, 16),)), "levels stride"),
+        (dict(levels=((16, False),)), "levels base size"),
+        (dict(ratios=(True,)), "ratios"),
+        (dict(scales=(1.0, True)), "scales"),
+        (dict(image_w=10**400), "image_w"),
+        (dict(image_h=10**400), "image_h"),
+        (dict(levels=((10**400, 16),)), "levels stride"),
+        (dict(levels=((16, 10**400),)), "levels base size"),
+    ):
         with pytest.raises(ValueError, match=name):
-            AnchorGridSpec(levels=((16.0, 16.0),), image_w=image_w, image_h=image_h)
+            AnchorGridSpec(**{**good, **bad})
     level = generate_anchors(AnchorGridSpec(levels=((8.0, 8.0),), image_w=16.0, image_h=16.0,
                                             ratios=(0.5, 2.0))).grid[0]
     for bad in (0.0, -1.0):

@@ -67,7 +67,8 @@ def test_threshold_defaults_and_validation():
         AssignThresholds(neg_thr=1.0)
     with pytest.raises(ValueError):
         AssignThresholds(min_pos_thr=1.5)
-    for bad in (dict(pos_thr=True), dict(neg_thr=False), dict(min_pos_thr=True)):
+    for bad in (dict(pos_thr=True), dict(neg_thr=False), dict(min_pos_thr=True),
+                dict(pos_thr=10**400), dict(min_pos_thr=10**400)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             AssignThresholds(**bad)
 

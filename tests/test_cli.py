@@ -816,6 +816,20 @@ def test_anchor_layout_rejects_non_boolean_clip_and_boolean_numbers(tmp_path, ca
     assert not cache.exists()
 
 
+def test_anchor_layout_takes_its_fields_from_the_spec():
+    # The layout's fields are the spec's, checked and converted to floats,
+    # so a bool or an int past the float range is rejected in the library
+    # type too, not only by the option parser.
+    for bad, name in (({"levels": ((True, 16),)}, "levels stride"), ({"ratios": (True,)}, "ratios"),
+                      ({"scales": (False,)}, "scales"), ({"levels": ((16, 10**400),)}, "levels base size")):
+        with pytest.raises(ValueError, match=name):
+            cli.AnchorLayout(**bad)
+    layout = cli.AnchorLayout(levels=[[16, 16]], ratios=[0.5, 1, 2], scales=[8, 16, 32])
+    assert layout.levels == ((16.0, 16.0),) and type(layout.ratios[1]) is float
+    assert layout == cli.AnchorLayout() and hash(layout) == hash(cli.AnchorLayout())
+    assert layout.config_hash() == cli.AnchorLayout().config_hash()
+
+
 def test_anchor_layout_clip_text_is_read_as_a_boolean():
     parse = cli.AnchorLayout.from_json_value
     assert parse({"clip": "false"}) == parse({"clip": False}) == cli.AnchorLayout()
@@ -973,6 +987,14 @@ elif argv == ["demo-error"]:
         cli.main(["contrast-demo"])
     except ValueError as exc:
         found["raised"] = [type(exc).__name__, str(exc)]
+elif argv[0] == "direct":
+    # A cmd_* function called without main, as a library caller would.
+    if argv[1] == "contrast-demo":
+        found["code"] = cli.cmd_contrast_demo(cli.ContrastDemoConfig(seed=1))
+    else:
+        layout = cli.AnchorLayout.from_json_value(json.loads(argv[3]))
+        config = cli.ExperimentConfig(ann=argv[2], layout=layout, metrics=("ps", "iou"), cache_path="c.json")
+        found["code"] = getattr(cli, "cmd_" + argv[1])(config)
 else:
     found["code"] = cli.main(argv)
 found["after"] = loaded()
@@ -1005,6 +1027,19 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     for argv in (["stats", "--ann", ann, "--anchors", MINI_LAYOUT, "--out", "c.json"],
                  ["assign", "--ann", ann, "--anchors", MINI_LAYOUT, "--metrics", "ps,iou", "--cache", "c.json"]):
         found = fresh_process(tmp_path, argv)
+        assert found["code"] == 0
+        assert found["after"] == EXPERIMENT_MODULES
+
+
+def test_each_command_runs_when_called_directly(tmp_path):
+    # Each cmd_* binds the modules it runs itself, so a call without main
+    # neither raises NameError nor loads more than main's run of it does.
+    ann = interleaved_dataset(tmp_path)
+    demo = fresh_process(tmp_path, ["direct", "contrast-demo"])
+    assert demo["code"] == 0
+    assert demo["after"] == ["smalldet.cli", "smalldet.contrast", "smalldet.pyramid"]
+    for command in ("stats", "assign"):
+        found = fresh_process(tmp_path, ["direct", command, ann, MINI_LAYOUT])
         assert found["code"] == 0
         assert found["after"] == EXPERIMENT_MODULES
 

@@ -114,6 +114,8 @@ def test_config_validation():
         ContrastConfig(tau=float("inf"))
     with pytest.raises(ValueError):
         ContrastConfig(tau=True)
+    with pytest.raises(ValueError, match="tau"):
+        ContrastConfig(tau=10**400)
 
 
 @pytest.mark.parametrize("flag", ["include_same_image_other_levels", "l2_normalize"])
@@ -141,7 +143,8 @@ def test_tau_accepts_numpy_floating_scalars():
 @pytest.mark.parametrize("field", ["spatial_loss", "semantic_loss", "detector_loss", "alpha"])
 def test_loss_components_reject_bools(field):
     values = {"spatial_loss": 1.0, "semantic_loss": 1.0, "detector_loss": 1.0, "alpha": 0.1}
-    for flag in (True, False, np.True_):
+    # An int past the float range is not finite either.
+    for flag in (True, False, np.True_, 10**400):
         with pytest.raises(ValueError, match=field):
             LossComponents(**{**values, field: flag})
 

@@ -49,13 +49,16 @@ def test_make_box_identity_fields():
         (0, 0, float("inf"), 1),
         (True, 0, 1, 1),
         (0, 0, 1, False),
+        (10**400, 0, 1, 1),
+        (0, 0, 1, 10**400),
     ],
 )
 def test_make_box_rejects_bad_fields(fields):
     with pytest.raises(ValueError):
         Box(*fields)
-    # make_box converts with float(), so a bool reaches Box as 1.0 or 0.0.
-    if not any(isinstance(f, bool) for f in fields):
+    # make_box converts with float(), so a bool reaches Box as 1.0 or 0.0,
+    # and an int past the float range raises float()'s OverflowError.
+    if not any(isinstance(f, bool) or f == 10**400 for f in fields):
         with pytest.raises(ValueError):
             make_box(*fields)
 

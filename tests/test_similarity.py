@@ -260,12 +260,13 @@ def test_normalizer_validation():
     with pytest.raises(ValueError):
         DatasetNormalizers(float("nan"), 1.0)
     # bool is an int subclass; neither it nor a fractional count is taken.
-    for m, n, name in ((True, 0.5, "m"), (0.5, False, "n")):
+    for m, n, name in ((True, 0.5, "m"), (0.5, False, "n"), (10**400, 0.5, "m")):
         with pytest.raises(ValueError, match=f"normalizer {name}"):
             DatasetNormalizers(m, n)
     for fields, name in (({"sum_x": True}, "sum_x"), ({"sum_y": False}, "sum_y"),
                          ({"sum_x": -1.0}, "sum_x"), ({"pair_count": 1.5}, "pair_count"),
-                         ({"pair_count": True}, "pair_count"), ({"pair_count": -1}, "pair_count")):
+                         ({"pair_count": True}, "pair_count"), ({"pair_count": -1}, "pair_count"),
+                         ({"sum_x": "1"}, "sum_x"), ({"sum_y": 10**400}, "sum_y")):
         with pytest.raises(ValueError, match=name):
             NormalizerAccumulator(**fields)
     assert type(NormalizerAccumulator(pair_count=np.int64(3)).pair_count) is int
