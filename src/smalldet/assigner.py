@@ -12,14 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from . import _finite_number
+from . import _count, _real
 
 # ps_matrix and iou_matrix are no longer called here, but they stay
 # importable from this module: perfbench/child.py wraps them by this path.
@@ -86,14 +84,11 @@ class AssignThresholds:
     min_pos_thr: float = 0.3
 
     def __post_init__(self) -> None:
-        for name, lo, hi in (
-            ("pos_thr", 0.0, 1.0),
-            ("neg_thr", 0.0, 1.0),
-            ("min_pos_thr", 0.0, 1.0),
-        ):
-            v = getattr(self, name)
-            if not (_finite_number(v) and lo <= v <= hi):
-                raise ValueError(f"{name} must be in [{lo}, {hi}], got {v!r}")
+        for name in ("pos_thr", "neg_thr", "min_pos_thr"):
+            value = _real(getattr(self, name), name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0.0, 1.0], got {value!r}")
+            object.__setattr__(self, name, value)
         if self.pos_thr <= 0:
             raise ValueError(f"pos_thr must be positive, got {self.pos_thr!r}")
         if self.neg_thr >= 1:
@@ -300,7 +295,7 @@ class ImageCounts:
         if per_gt.size and (per_gt.dtype.kind not in "iu" or per_gt.min() < 0):
             raise ValueError("positives_per_gt must be non-negative integers")
         positive = int(per_gt.sum())
-        negative, anchors = operator.index(self.negative), operator.index(self.anchors)
+        negative, anchors = _count(self.negative, "negative"), _count(self.anchors, "anchors")
         if not 0 <= negative <= anchors - positive:
             raise ValueError(
                 f"negative anchors must be in [0, anchors - positive], got {negative} "
@@ -540,11 +535,11 @@ def check_bucket_edges(bucket_edges) -> tuple[float, ...]:
     Raises:
         ValueError: If the edges are not all three.
     """
-    edges = tuple(float(e) for e in bucket_edges)
+    edges = tuple(_real(e, "bucket edges") for e in bucket_edges)
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError(f"bucket edges must be strictly increasing, got {edges}")
-    if any(not math.isfinite(e) or e < 0 for e in edges):
-        raise ValueError(f"bucket edges must be finite and non-negative, got {edges}")
+    if any(e < 0 for e in edges):
+        raise ValueError(f"bucket edges must be non-negative, got {edges}")
     return edges
 
 

@@ -25,7 +25,6 @@ bound anything; so do json and logging, which the demo does not need.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections import deque
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass
@@ -34,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _DEFINED_IN, _EXPORTS
+from . import _DEFINED_IN, _EXPORTS, _count, _flag, _real
 
 
 def _bind(*modules: str) -> None:
@@ -125,8 +124,11 @@ class AnchorLayout:
     def __post_init__(self) -> None:
         # Bind to a dummy image so layout mistakes surface at construction,
         # and keep the fields as the spec checked and converted them.
-        spec = self.spec_for(1.0, 1.0)
-        for name in ("levels", "ratios", "scales"):
+        try:
+            spec = self.spec_for(1.0, 1.0)
+        except ValueError as exc:
+            raise CliUsageError(f"bad anchor config: {exc}") from exc
+        for name in ("levels", "ratios", "scales", "clip"):
             object.__setattr__(self, name, getattr(spec, name))
 
     def spec_for(self, image_w: float, image_h: float) -> AnchorGridSpec:
@@ -218,6 +220,8 @@ class ExperimentConfig:
 
         try:
             object.__setattr__(self, "bucket_edges", check_bucket_edges(self.bucket_edges))
+            object.__setattr__(self, "jobs", _count(self.jobs, "jobs"))
+            object.__setattr__(self, "per_level", _flag(self.per_level, "per-level"))
         except ValueError as exc:
             raise CliUsageError(str(exc)) from exc
         if not self.metrics:
@@ -245,16 +249,22 @@ class ContrastDemoConfig:
     l2_normalize: bool = False
 
     def __post_init__(self) -> None:
+        checks = {"int": _count, "float": _real, "bool": _flag}
+        try:
+            for f in fields(self):  # each checked by its annotation and named as its flag
+                object.__setattr__(self, f.name, checks[f.type](getattr(self, f.name), f.name.replace("_", "-")))
+        except ValueError as exc:
+            raise CliUsageError(str(exc)) from exc
         if self.levels < 2:
             raise CliUsageError(f"levels must be at least 2, got {self.levels}")
         if self.batch < 1 or self.dim < 1:
             raise CliUsageError("batch and dim must be at least 1")
-        if not (math.isfinite(self.tau) and self.tau > 0):
+        if self.tau <= 0:
             raise CliUsageError(f"tau must be positive, got {self.tau}")
         for name, value in (("alpha", self.alpha), ("detector-loss", self.detector_loss)):
-            if not (math.isfinite(value) and value >= 0):
-                raise CliUsageError(f"{name} must be finite and non-negative, got {value}")
-        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            if value < 0:
+                raise CliUsageError(f"{name} must be non-negative, got {value}")
+        if self.fd_step <= 0:
             raise CliUsageError(f"fd-step must be positive, got {self.fd_step}")
         # The lateral maps cmd_contrast_demo builds: level i has 8 + 4i
         # channels and side 4 << (levels - 1 - i). Summing from the coarsest

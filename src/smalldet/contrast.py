@@ -23,19 +23,19 @@ batch's arrays are read-only copies, so what was saved cannot go stale.
 
 A loss whose positive logit or largest logit is not finite (the logits
 overflow at a tiny tau or for huge embeddings) raises ValueError naming
-the loss, and so does contrast_grad when a gradient is not finite. Results are deterministic: repeated calls on the same batch and
-config, in any order, return identical values.
+the loss, and so does contrast_grad when a gradient is not finite.
+Results are deterministic: repeated calls on the same batch and config,
+in any order, return identical values.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _finite_number
+from . import _flag, _real
 
 __all__ = [
     "EmbeddingBatch",
@@ -65,9 +65,11 @@ _LOSS_FAMILIES = {
 _CHECK_BLOCK_BYTES = 1 << 20
 
 
-def _check_tau(tau) -> None:
-    if not (_finite_number(tau, (int, float, np.floating)) and tau > 0):
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+def _check_tau(tau) -> float:
+    tau = _real(tau, "tau")
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau!r}")
+    return tau
 
 
 def _as_embedding_array(name: str, value) -> np.ndarray:
@@ -148,11 +150,9 @@ class ContrastConfig:
     l2_normalize: bool = False
 
     def __post_init__(self) -> None:
-        _check_tau(self.tau)
+        object.__setattr__(self, "tau", _check_tau(self.tau))
         for name in ("include_same_image_other_levels", "l2_normalize"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, _flag(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -175,11 +175,10 @@ class LossComponents:
 
     def __post_init__(self) -> None:
         for name in ("spatial_loss", "semantic_loss", "detector_loss", "alpha"):
-            v = getattr(self, name)
-            if not _finite_number(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            if v < 0:
-                raise ValueError(f"{name} must be non-negative, got {v!r}")
+            value = _real(getattr(self, name), name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 def total_loss(c: LossComponents) -> float:
@@ -305,7 +304,7 @@ def _finite(name: str, forward, tau: float):
 
 def _single_term(name: str, q, k_pos, negatives, tau: float):
     """Checked terms and forward pass of one (query, positive, negatives) term."""
-    _check_tau(tau)
+    tau = _check_tau(tau)
     q, k, negs = _check_vectors(q, k_pos, negatives)
     terms = q[None], k[None], negs, np.ones((1, negs.shape[0]), dtype=bool)
     return terms, _finite(name, _info_nce_forward(*terms, tau), tau)
@@ -536,8 +535,9 @@ def gradient_check(
     1 / norm^2, so batches whose embeddings have small norms need a smaller
     step before the comparison says anything about the analytic gradient.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be positive and finite, got {step!r}")
+    step = _real(step, "step")
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step!r}")
     levels, images, dim = batch.shape
     flat = np.stack(_arrays(batch)).reshape(-1)
     # Overflow in the finite-difference passes is reported through the

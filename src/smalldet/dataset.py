@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _finite_number
+from . import _real
 
 __all__ = [
     "DatasetError",
@@ -84,9 +84,10 @@ def _as_int(value, field: str, where: str) -> int:
 
 def _as_finite(value, field: str, where: str) -> float:
     """A finite JSON number as a float."""
-    if _finite_number(value):
-        return float(value)
-    raise DatasetError(f"{where} field {field!r} must be a finite number, got {value!r}")
+    try:
+        return _real(value, field)
+    except ValueError:
+        raise DatasetError(f"{where} field {field!r} must be a finite number, got {value!r}") from None
 
 
 def load_coco(path) -> DatasetIndex:

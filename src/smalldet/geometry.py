@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _finite_number
+from . import _flag, _real
 
 __all__ = [
     "Box",
@@ -67,9 +67,7 @@ class Box:
 
     def __post_init__(self) -> None:
         for name in ("cx", "cy", "w", "h"):
-            value = getattr(self, name)
-            if not _finite_number(value):
-                raise ValueError(f"box field {name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, _real(getattr(self, name), f"box field {name}"))
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box dimensions must be positive, got w={self.w}, h={self.h}")
 
@@ -86,14 +84,13 @@ class Box:
 
 def make_box(cx: float, cy: float, w: float, h: float) -> Box:
     """Construct a validated center-form box from plain numbers."""
-    return Box(float(cx), float(cy), float(w), float(h))
+    return Box(cx, cy, w, h)
 
 
 def from_topleft(x: float, y: float, w: float, h: float) -> Box:
     """Convert a top-left (x, y, w, h) box, as used by COCO bbox fields, to center form."""
-    w = float(w)
-    h = float(h)
-    return Box(float(x) + w / 2.0, float(y) + h / 2.0, w, h)
+    x, y, w, h = (_real(v, name) for v, name in zip((x, y, w, h), "xywh"))
+    return Box(x + w / 2.0, y + h / 2.0, w, h)
 
 
 def boxes_to_array(boxes) -> np.ndarray:
@@ -368,13 +365,6 @@ def iou(a: Box, b: Box) -> float:
     return float(iou_matrix([a], [b])[0, 0])
 
 
-def _positive_float(value, name: str) -> float:
-    """value as a float; it must be a positive, finite int or float."""
-    if not (_finite_number(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class AnchorGridSpec:
     """Layout of a multi-level anchor grid over one image.
@@ -405,25 +395,25 @@ class AnchorGridSpec:
     clip: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("image_w", "image_h"):
-            _positive_float(getattr(self, name), name)
-        levels = tuple(
-            (_positive_float(s, "levels stride"), _positive_float(b, "levels base size"))
-            for s, b in self.levels
-        )
-        ratios = tuple(_positive_float(r, "ratios") for r in self.ratios)
-        scales = tuple(_positive_float(s, "scales") for s in self.scales)
+        levels = tuple((_real(s, "levels stride"), _real(b, "levels base size")) for s, b in self.levels)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "scales", scales)
-        if not levels:
+        for name in ("ratios", "scales"):
+            object.__setattr__(self, name, tuple(_real(v, name) for v in getattr(self, name)))
+        for name in ("image_w", "image_h"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        object.__setattr__(self, "clip", _flag(self.clip, "clip"))
+        for name, values in (("image_w", (self.image_w,)), ("image_h", (self.image_h,)),
+                             ("levels", sum(self.levels, ())), ("ratios", self.ratios), ("scales", self.scales)):
+            if any(v <= 0 for v in values):
+                raise ValueError(f"{name} must be positive, got {list(values)}")
+        if not self.levels:
             raise ValueError("anchor grid needs at least one level")
-        strides = [s for s, _ in levels]
+        strides = [s for s, _ in self.levels]
         if any(b <= a for a, b in zip(strides, strides[1:])):
             raise ValueError(f"strides must be strictly increasing, got {strides}")
-        if not ratios or not scales:
+        if not self.ratios or not self.scales:
             raise ValueError("ratios and scales must be non-empty")
-        for _, base in levels:
+        for _, base in self.levels:
             ws, hs = self.shape_sides(base)
             if not all(math.isfinite(v) and v > 0 for v in ws + hs):
                 raise ValueError(
@@ -532,9 +522,9 @@ class LevelGrid:
         if np.any(self.ws <= 0) or np.any(self.hs <= 0):
             raise ValueError("grid tables ws and hs must be positive")
         if self.clip is not None:
-            clip = tuple(float(v) for v in self.clip)
-            if len(clip) != 2 or not all(math.isfinite(v) and v > 0 for v in clip):
-                raise ValueError(f"grid clip must be a positive finite (width, height), got {self.clip!r}")
+            clip = tuple(_real(v, "grid clip") for v in self.clip)
+            if len(clip) != 2 or min(clip) <= 0:
+                raise ValueError(f"grid clip must be a positive (width, height), got {clip}")
             object.__setattr__(self, "clip", clip)
 
     @property

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _count
 from .contrast import EmbeddingBatch
 
 __all__ = [
@@ -106,23 +106,6 @@ def _signed_uniform(key: int, count: int) -> np.ndarray:
     return values
 
 
-def _integer(name: str, value) -> int:
-    """`value` as a Python int; bools, floats and other types are a ValueError naming `name`."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _embedding_dim(dim) -> int:
-    dim = _integer("dim", dim)
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
-    return dim
-
-
 @dataclass(frozen=True)
 class FeatureMap:
     """A channel-major feature map of shape (channels, height, width)."""
@@ -170,28 +153,28 @@ class ToyPyramidConfig:
 
     def __post_init__(self) -> None:
         for name in ("levels", "batch", "base_size", "fused_channels", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         try:
             lateral = tuple(self.lateral_channels)
         except TypeError:
             raise ValueError(
                 f"lateral_channels must be a sequence of integers, got {self.lateral_channels!r}"
             ) from None
-        lateral = tuple(_integer("lateral_channels", c) for c in lateral)
+        lateral = tuple(_count(c, "lateral_channels") for c in lateral)
         object.__setattr__(self, "lateral_channels", lateral)
         if self.levels < 2:
             raise ValueError(f"a pyramid needs at least 2 levels, got {self.levels}")
         if self.batch < 1:
             raise ValueError(f"batch must be at least 1, got {self.batch}")
-        halvings = 1 << (self.levels - 1)
-        if self.base_size < halvings or self.base_size % halvings:
-            raise ValueError(
-                f"base_size {self.base_size} cannot halve {self.levels - 1} times to an integer"
-            )
         if len(self.lateral_channels) != self.levels:
             raise ValueError(
                 f"need one lateral channel count per level, "
                 f"got {len(self.lateral_channels)} for {self.levels} levels"
+            )
+        halvings = 1 << (self.levels - 1)
+        if self.base_size < halvings or self.base_size % halvings:
+            raise ValueError(
+                f"base_size {self.base_size} cannot halve {self.levels - 1} times to an integer"
             )
         if any(c < 1 for c in self.lateral_channels):
             raise ValueError(f"channel counts must be at least 1, got {self.lateral_channels}")
@@ -271,8 +254,8 @@ def fuse_topdown(laterals, reduction_seed: int, fused_channels: int) -> list[Fea
     Returns:
         Fused maps, same order and spatial sizes as the laterals.
     """
-    reduction_seed = _integer("reduction_seed", reduction_seed)
-    fused_channels = _integer("fused_channels", fused_channels)
+    reduction_seed = _count(reduction_seed, "reduction_seed")
+    fused_channels = _count(fused_channels, "fused_channels")
     if not laterals:
         raise ValueError("fuse_topdown needs at least one lateral map")
     if fused_channels < 1:
@@ -312,8 +295,10 @@ def encode(fmap: FeatureMap, projection_seed: int, dim: int) -> np.ndarray:
     Returns:
         Float64 vector of length dim.
     """
-    projection_seed = _integer("projection_seed", projection_seed)
-    dim = _embedding_dim(dim)
+    projection_seed = _count(projection_seed, "projection_seed")
+    dim = _count(dim, "dim")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     pooled = fmap.data.mean(axis=(1, 2))
     return _projection(projection_seed, fmap.channels, dim) @ pooled
 
@@ -325,21 +310,18 @@ def build_embedding_batch(cfg: ToyPyramidConfig, dim: int) -> EmbeddingBatch:
     family (spatial/semantic crossed with lateral/fused), so the families
     differ even where they encode the same map.
     """
-    dim = _embedding_dim(dim)
     pyramid = synth_pyramid(cfg)
     fused = [fuse_topdown(maps, cfg.seed, cfg.fused_channels) for maps in pyramid]
-
-    seeds = {
-        "spatial_lateral": _stream_key(_DOM_PROJ_SPATIAL_LATERAL, cfg.seed),
-        "semantic_lateral": _stream_key(_DOM_PROJ_SEMANTIC_LATERAL, cfg.seed),
-        "spatial_fused": _stream_key(_DOM_PROJ_SPATIAL_FUSED, cfg.seed),
-        "semantic_fused": _stream_key(_DOM_PROJ_SEMANTIC_FUSED, cfg.seed),
+    families = {
+        "spatial_lateral": (_DOM_PROJ_SPATIAL_LATERAL, pyramid),
+        "semantic_lateral": (_DOM_PROJ_SEMANTIC_LATERAL, pyramid),
+        "spatial_fused": (_DOM_PROJ_SPATIAL_FUSED, fused),
+        "semantic_fused": (_DOM_PROJ_SEMANTIC_FUSED, fused),
     }
-    arrays = {name: np.empty((cfg.levels, cfg.batch, dim)) for name in seeds}
-    for j in range(cfg.batch):
-        for i in range(cfg.levels):
-            arrays["spatial_lateral"][i, j] = encode(pyramid[j][i], seeds["spatial_lateral"], dim)
-            arrays["semantic_lateral"][i, j] = encode(pyramid[j][i], seeds["semantic_lateral"], dim)
-            arrays["spatial_fused"][i, j] = encode(fused[j][i], seeds["spatial_fused"], dim)
-            arrays["semantic_fused"][i, j] = encode(fused[j][i], seeds["semantic_fused"], dim)
+    # encode checks dim; each family is (L, N, dim).
+    arrays = {
+        name: np.array([[encode(maps[i], _stream_key(domain, cfg.seed), dim) for maps in source]
+                        for i in range(cfg.levels)])
+        for name, (domain, source) in families.items()
+    }
     return EmbeddingBatch(**arrays)

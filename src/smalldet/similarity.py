@@ -22,13 +22,12 @@ tables, one level at a time in O(gts * (rows + cols) * shapes).
 from __future__ import annotations
 
 import json
-import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import _finite_number
+from . import _count, _real, _shown
 from .geometry import Box, boxes_to_array, _levels, _scorable, row_blocks
 
 __all__ = [
@@ -65,11 +64,10 @@ class DatasetNormalizers:
 
     def __post_init__(self) -> None:
         for name in ("m", "n"):
-            v = getattr(self, name)
-            if not _finite_number(v):
-                raise ValueError(f"normalizer {name} must be a finite number, got {v!r}")
-            if v < 0:
-                raise ValueError(f"normalizer {name} must be non-negative, got {v!r}")
+            value = _real(getattr(self, name), f"normalizer {name}")
+            if value < 0:
+                raise ValueError(f"normalizer {name} must be non-negative, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -85,15 +83,11 @@ class NormalizerAccumulator:
     pair_count: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("sum_x", "sum_y"):
-            v = getattr(self, name)
-            if not (_finite_number(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
-        count = self.pair_count
-        # bool is an int subclass, which operator.index would take as 0 or 1.
-        if isinstance(count, bool) or not hasattr(count, "__index__") or operator.index(count) < 0:
-            raise ValueError(f"pair_count must be a non-negative integer, got {count!r}")
-        object.__setattr__(self, "pair_count", operator.index(count))
+        for name, check in (("sum_x", _real), ("sum_y", _real), ("pair_count", _count)):
+            value = check(getattr(self, name), name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {_shown(value)}")
+            object.__setattr__(self, name, value)
 
     def merge(self, other: "NormalizerAccumulator") -> "NormalizerAccumulator":
         """Field-wise sum of two accumulators."""
@@ -278,6 +272,17 @@ class NormalizerCache:
     dataset_hash: str
     anchor_spec_hash: str
 
+    def __post_init__(self) -> None:
+        # Named as the fields of the cache file, which load_normalizer_cache names.
+        for name, check in (("m", _real), ("n", _real), ("pair_count", _count)):
+            value = check(getattr(self, name), f"field {name!r}")
+            if value < 0:
+                raise ValueError(f"field {name!r} must be non-negative, got {_shown(value)}")
+            object.__setattr__(self, name, value)
+        for name in ("dataset_hash", "anchor_spec_hash"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"field {name!r} must be a str, got {_shown(getattr(self, name))}")
+
     @property
     def normalizers(self) -> DatasetNormalizers:
         return DatasetNormalizers(self.m, self.n)
@@ -285,23 +290,7 @@ class NormalizerCache:
 
 def save_normalizer_cache(path, cache: NormalizerCache) -> None:
     """Write the cache as a small JSON document."""
-    doc = {
-        "m": cache.m,
-        "n": cache.n,
-        "pair_count": cache.pair_count,
-        "dataset_hash": cache.dataset_hash,
-        "anchor_spec_hash": cache.anchor_spec_hash,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
-def _cached_normalizer(value, name: str, path) -> float:
-    """A finite, non-negative JSON number as a float; a boolean is not a number."""
-    if _finite_number(value) and value >= 0:
-        return float(value)
-    raise ValueError(
-        f"normalizer cache {path} field {name!r} must be a finite non-negative number, got {value!r}"
-    )
+    Path(path).write_text(json.dumps(asdict(cache), indent=2) + "\n", encoding="utf-8")
 
 
 def load_normalizer_cache(path) -> NormalizerCache:
@@ -309,8 +298,8 @@ def load_normalizer_cache(path) -> NormalizerCache:
 
     Raises:
         ValueError: If the document is not valid JSON, lacks a field, or
-            holds an m or n that is not a finite non-negative number, or
-            a pair_count that is not a non-negative integer.
+            holds a value NormalizerCache rejects; the message names the
+            file.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -319,18 +308,11 @@ def load_normalizer_cache(path) -> NormalizerCache:
         raise ValueError(f"normalizer cache {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"normalizer cache {path} must hold a JSON object")
-    missing = [k for k in ("m", "n", "pair_count", "dataset_hash", "anchor_spec_hash") if k not in doc]
+    names = [f.name for f in fields(NormalizerCache)]
+    missing = [k for k in names if k not in doc]
     if missing:
         raise ValueError(f"normalizer cache {path} is missing field {missing[0]!r}")
-    pair_count = doc["pair_count"]
-    if not (isinstance(pair_count, int) and not isinstance(pair_count, bool) and pair_count >= 0):
-        raise ValueError(
-            f"normalizer cache {path} field 'pair_count' must be a non-negative integer, got {pair_count!r}"
-        )
-    return NormalizerCache(
-        m=_cached_normalizer(doc["m"], "m", path),
-        n=_cached_normalizer(doc["n"], "n", path),
-        pair_count=pair_count,
-        dataset_hash=str(doc["dataset_hash"]),
-        anchor_spec_hash=str(doc["anchor_spec_hash"]),
-    )
+    try:
+        return NormalizerCache(**{k: doc[k] for k in names})
+    except ValueError as exc:
+        raise ValueError(f"normalizer cache {path} {exc}") from exc

@@ -557,7 +557,7 @@ def test_image_counts_rejects_counts_that_do_not_add_up():
     ):
         with pytest.raises(ValueError, match=match):
             ImageCounts(areas, np.array(per_gt), negative, anchors)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="negative must be an integer"):
         ImageCounts(areas, np.array([1, 2]), 1.5, 9)
     record = ImageCounts([10.0, 20.0], [1, 2], 6, 9)
     assert record.positives_per_gt.dtype == np.int64 and record.gt_areas.dtype == np.float64

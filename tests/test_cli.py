@@ -318,7 +318,8 @@ def test_assign_recomputes_over_a_malformed_cache(tmp_path, capsys, caplog):
     assert main(["stats", "--ann", ann, "--anchors", MINI_LAYOUT, "--out", str(cache)]) == 0
     written = cache.read_text(encoding="utf-8")
     broken = [b"\xff\xfe"]  # not UTF-8
-    for field, value in (("m", "nan"), ("n", -1.0), ("m", [1]), ("m", True), ("pair_count", 2.7)):
+    for field, value in (("m", "nan"), ("n", -1.0), ("m", [1]), ("m", True), ("pair_count", 2.7),
+                         ("dataset_hash", 5)):
         payload = json.loads(written)
         payload[field] = value
         broken.append(json.dumps(payload).encode("utf-8"))
@@ -819,10 +820,10 @@ def test_anchor_layout_rejects_non_boolean_clip_and_boolean_numbers(tmp_path, ca
 def test_anchor_layout_takes_its_fields_from_the_spec():
     # The layout's fields are the spec's, checked and converted to floats,
     # so a bool or an int past the float range is rejected in the library
-    # type too, not only by the option parser.
+    # type too, not only by the option parser, as a usage error.
     for bad, name in (({"levels": ((True, 16),)}, "levels stride"), ({"ratios": (True,)}, "ratios"),
                       ({"scales": (False,)}, "scales"), ({"levels": ((16, 10**400),)}, "levels base size")):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(cli.CliUsageError, match=name):
             cli.AnchorLayout(**bad)
     layout = cli.AnchorLayout(levels=[[16, 16]], ratios=[0.5, 1, 2], scales=[8, 16, 32])
     assert layout.levels == ((16.0, 16.0),) and type(layout.ratios[1]) is float
@@ -969,7 +970,7 @@ def loaded():
 
 argv = json.loads(sys.argv[1])
 import smalldet
-found = {"bare": loaded()}
+found = {"bare": loaded(), "bare_numpy": "numpy" in sys.modules}
 from smalldet import cli
 found["cli"] = loaded()
 if argv == ["classes"]:
@@ -1021,7 +1022,8 @@ def fresh_process(tmp_path, argv):
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     ann = interleaved_dataset(tmp_path)
     demo = fresh_process(tmp_path, ["contrast-demo", "--seed", "1"])
-    assert demo["bare"] == [] and demo["cli"] == ["smalldet.cli"]
+    # The value checks import numpy on first use, so the package alone does not.
+    assert demo["bare"] == [] and not demo["bare_numpy"] and demo["cli"] == ["smalldet.cli"]
     assert demo["code"] == 0
     assert demo["after"] == ["smalldet.cli", "smalldet.contrast", "smalldet.pyramid"]
     for argv in (["stats", "--ann", ann, "--anchors", MINI_LAYOUT, "--out", "c.json"],

@@ -101,6 +101,10 @@ def test_config_validation():
         ToyPyramidConfig(
             levels=3, batch=1, base_size=8, lateral_channels=(3, 3), fused_channels=2
         )
+    # The lateral count is checked before base_size is halved levels - 1
+    # times, which for a huge level count is an OverflowError.
+    with pytest.raises(ValueError, match="one lateral channel count per level"):
+        ToyPyramidConfig(levels=10**400, batch=1, base_size=8, lateral_channels=(3, 3), fused_channels=2)
 
 
 FAMILIES = ("spatial_lateral", "semantic_lateral", "spatial_fused", "semantic_fused")

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -309,10 +311,16 @@ def test_cache_roundtrip_and_errors(tmp_path):
         ("pair_count", -1),
         ("pair_count", True),
         ("pair_count", "2"),
+        ("dataset_hash", 5),
+        ("anchor_spec_hash", None),
     ]:
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload[field] = value
         wrong = tmp_path / "wrong-value.json"
         wrong.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=rf"^normalizer cache {re.escape(str(wrong))} field '{field}'"):
             load_normalizer_cache(wrong)
+        # The cache checks its own fields, so no cache the loader rejects
+        # can be made, and so none can be saved.
+        with pytest.raises(ValueError, match=f"^field '{field}'"):
+            NormalizerCache(**{**asdict(cache), field: value})
