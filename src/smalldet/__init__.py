@@ -159,5 +159,31 @@ def _flag(value, name: str) -> bool:
     raise ValueError(f"{name} must be a bool, got {_shown(value)}")
 
 
+def _read_json(path, what: str, error: type, text: str | None = None) -> dict:
+    """The JSON object in the UTF-8 file at path, or in text when given.
+
+    An unreadable or non-UTF-8 file, undecodable text (json also raises a
+    plain ValueError past the int-to-str digit limit and RecursionError
+    for deep nesting) and a non-object document each raise one `error`
+    naming `what`. json is imported here, so a run that reads no JSON
+    never loads it.
+    """
+    import json
+
+    if text is None:
+        try:
+            with open(path, encoding="utf-8") as file:
+                text = file.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise error(f"cannot read {what}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} must hold a JSON object")
+    return doc
+
+
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import _count, _real
+from . import _count, _real, _shown
 
 # ps_matrix and iou_matrix are no longer called here, but they stay
 # importable from this module: perfbench/child.py wraps them by this path.
@@ -298,8 +298,8 @@ class ImageCounts:
         negative, anchors = _count(self.negative, "negative"), _count(self.anchors, "anchors")
         if not 0 <= negative <= anchors - positive:
             raise ValueError(
-                f"negative anchors must be in [0, anchors - positive], got {negative} "
-                f"of {anchors} anchors with {positive} positive"
+                f"negative anchors must be in [0, anchors - positive], got {_shown(negative)} "
+                f"of {_shown(anchors)} anchors with {positive} positive"
             )
         object.__setattr__(self, "gt_areas", areas)
         object.__setattr__(self, "positives_per_gt", per_gt.astype(np.int64, copy=False))

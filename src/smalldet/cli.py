@@ -19,7 +19,9 @@ cmd_* function directly works as main does. contrast-demo loads only
 contrast and pyramid, and stats and assign only assigner, dataset,
 geometry and similarity. The config classes and option parsers import
 what they use where they use it, so they work before any command has
-bound anything; so do json and logging, which the demo does not need.
+bound anything; so does logging, which the demo does not need. Every
+JSON input is read by the package's one reader, which loads json only
+when a document is read, so a demo run without --config loads none.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _DEFINED_IN, _EXPORTS, _count, _flag, _real
+from . import _DEFINED_IN, _EXPORTS, _count, _flag, _read_json, _real, _shown
 
 
 def _bind(*modules: str) -> None:
@@ -230,7 +232,7 @@ class ExperimentConfig:
             if self.metrics.count(metric) > 1:
                 raise CliUsageError(f"metric {metric!r} is given more than once")
         if self.jobs < 1:
-            raise CliUsageError(f"jobs must be at least 1, got {self.jobs}")
+            raise CliUsageError(f"jobs must be at least 1, got {_shown(self.jobs)}")
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,7 @@ class ContrastDemoConfig:
         except ValueError as exc:
             raise CliUsageError(str(exc)) from exc
         if self.levels < 2:
-            raise CliUsageError(f"levels must be at least 2, got {self.levels}")
+            raise CliUsageError(f"levels must be at least 2, got {_shown(self.levels)}")
         if self.batch < 1 or self.dim < 1:
             raise CliUsageError("batch and dim must be at least 1")
         if self.tau <= 0:
@@ -276,8 +278,8 @@ class ContrastDemoConfig:
             values += self.batch * (8 + 4 * level) * side * side
             if values > _MAX_DEMO_FEATURE_VALUES:
                 raise CliUsageError(
-                    f"levels {self.levels} with batch {self.batch} makes a toy pyramid of "
-                    f"more than {_MAX_DEMO_FEATURE_VALUES} feature values"
+                    f"levels {_shown(self.levels)} with batch {_shown(self.batch)} makes a toy "
+                    f"pyramid of more than {_MAX_DEMO_FEATURE_VALUES} feature values"
                 )
         # The gradient check scores each of the 4 * L * N * D embedding
         # coordinates in two perturbed copies of all of them, so its work
@@ -285,8 +287,8 @@ class ContrastDemoConfig:
         coordinates = 4 * self.levels * self.batch * self.dim
         if 2 * coordinates * coordinates > _MAX_DEMO_FEATURE_VALUES:
             raise CliUsageError(
-                f"levels {self.levels}, batch {self.batch} and dim {self.dim} make a gradient "
-                f"check over more than {_MAX_DEMO_FEATURE_VALUES} perturbed embedding values"
+                f"levels {_shown(self.levels)}, batch {_shown(self.batch)} and dim {_shown(self.dim)} "
+                f"make a gradient check over more than {_MAX_DEMO_FEATURE_VALUES} perturbed embedding values"
             )
 
 
@@ -413,7 +415,7 @@ def _resolve_normalizers(
     if path and Path(path).exists():
         try:
             cache = load_normalizer_cache(path)
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             _log().warning("ignoring unreadable normalizer cache: %s", exc)
         else:
             if cache.dataset_hash == ds_hash and cache.anchor_spec_hash == layout_hash:
@@ -655,23 +657,13 @@ def _as_thresholds(value, key: str) -> AssignThresholds:
 
 
 def _as_anchor_layout(value, key: str) -> AnchorLayout:
-    import json
-
     if isinstance(value, dict):
         return AnchorLayout.from_json_value(value)
     text = _as_path(value, key).strip()
     if text.startswith("{"):
-        source = "inline anchor config"
+        doc = _read_json(None, "inline anchor config", CliUsageError, text=text)
     else:
-        source = f"anchor config file {text}"
-        try:
-            text = Path(text).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CliUsageError(f"cannot read {source}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliUsageError(f"{source} is not valid JSON: {exc}") from exc
+        doc = _read_json(text, f"anchor config file {text}", CliUsageError)
     return AnchorLayout.from_json_value(doc)
 
 
@@ -747,7 +739,7 @@ def _default(f):
     return f.default if f.default_factory is MISSING else f.default_factory()
 
 
-def _shown(value) -> str:
+def _default_text(value) -> str:
     """A default written the way its option takes it."""
     if isinstance(value, AnchorLayout):
         import json
@@ -756,7 +748,7 @@ def _shown(value) -> str:
     if is_dataclass(value):  # AssignThresholds
         value = astuple(value)
     if isinstance(value, tuple):
-        return ",".join(_shown(v) for v in value)
+        return ",".join(_default_text(v) for v in value)
     return f"{value:g}" if isinstance(value, float) else str(value)
 
 
@@ -785,7 +777,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             elif default is None or option.parse is _as_bool:
                 text = option.help
             else:
-                text = f"{option.help} (default {_shown(default)})"
+                text = f"{option.help} (default {_default_text(default)})"
             # default=None tells a flag that was not given from one that was.
             if option.parse is _as_bool:
                 p.add_argument(option.flag, action="store_true", default=None, help=text)
@@ -795,18 +787,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str, command: str) -> dict:
-    import json
-
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliUsageError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliUsageError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliUsageError(f"config file {path} must hold a JSON object")
+    doc = _read_json(path, f"config file {path}", CliUsageError)
     known = {option.key for option in _options(command)}
     for raw_key in doc:
         if raw_key.replace("-", "_") not in known:

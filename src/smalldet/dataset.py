@@ -10,7 +10,6 @@ form at this boundary; everything downstream works in center coordinates.
 
 from __future__ import annotations
 
-import json
 import logging
 from _blake2 import blake2b  # hashlib's blake2b; hashlib itself loads OpenSSL
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _real
+from . import _read_json, _real, _shown
 
 __all__ = [
     "DatasetError",
@@ -79,7 +78,7 @@ def _as_int(value, field: str, where: str) -> int:
     number = int(value) if isinstance(value, float) and value.is_integer() else value
     if isinstance(number, int) and not isinstance(number, bool) and -(1 << 63) <= number < (1 << 63):
         return number
-    raise DatasetError(f"{where} field {field!r} must be a 64-bit integer, got {value!r}")
+    raise DatasetError(f"{where} field {field!r} must be a 64-bit integer, got {_shown(value)}")
 
 
 def _as_finite(value, field: str, where: str) -> float:
@@ -87,7 +86,7 @@ def _as_finite(value, field: str, where: str) -> float:
     try:
         return _real(value, field)
     except ValueError:
-        raise DatasetError(f"{where} field {field!r} must be a finite number, got {value!r}") from None
+        raise DatasetError(f"{where} field {field!r} must be a finite number, got {_shown(value)}") from None
 
 
 def load_coco(path) -> DatasetIndex:
@@ -100,7 +99,10 @@ def load_coco(path) -> DatasetIndex:
         path: Annotation JSON file.
 
     Raises:
-        DatasetError: Unreadable file, malformed JSON, missing fields,
+        DatasetError: A file that cannot be read or is not UTF-8, text
+            that is not valid JSON (an int of more digits than Python's
+            int-to-str limit or nesting past its recursion limit included),
+            a top-level value that is not an object, missing fields,
             an id outside int64 or with a fraction, a non-finite or
             non-numeric dimension or bbox value, a bbox whose center is
             not finite, an iscrowd other than 0, 1, false or true,
@@ -108,17 +110,7 @@ def load_coco(path) -> DatasetIndex:
             image id; the message names the file and offending record.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"cannot read annotation file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"annotation file {path} is not valid JSON: {exc}") from exc
-    del text
-    if not isinstance(doc, dict):
-        raise DatasetError(f"annotation file {path} must hold a JSON object at the top level")
+    doc = _read_json(path, f"annotation file {path}", DatasetError)
     for key in ("images", "annotations"):
         if not isinstance(doc.get(key), list):
             raise DatasetError(f"annotation file {path} is missing the {key!r} list")
@@ -152,7 +144,7 @@ def load_coco(path) -> DatasetIndex:
             raise DatasetError(f"{where} references unknown image id {image_id}")
         bbox = _require(record, "bbox", where)
         if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
-            raise DatasetError(f"{where} bbox must be [x, y, w, h], got {bbox!r}")
+            raise DatasetError(f"{where} bbox must be [x, y, w, h], got {_shown(bbox)}")
         x, y, w, h = (_as_finite(v, "bbox", where) for v in bbox)
         if w <= 0 or h <= 0:
             dropped.append(pos)
@@ -162,7 +154,7 @@ def load_coco(path) -> DatasetIndex:
         categories.append(_as_int(record.get("category_id", 0), "category_id", where))
         flag = record.get("iscrowd", 0)
         if not (isinstance(flag, int) and flag in (0, 1)):  # bool is an int
-            raise DatasetError(f"{where} field 'iscrowd' must be 0, 1, false or true, got {flag!r}")
+            raise DatasetError(f"{where} field 'iscrowd' must be 0, 1, false or true, got {_shown(flag)}")
         crowd.append(bool(flag))
     if dropped:
         logger.info("%s: dropped %d zero-size annotation(s)", path, len(dropped))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _count
+from . import _count, _shown
 from .contrast import EmbeddingBatch
 
 __all__ = [
@@ -158,28 +158,28 @@ class ToyPyramidConfig:
             lateral = tuple(self.lateral_channels)
         except TypeError:
             raise ValueError(
-                f"lateral_channels must be a sequence of integers, got {self.lateral_channels!r}"
+                f"lateral_channels must be a sequence of integers, got {_shown(self.lateral_channels)}"
             ) from None
         lateral = tuple(_count(c, "lateral_channels") for c in lateral)
         object.__setattr__(self, "lateral_channels", lateral)
         if self.levels < 2:
-            raise ValueError(f"a pyramid needs at least 2 levels, got {self.levels}")
+            raise ValueError(f"a pyramid needs at least 2 levels, got {_shown(self.levels)}")
         if self.batch < 1:
-            raise ValueError(f"batch must be at least 1, got {self.batch}")
+            raise ValueError(f"batch must be at least 1, got {_shown(self.batch)}")
         if len(self.lateral_channels) != self.levels:
             raise ValueError(
                 f"need one lateral channel count per level, "
-                f"got {len(self.lateral_channels)} for {self.levels} levels"
+                f"got {len(self.lateral_channels)} for {_shown(self.levels)} levels"
             )
         halvings = 1 << (self.levels - 1)
         if self.base_size < halvings or self.base_size % halvings:
             raise ValueError(
-                f"base_size {self.base_size} cannot halve {self.levels - 1} times to an integer"
+                f"base_size {_shown(self.base_size)} cannot halve {self.levels - 1} times to an integer"
             )
-        if any(c < 1 for c in self.lateral_channels):
-            raise ValueError(f"channel counts must be at least 1, got {self.lateral_channels}")
+        if min(self.lateral_channels) < 1:
+            raise ValueError(f"lateral_channels must be at least 1, got {_shown(min(self.lateral_channels))}")
         if self.fused_channels < 1:
-            raise ValueError(f"fused_channels must be at least 1, got {self.fused_channels}")
+            raise ValueError(f"fused_channels must be at least 1, got {_shown(self.fused_channels)}")
 
     def level_size(self, level: int) -> int:
         return self.base_size >> level

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _count, _real, _shown
+from . import _count, _read_json, _real, _shown
 from .geometry import Box, boxes_to_array, _levels, _scorable, row_blocks
 
 __all__ = [
@@ -297,17 +297,13 @@ def load_normalizer_cache(path) -> NormalizerCache:
     """Read a cache file written by save_normalizer_cache.
 
     Raises:
-        ValueError: If the document is not valid JSON, lacks a field, or
-            holds a value NormalizerCache rejects; the message names the
-            file.
+        ValueError: If the file cannot be read or is not UTF-8, is not
+            valid JSON (an int past Python's int-to-str digit limit and
+            nesting past its recursion limit included), does not hold an
+            object, lacks a field, or holds a value NormalizerCache
+            rejects; the message names the file.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"normalizer cache {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"normalizer cache {path} must hold a JSON object")
+    doc = _read_json(path, f"normalizer cache {path}", ValueError)
     names = [f.name for f in fields(NormalizerCache)]
     missing = [k for k in names if k not in doc]
     if missing:

@@ -1,5 +1,6 @@
 """Command-line surface: config handling, outputs, and exit codes."""
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -1063,33 +1064,101 @@ def test_an_error_inside_the_demo_reaches_the_caller_as_itself(tmp_path):
     assert "smalldet.dataset" not in found["after"]
 
 
-NOT_UTF8 = b'{"images": [], "annotations": [], "note": "\xff\xfe"}'
+# Documents json cannot read as the object each input holds. The int and
+# the nesting sit inside an object, so that an inline --anchors value,
+# told from a path by its opening brace, reaches the reader too.
+MALFORMED = {
+    "not-utf8": b'{"images": [], "annotations": [], "note": "\xff\xfe"}',
+    "truncated": b'{"images": [',
+    "int-digits": b'{"images": ' + b"1" * 5000 + b"}",  # past the int-to-str digit limit
+    "nesting": b'{"images": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # past the recursion limit
+    "not-object": b"[]",
+}
 
 
-def test_annotation_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
-    ann = tmp_path / "latin.json"
-    ann.write_bytes(NOT_UTF8)
-    code, _, err = run(capsys, assign_argv(str(ann), tmp_path / "r"))
-    assert code == 2
-    assert err.startswith("data error:") and str(ann) in err
+def malformed_inputs():
+    for source in ("ann", "config", "anchors-file", "anchors-inline"):
+        for document in MALFORMED:
+            if not (source == "anchors-inline" and document == "not-utf8"):  # bytes: files only
+                yield pytest.param(source, document, id=f"{source}-{document}")
 
 
-def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_bytes(NOT_UTF8)
-    code, _, err = run(capsys, ["assign", "--config", str(config)])
-    assert code == 1
-    assert err.startswith("error:") and str(config) in err
-
-
-def test_anchor_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("source, document", malformed_inputs())
+def test_malformed_json_input_ends_in_one_message(tmp_path, capsys, source, document):
     ann = mini_dataset(tmp_path)
-    layout = tmp_path / "layout.json"
-    layout.write_bytes(NOT_UTF8)
-    argv = ["stats", "--ann", ann, "--anchors", str(layout), "--out", str(tmp_path / "c.json")]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(MALFORMED[document])
+    out = str(tmp_path / "r")
+    layout = MALFORMED[document].decode() if source == "anchors-inline" else str(bad)
+    argv, expected_code, prefix, named = {
+        "ann": (assign_argv(str(bad), out), 2, "data error:", str(bad)),
+        "config": (["assign", "--config", str(bad)], 1, "error:", str(bad)),
+        "anchors-file": (["assign", "--ann", ann, "--anchors", layout, "--out", out], 1, "error:", str(bad)),
+        "anchors-inline": (["assign", "--ann", ann, "--anchors", layout, "--out", out], 1, "error:", "anchor config"),
+    }[source]
     code, _, err = run(capsys, argv)
-    assert code == 1
-    assert err.startswith("error:") and str(layout) in err
+    assert code == expected_code
+    assert err.startswith(prefix) and named in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("document", MALFORMED)
+def test_malformed_cache_is_recomputed_after_one_warning(tmp_path, capsys, caplog, document):
+    ann = mini_dataset(tmp_path)
+    fresh, bad = tmp_path / "fresh.json", tmp_path / "bad.json"
+    assert main(assign_argv(ann, tmp_path / "cold", metrics="ps", extra=("--cache", str(fresh)))) == 0
+    bad.write_bytes(MALFORMED[document])
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="smalldet.cli"):
+        code, _, err = run(capsys, assign_argv(ann, tmp_path / "warm", metrics="ps", extra=("--cache", str(bad))))
+    assert code == 0 and "Traceback" not in err
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1 and str(bad) in warnings[0]
+    for name in ("report.json", "report.csv"):
+        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+    assert bad.read_bytes() == fresh.read_bytes()
+
+
+def json_decodes(node, function=None):
+    """(function, line) of each json.load/json.loads call and `from json import` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ImportFrom) and child.module == "json":
+            yield function, child.lineno
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+              and child.func.attr in ("load", "loads") and getattr(child.func.value, "id", None) == "json"):
+            yield function, child.lineno
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from json_decodes(child, inner)
+
+
+def test_only_the_package_reader_decodes_json():
+    # smalldet._read_json turns every way json fails into the caller's one
+    # error; a loader that decodes by itself would miss some of them.
+    found = []
+    for path in sorted((ROOT / "src" / "smalldet").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, function, line) for function, line in json_decodes(tree)]
+    assert [(name, function) for name, function, _ in found] == [("__init__.py", "_read_json")], found
+
+
+# A fresh interpreter that imports nothing but the CLI, so json in
+# sys.modules afterwards was loaded by the run.
+JSON_LOAD_SCRIPT = "import sys\nfrom smalldet import cli\nprint(cli.main(sys.argv[1:]), 'json' in sys.modules)\n"
+
+
+def test_contrast_demo_loads_json_only_to_read_a_config(tmp_path):
+    config = write_json(tmp_path / "config.json", {"seed": 1})
+    for extra, loaded in (([], False), (["--config", config], True)):
+        proc = subprocess.run(
+            [sys.executable, "-c", JSON_LOAD_SCRIPT, "contrast-demo", "--seed", "1", *extra],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
 
 
 def one_line_error(err, path):

@@ -126,6 +126,27 @@ def test_ids_at_the_int64_bounds_load(tmp_path):
     assert index.category_ids.tolist() == [-(2**63)]
 
 
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda p: p["images"][0].update(id=10**4000), "'id'"),
+        (lambda p: p["images"][0].update(width=10**4000), "'width'"),
+        (lambda p: p["annotations"][0].update(category_id=-(10**4000)), "'category_id'"),
+        (lambda p: p["annotations"][0].update(iscrowd=10**4000), "'iscrowd'"),
+        (lambda p: p["annotations"][0].update(bbox=[10**4000, 0, 4]), "bbox"),
+    ],
+    ids=["id", "width", "category_id", "iscrowd", "bbox"],
+)
+def test_a_long_int_is_shown_in_a_bounded_message(tmp_path, mutate, field):
+    # A 4,000-digit int decodes (under the 4,300-digit limit), so the
+    # record check rejects it and shows it in at most 40 characters.
+    payload = minimal_payload()
+    mutate(payload)
+    with pytest.raises(DatasetError, match=field) as info:
+        load_coco(write_json(tmp_path / "ann.json", payload))
+    assert len(str(info.value)) < 200 + len(str(tmp_path))
+
+
 def test_dataset_hash_is_blake2b_of_canonical_records(tmp_path):
     payload = {
         "images": [

@@ -143,3 +143,25 @@ def test_numpy_scalars_pass_every_real_argument():
     assert from_topleft(np.int32(0), 0, np.float16(2.0), 2) == Box(1.0, 1.0, 2.0, 2.0)
     assert check_bucket_edges([np.int64(16), np.float32(256.0)]) == (16.0, 256.0)
     assert gradient_check(_batch(), step=np.float32(1e-4)).passed(1e-3)
+
+
+# Range rules show the value they reject through smalldet._shown too, so
+# an int too long to print still gives a bounded message naming its
+# field. One row per type: (type, valid arguments, out-of-range fields).
+OUT_OF_RANGE = [
+    (ImageCounts, dict(gt_areas=[10.0], positives_per_gt=[1], negative=2, anchors=5),
+     dict(negative=-10**5000, anchors=-10**5000)),
+    (ToyPyramidConfig, dict(levels=2, batch=1, base_size=4, lateral_channels=(2, 2), fused_channels=2),
+     dict(levels=10**5000, batch=-10**5000, base_size=-10**5000, lateral_channels=(2, -10**5000),
+          fused_channels=-10**5000)),
+    (cli.ContrastDemoConfig, dict(), dict(levels=10**5000, batch=10**5000, dim=10**5000)),
+    (cli.ExperimentConfig, dict(ann="a.json"), dict(jobs=-10**5000)),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, bad", OUT_OF_RANGE, ids=[row[0].__name__ for row in OUT_OF_RANGE])
+def test_range_message_names_the_field_of_an_int_too_long_to_print(cls, kwargs, bad):
+    for name, value in bad.items():
+        with pytest.raises(expected_error(cls), match=naming(name)) as info:
+            cls(**{**kwargs, name: value})
+        assert len(str(info.value)) < 200, str(info.value)[:300]
