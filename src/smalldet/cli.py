@@ -8,9 +8,12 @@ exercises the contrastive losses on the toy pyramid with a gradient check.
 Each option is declared once, in _OPTIONS, with its flag, parser, config
 field, commands and help; defaults live on the config dataclasses. Every
 flag can also come from a JSON config file (--config) through the same
-parser; command-line values win over file values. Exit codes: 0 success,
-1 usage or config error or an output file that cannot be written, 2 data
-error, 3 verification failure.
+parser; command-line values win over file values. A parser only decodes
+a value, and only the type it sets checks it: the config, the anchor
+layout's AnchorGridSpec or AssignThresholds, whose message names the key
+and prints a rejected value in at most 40 characters. Exit codes: 0
+success, 1 usage or config error or an output file that cannot be
+written, 2 data error, 3 verification failure.
 
 Importing this module loads only the standard library and numpy. The
 library names the commands call come from the package's export table:
@@ -59,7 +62,7 @@ def _bind(*modules: str) -> None:
 def __getattr__(name: str):
     module = _DEFINED_IN.get(name)
     if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        raise AttributeError(f"module {_shown(__name__)} has no attribute {_shown(name)}")
     _bind(module)
     return globals()[name]
 
@@ -159,29 +162,30 @@ class AnchorLayout:
 
     @staticmethod
     def from_json_value(value) -> "AnchorLayout":
-        """Build a layout from a parsed JSON object, with the option parsers."""
+        """Build a layout from a parsed JSON object. Only its shape is checked
+        here; AnchorGridSpec checks the entries, decoded as option values are."""
         if not isinstance(value, dict):
             raise CliUsageError(f"anchor config must be a JSON object, got {type(value).__name__}")
-        known = {"levels", "ratios", "scales", "clip"}
-        unknown = set(value) - known
-        if unknown:
-            raise CliUsageError(f"unknown anchor config keys: {sorted(unknown)}")
+        known = {f.name for f in fields(AnchorLayout)}
         kwargs = {}
-        try:
-            if "levels" in value:
-                kwargs["levels"] = tuple(
-                    (_as_float(s, "anchor levels"), _as_float(b, "anchor levels"))
-                    for s, b in value["levels"]
-                )
-            if "ratios" in value:
-                kwargs["ratios"] = tuple(_as_float(r, "anchor ratios") for r in value["ratios"])
-            if "scales" in value:
-                kwargs["scales"] = tuple(_as_float(s, "anchor scales") for s in value["scales"])
-            if "clip" in value:
-                kwargs["clip"] = _as_bool(value["clip"], "anchor clip")
-            return AnchorLayout(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise CliUsageError(f"bad anchor config: {exc}") from exc
+        for key, entries in value.items():
+            if key not in known:
+                raise CliUsageError(f"unknown anchor config key {_shown(key)}")
+            if key == "clip":
+                kwargs[key] = _as_bool(entries)
+                continue
+            if not isinstance(entries, (list, tuple)):
+                raise CliUsageError(f"bad anchor config: {key} must be a list, got {_shown(entries)}")
+            if key != "levels":
+                kwargs[key] = tuple(map(_as_float, entries))
+                continue
+            for i, level in enumerate(entries):
+                if not isinstance(level, (list, tuple)) or len(level) != 2:
+                    raise CliUsageError(
+                        f"bad anchor config: levels[{i}] must be [stride, base_size], got {_shown(level)}"
+                    )
+            kwargs[key] = tuple(tuple(map(_as_float, level)) for level in entries)
+        return AnchorLayout(**kwargs)
 
 
 def _default_thresholds() -> AssignThresholds:
@@ -218,7 +222,7 @@ class ExperimentConfig:
     per_level: bool = False
 
     def __post_init__(self) -> None:
-        from .assigner import check_bucket_edges
+        from .assigner import Metric, check_bucket_edges
 
         try:
             object.__setattr__(self, "bucket_edges", check_bucket_edges(self.bucket_edges))
@@ -226,11 +230,15 @@ class ExperimentConfig:
             object.__setattr__(self, "per_level", _flag(self.per_level, "per-level"))
         except ValueError as exc:
             raise CliUsageError(str(exc)) from exc
+        object.__setattr__(self, "metrics", tuple(self.metrics))
         if not self.metrics:
             raise CliUsageError("at least one metric is required")
+        known = [m.value for m in Metric]
         for metric in self.metrics:
+            if metric not in known:
+                raise CliUsageError(f"metrics must be among {known}, got {_shown(metric)}")
             if self.metrics.count(metric) > 1:
-                raise CliUsageError(f"metric {metric!r} is given more than once")
+                raise CliUsageError(f"metric {_shown(metric)} is given more than once")
         if self.jobs < 1:
             raise CliUsageError(f"jobs must be at least 1, got {_shown(self.jobs)}")
 
@@ -582,44 +590,45 @@ def cmd_contrast_demo(cfg: ContrastDemoConfig) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-# Option parsers, (value, key) -> typed value, take a flag's text or a
-# config-file JSON value alike and fail with a CliUsageError naming the key.
+# Option parsers, (value, key) -> value, take a flag's text or a
+# config-file JSON value alike. _as_int, _as_float and _as_bool only
+# decode: each turns text into the value it spells and passes anything
+# else on, and the config type it lands in checks it and names the key.
 
 
 def _as_path(value, key: str) -> str:
     if not isinstance(value, str):
-        raise CliUsageError(f"{key} must be a path, got {value!r}")
+        raise CliUsageError(f"{key} must be a path, got {_shown(value)}")
     return value
 
 
-def _as_int(value, key: str) -> int:
-    """An integer, an integral float or an integer's text; never truncated."""
+def _as_int(value, key: str | None = None):
+    """An integer's text as that int, and an integral float as an int."""
     if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, (bool, float)):
+        return int(value)
+    if isinstance(value, str):
         try:
             return int(value)
-        except (TypeError, ValueError):
+        except ValueError:
             pass
-    raise CliUsageError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
-def _as_float(value, key: str) -> float:
-    """A number or a number's text; a boolean is not a number."""
-    if not isinstance(value, bool):
+def _as_float(value, key: str | None = None):
+    """A number's text as that float."""
+    if isinstance(value, str):
         try:
             return float(value)
-        except (TypeError, ValueError, OverflowError):
+        except ValueError:
             pass
-    raise CliUsageError(f"{key} must be a number, got {value!r}")
+    return value
 
 
-def _as_bool(value, key: str) -> bool:
-    if isinstance(value, bool):
-        return value
+def _as_bool(value, key: str | None = None):
+    """true/false/1/0 text, in any case, as that bool."""
     if isinstance(value, str) and value.lower() in ("true", "false", "1", "0"):
         return value.lower() in ("true", "1")
-    raise CliUsageError(f"{key} must be a boolean, got {value!r}")
+    return value
 
 
 def _as_list(value, key: str) -> list:
@@ -627,21 +636,11 @@ def _as_list(value, key: str) -> list:
         return [p.strip() for p in value.split(",") if p.strip()]
     if isinstance(value, (list, tuple)):
         return list(value)
-    raise CliUsageError(f"{key} must be a comma-separated list, got {value!r}")
+    raise CliUsageError(f"{key} must be a comma-separated list, got {_shown(value)}")
 
 
-def _as_float_list(value, key: str) -> tuple[float, ...]:
-    return tuple(_as_float(p, key) for p in _as_list(value, key))
-
-
-def _as_metrics(value, key: str) -> tuple[str, ...]:
-    from .assigner import Metric
-
-    names = [str(p) for p in _as_list(value, key)]
-    try:
-        return tuple(Metric(m).value for m in names)
-    except ValueError as exc:
-        raise CliUsageError(f"{key} must be among {[m.value for m in Metric]}, got {names}") from exc
+def _as_float_list(value, key: str) -> tuple:
+    return tuple(map(_as_float, _as_list(value, key)))
 
 
 def _as_thresholds(value, key: str) -> AssignThresholds:
@@ -660,7 +659,7 @@ def _as_anchor_layout(value, key: str) -> AnchorLayout:
     if isinstance(value, dict):
         return AnchorLayout.from_json_value(value)
     text = _as_path(value, key).strip()
-    if text.startswith("{"):
+    if text.startswith(("{", "[")):
         doc = _read_json(None, "inline anchor config", CliUsageError, text=text)
     else:
         doc = _read_json(text, f"anchor config file {text}", CliUsageError)
@@ -693,7 +692,7 @@ _OPTIONS = (
     _Option("--anchors", _as_anchor_layout, "layout", _EXPERIMENT,
             "anchor layout: JSON file path or inline JSON object"),
     _Option("--out", _as_path, "cache_path", ("stats",), "normalizer cache file to write"),
-    _Option("--metrics", _as_metrics, "metrics", ("assign",), "comma-separated metrics: ps,iou"),
+    _Option("--metrics", _as_list, "metrics", ("assign",), "comma-separated metrics: ps,iou"),
     _Option("--thr", _as_thresholds, "thresholds", ("assign",), "thresholds pos,neg,min_pos"),
     _Option("--buckets", _as_float_list, "bucket_edges", ("assign",),
             "comma-separated area bucket edges"),
@@ -791,9 +790,7 @@ def _load_config_file(path: str, command: str) -> dict:
     known = {option.key for option in _options(command)}
     for raw_key in doc:
         if raw_key.replace("-", "_") not in known:
-            raise CliUsageError(
-                f"config file {path} has unknown key {raw_key!r} for command {command!r}"
-            )
+            raise CliUsageError(f"config file {path} has unknown key {_shown(raw_key)} for command {_shown(command)}")
     return {raw_key.replace("-", "_"): value for raw_key, value in doc.items()}
 
 

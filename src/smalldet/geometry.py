@@ -71,16 +71,6 @@ class Box:
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box dimensions must be positive, got w={self.w}, h={self.h}")
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    def corners(self) -> tuple[float, float, float, float]:
-        """Return the (x1, y1, x2, y2) corner representation."""
-        half_w = self.w / 2.0
-        half_h = self.h / 2.0
-        return (self.cx - half_w, self.cy - half_h, self.cx + half_w, self.cy + half_h)
-
 
 def make_box(cx: float, cy: float, w: float, h: float) -> Box:
     """Construct a validated center-form box from plain numbers."""

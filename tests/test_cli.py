@@ -793,14 +793,18 @@ def test_config_file_numbers_are_not_coerced(tmp_path, capsys, command, key, val
         assert run(capsys, [*argv, f"--{key}", str(value)])[0] == 1
 
 
+# Each row's id names the rule it checks; the message is AnchorGridSpec's.
 @pytest.mark.parametrize(
     "layout, message",
     [
-        ({"clip": 0.5}, "anchor clip must be a boolean"),
-        ({"clip": "yes"}, "anchor clip must be a boolean"),
-        ({"ratios": [True]}, "anchor ratios must be a number"),
-        ({"scales": [1, False]}, "anchor scales must be a number"),
-        ({"levels": [[True, 4]]}, "anchor levels must be a number"),
+        pytest.param({"clip": 0.5}, "clip must be a bool, got 0.5", id="layout0-anchor clip must be a boolean"),
+        pytest.param({"clip": "yes"}, "clip must be a bool, got 'yes'", id="layout1-anchor clip must be a boolean"),
+        pytest.param({"ratios": [True]}, "ratios must be a finite number, got True",
+                     id="layout2-anchor ratios must be a number"),
+        pytest.param({"scales": [1, False]}, "scales must be a finite number, got False",
+                     id="layout3-anchor scales must be a number"),
+        pytest.param({"levels": [[True, 4]]}, "levels stride must be a finite number, got True",
+                     id="layout4-anchor levels must be a number"),
         # Numbers that pass one by one but make degenerate anchor shapes.
         ({"ratios": [1e-320]}, "anchor widths and heights must be positive and finite"),
         ({"levels": [[16, 1e-200]], "scales": [1e-200]},
@@ -1066,7 +1070,7 @@ def test_an_error_inside_the_demo_reaches_the_caller_as_itself(tmp_path):
 
 # Documents json cannot read as the object each input holds. The int and
 # the nesting sit inside an object, so that an inline --anchors value,
-# told from a path by its opening brace, reaches the reader too.
+# told from a path by its opening brace or bracket, reaches the reader too.
 MALFORMED = {
     "not-utf8": b'{"images": [], "annotations": [], "note": "\xff\xfe"}',
     "truncated": b'{"images": [',
@@ -1139,6 +1143,73 @@ def test_only_the_package_reader_decodes_json():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [(path.name, function, line) for function, line in json_decodes(tree)]
     assert [(name, function) for name, function, _ in found] == [("__init__.py", "_read_json")], found
+
+
+def test_no_cli_error_message_formats_a_value_with_repr():
+    # A value formatted with !r prints in full, however long it is;
+    # smalldet._shown prints it in at most 40 characters.
+    tree = ast.parse((ROOT / "src" / "smalldet" / "cli.py").read_text(encoding="utf-8"))
+    found = [
+        value.lineno
+        for node in ast.walk(tree) if isinstance(node, ast.Raise)
+        for value in ast.walk(node) if isinstance(value, ast.FormattedValue) and value.conversion == ord("r")
+    ]
+    assert found == []
+
+
+LONG = "x" * 5000
+MAX_ERROR_LINE = 200
+
+# Rejected values, each as a flag and as a config-file value where both
+# exist: (command, flag argv or None, config document or None, what the
+# message names). A flag value is text, so the non-text values are
+# config-file only.
+REJECTED = {
+    "levels": ("contrast-demo", ["--levels", LONG], {"levels": LONG}, "levels"),
+    "tau": ("contrast-demo", ["--tau", "1" * 5000 + "x"], {"tau": "1" * 5000 + "x"}, "tau"),
+    "metrics": ("assign", ["--metrics", LONG], {"metrics": [LONG]}, "metrics"),
+    "path": ("assign", None, {"cache": [LONG]}, "cache"),
+    "list": ("assign", None, {"thr": {LONG: 1}}, "thr"),
+    "config-key": ("assign", None, {LONG: 1}, "unknown key"),
+    "anchor-key": ("assign", ["--anchors", json.dumps({LONG: 1})], {"anchors": {LONG: 1}}, "unknown anchor config key"),
+    "anchor-level-entry": ("assign", ["--anchors", '{"levels": [[4, 4, 4]]}'],
+                           {"anchors": {"levels": [[4] * 2500]}}, "levels[0] must be [stride, base_size]"),
+    "anchor-levels": ("assign", ["--anchors", '{"levels": 5}'], {"anchors": {"levels": LONG}}, "levels must be a list"),
+    "anchor-ratios": ("assign", ["--anchors", '{"ratios": 5}'], {"anchors": {"ratios": 5}}, "ratios must be a list"),
+    "anchor-stride": ("assign", ["--anchors", json.dumps({"levels": [[LONG, 4]]})],
+                      {"anchors": {"levels": [[LONG, 4]]}}, "levels stride"),
+    "anchors-inline-array": ("assign", ["--anchors", "[[4, 4]]"], None, "inline anchor config must hold a JSON object"),
+}
+
+
+def rejected_values():
+    for name, (command, flag, document, _) in REJECTED.items():
+        for source, given in (("flag", flag), ("config", document)):
+            if given is not None:
+                yield pytest.param(name, source, id=f"{name}-{source}")
+
+
+@pytest.mark.parametrize("name, source", rejected_values())
+def test_rejected_value_ends_in_one_bounded_line_naming_it(tmp_path, capsys, monkeypatch, name, source):
+    def no_work(*args):
+        raise AssertionError("a refused run must do no work")
+
+    monkeypatch.setattr(cli, "load_coco", no_work)
+    monkeypatch.setattr(cli, "build_embedding_batch", no_work)
+    command, flag, document, named = REJECTED[name]
+    out = tmp_path / "r"
+    argv = [command]
+    if command == "assign":
+        argv += ["--ann", mini_dataset(tmp_path), "--out", str(out)]
+    if source == "flag":
+        argv += flag
+    else:
+        argv += ["--config", write_json(tmp_path / "config.json", document)]
+    code, stdout, err = run(capsys, argv)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and len(err.rstrip("\n")) <= MAX_ERROR_LINE
+    assert not out.exists()
 
 
 # A fresh interpreter that imports nothing but the CLI, so json in
