@@ -117,6 +117,13 @@ def _shown(value) -> str:
     return text if len(text) <= 40 else f"{text[:37]}..."
 
 
+def _shown_path(path) -> str:
+    """A path's text in at most 100 characters: its end, the file name,
+    after "..." when it is cut."""
+    text = str(path)
+    return text if len(text) <= 100 else f"...{text[-97:]}"
+
+
 @functools.cache
 def _scalar_types() -> tuple[tuple, tuple]:
     """(real types, flag types). numpy is imported on the first check, not
@@ -165,8 +172,9 @@ def _read_json(path, what: str, error: type, text: str | None = None) -> dict:
     An unreadable or non-UTF-8 file, undecodable text (json also raises a
     plain ValueError past the int-to-str digit limit and RecursionError
     for deep nesting) and a non-object document each raise one `error`
-    naming `what`. json is imported here, so a run that reads no JSON
-    never loads it.
+    naming `what`, which names the file (through _shown_path). An
+    OSError gives only its reason, as its text repeats the whole path.
+    json is imported here, so a run that reads no JSON never loads it.
     """
     import json
 
@@ -174,7 +182,9 @@ def _read_json(path, what: str, error: type, text: str | None = None) -> dict:
         try:
             with open(path, encoding="utf-8") as file:
                 text = file.read()
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:
+            raise error(f"cannot read {what}: {exc.strerror or type(exc).__name__}") from exc
+        except UnicodeDecodeError as exc:
             raise error(f"cannot read {what}: {exc}") from exc
     try:
         doc = json.loads(text)

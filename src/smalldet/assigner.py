@@ -26,6 +26,7 @@ from .geometry import (  # noqa: F401
     _iou_rows,
     _scorable,
     _scratch,
+    _whole,
     anchor_tiles,
     boxes_to_array,
     iou_matrix,
@@ -190,47 +191,59 @@ def _fold(tiles, gt_best: _GtBest, floor: float, pos_thr: float, buffers):
     """The one pass behind every assignment: a fold over anchor tiles.
 
     tiles yields (start, length, gts, blocks) per tile, in anchor order:
-    blocks yields (rows, block) score blocks of the gts gts[rows], in gt
-    order, over the tile's anchors. A gt that no block covers scores
-    floor on every anchor of the tile, and no score is below floor.
+    blocks yields (rows, windows) per score block of the gts gts[rows],
+    in gt order, over the tile's anchors. A window (b, values, level,
+    width, r, c) holds the 2-d scores values of gt gts[rows][b] at the
+    tile's anchors level.reshape(-1, width)[r, c] (geometry._iou_rows); a
+    kernel that scores every pair gives each row one window, the whole
+    tile (geometry._whole). Every score outside a gt's windows is floor,
+    and no score is below floor, so the fold reads only the windows.
     buffers(start, length) gives the tile's best-score and matched-gt
-    arrays. Within a tile, each row folds into the per-anchor best with
-    one np.maximum, and the matched gt is tracked only where a row
-    reaches pos_thr: there a strict > against the running best keeps the
-    lowest gt on ties, within a block and across blocks. Each gt's max
-    and argmax (lowest anchor on ties) in the tile then merge into
-    gt_best. A column whose max is a zero held as both -0.0 and +0.0
-    keeps the earliest row's sign, as a strict > fold does:
-    np.maximum(row, best) returns its second operand on that tie, which
-    tests/test_assigner.py pins.
+    arrays, which start at floor and -1.
+
+    Each window folds into the per-anchor best with one np.maximum, and
+    the matched gt is tracked only where it reaches pos_thr: there a
+    strict > against the running best keeps the lowest gt on ties, as
+    windows come in gt order for each anchor. Each gt's max and argmax
+    (lowest anchor on ties) in the tile merge into gt_best; a gt whose
+    windows never pass floor (or that has none) keeps floor at the tile's
+    anchor 0, its argmax over a row of floor. A column whose max is a
+    zero held as both -0.0 and +0.0 keeps the earliest row's sign, as a
+    strict > fold does: np.maximum(values, best) returns its second
+    operand on that tie, which tests/test_assigner.py pins.
 
     Yields (best, match) per tile once the tile is folded, before the
     rescue; the sink reads them before it asks for the next tile.
 
     Raises:
-        ValueError: If a block holds a non-finite score.
+        ValueError: If a window holds a non-finite score.
     """
     num_gts = gt_best.score.shape[0]
     for start, length, gts, blocks in tiles:
         best, match = buffers(start, length)
         best.fill(floor)
-        # Written only where a row reaches pos_thr, so -1 stays everywhere else.
+        # Written only where a window reaches pos_thr, so -1 stays everywhere else.
         match.fill(-1)
         top = np.full(num_gts, floor)
         arg = np.zeros(num_gts, dtype=np.int64)
-        for rows, block in blocks:
-            if not np.isfinite(block).all():
-                raise ValueError("score matrix contains non-finite values")
-            ids = gts[rows]
-            row_best = block.argmax(axis=1)
-            row_top = block[np.arange(block.shape[0]), row_best]
-            arg[ids] = row_best
-            top[ids] = row_top
-            for g, row, row_max in zip(ids.tolist(), block, row_top):
-                if row_max >= pos_thr:
-                    reached = np.flatnonzero(row >= pos_thr)
-                    match[reached[row[reached] > best[reached]]] = g
-                np.maximum(row, best, out=best)
+        for rows, windows in blocks:
+            ids = gts[rows].tolist()
+            for b, values, level, width, r, c in windows:
+                if not np.isfinite(values).all():
+                    raise ValueError("score matrix contains non-finite values")
+                g = ids[b]
+                # The first max in row-major order: the window's lowest anchor.
+                i, j = divmod(int(values.argmax()), values.shape[1])
+                peak = values[i, j]
+                if peak > top[g]:
+                    top[g] = peak
+                    arg[g] = level.start + (r.start + i) * width + c.start + j
+                seen = best[level].reshape(-1, width)[r, c]
+                if peak >= pos_thr:
+                    gain = values >= pos_thr
+                    gain &= values > seen
+                    np.copyto(match[level].reshape(-1, width)[r, c], g, where=gain)
+                np.maximum(values, seen, out=seen)
         gt_best.update(start, top, arg, best, match)
         yield best, match
 
@@ -364,7 +377,7 @@ def _matrix_tiles(score: np.ndarray):
     gts = np.arange(score.shape[0])
     for start, columns in anchor_tiles(score.T):
         tile = columns.T
-        yield start, tile.shape[1], gts, ((rows, tile[rows]) for rows in row_blocks(*tile.shape))
+        yield start, tile.shape[1], gts, ((rows, _whole(tile[rows])) for rows in row_blocks(*tile.shape))
 
 
 def assign(score, thr: AssignThresholds = AssignThresholds()) -> AssignResult:

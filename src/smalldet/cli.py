@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _DEFINED_IN, _EXPORTS, _count, _flag, _read_json, _real, _shown
+from . import _DEFINED_IN, _EXPORTS, _count, _flag, _read_json, _real, _shown, _shown_path
 
 
 def _bind(*modules: str) -> None:
@@ -176,15 +176,13 @@ class AnchorLayout:
                 continue
             if not isinstance(entries, (list, tuple)):
                 raise CliUsageError(f"bad anchor config: {key} must be a list, got {_shown(entries)}")
-            if key != "levels":
+            if key == "levels":
+                # The numbers of each list entry are decoded; AnchorGridSpec
+                # checks that every entry is a [stride, base_size] pair.
+                kwargs[key] = tuple(tuple(map(_as_float, level)) if isinstance(level, (list, tuple)) else level
+                                    for level in entries)
+            else:
                 kwargs[key] = tuple(map(_as_float, entries))
-                continue
-            for i, level in enumerate(entries):
-                if not isinstance(level, (list, tuple)) or len(level) != 2:
-                    raise CliUsageError(
-                        f"bad anchor config: levels[{i}] must be [stride, base_size], got {_shown(level)}"
-                    )
-            kwargs[key] = tuple(tuple(map(_as_float, level)) for level in entries)
         return AnchorLayout(**kwargs)
 
 
@@ -662,7 +660,7 @@ def _as_anchor_layout(value, key: str) -> AnchorLayout:
     if text.startswith(("{", "[")):
         doc = _read_json(None, "inline anchor config", CliUsageError, text=text)
     else:
-        doc = _read_json(text, f"anchor config file {text}", CliUsageError)
+        doc = _read_json(text, f"anchor config file {_shown_path(text)}", CliUsageError)
     return AnchorLayout.from_json_value(doc)
 
 
@@ -786,11 +784,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str, command: str) -> dict:
-    doc = _read_json(path, f"config file {path}", CliUsageError)
+    what = f"config file {_shown_path(path)}"
+    doc = _read_json(path, what, CliUsageError)
     known = {option.key for option in _options(command)}
     for raw_key in doc:
         if raw_key.replace("-", "_") not in known:
-            raise CliUsageError(f"config file {path} has unknown key {_shown(raw_key)} for command {_shown(command)}")
+            raise CliUsageError(f"{what} has unknown key {_shown(raw_key)} for command {_shown(command)}")
     return {raw_key.replace("-", "_"): value for raw_key, value in doc.items()}
 
 

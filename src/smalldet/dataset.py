@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _read_json, _real, _shown
+from . import _read_json, _real, _shown, _shown_path
 
 __all__ = [
     "DatasetError",
@@ -110,17 +110,18 @@ def load_coco(path) -> DatasetIndex:
             image id; the message names the file and offending record.
     """
     path = Path(path)
-    doc = _read_json(path, f"annotation file {path}", DatasetError)
+    shown = _shown_path(path)
+    doc = _read_json(path, f"annotation file {shown}", DatasetError)
     for key in ("images", "annotations"):
         if not isinstance(doc.get(key), list):
-            raise DatasetError(f"annotation file {path} is missing the {key!r} list")
+            raise DatasetError(f"annotation file {shown} is missing the {key!r} list")
 
     # The loops validate each record and append plain numbers; the
     # columns are made from these lists in one step each.
     sizes: list[float] = []
     row_of_id: dict[int, int] = {}
     for pos, record in enumerate(doc["images"]):
-        where = f"{path} images[{pos}]"
+        where = f"{shown} images[{pos}]"
         if not isinstance(record, dict):
             raise DatasetError(f"{where} is not an object")
         image_id = _as_int(_require(record, "id", where), "id", where)
@@ -135,7 +136,7 @@ def load_coco(path) -> DatasetIndex:
 
     rows, xywh, categories, crowd, dropped = [], [], [], [], []
     for pos, record in enumerate(doc["annotations"]):
-        where = f"{path} annotations[{pos}]"
+        where = f"{shown} annotations[{pos}]"
         if not isinstance(record, dict):
             raise DatasetError(f"{where} is not an object")
         image_id = _as_int(_require(record, "image_id", where), "image_id", where)
@@ -170,7 +171,7 @@ def load_coco(path) -> DatasetIndex:
         for skipped in dropped:  # from kept row to file position
             if skipped <= pos:
                 pos += 1
-        raise DatasetError(f"{path} annotations[{pos}] has an invalid bbox: its center is not finite")
+        raise DatasetError(f"{shown} annotations[{pos}] has an invalid bbox: its center is not finite")
 
     # A stable sort groups each image's annotations and keeps them in
     # file order, which the assigner's rescue step ("later gt wins")

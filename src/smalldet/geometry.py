@@ -13,10 +13,11 @@ The set's per-anchor boxes and corner table are made only if a caller
 reads them. anchor_tiles cuts a large set into tiles of whole grid
 rows, which the kernels score as they score the set. The IoU kernel
 reads the tables to compute each ground truth's IoU only inside the row
-and column window where it overlaps the grid, writing exact 0.0
-elsewhere. A plain (N, 4) array is scored as one level of one row and
-one column with S = N shapes, so one kernel per metric serves every
-input; iou_matrix and the assignment fold (assigner) are its two callers.
+and column window where it overlaps each level; every IoU outside the
+windows is exact 0.0, which the fold and iou_matrix take as given. A
+plain (N, 4) array is scored as one level of one row and one column
+with S = N shapes, so one kernel per metric serves every input;
+iou_matrix and the assignment fold (assigner) are its two callers.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _flag, _real
+from . import _flag, _real, _shown
 
 __all__ = [
     "Box",
@@ -249,6 +250,34 @@ def _overlap(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     return np.clip(inter, 0.0, None, out=inter)
 
 
+def _outer(op, col_terms: np.ndarray, row_terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[..., r, c, s] = op(col_terms[..., c, s], row_terms[..., r, s]).
+
+    For (..., cols, S) column and (..., rows, S) row tables and out of
+    (..., rows, cols, S). With both tables broadcast, numpy loops over S
+    values at a time, so the column table is first copied over the rows,
+    along contiguous (cols x S) rows, and then op'd in place with the row
+    table: the same op(col, row) per entry, bit for bit. A one-row out
+    takes op directly.
+    """
+    col_terms = col_terms[..., None, :, :]
+    if out.shape[-3] == 1:
+        return op(col_terms, row_terms[..., :, None, :], out=out)
+    out[...] = col_terms
+    return op(out, row_terms[..., :, None, :], out=out)
+
+
+_FIRST_ROW = slice(0, 1)
+
+
+def _whole(block: np.ndarray):
+    """Windows (see _iou_rows) that are the whole rows of a (B, A) score
+    block, as a kernel that scores every pair yields them; made as they
+    are read, so a caller that reads the block itself makes none."""
+    every = slice(0, block.shape[1])
+    return ((b, block[b, None], every, block.shape[1], _FIRST_ROW, every) for b in range(block.shape[0]))
+
+
 class _Scratch(threading.local):
     """This thread's reusable arrays, one buffer per role.
 
@@ -282,50 +311,78 @@ _scratch = _Scratch()
 
 def _iou_rows(g: np.ndarray, anchors, alloc):
     """The IoU kernel, which iou_matrix and the assignment fold call: yields
-    (rows, block) per row block of the center-form g (row_blocks order)
-    against anchors (a validated array or an AnchorSet), block =
-    alloc(rows, shape). g's corner table is made once per call.
+    (rows, windows) per row block of the center-form g (row_blocks order)
+    against anchors (a validated array or an AnchorSet). g's corner table
+    is made once per call.
 
     Per-axis overlaps come on (cols, S) and (rows, S) tables. A pair
     overlaps only where both axis overlaps are positive, so each gt row is
-    divided out only inside the bounding window of the columns and rows
-    it overlaps on some shape; every other entry is exact 0.0. A plain
-    array's one level has a single cell, so its window is every anchor or
-    none. An anchor's area is (x2 - x1) * (y2 - y1) from the level's
-    corner tables, the product the corner table takes, so no per-anchor
-    table is made.
+    scored only inside its window on each level: the bounding window of
+    the grid rows and columns it overlaps on some shape. Every IoU outside
+    the windows is exact +0.0. A window is (b, values, level, width, r,
+    c): the scores of block row b at level.reshape(-1, width)[r, c] of the
+    flat anchors, for the level's flat range, its (cols x S) row width and
+    slices of grid rows and of flat columns, held as the contiguous 2-d
+    values. The windows of a block are packed in order into block =
+    alloc(rows, shape), of the block's (B, A) score shape, which they fit
+    since a gt's windows on the levels hold at most A anchors.
+
+    In a window, inter and union are each a broadcast copy of the column
+    table times the row table (_outer), and an anchor's area is (x2 - x1)
+    * (y2 - y1) from the level's corner tables, the product the corner
+    table takes, so no per-anchor table is made. A level of one cell (a
+    plain array's) has the whole level as its window or none, so it
+    scores the block's overlapping gts in one pass, with one area row per
+    call.
     """
     ca = _corner_table(g)
     num_anchors = len(anchors)
-    levels = _levels(anchors)
+    levels = []
+    for start, end, level in _levels(anchors):
+        ax1, ax2, ay1, ay2 = level.corners
+        span_w = ax2 - ax1  # (cols, S)
+        span_h = ay2 - ay1  # (rows, S)
+        # A level of one cell is scored for all of a block's gts at once, on its one area row.
+        area = span_w * span_h if level.shape[:2] == (1, 1) else None
+        levels.append((slice(start, end), level.shape, level.corners, span_w, span_h, area))
     for rows in row_blocks(ca.shape[1], num_anchors):
         x1, y1, x2, y2, gt_area = ca[:, rows, None, None]
-        block = alloc(rows, (x1.shape[0], num_anchors))
-        block.fill(0.0)
-        for start, end, level in levels:
-            ax1, ax2, ay1, ay2 = level.corners
+        packed = alloc(rows, (x1.shape[0], num_anchors)).reshape(-1)
+        used = 0
+        windows = []
+        for level, (num_rows, num_cols, shapes), (ax1, ax2, ay1, ay2), span_w, span_h, area in levels:
             inter_w = _overlap(x1, x2, ax1, ax2)  # (B, cols, S)
             inter_h = _overlap(y1, y2, ay1, ay2)  # (B, rows, S)
             hit_cols = (inter_w > 0).any(axis=2)
             hit_rows = (inter_h > 0).any(axis=2)
-            span_w = ax2 - ax1  # (cols, S)
-            span_h = ay2 - ay1  # (rows, S)
-            level_block = block[:, start:end].reshape((block.shape[0],) + level.shape)
-            for b in range(block.shape[0]):
+            width = num_cols * shapes
+            if area is not None:
+                hit = np.flatnonzero(hit_cols[:, 0] & hit_rows[:, 0])
+                inter = inter_w[hit] * inter_h[hit]
+                union = area + gt_area[hit]
+                union -= inter
+                values = np.divide(inter, union, out=packed[used : used + inter.size].reshape(inter.shape))
+                used += inter.size
+                windows += [(b, v, level, width, _FIRST_ROW, slice(0, width)) for b, v in zip(hit.tolist(), values)]
+                continue
+            for b in range(x1.shape[0]):
                 cols = np.flatnonzero(hit_cols[b])
                 grid_rows = np.flatnonzero(hit_rows[b])
                 if not (cols.size and grid_rows.size):
                     continue
                 c = slice(cols[0], cols[-1] + 1)
                 r = slice(grid_rows[0], grid_rows[-1] + 1)
+                window = (r.stop - r.start, c.stop - c.start, shapes)
                 # Both window-sized temporaries are this thread's buffers.
-                window = (r.stop - r.start, c.stop - c.start, span_w.shape[1])
-                inter = np.multiply(inter_w[b, None, c], inter_h[b, r, None], out=_scratch.take("inter", window))
-                union = np.multiply(span_w[None, c], span_h[r, None], out=_scratch.take("union", window))
+                inter = _outer(np.multiply, inter_w[b, c], inter_h[b, r], _scratch.take("inter", window))
+                union = _outer(np.multiply, span_w[c], span_h[r], _scratch.take("union", window))
                 union += gt_area[b]
                 union -= inter
-                np.divide(inter, union, out=level_block[b, r, c])
-        yield rows, block
+                values = np.divide(inter, union, out=packed[used : used + inter.size].reshape(window))
+                used += inter.size
+                windows.append((b, values.reshape(window[0], -1), level, width, r,
+                                slice(c.start * shapes, c.stop * shapes)))
+        yield rows, windows
 
 
 def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
@@ -339,14 +396,17 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
             boxes.
 
     Returns:
-        Array of shape (len(a), len(b)) with values in [0, 1], filled
-        block by block by the fold's IoU kernel.
+        Array of shape (len(a), len(b)) with values in [0, 1]: exact +0.0
+        where the boxes do not overlap, and elsewhere filled window by
+        window by the fold's IoU kernel.
     """
     a = boxes_to_array(boxes_a)
     b = _scorable(boxes_b)
-    out = np.empty((len(a), len(b)), dtype=np.float64)
-    for _ in _iou_rows(a, b, lambda rows, shape: out[rows]):
-        pass
+    out = np.zeros((len(a), len(b)), dtype=np.float64)
+    for rows, windows in _iou_rows(a, b, lambda rows, shape: np.empty(shape)):
+        block = out[rows]
+        for i, values, level, width, r, c in windows:
+            block[i, level].reshape(-1, width)[r, c] = values
     return out
 
 
@@ -385,8 +445,18 @@ class AnchorGridSpec:
     clip: bool = False
 
     def __post_init__(self) -> None:
-        levels = tuple((_real(s, "levels stride"), _real(b, "levels base size")) for s, b in self.levels)
-        object.__setattr__(self, "levels", levels)
+        try:
+            entries = tuple(self.levels)
+        except TypeError:
+            raise ValueError(f"levels must be a sequence of [stride, base_size] pairs, got {_shown(self.levels)}") from None
+        levels = []
+        for i, level in enumerate(entries):
+            try:
+                stride, base = level
+            except (TypeError, ValueError):
+                raise ValueError(f"levels[{i}] must be [stride, base_size], got {_shown(level)}") from None
+            levels.append((_real(stride, "levels stride"), _real(base, "levels base size")))
+        object.__setattr__(self, "levels", tuple(levels))
         for name in ("ratios", "scales"):
             object.__setattr__(self, name, tuple(_real(v, name) for v in getattr(self, name)))
         for name in ("image_w", "image_h"):

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _count, _read_json, _real, _shown
-from .geometry import Box, boxes_to_array, _levels, _scorable, row_blocks
+from . import _count, _read_json, _real, _shown, _shown_path
+from .geometry import Box, boxes_to_array, _levels, _outer, _scorable, _whole, row_blocks
 
 __all__ = [
     "EmptyDatasetError",
@@ -151,16 +151,25 @@ def pairwise_similarity(gt: Box, anchor: Box, norm: DatasetNormalizers) -> float
 
 def _ps_rows(g: np.ndarray, anchors, norm: DatasetNormalizers, alloc):
     """The PS kernel, which ps_matrix and the assignment fold call: yields
-    (rows, block) per gt row block of g (geometry.row_blocks order) against
-    anchors (a validated array or an AnchorSet), block = alloc(rows, shape).
+    (rows, windows) per gt row block of g (geometry.row_blocks order)
+    against anchors (a validated array or an AnchorSet), scored into block
+    = alloc(rows, shape). Every pair is scored, so each row of the block
+    is one window, the whole tile (the window form is geometry._iou_rows').
 
     The terms are factored per level (geometry._levels). The x terms
     depend only on (column, shape) and the y terms only on (row, shape),
     so they come from _axis_terms on (B, cols, S) and (B, rows, S) tables
-    (LevelGrid.axes). Unclipped, the size terms depend on the shape alone,
-    so the shape term stays (B, 1, 1, S); clipped, or for a plain array's
-    one cell of S = N shapes, it is per pair. Each pair then costs an add,
-    a sqrt, an add, a negation and an exp, in the order of
+    (LevelGrid.axes). The position term is a copy of the x terms over the
+    grid rows, along contiguous (cols x S) rows, plus the y terms
+    (geometry._outer), and its sqrt is taken in place. The negation is
+    folded into the shape term: (-shape) - position is -(position +
+    shape) bit for bit, as round-to-nearest is symmetric and addition
+    commutes. Unclipped, the size terms depend on the shape alone, so
+    -shape is made once per level on (B, 1, S) and tiled to (B, 1, cols x
+    S), and the subtraction runs along contiguous rows too; clipped, or
+    for a plain array's one cell of S = N shapes, it is per pair, made as
+    the position term is. exp then runs in place. Each pair costs a copy,
+    an add, a sqrt, a subtraction and an exp, in the order of
     exp(-(position + shape)).
     """
     num_anchors = len(anchors)
@@ -169,17 +178,23 @@ def _ps_rows(g: np.ndarray, anchors, norm: DatasetNormalizers, alloc):
         gx, gy, gw, gh = g[rows, :, None, None].transpose(1, 0, 2, 3)
         block = alloc(rows, (gx.shape[0], num_anchors))
         for start, end, level in levels:
+            num_rows, num_cols, shapes = level.shape
             (x, w), (y, h) = level.axes
             px, qw = _axis_terms(gx, x, gw, w, norm.m)
             py, qh = _axis_terms(gy, y, gh, h, norm.n)
-            shape = qw[:, None] + qh[:, :, None]
-            np.sqrt(shape, out=shape)
             level_block = block[:, start:end].reshape((block.shape[0],) + level.shape)
-            np.add(px[:, None, :, :], py[:, :, None, :], out=level_block)
+            _outer(np.add, px, py, level_block)
             np.sqrt(level_block, out=level_block)
-            level_block += shape
-        np.negative(block, out=block)
-        yield rows, np.exp(block, out=block)
+            # (B, 1, 1, S) unclipped, with one term per shape; else per pair.
+            shape = np.empty((block.shape[0], qh.shape[1], qw.shape[1], shapes))
+            _outer(np.add, qw, qh, shape)
+            np.sqrt(shape, out=shape)
+            np.negative(shape, out=shape)
+            if shape.shape[2] < num_cols:
+                shape = np.tile(shape, (num_cols, 1))
+            position = level_block.reshape(block.shape[0], num_rows, num_cols * shapes)
+            np.subtract(shape.reshape(position.shape[0], shape.shape[1], -1), position, out=position)
+        yield rows, _whole(np.exp(block, out=block))
 
 
 def ps_matrix(gts, anchors, norm: DatasetNormalizers) -> np.ndarray:
@@ -303,12 +318,13 @@ def load_normalizer_cache(path) -> NormalizerCache:
             object, lacks a field, or holds a value NormalizerCache
             rejects; the message names the file.
     """
-    doc = _read_json(path, f"normalizer cache {path}", ValueError)
+    what = f"normalizer cache {_shown_path(path)}"
+    doc = _read_json(path, what, ValueError)
     names = [f.name for f in fields(NormalizerCache)]
     missing = [k for k in names if k not in doc]
     if missing:
-        raise ValueError(f"normalizer cache {path} is missing field {missing[0]!r}")
+        raise ValueError(f"{what} is missing field {missing[0]!r}")
     try:
         return NormalizerCache(**{k: doc[k] for k in names})
     except ValueError as exc:
-        raise ValueError(f"normalizer cache {path} {exc}") from exc
+        raise ValueError(f"{what} {exc}") from exc

@@ -91,16 +91,6 @@ def bits(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
 
 
-def stacked(blocks, num_rows: int) -> np.ndarray:
-    rows_seen = []
-    parts = []
-    for rows, block in blocks:
-        rows_seen.append(rows)
-        parts.append(np.array(block))
-    assert rows_seen == list(geometry.row_blocks(num_rows, parts[0].shape[1]))
-    return np.concatenate(parts)
-
-
 def assert_same_bits(a, b):
     np.testing.assert_array_equal(bits(a), bits(b))
 
@@ -540,7 +530,10 @@ def test_counting_an_image_again_reuses_the_fold_arrays():
 def test_row_kernels_yield_blocks_in_row_block_order():
     # 13 gts (random_gts adds one far off) over 10,800 anchors are three
     # row blocks of 6, 6 and 1 rows, each asked of the allocator as the
-    # kernel comes to it and yielded as the array it gave.
+    # kernel comes to it. Each window's scores are held in the array it
+    # gave and equal the matrix at the window's anchors; no two windows
+    # share an anchor of a row. The PS windows cover every pair, and every
+    # IoU outside the windows is exact +0.0, so the far gt has none.
     rng = np.random.default_rng(11)
     spec = AnchorGridSpec(levels=((16.0, 16.0),), image_w=640.0, image_h=480.0,
                           ratios=(0.5, 1.0, 2.0), scales=(8.0, 16.0, 32.0))
@@ -549,19 +542,31 @@ def test_row_kernels_yield_blocks_in_row_block_order():
     norm = DatasetNormalizers(0.76, 0.56)
     kernels = ((lambda alloc: similarity._ps_rows(gts, anchors, norm, alloc), ps_matrix(gts, anchors, norm)),
                (lambda alloc: geometry._iou_rows(gts, anchors, alloc), iou_matrix(gts, anchors)))
+    coverage = []
     for kernel, matrix in kernels:
         asked = []
 
         def recording(rows, shape):
-            asked.append((rows, shape))
-            return np.full(shape, np.nan)
+            asked.append((rows, shape, np.full(shape, np.nan)))
+            return asked[-1][2]
 
-        blocks = []
-        for rows, block in kernel(recording):
-            assert asked[-1] == (rows, block.shape)
-            blocks.append((rows, block))
-        assert [rows.stop - rows.start for rows, _ in blocks] == [6, 6, 1]
-        assert_same_bits(stacked(blocks, len(gts)), matrix)
+        scored = np.full(matrix.shape, np.nan)
+        sizes = []
+        for rows, windows in kernel(recording):
+            assert asked[-1][:2] == (rows, (rows.stop - rows.start, len(anchors)))
+            sizes.append(rows.stop - rows.start)
+            for b, values, level, width, r, c in windows:
+                assert np.shares_memory(values, asked[-1][2])
+                target = scored[rows.start + b, level].reshape(-1, width)[r, c]
+                assert np.isnan(target).all()
+                target[...] = values
+        assert sizes == [6, 6, 1]
+        covered = ~np.isnan(scored)
+        assert_same_bits(scored[covered], matrix[covered])
+        assert not np.any(bits(matrix[~covered]))
+        coverage.append(covered)
+    ps_covered, iou_covered = coverage
+    assert ps_covered.all() and not iou_covered[-1].any()
 
 
 def random_boxes(rng, count: int) -> np.ndarray:

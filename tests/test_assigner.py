@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -35,6 +36,7 @@ from smalldet import (
 )
 from smalldet import geometry
 from smalldet.assigner import _count_tiles, _matrix_tiles
+import oracles
 from oracles import assign_ref
 
 DEFAULT = AssignThresholds()
@@ -808,3 +810,149 @@ def test_stats_checks_count_records_against_the_areas():
     assert counts.gt_areas.shape == counts.positives_per_gt.shape == (2,)
     with pytest.raises(ValueError, match="counts cover 2 gts but there are 3 gt areas"):
         ImageCounts([1.0, 2.0, 3.0], counts.positives_per_gt, counts.negative, counts.anchors)
+
+
+# The window fold reads each IoU tile only inside each gt's windows
+# (geometry._iou_rows), and a PS row as one whole-tile window. The cases
+# below put windows where that could go wrong; each is checked against
+# the literal assignment steps on the full pairwise matrix, whose rows
+# every fold once read whole.
+def full_row_reference(gts, anchors, norm, thr, metric):
+    boxes = np.array(anchors.boxes) if isinstance(anchors, geometry.AnchorSet) else anchors
+    if metric is Metric.PS:
+        scores = oracles.pair_ps_matrix(gts, boxes, norm)
+    else:
+        scores = oracles.pair_iou_matrix(gts, boxes)
+    labels, gt_index, best = assign_ref(scores, pos_thr=thr.pos_thr, neg_thr=thr.neg_thr,
+                                        min_pos_thr=thr.min_pos_thr)
+    return scores, np.array(labels), np.array(gt_index), np.array(best, dtype=np.float64)
+
+
+def check_window_fold(gts, anchors, norm, thresholds=(DEFAULT, AssignThresholds(0.5, 0.2, 0.0))):
+    """Both sinks on the set and on each of its levels (--per-level) against
+    the full-row reference, bit for bit; returns the pooled IoU result."""
+    parts = [anchors, *anchors.level_sets] if isinstance(anchors, geometry.AnchorSet) else [anchors]
+    pooled = {}
+    for thr in thresholds:
+        for part in parts:
+            for metric in Metric:
+                result = assign_with_metric(gts, part, norm, thr, metric)
+                _, labels, gt_index, best = full_row_reference(gts, part, norm, thr, metric)
+                np.testing.assert_array_equal(result.labels, labels)
+                np.testing.assert_array_equal(result.gt_index, gt_index)
+                np.testing.assert_array_equal(result.best_score.view(np.int64), best.view(np.int64))
+                counts = count_with_metric(gts, part, norm, thr, metric)
+                expected = result.counts(gts[:, 2] * gts[:, 3])
+                np.testing.assert_array_equal(counts.positives_per_gt, expected.positives_per_gt)
+                assert (counts.negative, counts.anchors) == (expected.negative, expected.anchors)
+                pooled[thr, metric, part is anchors] = result
+    return pooled[thresholds[-1], Metric.IOU, True]
+
+
+def windows_of(gts, anchors):
+    """Each gt's IoU windows, as (level start, values) pairs."""
+    found = {g: [] for g in range(gts.shape[0])}
+    for rows, windows in geometry._iou_rows(gts, anchors, lambda rows, shape: np.empty(shape)):
+        for b, values, level, width, r, c in windows:
+            found[rows.start + b].append((level.start, values.copy()))
+    return found
+
+
+@pytest.mark.parametrize("block_pairs", [None, 60, 7])
+@pytest.mark.parametrize("clip", [False, True])
+def test_window_fold_at_the_grid_edge_and_off_the_grid(monkeypatch, clip, block_pairs):
+    # Two levels over a 60x44 image; 60 anchors cut level 0's rows into
+    # tiles of one grid row and 7 into tiles of part of a row. The gts
+    # cross each border and corner, one covers the image, and one lies
+    # past every anchor's reach, so it has no window.
+    if block_pairs is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    anchors = generate_anchors(AnchorGridSpec(levels=((8.0, 8.0), (24.0, 20.0)), image_w=60.0, image_h=44.0,
+                                              ratios=(0.5, 1.0, 2.0), scales=(1.0, 2.0), clip=clip))
+    gts = np.array([[0.0, 20.0, 10.0, 6.0], [60.0, 10.0, 8.0, 14.0], [30.0, 0.0, 12.0, 8.0],
+                    [30.0, 44.0, 6.0, 6.0], [0.0, 0.0, 9.0, 9.0], [60.0, 44.0, 20.0, 11.0],
+                    [30.0, 22.0, 80.0, 60.0], [-60.0, 22.0, 4.0, 4.0], [59.0, 43.0, 3.0, 2.0]])
+    norm = finalize(accumulate(NormalizerAccumulator(), gts, anchors))
+    found = windows_of(gts, anchors)
+    assert not found[7] and all(found[g] for g in range(gts.shape[0]) if g != 7)
+    result = check_window_fold(gts, anchors, norm)
+    # The gt with no window scores 0 everywhere: under a zero min_pos_thr
+    # it claims anchor 0, unless a later gt claims it too.
+    assert result.gt_index[0] in (7, 8) and result.labels[0] == POSITIVE
+
+
+def test_a_window_whose_maximum_is_zero_takes_anchor_0():
+    # Wide (40 x 2.5) and tall (2.5 x 40) anchors on a 4x4 grid. The last
+    # gt meets the columns of the wide anchors and the rows of the tall
+    # ones, so its window is not empty, but no anchor meets it on both
+    # axes: every IoU in the window is 0.
+    anchors = generate_anchors(AnchorGridSpec(levels=((16.0, 10.0),), image_w=64.0, image_h=64.0,
+                                              ratios=(1 / 16, 16.0)))
+    gts = np.array([[8.0, 8.0, 20.0, 20.0], [16.0, 16.0, 2.0, 2.0]])
+    values = windows_of(gts, anchors)[1]
+    assert values and all(v.size and not np.any(v) for _, v in values)
+    norm = finalize(accumulate(NormalizerAccumulator(), gts, anchors))
+    result = check_window_fold(gts, anchors, norm)
+    assert result.labels[0] == POSITIVE and result.gt_index[0] == 1
+
+
+@pytest.mark.parametrize("block_pairs", [None, 4, 1])
+def test_window_ties_keep_the_lowest_anchor_across_levels_and_tiles(monkeypatch, block_pairs):
+    # Level 0 (stride 8) and level 1 (stride 24) both hold an 8x8 anchor
+    # at (12, 12), so gt 0, which is that box, ties at 1.0 across levels.
+    # gt 1 lies half way between the anchors of grid rows 0 and 1 of
+    # level 0: it ties across tiles when a tile is one grid row (4
+    # anchors) or one anchor. gt 2 repeats gt 0, so it ties with it on
+    # every anchor.
+    if block_pairs is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    anchors = generate_anchors(AnchorGridSpec(levels=((8.0, 8.0), (24.0, 8.0)), image_w=32.0, image_h=32.0))
+    gts = np.array([[12.0, 12.0, 8.0, 8.0], [4.0, 8.0, 8.0, 8.0], [12.0, 12.0, 8.0, 8.0]])
+    norm = DatasetNormalizers(0.5, 0.5)
+    next_level = anchors.level_offsets[1][0]
+    for metric in Metric:
+        scores = full_row_reference(gts, anchors, norm, DEFAULT, metric)[0]
+        assert np.flatnonzero(scores[0] == 1.0).tolist() == [5, next_level]
+        assert np.flatnonzero(scores[1] == scores[1].max()).tolist() == [0, 4]
+    result = check_window_fold(gts, anchors, norm)
+    # Both tied anchors reach pos_thr and match gt 0, the lower of the tied
+    # gts; gts 0 and 2 then rescue the lower anchor, and gt 2 claims it
+    # last. gt 1 rescues the anchor of grid row 0.
+    assert result.gt_index[5] == 2 and result.gt_index[next_level] == 0
+    assert result.gt_index[0] == 1
+
+
+def test_window_fold_on_plain_arrays():
+    # A plain array is one cell whose window is all of it or none.
+    rng = np.random.default_rng(27)
+    anchors = np.column_stack([rng.uniform(0, 100, (300, 2)), rng.uniform(2, 40, (300, 2))])
+    gts = np.concatenate([anchors[[3, 3, 17]], [[500.0, 500.0, 5.0, 5.0]],
+                          np.column_stack([rng.uniform(0, 100, (5, 2)), rng.uniform(2, 40, (5, 2))])])
+    found = windows_of(gts, anchors)
+    assert [len(found[g]) for g in range(gts.shape[0])] == [1, 1, 1, 0, 1, 1, 1, 1, 1]
+    check_window_fold(gts, anchors, DatasetNormalizers(0.8, 0.6))
+
+
+def test_counting_a_dense_image_stays_within_one_tile_buffer():
+    # The coco-dense-cold shape: the default CLI layout on a 1600x1600
+    # image (90,000 anchors, two tiles) and 120 gts. Once this thread's
+    # buffers exist, counting an image allocates less than one more tile
+    # buffer of geometry._BLOCK_PAIRS float64 values (0.52 MB): 0.18-0.20
+    # MB under PS and 0.21-0.24 MB under IoU, measured.
+    anchors = generate_anchors(AnchorGridSpec(levels=((16.0, 16.0),), image_w=1600.0, image_h=1600.0,
+                                              ratios=(0.5, 1.0, 2.0), scales=(8.0, 16.0, 32.0)))
+    rng = np.random.default_rng(5)
+    side = rng.uniform(4.0, 300.0, 120)
+    gts = np.column_stack([rng.uniform(0, 1600, (120, 2)), side * rng.uniform(0.7, 1.4, 120), side])
+    norm = DatasetNormalizers(1.964, 1.949)
+    for metric in Metric:
+        first = count_with_metric(gts, anchors, norm, DEFAULT, metric)
+        tracemalloc.start()
+        try:
+            again = count_with_metric(gts, anchors, norm, DEFAULT, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= geometry._BLOCK_PAIRS * 8, f"{metric.value}: {peak / 1e6:.2f} MB"
+        np.testing.assert_array_equal(again.positives_per_gt, first.positives_per_gt)
+        assert again.negative == first.negative

@@ -362,11 +362,14 @@ def test_assign_reports_do_not_depend_on_grid_tables(tmp_path, capsys, monkeypat
     # Both sides read one normalizer cache, so only the scoring kernels differ.
     ann = varied_dataset(tmp_path)
 
+    # The oracles score every pair, so each block row is one whole window.
     def pair_ps_rows(g, a, norm, alloc):
-        return oracles.pair_ps_rows(g, a.boxes, norm, alloc)
+        for rows, block in oracles.pair_ps_rows(g, a.boxes, norm, alloc):
+            yield rows, geometry._whole(block)
 
     def pair_iou_rows(g, a, alloc):
-        return oracles.pair_iou_rows(oracles.corner_table(g), oracles.corner_table(a.boxes), alloc)
+        for rows, block in oracles.pair_iou_rows(oracles.corner_table(g), oracles.corner_table(a.boxes), alloc):
+            yield rows, geometry._whole(block)
 
     # assigner binds both kernels at import, so each is patched in every
     # module that looks it up.
@@ -1210,6 +1213,27 @@ def test_rejected_value_ends_in_one_bounded_line_naming_it(tmp_path, capsys, mon
     assert err.startswith("error:") and named in err and "Traceback" not in err
     assert len(err.splitlines()) == 1 and len(err.rstrip("\n")) <= MAX_ERROR_LINE
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["stats", "--ann", "{ann}", "--anchors", "{long}"], 1),
+        (["contrast-demo", "--config", "{long}"], 1),
+        (["stats", "--ann", "{long}"], 2),
+    ],
+    ids=["anchors", "config", "ann"],
+)
+def test_a_long_unreadable_path_ends_in_one_bounded_line(tmp_path, capsys, argv, code):
+    # A 5,000-character file name: the OS refuses it, and its error text
+    # would repeat the whole path.
+    long = str(tmp_path / ("p" * 5000 + ".json"))
+    argv = [arg.format(ann=mini_dataset(tmp_path), long=long) for arg in argv]
+    found, stdout, err = run(capsys, argv)
+    assert found == code and stdout == ""
+    assert err.startswith("data error: cannot read" if code == 2 else "error: cannot read")
+    assert "Traceback" not in err and err.rstrip("\n").endswith("p.json: File name too long")
+    assert len(err.splitlines()) == 1 and len(err.rstrip("\n")) <= MAX_ERROR_LINE
 
 
 # A fresh interpreter that imports nothing but the CLI, so json in

@@ -141,6 +141,24 @@ def test_generate_anchors_ratio_shapes():
     assert box[3] == pytest.approx(16.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        ([[4, 4, 4]], "levels[0] must be [stride, base_size], got [4, 4, 4]"),
+        (((8.0, 8.0), (4.0,)), "levels[1] must be [stride, base_size], got (4.0,)"),
+        ([5], "levels[0] must be [stride, base_size], got 5"),
+        (5, "levels must be a sequence of [stride, base_size] pairs, got 5"),
+        ([[4] * 5000], "levels[0] must be [stride, base_size], got [4, 4, 4,"),
+    ],
+    ids=["three-numbers", "one-number", "bare-number", "not-a-sequence", "long-entry"],
+)
+def test_grid_spec_names_a_malformed_levels_entry(levels, message):
+    with pytest.raises(ValueError) as raised:
+        AnchorGridSpec(levels=levels, image_w=8, image_h=8)
+    assert str(raised.value).startswith(message)
+    assert len(str(raised.value)) <= 100
+
+
 def test_generate_anchors_count_formula():
     rng = np.random.default_rng(15)
     for _ in range(10):
