@@ -182,9 +182,6 @@ def _ps_rows(g: np.ndarray, anchors, norm: DatasetNormalizers, alloc):
             (x, w), (y, h) = level.axes
             px, qw = _axis_terms(gx, x, gw, w, norm.m)
             py, qh = _axis_terms(gy, y, gh, h, norm.n)
-            level_block = block[:, start:end].reshape((block.shape[0],) + level.shape)
-            _outer(np.add, px, py, level_block)
-            np.sqrt(level_block, out=level_block)
             # (B, 1, 1, S) unclipped, with one term per shape; else per pair.
             shape = np.empty((block.shape[0], qh.shape[1], qw.shape[1], shapes))
             _outer(np.add, qw, qh, shape)
@@ -192,6 +189,9 @@ def _ps_rows(g: np.ndarray, anchors, norm: DatasetNormalizers, alloc):
             np.negative(shape, out=shape)
             if shape.shape[2] < num_cols:
                 shape = np.tile(shape, (num_cols, 1))
+            level_block = block[:, start:end].reshape((block.shape[0],) + level.shape)
+            _outer(np.add, px, py, level_block)
+            np.sqrt(level_block, out=level_block)
             position = level_block.reshape(block.shape[0], num_rows, num_cols * shapes)
             np.subtract(shape.reshape(position.shape[0], shape.shape[1], -1), position, out=position)
         yield rows, _whole(np.exp(block, out=block))
