@@ -24,8 +24,8 @@ from smalldet import (
     iou_matrix,
     load_coco,
     ps_matrix,
-    report_to_dict,
     reports_to_csv,
+    reports_to_json,
 )
 
 # --- a dataset of 12 images with mixed object sizes ------------------
@@ -110,7 +110,7 @@ with tempfile.TemporaryDirectory(prefix="dataset_report_") as tmp:
     print()
 
     # The same numbers, serialized the way the command-line tool writes them.
-    (workdir / "report.json").write_text(json.dumps([report_to_dict(r) for r in reports], indent=2))
+    (workdir / "report.json").write_text(reports_to_json(reports))
     (workdir / "report.csv").write_text(reports_to_csv(reports))
     print("wrote", workdir / "report.json")
     print("wrote", workdir / "report.csv")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -505,6 +505,7 @@ class BucketStats:
     """Assignment outcomes for ground truths in one size bucket.
 
     mean_positives_per_gt is None when the bucket holds no ground truths.
+    The JSON and CSV reports hold these fields in this order.
     """
 
     name: str
@@ -640,32 +641,18 @@ def assignment_stats(
     )
 
 
+# The report's total_* fields, under their JSON "totals" keys.
+_TOTALS = ("positive", "negative", "ignore", "anchors")
+
+
 def report_to_dict(report: StatsReport) -> dict:
     """Plain-dict form of a report, suitable for json.dumps."""
     return {
         "metric": report.metric,
-        "thresholds": {
-            "pos_thr": report.thresholds.pos_thr,
-            "neg_thr": report.thresholds.neg_thr,
-            "min_pos_thr": report.thresholds.min_pos_thr,
-        },
+        "thresholds": asdict(report.thresholds),
         "bucket_edges": list(report.bucket_edges),
-        "totals": {
-            "positive": report.total_positive,
-            "negative": report.total_negative,
-            "ignore": report.total_ignore,
-            "anchors": report.total_anchors,
-        },
-        "buckets": [
-            {
-                "name": b.name,
-                "gt_count": b.gt_count,
-                "mean_positives_per_gt": b.mean_positives_per_gt,
-                "gts_without_positive": b.gts_without_positive,
-                "positive_anchors": b.positive_anchors,
-            }
-            for b in report.buckets
-        ],
+        "totals": {key: getattr(report, f"total_{key}") for key in _TOTALS},
+        "buckets": [asdict(b) for b in report.buckets],
     }
 
 
@@ -675,44 +662,15 @@ def reports_to_json(reports) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-_CSV_COLUMNS = [
-    "metric",
-    "bucket",
-    "gt_count",
-    "mean_positives_per_gt",
-    "gts_without_positive",
-    "positive_anchors",
-    "total_positive",
-    "total_negative",
-    "total_ignore",
-    "total_anchors",
-]
-
-
 def reports_to_csv(reports) -> str:
-    """Serialize reports as CSV, one row per (metric, bucket).
-
-    Numbers match the JSON form exactly; an undefined mean (empty bucket,
-    null in JSON) becomes an empty cell.
-    """
+    """Serialize reports as CSV, one row per (metric, bucket): the metric,
+    the bucket's fields (its name as "bucket"), then the totals. An empty
+    bucket's undefined mean (null in JSON) becomes an empty cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    _, *counts = (f.name for f in fields(BucketStats))
+    writer.writerow(["metric", "bucket", *counts, *(f"total_{key}" for key in _TOTALS)])
     for report in reports:
-        for b in report.buckets:
-            mean = "" if b.mean_positives_per_gt is None else repr(b.mean_positives_per_gt)
-            writer.writerow(
-                [
-                    report.metric,
-                    b.name,
-                    b.gt_count,
-                    mean,
-                    b.gts_without_positive,
-                    b.positive_anchors,
-                    report.total_positive,
-                    report.total_negative,
-                    report.total_ignore,
-                    report.total_anchors,
-                ]
-            )
+        totals = [getattr(report, f"total_{key}") for key in _TOTALS]
+        writer.writerows([report.metric, *astuple(b), *totals] for b in report.buckets)
     return buf.getvalue()

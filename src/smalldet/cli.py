@@ -390,20 +390,25 @@ def _check_writable(path, what: str, directory: bool = False) -> None:
     `what` opens the message, as in the late write error. A file target
     must not be a directory and needs an existing parent directory; a
     directory target may be missing, since it is made with its parents,
-    but nothing on its way may be a file.
+    but nothing on its way may be a file. A path the OS refuses fails
+    with the OS's reason, as a name too long does.
     """
     target = Path(path)
-    if target.exists():
-        if target.is_dir() == directory:
-            return
-        reason = "it is a directory" if target.is_dir() else "it is not a directory"
-    else:
-        parent = target.parent
-        while directory and not parent.exists():
-            parent = parent.parent
-        if parent.is_dir():
-            return
-        reason = f"{parent} is not a directory" if parent.exists() else f"directory {parent} does not exist"
+    try:
+        if target.exists():
+            if target.is_dir() == directory:
+                return
+            reason = "it is a directory" if target.is_dir() else "it is not a directory"
+        else:
+            parent = target.parent
+            while directory and not parent.exists():
+                parent = parent.parent
+            if parent.is_dir():
+                return
+            shown = _shown_path(parent)
+            reason = f"{shown} is not a directory" if parent.exists() else f"directory {shown} does not exist"
+    except OSError as exc:
+        reason = exc.strerror or type(exc).__name__
     raise CliUsageError(f"{what}: {reason}")
 
 
@@ -441,7 +446,9 @@ def _resolve_normalizers(
         try:
             save_normalizer_cache(path, cache)
         except OSError as exc:
-            raise CliUsageError(f"cannot write normalizer cache {path}: {exc}") from exc
+            raise CliUsageError(
+                f"cannot write normalizer cache {_shown_path(path)}: {exc.strerror or type(exc).__name__}"
+            ) from exc
         _log().info("wrote normalizer cache to %s", path)
     return norm, acc.pair_count, False
 
@@ -451,7 +458,7 @@ def cmd_stats(cfg: ExperimentConfig) -> int:
     _bind("dataset", "geometry", "similarity")
     _log()
     if cfg.cache_path:
-        _check_writable(cfg.cache_path, f"cannot write normalizer cache {cfg.cache_path}")
+        _check_writable(cfg.cache_path, f"cannot write normalizer cache {_shown_path(cfg.cache_path)}")
     index = load_coco(cfg.ann)
     anchors = _AnchorCache(cfg.ann, cfg.layout, index)
     gt_boxes = _image_gts(index)
@@ -481,9 +488,9 @@ def cmd_assign(cfg: ExperimentConfig) -> int:
     _bind("assigner", "dataset", "geometry", "similarity")
     _log()
     if cfg.out_dir is not None:
-        _check_writable(cfg.out_dir, f"cannot write reports to {cfg.out_dir}", directory=True)
+        _check_writable(cfg.out_dir, f"cannot write reports to {_shown_path(cfg.out_dir)}", directory=True)
     if Metric.PS.value in cfg.metrics and cfg.cache_path:
-        _check_writable(cfg.cache_path, f"cannot write normalizer cache {cfg.cache_path}")
+        _check_writable(cfg.cache_path, f"cannot write normalizer cache {_shown_path(cfg.cache_path)}")
     index = load_coco(cfg.ann)
     anchors = _AnchorCache(cfg.ann, cfg.layout, index)
     gt_boxes = _image_gts(index)
@@ -532,7 +539,9 @@ def cmd_assign(cfg: ExperimentConfig) -> int:
             (out_dir / "report.json").write_text(reports_to_json(reports), encoding="utf-8")
             (out_dir / "report.csv").write_text(reports_to_csv(reports), encoding="utf-8")
         except OSError as exc:
-            raise CliUsageError(f"cannot write reports to {out_dir}: {exc}") from exc
+            raise CliUsageError(
+                f"cannot write reports to {_shown_path(out_dir)}: {exc.strerror or type(exc).__name__}"
+            ) from exc
         _log().info("wrote report.json and report.csv to %s", out_dir)
     return EXIT_OK
 

@@ -9,15 +9,15 @@ grid tables (LevelGrid: column centers, row centers, shape widths and
 heights, and the image rectangle when the layout clips). Clipping is
 separable by axis, so a clipped level is a grid too, with its x extents
 on a (cols, shapes) table and its y extents on a (rows, shapes) one.
-The set's per-anchor boxes and corner table are made only if a caller
-reads them. anchor_tiles cuts a large set into tiles of whole grid
-rows, which the kernels score as they score the set. The IoU kernel
-reads the tables to compute each ground truth's IoU only inside the row
-and column window where it overlaps each level; every IoU outside the
-windows is exact 0.0, which the fold and iou_matrix take as given. A
-plain (N, 4) array is scored as one level of one row and one column
-with S = N shapes, so one kernel per metric serves every input;
-iou_matrix and the assignment fold (assigner) are its two callers.
+The set's per-anchor boxes are made only if a caller reads them.
+anchor_tiles cuts a large set into tiles of whole grid rows, which the
+kernels score as they score the set. The IoU kernel reads the tables
+to compute each ground truth's IoU only inside the row and column
+window where it overlaps each level; every IoU outside the windows is
+exact 0.0, which the fold and iou_matrix take as given. A plain (N, 4)
+array is scored as one level of one row and one column with S = N
+shapes, so one kernel per metric serves every input; iou_matrix and the
+assignment fold (assigner) are its two callers.
 """
 
 from __future__ import annotations
@@ -178,29 +178,14 @@ def overlapping(boxes: np.ndarray, anchors: "AnchorSet") -> np.ndarray:
         boxes: Validated (N, 4) float64 array, as from boxes_to_array.
         anchors: An AnchorSet.
     """
-    x1, y1, x2, y2, _ = _corner_table(boxes)
+    x, y, w, h = boxes.T
+    x1, x2, y1, y2 = _axis_corners(((x, w), (y, h)))
     corners = [level.corners for level in anchors.grid]
     meets = x2 > min(c[0].min() for c in corners)
     meets &= x1 < max(c[1].max() for c in corners)
     meets &= y2 > min(c[2].min() for c in corners)
     meets &= y1 < max(c[3].max() for c in corners)
     return np.flatnonzero(meets)
-
-
-def _corner_table(arr: np.ndarray) -> np.ndarray:
-    """Rows x1, y1, x2, y2, area of (N, 4) center-form boxes, shape (5, N)."""
-    table = np.empty((5, arr.shape[0]), dtype=np.float64)
-    x1, y1, x2, y2, area = table
-    half_w = arr[:, 2] / 2.0
-    half_h = arr[:, 3] / 2.0
-    np.subtract(arr[:, 0], half_w, out=x1)
-    np.subtract(arr[:, 1], half_h, out=y1)
-    np.add(arr[:, 0], half_w, out=x2)
-    np.add(arr[:, 1], half_h, out=y2)
-    # Areas from the same corner differences the intersection uses, so an
-    # identical pair yields inter == area exactly and the ratio is 1.0.
-    np.multiply(x2 - x1, y2 - y1, out=area)
-    return table
 
 
 def _scorable(boxes):
@@ -235,8 +220,7 @@ def _levels(anchors) -> list:
 
 
 def _axis_corners(axes) -> tuple[np.ndarray, ...]:
-    """x1, x2, y1, y2 of a level's ((x, w), (y, h)) tables, computed as
-    the corner table computes them, so the values are the same."""
+    """x1, x2, y1, y2 of ((x, w), (y, h)): a level's tables, or the columns of boxes."""
     (x, w), (y, h) = axes
     half_w = w / 2.0
     half_h = h / 2.0
@@ -329,13 +313,16 @@ def _iou_rows(g: np.ndarray, anchors, alloc):
 
     In a window, inter and union are each a broadcast copy of the column
     table times the row table (_outer), and an anchor's area is (x2 - x1)
-    * (y2 - y1) from the level's corner tables, the product the corner
-    table takes, so no per-anchor table is made. A level of one cell (a
-    plain array's) has the whole level as its window or none, so it
-    scores the block's overlapping gts in one pass, with one area row per
-    call.
+    * (y2 - y1) from the level's corner tables, the product g's areas
+    take (so an identical pair scores exactly 1.0), and no per-anchor
+    table is made. A level of one cell (a plain array's) has the whole
+    level as its window or none, so it scores the block's overlapping gts
+    in one pass, with one area row per call.
     """
-    ca = _corner_table(g)
+    x, y, w, h = g.T
+    gx1, gx2, gy1, gy2 = _axis_corners(((x, w), (y, h)))
+    # Rows x1, y1, x2, y2, area of g, so a row block takes them in one indexing.
+    ca = np.array((gx1, gy1, gx2, gy2, (gx2 - gx1) * (gy2 - gy1)))
     num_anchors = len(anchors)
     levels = []
     for start, end, level in _levels(anchors):
@@ -633,8 +620,8 @@ class AnchorSet:
 
     The flat order is level-major, then LevelGrid's order within a level.
     The set holds only its tables, which LevelGrid checks; its per-anchor
-    boxes and corner table are made, once and read-only, only when a
-    caller reads them, which no kernel does.
+    boxes are made, once and read-only, only when a caller reads them,
+    which no kernel does.
 
     Attributes:
         grid: One LevelGrid per level.
@@ -669,13 +656,6 @@ class AnchorSet:
             arr[start:end] = level.boxes()
         arr.flags.writeable = False
         return arr
-
-    @cached_property
-    def corners(self) -> np.ndarray:
-        """Read-only (5, A) rows x1, y1, x2, y2, area; made on first use."""
-        table = _corner_table(self.boxes)
-        table.flags.writeable = False
-        return table
 
     @cached_property
     def level_sets(self) -> tuple["AnchorSet", ...]:

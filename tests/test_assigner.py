@@ -385,8 +385,6 @@ def test_anchor_set_is_read_only_and_scores_like_a_writable_copy():
     assert not anchor_set.boxes.flags.writeable
     with pytest.raises(ValueError):
         anchor_set.boxes[0, 0] = 1.0
-    assert anchor_set.corners is anchor_set.corners
-    assert not anchor_set.corners.flags.writeable
     copy = np.array(anchor_set.boxes, order="C")
     assert copy.flags.writeable
 
@@ -626,6 +624,105 @@ def test_report_serialization_identical_numbers():
 
     as_dict = report_to_dict(reports[0])
     assert as_dict["totals"]["anchors"] == reports[0].total_anchors
+
+
+# The exact text both serializers wrote for GOLDEN_REPORTS before they
+# were derived from the report fields: key order, header order, a null
+# mean as an empty cell, a float by repr, the trailing newline.
+GOLDEN_JSON = """\
+{
+  "schema_version": 1,
+  "reports": [
+    {
+      "metric": "ps",
+      "thresholds": {
+        "pos_thr": 0.7,
+        "neg_thr": 0.3,
+        "min_pos_thr": 0.3
+      },
+      "bucket_edges": [
+        1024.0
+      ],
+      "totals": {
+        "positive": 1,
+        "negative": 50,
+        "ignore": 49,
+        "anchors": 100
+      },
+      "buckets": [
+        {
+          "name": "area<1024",
+          "gt_count": 3,
+          "mean_positives_per_gt": 0.3333333333333333,
+          "gts_without_positive": 2,
+          "positive_anchors": 1
+        },
+        {
+          "name": "area>=1024",
+          "gt_count": 0,
+          "mean_positives_per_gt": null,
+          "gts_without_positive": 0,
+          "positive_anchors": 0
+        }
+      ]
+    },
+    {
+      "metric": "iou",
+      "thresholds": {
+        "pos_thr": 0.5,
+        "neg_thr": 0.1,
+        "min_pos_thr": 0.25
+      },
+      "bucket_edges": [
+        1024.0
+      ],
+      "totals": {
+        "positive": 3,
+        "negative": 40,
+        "ignore": 17,
+        "anchors": 60
+      },
+      "buckets": [
+        {
+          "name": "area<1024",
+          "gt_count": 1,
+          "mean_positives_per_gt": 0.0,
+          "gts_without_positive": 1,
+          "positive_anchors": 0
+        },
+        {
+          "name": "area>=1024",
+          "gt_count": 1,
+          "mean_positives_per_gt": 3.0,
+          "gts_without_positive": 0,
+          "positive_anchors": 3
+        }
+      ]
+    }
+  ]
+}
+"""
+
+GOLDEN_CSV = """\
+metric,bucket,gt_count,mean_positives_per_gt,gts_without_positive,positive_anchors,total_positive,total_negative,total_ignore,total_anchors
+ps,area<1024,3,0.3333333333333333,2,1,1,50,49,100
+ps,area>=1024,0,,0,0,1,50,49,100
+iou,area<1024,1,0.0,1,0,3,40,17,60
+iou,area>=1024,1,3.0,0,3,3,40,17,60
+"""
+
+
+def test_report_serializers_write_the_pinned_bytes():
+    # ps: three small gts with one positive (a mean of 1/3) and an empty
+    # large bucket; iou: other thresholds, a 0.0 and a 3.0 mean.
+    reports = [
+        assignment_stats([ImageCounts(np.array([10.0, 20.0, 30.0]), np.array([1, 0, 0]), 50, 100)],
+                         DEFAULT, Metric.PS, (1024,)),
+        assignment_stats([ImageCounts(np.array([10.0, 2000.0]), np.array([0, 3]), 40, 60)],
+                         AssignThresholds(0.5, 0.1, 0.25), Metric.IOU, (1024,)),
+    ]
+    assert reports_to_json(reports) == GOLDEN_JSON
+    assert reports_to_csv(reports) == GOLDEN_CSV
 
 
 def count_matrix(scores, thr=DEFAULT):
