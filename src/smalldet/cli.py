@@ -604,7 +604,8 @@ def cmd_contrast_demo(cfg: ContrastDemoConfig) -> int:
 
 
 def _as_path(value, key: str) -> str:
-    if not isinstance(value, str):
+    # The OS takes no path with a NUL in it, and Python raises ValueError for one.
+    if not isinstance(value, str) or "\0" in value:
         raise CliUsageError(f"{key} must be a path, got {_shown(value)}")
     return value
 

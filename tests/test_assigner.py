@@ -626,9 +626,10 @@ def test_report_serialization_identical_numbers():
     assert as_dict["totals"]["anchors"] == reports[0].total_anchors
 
 
-# The exact text both serializers wrote for GOLDEN_REPORTS before they
-# were derived from the report fields: key order, header order, a null
-# mean as an empty cell, a float by repr, the trailing newline.
+# The exact text of both serializers for the reports built in
+# test_report_serializers_write_the_pinned_bytes, as the hand-written
+# serializers wrote it: key order, header order, a null mean as an empty
+# cell, a float by repr, the trailing newline.
 GOLDEN_JSON = """\
 {
   "schema_version": 1,

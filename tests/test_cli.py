@@ -1172,6 +1172,8 @@ REJECTED = {
     "tau": ("contrast-demo", ["--tau", "1" * 5000 + "x"], {"tau": "1" * 5000 + "x"}, "tau"),
     "metrics": ("assign", ["--metrics", LONG], {"metrics": [LONG]}, "metrics"),
     "path": ("assign", None, {"cache": [LONG]}, "cache"),
+    "path-nul": ("assign", None, {"cache": "a\0b"}, "cache"),
+    "anchors-nul": ("assign", None, {"anchors": "a\0b"}, "anchors"),
     "list": ("assign", None, {"thr": {LONG: 1}}, "thr"),
     "config-key": ("assign", None, {LONG: 1}, "unknown key"),
     "anchor-key": ("assign", ["--anchors", json.dumps({LONG: 1})], {"anchors": {LONG: 1}}, "unknown anchor config key"),
