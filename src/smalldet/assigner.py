@@ -194,12 +194,16 @@ def _fold(tiles, gt_best: _GtBest, floor: float, pos_thr: float, buffers):
     blocks yields (rows, windows) per score block of the gts gts[rows],
     in gt order, over the tile's anchors. A window (b, values, level,
     width, r, c) holds the 2-d scores values of gt gts[rows][b] at the
-    tile's anchors level.reshape(-1, width)[r, c] (geometry._iou_rows); a
-    kernel that scores every pair gives each row one window, the whole
-    tile (geometry._whole). Every score outside a gt's windows is floor,
-    and no score is below floor, so the fold reads only the windows.
-    buffers(start, length) gives the tile's best-score and matched-gt
-    arrays, which start at floor and -1.
+    tile's anchors level.reshape(-1, width)[r, c] (geometry._iou_rows),
+    and each gt's windows come in anchor order. A score matrix gives each
+    row one window, the whole tile (geometry._whole), and so does the PS
+    kernel while it scores every pair of a block; under a cutoff it
+    yields per-level windows, some cut, and none where a gt cannot reach
+    the cutoff (similarity._ps_rows). Every score outside a gt's windows
+    is floor, or below the cutoff of the sink that set one, which reads
+    such a score as floor (count_with_metric); no score is below floor,
+    so the fold reads only the windows. buffers(start, length) gives the
+    tile's best-score and matched-gt arrays, which start at floor and -1.
 
     Each window folds into the per-anchor best with one np.maximum, and
     the matched gt is tracked only where it reaches pos_thr: there a
@@ -414,18 +418,19 @@ def assign(score, thr: AssignThresholds = AssignThresholds()) -> AssignResult:
     return _assign_tiles(_matrix_tiles(score), num_gts, num_anchors, thr, -np.inf)
 
 
-def _metric_tiles(g: np.ndarray, anchors, norm: DatasetNormalizers | None, metric: Metric):
+def _metric_tiles(g: np.ndarray, anchors, norm: DatasetNormalizers | None, metric: Metric, cutoff: float = 0.0):
     """(start, length, gts, blocks) per anchor tile, scored with metric.
 
     IoU is exact 0.0 for a gt that does not meet a tile's bounding box,
-    so a tile cut from a larger set scores only the gts that meet it.
+    so a tile cut from a larger set scores only the gts that meet it. PS
+    skips a gt's level where no score can reach cutoff (similarity._ps_rows).
     Every score block is a view of this thread's one score buffer.
     """
     every = np.arange(g.shape[0])
     alloc = lambda rows, shape: _scratch.take("score", shape)  # noqa: E731
     for start, tile in anchor_tiles(anchors):
         if metric is Metric.PS:
-            yield start, len(tile), every, _ps_rows(g, tile, norm, alloc)
+            yield start, len(tile), every, _ps_rows(g, tile, norm, alloc, cutoff)
         else:
             # Kept for time: unpruned, counts match but IoU on a 4000x3000 image with 100 gts takes 2x.
             gts = overlapping(g, tile) if tile is not anchors and isinstance(tile, AnchorSet) else every
@@ -487,6 +492,19 @@ def count_with_metric(
     assign_with_metric(...).counts(areas) for the gt areas w * h, which it
     carries as gt_areas.
 
+    PS pairs are scored only where a score can reach the cutoff c =
+    min(neg_thr, min_pos_thr) (similarity._ps_rows): a gt is skipped on a
+    level where its shape term alone passes -ln c, and cut to the
+    bounding rows and columns it can reach on a level that is wide enough
+    for it. The counts stay exact, as the sink compares scores only with
+    thresholds at or above c: a label compares an anchor's best score
+    with neg_thr and pos_thr, both >= c; a matched gt is tracked only at
+    >= pos_thr; a rescue needs a gt's best score >= min_pos_thr >= c; and
+    a rescue's undo compares the anchor's pre-rescue best with neg_thr
+    alone. So a score below c may read as the floor +0.0, and c = 0
+    scores every pair. A pair that is not scored cannot raise the fold's
+    non-finite error.
+
     Args:
         g: Validated (G, 4) float64 center-form (cx, cy, w, h)
             ground-truth array, as from boxes_to_array or a DatasetIndex;
@@ -497,7 +515,8 @@ def count_with_metric(
         metric: Metric.PS or Metric.IOU (or their string values).
     """
     metric, a = _checked(anchors, norm, metric)
-    return _count_tiles(_metric_tiles(g, a, norm, metric), g[:, 2] * g[:, 3], len(a), thr, 0.0)
+    cutoff = min(thr.neg_thr, thr.min_pos_thr)
+    return _count_tiles(_metric_tiles(g, a, norm, metric, cutoff), g[:, 2] * g[:, 3], len(a), thr, 0.0)
 
 
 @dataclass(frozen=True)

@@ -483,12 +483,21 @@ def _count_one_image(
     return sum(parts, start=next(parts))
 
 
+# The files `assign --out` writes, in the order it writes them.
+_REPORT_NAMES = ("report.json", "report.csv")
+
+
 def cmd_assign(cfg: ExperimentConfig) -> int:
     """Run per-metric assignments over the dataset and emit reports."""
     _bind("assigner", "dataset", "geometry", "similarity")
     _log()
     if cfg.out_dir is not None:
         _check_writable(cfg.out_dir, f"cannot write reports to {_shown_path(cfg.out_dir)}", directory=True)
+        # A report name taken by a directory fails now, not once the other report is written.
+        if Path(cfg.out_dir).is_dir():
+            for name in _REPORT_NAMES:
+                target = Path(cfg.out_dir) / name
+                _check_writable(target, f"cannot write report {_shown_path(target)}")
     if Metric.PS.value in cfg.metrics and cfg.cache_path:
         _check_writable(cfg.cache_path, f"cannot write normalizer cache {_shown_path(cfg.cache_path)}")
     index = load_coco(cfg.ann)
@@ -534,14 +543,16 @@ def cmd_assign(cfg: ExperimentConfig) -> int:
 
     if cfg.out_dir is not None:
         out_dir = Path(cfg.out_dir)
+        # Both texts exist before either file is opened.
+        texts = dict(zip(_REPORT_NAMES, (reports_to_json(reports), reports_to_csv(reports))))
+        what = f"cannot write reports to {_shown_path(out_dir)}"
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "report.json").write_text(reports_to_json(reports), encoding="utf-8")
-            (out_dir / "report.csv").write_text(reports_to_csv(reports), encoding="utf-8")
+            for name, text in texts.items():
+                what = f"cannot write report {_shown_path(out_dir / name)}"
+                (out_dir / name).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise CliUsageError(
-                f"cannot write reports to {_shown_path(out_dir)}: {exc.strerror or type(exc).__name__}"
-            ) from exc
+            raise CliUsageError(f"{what}: {exc.strerror or type(exc).__name__}") from exc
         _log().info("wrote report.json and report.csv to %s", out_dir)
     return EXIT_OK
 

@@ -608,6 +608,13 @@ class LevelGrid:
         """x1, x2 on (cols, S) and y1, y2 on (rows, S) (see _axis_corners)."""
         return _axis_corners(self.axes)
 
+    @cached_property
+    def spans(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """((cx[-1] - cx[0], widest shape), (cy[-1] - cy[0], tallest shape))
+        as floats, of the unclipped tables."""
+        return ((float(self.cx[-1] - self.cx[0]), float(self.ws.max())),
+                (float(self.cy[-1] - self.cy[0]), float(self.hs.max())))
+
     def rows(self, start: int, stop: int) -> "LevelGrid":
         """The level cut to grid rows start:stop. Clipping is per axis, so
         its tables are the rows start:stop of this level's, bit for bit."""

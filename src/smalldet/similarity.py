@@ -22,13 +22,15 @@ tables, one level at a time in O(gts * (rows + cols) * shapes).
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import _count, _read_json, _real, _shown, _shown_path
-from .geometry import Box, boxes_to_array, _levels, _outer, _scorable, _whole, row_blocks
+from .geometry import Box, LevelGrid, boxes_to_array, _FIRST_ROW, _levels, _outer, _scorable, _whole, row_blocks
 
 __all__ = [
     "EmptyDatasetError",
@@ -149,52 +151,169 @@ def pairwise_similarity(gt: Box, anchor: Box, norm: DatasetNormalizers) -> float
     return float(ps_matrix([gt], [anchor], norm)[0, 0])
 
 
-def _ps_rows(g: np.ndarray, anchors, norm: DatasetNormalizers, alloc):
+# The reach T = -ln(cutoff) is widened by this much, so that no pair whose
+# terms pass T can round up to cutoff in exp: exp(-T) is then about
+# cutoff * (1 - 1e-6), far more than exp's rounding below it.
+_REACH_MARGIN = 1e-6
+
+
+def _reach(cutoff: float) -> float:
+    """T: a pair whose position plus shape term exceeds it scores below
+    cutoff. A cutoff of 0, or one below the smallest normal float, where
+    exp rounds too coarsely for the margin, reaches everywhere (T = inf)."""
+    if cutoff < sys.float_info.min:
+        return math.inf
+    return -math.log(cutoff) + _REACH_MARGIN
+
+
+def _cut_limits(level, norm: DatasetNormalizers, reach: float) -> tuple[float, float]:
+    """The widest and the tallest gt for which the level is worth cutting
+    to windows. A pair that reaches T has |x_g - x_a| <= T (w_g + w_a) / m,
+    as the position term is at least its x part, and the same along y. So
+    a gt's window is narrower than the span of the level's grid centers
+    along x where w_g < span * m / (2T) - the widest anchor, and along y
+    alike. A limit <= 0 cuts no gt, as at T = inf; a plain array's one
+    cell has no span, and is never cut."""
+    if not isinstance(level, LevelGrid):
+        return -math.inf, -math.inf
+    (x_span, widest), (y_span, tallest) = level.spans
+    return x_span * norm.m / (2 * reach) - widest, y_span * norm.n / (2 * reach) - tallest
+
+
+def _reaching(px: np.ndarray, py: np.ndarray, shape: np.ndarray, reach: float):
+    """(has, r0, r1, c0, c1) per gt: the bounding grid rows r0:r1 and
+    columns c0:c1 of the pairs whose terms may not pass T, and whether
+    there are any. A pair scores the cutoff only where sqrt(px + py) +
+    shape <= T; sqrt(px + min py) + min shape, per shape, bounds that
+    from below as rounding is monotone, so a column that fails it on every
+    shape scores below the cutoff on every row, and the same holds for rows."""
+    least = -shape.max(axis=(1, 2))[:, None, :]  # (B, 1, S): each shape's least shape term
+    fits_cols = (np.sqrt(px + py.min(axis=1, keepdims=True)) + least <= reach).any(axis=2)
+    fits_rows = (np.sqrt(py + px.min(axis=1, keepdims=True)) + least <= reach).any(axis=2)
+    has = fits_cols.any(axis=1) & fits_rows.any(axis=1)
+    r0, c0 = fits_rows.argmax(axis=1), fits_cols.argmax(axis=1)
+    r1 = fits_rows.shape[1] - fits_rows[:, ::-1].argmax(axis=1)
+    c1 = fits_cols.shape[1] - fits_cols[:, ::-1].argmax(axis=1)
+    return has, r0, r1, c0, c1
+
+
+def _ps_rows(g: np.ndarray, anchors, norm: DatasetNormalizers, alloc, cutoff: float = 0.0):
     """The PS kernel, which ps_matrix and the assignment fold call: yields
     (rows, windows) per gt row block of g (geometry.row_blocks order)
     against anchors (a validated array or an AnchorSet), scored into block
-    = alloc(rows, shape). Every pair is scored, so each row of the block
-    is one window, the whole tile (the window form is geometry._iou_rows').
+    = alloc(rows, shape), the block's (B, A) score shape.
+
+    A pair scores exp(-(position + shape)) <= exp(-shape), as position >=
+    0. So a gt whose shape term exceeds T = _reach(cutoff) on every anchor
+    of a level scores below cutoff on all of it, and it is not scored
+    there. On a level whose limits the block's gts are within
+    (_cut_limits), each other gt is scored only in its window: the
+    bounding grid rows and columns where its score may reach cutoff
+    (_reaching). While every gt of a row block is scored everywhere, each
+    row of the block is one window, the whole tile (geometry._whole), and
+    block is filled as a matrix. Otherwise each scored gt has one window
+    per level, all of the level or its cut, packed in order into block,
+    in the window form of geometry._iou_rows. The default cutoff 0 reaches
+    everywhere, so ps_matrix gets every pair.
 
     The terms are factored per level (geometry._levels). The x terms
     depend only on (column, shape) and the y terms only on (row, shape),
     so they come from _axis_terms on (B, cols, S) and (B, rows, S) tables
-    (LevelGrid.axes). The position term is a copy of the x terms over the
-    grid rows, along contiguous (cols x S) rows, plus the y terms
-    (geometry._outer), and its sqrt is taken in place. The negation is
-    folded into the shape term: (-shape) - position is -(position +
-    shape) bit for bit, as round-to-nearest is symmetric and addition
-    commutes. Unclipped, the size terms depend on the shape alone, so
-    -shape is made once per level on (B, 1, S) and tiled to (B, 1, cols x
-    S), and the subtraction runs along contiguous rows too; clipped, or
-    for a plain array's one cell of S = N shapes, it is per pair, made as
-    the position term is. exp then runs in place. Each pair costs a copy,
-    an add, a sqrt, a subtraction and an exp, in the order of
-    exp(-(position + shape)).
+    (LevelGrid.axes). The negated shape term comes first: unclipped, the
+    size terms depend on the shape alone, so -shape is made once per level
+    on (B, 1, 1, S); clipped, or for a plain array's one cell of S = N
+    shapes, it is per pair, made as the position term is. Its maximum
+    over the level is -(a gt's least shape term). The rest is
+    _score_level's, and exp then runs in place over the block.
     """
+    reach = _reach(cutoff)
+    # |w_g - w_a| / (w_g + w_a) rounds to at most 1, so no shape term
+    # exceeds sqrt(m^2 + n^2), rounded as the kernel rounds it.
+    skips = math.sqrt(norm.m * norm.m + norm.n * norm.n) > reach
     num_anchors = len(anchors)
-    levels = _levels(anchors)
+    levels = [(slice(start, end), level, _cut_limits(level, norm, reach)) for start, end, level in _levels(anchors)]
     for rows in row_blocks(g.shape[0], num_anchors):
         gx, gy, gw, gh = g[rows, :, None, None].transpose(1, 0, 2, 3)
-        block = alloc(rows, (gx.shape[0], num_anchors))
-        for start, end, level in levels:
-            num_rows, num_cols, shapes = level.shape
+        num_gts = gx.shape[0]
+        terms = []
+        whole = True
+        for span, level, (widest, tallest) in levels:
             (x, w), (y, h) = level.axes
             px, qw = _axis_terms(gx, x, gw, w, norm.m)
             py, qh = _axis_terms(gy, y, gh, h, norm.n)
             # (B, 1, 1, S) unclipped, with one term per shape; else per pair.
-            shape = np.empty((block.shape[0], qh.shape[1], qw.shape[1], shapes))
+            shape = np.empty((num_gts, qh.shape[1], qw.shape[1], level.shape[2]))
             _outer(np.add, qw, qh, shape)
             np.sqrt(shape, out=shape)
             np.negative(shape, out=shape)
-            if shape.shape[2] < num_cols:
-                shape = np.tile(shape, (num_cols, 1))
-            level_block = block[:, start:end].reshape((block.shape[0],) + level.shape)
-            _outer(np.add, px, py, level_block)
-            np.sqrt(level_block, out=level_block)
-            position = level_block.reshape(block.shape[0], num_rows, num_cols * shapes)
-            np.subtract(shape.reshape(position.shape[0], shape.shape[1], -1), position, out=position)
-        yield rows, _whole(np.exp(block, out=block))
+            # The gts that reach the level, or None for all of them.
+            kept = np.flatnonzero(shape.reshape(num_gts, -1).max(axis=1) >= -reach) if skips else None
+            if kept is not None and kept.size == num_gts:
+                kept = None
+            cuts = (widest > 0 and gw.max() < widest) or (tallest > 0 and gh.max() < tallest)
+            whole = whole and kept is None and not cuts
+            terms.append((span, level, cuts, px, py, shape, kept))
+        block = alloc(rows, (num_gts, num_anchors))
+        if whole:
+            for span, _, _, px, py, shape, _ in terms:
+                _score_level(px, py, shape, block[:, span])
+            yield rows, _whole(np.exp(block, out=block))
+            continue
+        packed = block.reshape(-1)
+        used = 0
+        windows = []
+        for span, level, cuts, px, py, shape, kept in terms:
+            num_rows, num_cols, shapes = level.shape
+            if kept is None:
+                kept = np.arange(num_gts)
+            elif not kept.size:
+                continue
+            if not cuts:
+                # All of the level, for every gt that reaches it, in one pass.
+                size = span.stop - span.start
+                values = packed[used : used + kept.size * size].reshape(kept.size, size)
+                used += values.size
+                _score_level(px[kept], py[kept], shape[kept], values)
+                windows += [(b, v[None], span, size, _FIRST_ROW, slice(0, size)) for b, v in zip(kept.tolist(), values)]
+                continue
+            per_pair = shape.shape[1:3] == (num_rows, num_cols)
+            has, r0, r1, c0, c1 = (v.tolist() for v in _reaching(px[kept], py[kept], shape[kept], reach))
+            for b, fits, r, c in zip(kept.tolist(), has, map(slice, r0, r1), map(slice, c0, c1)):
+                if not fits:
+                    continue
+                values = packed[used : used + (r.stop - r.start) * (c.stop - c.start) * shapes].reshape(1, -1)
+                used += values.size
+                _score_level(px[b : b + 1, c], py[b : b + 1, r], shape[b : b + 1, r, c] if per_pair else shape[b : b + 1],
+                             values)
+                windows.append((b, values.reshape(r.stop - r.start, -1), span, num_cols * shapes, r,
+                                slice(c.start * shapes, c.stop * shapes)))
+        np.exp(packed[:used], out=packed[:used])
+        yield rows, windows
+
+
+def _score_level(px: np.ndarray, py: np.ndarray, shape: np.ndarray, out: np.ndarray) -> None:
+    """-(position + shape) of each gt row of (B, cols, S) x terms px and
+    (B, rows, S) y terms py, with the negated shape term shape (B, 1, 1, S)
+    or (B, rows, cols, S), into out of (B, rows x cols x S).
+
+    An unclipped -shape is tiled to (B, 1, cols x S). The position term is
+    a copy of the x terms over the grid rows, along contiguous (cols x S)
+    rows, plus the y terms (geometry._outer), and its sqrt is taken in
+    place. The negation is folded into the shape term: (-shape) - position
+    is -(position + shape) bit for bit, as round-to-nearest is symmetric
+    and addition commutes, and the subtraction runs along contiguous rows
+    too. Each pair costs a copy, an add, a sqrt and a subtraction here,
+    and an exp after, in the order of exp(-(position + shape)).
+    """
+    num_gts, num_cols, shapes = px.shape
+    num_rows = py.shape[1]
+    if shape.shape[2] < num_cols:
+        shape = np.tile(shape, (num_cols, 1))
+    level_block = out.reshape(num_gts, num_rows, num_cols, shapes)
+    _outer(np.add, px, py, level_block)
+    np.sqrt(level_block, out=level_block)
+    position = level_block.reshape(num_gts, num_rows, num_cols * shapes)
+    np.subtract(shape.reshape(num_gts, shape.shape[1], -1), position, out=position)
 
 
 def ps_matrix(gts, anchors, norm: DatasetNormalizers) -> np.ndarray:

@@ -34,7 +34,7 @@ from smalldet import (
     reports_to_csv,
     reports_to_json,
 )
-from smalldet import geometry
+from smalldet import geometry, similarity
 from smalldet.assigner import _count_tiles, _matrix_tiles
 import oracles
 from oracles import assign_ref
@@ -1054,3 +1054,118 @@ def test_counting_a_dense_image_stays_within_one_tile_buffer():
         assert peak <= geometry._BLOCK_PAIRS * 8, f"{metric.value}: {peak / 1e6:.2f} MB"
         np.testing.assert_array_equal(again.positives_per_gt, first.positives_per_gt)
         assert again.negative == first.negative
+
+
+# The counting cutoff: count_with_metric scores a PS pair only where its
+# score can reach c = min(neg_thr, min_pos_thr). Under normalizers near
+# the dense benchmark file's (m, n about 2), a gt far larger than a
+# level's anchors is skipped on that level, and the level is cut to each
+# other gt's window; a plain array is never cut. assign_with_metric and
+# ps_matrix score every pair, as before.
+CUTOFF_NORM = DatasetNormalizers(1.96, 1.95)
+
+
+def ps_scored(gts, anchors, norm, cutoff):
+    """The (G, A) scores the PS kernel yields at this cutoff, NaN where it
+    yields none, checking that no pair is yielded twice."""
+    a = anchors if isinstance(anchors, geometry.AnchorSet) else geometry.boxes_to_array(anchors)
+    out = np.full((gts.shape[0], len(a)), np.nan)
+    for rows, windows in similarity._ps_rows(gts, a, norm, lambda rows, shape: np.empty(shape), cutoff):
+        for b, values, level, width, r, c in windows:
+            target = out[rows.start + b, level].reshape(-1, width)[r, c]
+            assert np.isnan(target).all()
+            target[...] = values
+    return out
+
+
+def cutoff_gts(anchors):
+    """Sixteen gts of sides 2-60 over the cutoff layout's 200x150 image,
+    with a copy of an anchor at row 4 repeated at row 9: both rescue that
+    anchor, and the later keeps it."""
+    rng = np.random.default_rng(43)
+    side = rng.uniform(2.0, 60.0, 16)
+    gts = np.column_stack([rng.uniform(-10, 210, 16), rng.uniform(-10, 160, 16), side * rng.uniform(0.7, 1.4, 16), side])
+    gts[4] = gts[9] = np.array(anchors.boxes)[len(anchors) // 3] + [0.5, -0.5, 0.0, 0.0]
+    return gts
+
+
+def cutoff_thresholds(scores):
+    """Threshold sets whose cutoff c is 0 (through neg_thr, then through
+    min_pos_thr), min_pos_thr below and above neg_thr, and c equal to a
+    score the kernel produced: an anchor's best near 0.3 as neg_thr, then
+    a gt's best near 0.3 as min_pos_thr."""
+    anchor_best, gt_best = scores.max(axis=0), scores.max(axis=1)
+    at_anchor = float(anchor_best[np.argmin(np.abs(anchor_best - 0.3))])
+    at_gt = float(gt_best[np.argmin(np.abs(gt_best - 0.3))])
+    return [
+        DEFAULT,
+        AssignThresholds(0.7, 0.0, 0.3),
+        AssignThresholds(0.7, 0.3, 0.0),
+        AssignThresholds(0.5, 0.2, 0.1),
+        AssignThresholds(0.6, 0.15, 0.4),
+        AssignThresholds(0.9, 0.6, 0.45),
+        AssignThresholds(0.7, at_anchor, at_anchor + 0.1),
+        AssignThresholds(0.7, min(at_gt + 0.1, 0.7), at_gt),
+    ]
+
+
+@pytest.mark.parametrize("block_pairs", [None, 300])
+@pytest.mark.parametrize("clip", [False, True])
+def test_counting_cutoff_keeps_the_counts_exact(monkeypatch, clip, block_pairs):
+    if block_pairs is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    anchors = generate_anchors(AnchorGridSpec(levels=((4.0, 4.0), (8.0, 16.0)), image_w=200.0, image_h=150.0,
+                                              ratios=(0.5, 1.0, 2.0), scales=(1.0, 2.0), clip=clip))
+    gts = cutoff_gts(anchors)
+    areas = gts[:, 2] * gts[:, 3]
+    plain = np.array(anchors.level_sets[1].boxes)
+    scores = ps_matrix(gts, anchors, CUTOFF_NORM)
+    thresholds = cutoff_thresholds(scores)
+    # The two cutoff thresholds are scores of the matrix, each the best of an anchor or a gt.
+    assert np.isin([thresholds[-2].neg_thr, thresholds[-1].min_pos_thr], scores).all()
+    # A plain array is never cut to windows, but a gt out of reach is skipped.
+    assert np.isnan(ps_scored(gts, plain, CUTOFF_NORM, 0.3)).any()
+    for thr in thresholds:
+        cutoff = min(thr.neg_thr, thr.min_pos_thr)
+        # Every pair is scored at c = 0, and some are not at any other c here.
+        assert np.isnan(ps_scored(gts, anchors, CUTOFF_NORM, cutoff)).any() == (cutoff > 0)
+        for part in (anchors, *anchors.level_sets, plain):
+            result = assign_with_metric(gts, part, CUTOFF_NORM, thr, Metric.PS)
+            counts = count_with_metric(gts, part, CUTOFF_NORM, thr, Metric.PS)
+            np.testing.assert_array_equal(counts.positives_per_gt, result.counts(areas).positives_per_gt)
+            assert_counts_match(counts, result, gts.shape[0])
+        # The pooled result's bits are the oracle's, at every cutoff.
+        _, labels, gt_index, best = full_row_reference(gts, anchors, CUTOFF_NORM, thr, Metric.PS)
+        result = assign_with_metric(gts, anchors, CUTOFF_NORM, thr, Metric.PS)
+        np.testing.assert_array_equal(result.labels, labels)
+        np.testing.assert_array_equal(result.gt_index, gt_index)
+        np.testing.assert_array_equal(result.best_score.view(np.int64), best.view(np.int64))
+    # The rescue collision: gt 9 takes the anchor gt 4 scores 1.0 on last.
+    collided = int(np.argmax(scores[4]))
+    assert scores[4, collided] == scores[9, collided] == scores.max()
+    assert assign_with_metric(gts, anchors, CUTOFF_NORM, DEFAULT, Metric.PS).gt_index[collided] == 9
+
+
+@pytest.mark.parametrize("clip", [False, True])
+def test_ps_kernel_skips_a_gt_out_of_reach_and_cuts_the_rest_to_windows(clip):
+    anchors = generate_anchors(AnchorGridSpec(levels=((4.0, 4.0), (8.0, 16.0)), image_w=200.0, image_h=150.0,
+                                              ratios=(0.5, 1.0, 2.0), scales=(1.0, 2.0), clip=clip))
+    gts = cutoff_gts(anchors)
+    # A 400 x 300 gt: the size terms of every anchor shape alone exceed
+    # T = -ln 0.3 (about 1.20), so it has no window on either level.
+    gts = np.concatenate([gts, [[100.0, 75.0, 400.0, 300.0]]])
+    shape_terms = [similarity.shape_similarity(Box(*gts[-1]), Box(*a), CUTOFF_NORM) for a in np.array(anchors.boxes)]
+    assert min(shape_terms) > similarity._reach(0.3) > -np.log(0.3)
+    matrix = ps_matrix(gts, anchors, CUTOFF_NORM)
+    every = ps_scored(gts, anchors, CUTOFF_NORM, 0.0)
+    np.testing.assert_array_equal(every.view(np.int64), matrix.view(np.int64))
+    for cutoff in (0.15, 0.3, 0.6):
+        scored = ps_scored(gts, anchors, CUTOFF_NORM, cutoff)
+        missing = np.isnan(scored)
+        assert missing[-1].all() and not missing[:-1].all(axis=1).all()
+        # What the kernel scores are the matrix's bits, and what it skips scores below the cutoff.
+        np.testing.assert_array_equal(scored[~missing].view(np.int64), matrix[~missing].view(np.int64))
+        assert matrix[missing].max() < cutoff
+    # At c = 0.3 every other gt is cut to windows short of each level.
+    for start, end in anchors.level_offsets:
+        assert np.isnan(ps_scored(gts, anchors, CUTOFF_NORM, 0.3)[:-1, start:end]).any(axis=1).all()

@@ -362,8 +362,9 @@ def test_assign_reports_do_not_depend_on_grid_tables(tmp_path, capsys, monkeypat
     # Both sides read one normalizer cache, so only the scoring kernels differ.
     ann = varied_dataset(tmp_path)
 
-    # The oracles score every pair, so each block row is one whole window.
-    def pair_ps_rows(g, a, norm, alloc):
+    # The oracles score every pair, so each block row is one whole window;
+    # scoring past the counting cutoff leaves the counts as they are.
+    def pair_ps_rows(g, a, norm, alloc, cutoff=0.0):
         for rows, block in oracles.pair_ps_rows(g, a.boxes, norm, alloc):
             yield rows, geometry._whole(block)
 
@@ -1329,6 +1330,26 @@ def test_assign_out_below_a_file_is_a_write_error(tmp_path, capsys, monkeypatch)
     assert code == 1
     one_line_error(err, taken / "deeper" / "r")
     assert work == []
+
+
+def test_a_report_name_taken_by_a_directory_fails_before_either_report_is_written(tmp_path, capsys, monkeypatch):
+    ann = mini_dataset(tmp_path)
+    out_dir = tmp_path / "r"
+    (out_dir / "report.csv").mkdir(parents=True)
+    (out_dir / "report.json").write_text("an earlier run's report", encoding="utf-8")
+    work = record_work(monkeypatch)
+    code, stdout, err = run(capsys, assign_argv(ann, out_dir))
+    assert code == 1 and stdout == ""
+    one_line_error(err, out_dir / "report.csv")
+    assert "is a directory" in err
+    assert work == []
+    assert (out_dir / "report.json").read_text(encoding="utf-8") == "an earlier run's report"
+    # A write that fails past the early check names its file too.
+    monkeypatch.setattr(cli, "_check_writable", lambda *args, **kwargs: None)
+    code, _, err = run(capsys, assign_argv(ann, out_dir))
+    assert code == 1
+    one_line_error(err, out_dir / "report.csv")
+    assert err.endswith(": Is a directory\n")
 
 
 def test_writable_targets_pass_the_early_check(tmp_path, capsys, monkeypatch):
