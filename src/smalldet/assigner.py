@@ -194,16 +194,19 @@ def _fold(tiles, gt_best: _GtBest, floor: float, pos_thr: float, buffers):
     blocks yields (rows, windows) per score block of the gts gts[rows],
     in gt order, over the tile's anchors. A window (b, values, level,
     width, r, c) holds the 2-d scores values of gt gts[rows][b] at the
-    tile's anchors level.reshape(-1, width)[r, c] (geometry._iou_rows),
-    and each gt's windows come in anchor order. A score matrix gives each
-    row one window, the whole tile (geometry._whole), and so does the PS
-    kernel while it scores every pair of a block; under a cutoff it
-    yields per-level windows, some cut, and none where a gt cannot reach
-    the cutoff (similarity._ps_rows). Every score outside a gt's windows
-    is floor, or below the cutoff of the sink that set one, which reads
-    such a score as floor (count_with_metric); no score is below floor,
-    so the fold reads only the windows. buffers(start, length) gives the
-    tile's best-score and matched-gt arrays, which start at floor and -1.
+    tile's anchors level.reshape(-1, width)[r, c], in the form of
+    geometry._window_rows, the driver of both kernels, and each gt's
+    windows come in anchor order. A score matrix gives each row one
+    window, the whole tile (geometry._whole), and so does the driver
+    where a metric reaches every pair of a score block, as PS does with
+    no cutoff. Otherwise it yields per-level windows, some cut, and none
+    where a gt does not reach a level: under IoU where it does not
+    overlap it, under PS where it cannot reach the cutoff
+    (similarity._ps_rows). Every score outside a gt's windows is floor,
+    or below the cutoff of the sink that set one, which reads such a
+    score as floor (count_with_metric); no score is below floor, so the
+    fold reads only the windows. buffers(start, length) gives the tile's
+    best-score and matched-gt arrays, which start at floor and -1.
 
     Each window folds into the per-anchor best with one np.maximum, and
     the matched gt is tracked only where it reaches pos_thr: there a
@@ -495,15 +498,15 @@ def count_with_metric(
     PS pairs are scored only where a score can reach the cutoff c =
     min(neg_thr, min_pos_thr) (similarity._ps_rows): a gt is skipped on a
     level where its shape term alone passes -ln c, and cut to the
-    bounding rows and columns it can reach on a level that is wide enough
-    for it. The counts stay exact, as the sink compares scores only with
-    thresholds at or above c: a label compares an anchor's best score
-    with neg_thr and pos_thr, both >= c; a matched gt is tracked only at
-    >= pos_thr; a rescue needs a gt's best score >= min_pos_thr >= c; and
-    a rescue's undo compares the anchor's pre-rescue best with neg_thr
-    alone. So a score below c may read as the floor +0.0, and c = 0
-    scores every pair. A pair that is not scored cannot raise the fold's
-    non-finite error.
+    bounding rows and columns it can reach on a level wide enough for the
+    narrowest gt of its score block. The counts stay exact, as the sink
+    compares scores only with thresholds at or above c: a label compares
+    an anchor's best score with neg_thr and pos_thr, both >= c; a matched
+    gt is tracked only at >= pos_thr; a rescue needs a gt's best score >=
+    min_pos_thr >= c; and a rescue's undo compares the anchor's
+    pre-rescue best with neg_thr alone. So a score below c may read as
+    the floor +0.0, and c = 0 scores every pair. A pair that is not
+    scored cannot raise the fold's non-finite error.
 
     Args:
         g: Validated (G, 4) float64 center-form (cx, cy, w, h)

@@ -11,13 +11,17 @@ separable by axis, so a clipped level is a grid too, with its x extents
 on a (cols, shapes) table and its y extents on a (rows, shapes) one.
 The set's per-anchor boxes are made only if a caller reads them.
 anchor_tiles cuts a large set into tiles of whole grid rows, which the
-kernels score as they score the set. The IoU kernel reads the tables
-to compute each ground truth's IoU only inside the row and column
-window where it overlaps each level; every IoU outside the windows is
-exact 0.0, which the fold and iou_matrix take as given. A plain (N, 4)
-array is scored as one level of one row and one column with S = N
-shapes, so one kernel per metric serves every input; iou_matrix and the
-assignment fold (assigner) are its two callers.
+kernels score as they score the set.
+
+The IoU kernel here and the PS kernel (similarity) run on one window
+driver, _window_rows: per row block of ground truths and per level, a
+metric gives its reach, where each ground truth can score, and its
+scorer. IoU reaches where a ground truth overlaps the level, so every
+IoU outside the windows is exact 0.0, which the fold and iou_matrix
+take as given. A plain (N, 4) array is scored as one level of one row
+and one column with S = N shapes, so one kernel per metric serves every
+input; each has two callers, its matrix function and the assignment
+fold (assigner).
 """
 
 from __future__ import annotations
@@ -255,7 +259,7 @@ _FIRST_ROW = slice(0, 1)
 
 
 def _whole(block: np.ndarray):
-    """Windows (see _iou_rows) that are the whole rows of a (B, A) score
+    """Windows (see _window_rows) that are the whole rows of a (B, A) score
     block, as a kernel that scores every pair yields them; made as they
     are read, so a caller that reads the block itself makes none."""
     every = slice(0, block.shape[1])
@@ -274,7 +278,7 @@ class _Scratch(threading.local):
     keeps at most _BLOCK_PAIRS values per role. A view is valid until its
     role is taken again in this thread, so each user reads it before it
     asks again: the fold each score block and each tile's arrays, and
-    the IoU kernel each window's temporaries.
+    the IoU scorer each window's union.
     """
 
     def __init__(self) -> None:
@@ -293,83 +297,123 @@ class _Scratch(threading.local):
 _scratch = _Scratch()
 
 
+def _window_rows(g: np.ndarray, levels: list, alloc, level_terms, finish=None):
+    """The window driver of both kernels (_iou_rows, similarity._ps_rows):
+    yields (rows, windows) per row block of the gts g (row_blocks order)
+    against the anchors whose _levels are levels, scored into block =
+    alloc(rows, shape), a C-contiguous array of the block's (B, A) shape.
+
+    A window (b, values, level, width, r, c) holds the scores of block row
+    b at level.reshape(-1, width)[r, c] of the flat anchors, for the
+    level's flat range, its (cols x S) row width and slices of grid rows
+    and of flat columns, as the contiguous 2-d values.
+
+    level_terms(rows) gives a metric's (reach, score) per level. reach is
+    None if every gt of the block reaches all of the level; a (B,) bool
+    mask of the gts that reach all of it (the rest reach none); or (B,
+    cols) and (B, rows) bool tables, whose true columns and rows bound
+    each gt's window. score(b, r, c, out) writes the scores of the block
+    rows b (a slice or an index array) at grid rows r and columns c into
+    out, of (len(b), rows, cols, S) with contiguous (rows, cols, S) parts.
+    Where every reach is None, block is filled as a matrix, each row one
+    window, the whole tile (_whole); otherwise the windows are packed in
+    order into block, which they fit, as a gt's windows hold at most A
+    anchors. finish, an in-place ufunc, then runs over the scores.
+    """
+    # Each level's flat range, size and (rows, cols, S) shape.
+    layout = [(slice(start, end), end - start, level.shape) for start, end, level in levels]
+    num_anchors = levels[-1][1]
+    every = slice(None)
+    for rows in row_blocks(g.shape[0], num_anchors):
+        num_gts = rows.stop - rows.start
+        terms = level_terms(rows)
+        block = alloc(rows, (num_gts, num_anchors))
+        packed = block.reshape(-1)
+        whole = all(reach is None for reach, _ in terms)
+        used = packed.size if whole else 0
+        windows = []
+        for (span, size, (num_rows, num_cols, shapes)), (reach, score) in zip(layout, terms):
+            if whole:
+                score(every, every, every, block[:, span].reshape(num_gts, num_rows, num_cols, shapes))
+            elif not isinstance(reach, tuple):
+                kept = np.arange(num_gts) if reach is None else np.flatnonzero(reach)
+                out = packed[used : used + kept.size * size].reshape(kept.size, num_rows, num_cols, shapes)
+                used += out.size
+                if kept.size:
+                    score(kept, every, every, out)
+                windows += [(b, v.reshape(1, size), span, size, _FIRST_ROW, slice(0, size))
+                            for b, v in zip(kept.tolist(), out)]
+            else:
+                for b, (in_cols, in_rows) in enumerate(zip(*reach)):
+                    in_cols, in_rows = in_cols.nonzero()[0], in_rows.nonzero()[0]
+                    if not (in_cols.size and in_rows.size):
+                        continue
+                    c = slice(in_cols[0], in_cols[-1] + 1)
+                    r = slice(in_rows[0], in_rows[-1] + 1)
+                    window = (1, r.stop - r.start, c.stop - c.start, shapes)
+                    out = packed[used : used + math.prod(window)].reshape(window)
+                    used += out.size
+                    score(slice(b, b + 1), r, c, out)
+                    windows.append((b, out.reshape(window[1], -1), span, num_cols * shapes, r,
+                                    slice(c.start * shapes, c.stop * shapes)))
+        if finish is not None:
+            finish(packed[:used], out=packed[:used])
+        yield rows, _whole(block) if whole else windows
+
+
 def _iou_rows(g: np.ndarray, anchors, alloc):
-    """The IoU kernel, which iou_matrix and the assignment fold call: yields
-    (rows, windows) per row block of the center-form g (row_blocks order)
-    against anchors (a validated array or an AnchorSet). g's corner table
-    is made once per call.
-
-    Per-axis overlaps come on (cols, S) and (rows, S) tables. A pair
-    overlaps only where both axis overlaps are positive, so each gt row is
-    scored only inside its window on each level: the bounding window of
-    the grid rows and columns it overlaps on some shape. Every IoU outside
-    the windows is exact +0.0. A window is (b, values, level, width, r,
-    c): the scores of block row b at level.reshape(-1, width)[r, c] of the
-    flat anchors, for the level's flat range, its (cols x S) row width and
-    slices of grid rows and of flat columns, held as the contiguous 2-d
-    values. The windows of a block are packed in order into block =
-    alloc(rows, shape), of the block's (B, A) score shape, which they fit
-    since a gt's windows on the levels hold at most A anchors.
-
-    In a window, inter and union are each a broadcast copy of the column
-    table times the row table (_outer), and an anchor's area is (x2 - x1)
-    * (y2 - y1) from the level's corner tables, the product g's areas
-    take (so an identical pair scores exactly 1.0), and no per-anchor
-    table is made. A level of one cell (a plain array's) has the whole
-    level as its window or none, so it scores the block's overlapping gts
-    in one pass, with one area row per call.
+    """The IoU terms of the window driver (_window_rows), which iou_matrix
+    and the assignment fold call, for the center-form g. A pair overlaps
+    only where both axis overlaps are positive, so a gt reaches the grid
+    columns and rows it overlaps on some shape, and every IoU outside its
+    windows is exact +0.0; a level of one cell (a plain array's) is
+    reached, whole, by the gts that overlap it. In a window, inter and
+    union are each a broadcast copy of the column table times the row
+    table (_outer), and an anchor's area is (x2 - x1) * (y2 - y1) from the
+    level's corner tables, the product g's areas take (so an identical
+    pair scores exactly 1.0); no per-anchor table is made.
     """
     x, y, w, h = g.T
     gx1, gx2, gy1, gy2 = _axis_corners(((x, w), (y, h)))
     # Rows x1, y1, x2, y2, area of g, so a row block takes them in one indexing.
     ca = np.array((gx1, gy1, gx2, gy2, (gx2 - gx1) * (gy2 - gy1)))
-    num_anchors = len(anchors)
-    levels = []
-    for start, end, level in _levels(anchors):
+    levels = _levels(anchors)
+    tables = []
+    for _, _, level in levels:
         ax1, ax2, ay1, ay2 = level.corners
-        span_w = ax2 - ax1  # (cols, S)
-        span_h = ay2 - ay1  # (rows, S)
-        # A level of one cell is scored for all of a block's gts at once, on its one area row.
-        area = span_w * span_h if level.shape[:2] == (1, 1) else None
-        levels.append((slice(start, end), level.shape, level.corners, span_w, span_h, area))
-    for rows in row_blocks(ca.shape[1], num_anchors):
+        # The sides, (cols, S) and (rows, S), whose products are the anchors' areas. A
+        # level of one cell is one window, so its one row of areas is made once per call.
+        span_w, span_h = ax2 - ax1, ay2 - ay1
+        tables.append((level.corners, span_w, span_h, span_w * span_h if level.shape[:2] == (1, 1) else None))
+
+    def level_terms(rows):
         x1, y1, x2, y2, gt_area = ca[:, rows, None, None]
-        packed = alloc(rows, (x1.shape[0], num_anchors)).reshape(-1)
-        used = 0
-        windows = []
-        for level, (num_rows, num_cols, shapes), (ax1, ax2, ay1, ay2), span_w, span_h, area in levels:
-            inter_w = _overlap(x1, x2, ax1, ax2)  # (B, cols, S)
-            inter_h = _overlap(y1, y2, ay1, ay2)  # (B, rows, S)
-            hit_cols = (inter_w > 0).any(axis=2)
-            hit_rows = (inter_h > 0).any(axis=2)
-            width = num_cols * shapes
-            if area is not None:
-                hit = np.flatnonzero(hit_cols[:, 0] & hit_rows[:, 0])
-                inter = inter_w[hit] * inter_h[hit]
-                union = area + gt_area[hit]
-                union -= inter
-                values = np.divide(inter, union, out=packed[used : used + inter.size].reshape(inter.shape))
-                used += inter.size
-                windows += [(b, v, level, width, _FIRST_ROW, slice(0, width)) for b, v in zip(hit.tolist(), values)]
-                continue
-            for b in range(x1.shape[0]):
-                cols = np.flatnonzero(hit_cols[b])
-                grid_rows = np.flatnonzero(hit_rows[b])
-                if not (cols.size and grid_rows.size):
-                    continue
-                c = slice(cols[0], cols[-1] + 1)
-                r = slice(grid_rows[0], grid_rows[-1] + 1)
-                window = (r.stop - r.start, c.stop - c.start, shapes)
-                # Both window-sized temporaries are this thread's buffers.
-                inter = _outer(np.multiply, inter_w[b, c], inter_h[b, r], _scratch.take("inter", window))
-                union = _outer(np.multiply, span_w[c], span_h[r], _scratch.take("union", window))
-                union += gt_area[b]
-                union -= inter
-                values = np.divide(inter, union, out=packed[used : used + inter.size].reshape(window))
-                used += inter.size
-                windows.append((b, values.reshape(window[0], -1), level, width, r,
-                                slice(c.start * shapes, c.stop * shapes)))
-        yield rows, windows
+        return [_iou_level(x1, y1, x2, y2, gt_area[..., None], *terms) for terms in tables]
+
+    return _window_rows(g, levels, alloc, level_terms)
+
+
+def _iou_level(x1, y1, x2, y2, gt_area, corners, span_w, span_h, area):
+    """One level's IoU reach and scorer for a block's (B, 1, 1) corners
+    and (B, 1, 1, 1) areas (see _iou_rows); area is a one-cell level's."""
+    ax1, ax2, ay1, ay2 = corners
+    inter_w = _overlap(x1, x2, ax1, ax2)  # (B, cols, S)
+    inter_h = _overlap(y1, y2, ay1, ay2)  # (B, rows, S)
+    cols = (inter_w > 0).any(axis=2)
+    rows = (inter_h > 0).any(axis=2)
+
+    def score(b, r, c, out):
+        # The union is this thread's buffer; the intersection is made in out.
+        union = _scratch.take("union", out.shape)
+        if area is None:
+            _outer(np.multiply, span_w[c], span_h[r], union)
+            union += gt_area[b]
+        else:
+            np.add(area, gt_area[b], out=union)
+        union -= _outer(np.multiply, inter_w[b, c], inter_h[b, r], out)
+        np.divide(out, union, out=out)
+
+    return (cols[:, 0] & rows[:, 0] if area is not None else (cols, rows)), score
 
 
 def iou_matrix(boxes_a, boxes_b) -> np.ndarray:

@@ -910,11 +910,13 @@ def test_stats_checks_count_records_against_the_areas():
         ImageCounts([1.0, 2.0, 3.0], counts.positives_per_gt, counts.negative, counts.anchors)
 
 
-# The window fold reads each IoU tile only inside each gt's windows
-# (geometry._iou_rows), and a PS row as one whole-tile window. The cases
-# below put windows where that could go wrong; each is checked against
-# the literal assignment steps on the full pairwise matrix, whose rows
-# every fold once read whole.
+# The window fold reads each tile only inside each gt's windows, which
+# both kernels yield through one driver (geometry._window_rows): a PS row
+# is one whole-tile window unless a counting cutoff cuts it, and an IoU
+# gt has one window per level it overlaps. The cases below put windows
+# where that could go wrong; each is checked against the literal
+# assignment steps on the full pairwise matrix, whose rows every fold
+# once read whole.
 def full_row_reference(gts, anchors, norm, thr, metric):
     boxes = np.array(anchors.boxes) if isinstance(anchors, geometry.AnchorSet) else anchors
     if metric is Metric.PS:
@@ -947,13 +949,28 @@ def check_window_fold(gts, anchors, norm, thresholds=(DEFAULT, AssignThresholds(
     return pooled[thresholds[-1], Metric.IOU, True]
 
 
-def windows_of(gts, anchors):
-    """Each gt's IoU windows, as (level start, values) pairs."""
-    found = {g: [] for g in range(gts.shape[0])}
-    for rows, windows in geometry._iou_rows(gts, anchors, lambda rows, shape: np.empty(shape)):
+def kernel_scored(kernel, gts, anchors):
+    """The (G, A) scores that kernel(gts, anchors, alloc) yields, NaN where
+    it yields none: geometry._iou_rows, or similarity._ps_rows through
+    ps_kernel. Checks the window contract on the way: no pair is yielded
+    twice, and the windows of each level come in gt order."""
+    a = anchors if isinstance(anchors, geometry.AnchorSet) else geometry.boxes_to_array(anchors)
+    out = np.full((gts.shape[0], len(a)), np.nan)
+    last = {}
+    for rows, windows in kernel(gts, a, lambda rows, shape: np.empty(shape)):
         for b, values, level, width, r, c in windows:
-            found[rows.start + b].append((level.start, values.copy()))
-    return found
+            g = rows.start + b
+            assert last.get(level.start, -1) < g
+            last[level.start] = g
+            target = out[g, level].reshape(-1, width)[r, c]
+            assert np.isnan(target).all()
+            target[...] = values
+    return out
+
+
+def ps_kernel(norm, cutoff):
+    """similarity._ps_rows at this cutoff, as kernel_scored calls a kernel."""
+    return lambda g, a, alloc: similarity._ps_rows(g, a, norm, alloc, cutoff)
 
 
 @pytest.mark.parametrize("block_pairs", [None, 60, 7])
@@ -971,8 +988,8 @@ def test_window_fold_at_the_grid_edge_and_off_the_grid(monkeypatch, clip, block_
                     [30.0, 44.0, 6.0, 6.0], [0.0, 0.0, 9.0, 9.0], [60.0, 44.0, 20.0, 11.0],
                     [30.0, 22.0, 80.0, 60.0], [-60.0, 22.0, 4.0, 4.0], [59.0, 43.0, 3.0, 2.0]])
     norm = finalize(accumulate(NormalizerAccumulator(), gts, anchors))
-    found = windows_of(gts, anchors)
-    assert not found[7] and all(found[g] for g in range(gts.shape[0]) if g != 7)
+    scored = ~np.isnan(kernel_scored(geometry._iou_rows, gts, anchors))
+    assert not scored[7].any() and np.delete(scored, 7, axis=0).any(axis=1).all()
     result = check_window_fold(gts, anchors, norm)
     # The gt with no window scores 0 everywhere: under a zero min_pos_thr
     # it claims anchor 0, unless a later gt claims it too.
@@ -987,8 +1004,8 @@ def test_a_window_whose_maximum_is_zero_takes_anchor_0():
     anchors = generate_anchors(AnchorGridSpec(levels=((16.0, 10.0),), image_w=64.0, image_h=64.0,
                                               ratios=(1 / 16, 16.0)))
     gts = np.array([[8.0, 8.0, 20.0, 20.0], [16.0, 16.0, 2.0, 2.0]])
-    values = windows_of(gts, anchors)[1]
-    assert values and all(v.size and not np.any(v) for _, v in values)
+    values = kernel_scored(geometry._iou_rows, gts, anchors)[1]
+    assert not np.isnan(values).all() and not np.any(values[~np.isnan(values)])
     norm = finalize(accumulate(NormalizerAccumulator(), gts, anchors))
     result = check_window_fold(gts, anchors, norm)
     assert result.labels[0] == POSITIVE and result.gt_index[0] == 1
@@ -1026,8 +1043,8 @@ def test_window_fold_on_plain_arrays():
     anchors = np.column_stack([rng.uniform(0, 100, (300, 2)), rng.uniform(2, 40, (300, 2))])
     gts = np.concatenate([anchors[[3, 3, 17]], [[500.0, 500.0, 5.0, 5.0]],
                           np.column_stack([rng.uniform(0, 100, (5, 2)), rng.uniform(2, 40, (5, 2))])])
-    found = windows_of(gts, anchors)
-    assert [len(found[g]) for g in range(gts.shape[0])] == [1, 1, 1, 0, 1, 1, 1, 1, 1]
+    scored = ~np.isnan(kernel_scored(geometry._iou_rows, gts, anchors))
+    assert [set(row) for row in scored.tolist()] == [{True}] * 3 + [{False}] + [{True}] * 5
     check_window_fold(gts, anchors, DatasetNormalizers(0.8, 0.6))
 
 
@@ -1063,19 +1080,6 @@ def test_counting_a_dense_image_stays_within_one_tile_buffer():
 # other gt's window; a plain array is never cut. assign_with_metric and
 # ps_matrix score every pair, as before.
 CUTOFF_NORM = DatasetNormalizers(1.96, 1.95)
-
-
-def ps_scored(gts, anchors, norm, cutoff):
-    """The (G, A) scores the PS kernel yields at this cutoff, NaN where it
-    yields none, checking that no pair is yielded twice."""
-    a = anchors if isinstance(anchors, geometry.AnchorSet) else geometry.boxes_to_array(anchors)
-    out = np.full((gts.shape[0], len(a)), np.nan)
-    for rows, windows in similarity._ps_rows(gts, a, norm, lambda rows, shape: np.empty(shape), cutoff):
-        for b, values, level, width, r, c in windows:
-            target = out[rows.start + b, level].reshape(-1, width)[r, c]
-            assert np.isnan(target).all()
-            target[...] = values
-    return out
 
 
 def cutoff_gts(anchors):
@@ -1124,11 +1128,11 @@ def test_counting_cutoff_keeps_the_counts_exact(monkeypatch, clip, block_pairs):
     # The two cutoff thresholds are scores of the matrix, each the best of an anchor or a gt.
     assert np.isin([thresholds[-2].neg_thr, thresholds[-1].min_pos_thr], scores).all()
     # A plain array is never cut to windows, but a gt out of reach is skipped.
-    assert np.isnan(ps_scored(gts, plain, CUTOFF_NORM, 0.3)).any()
+    assert np.isnan(kernel_scored(ps_kernel(CUTOFF_NORM, 0.3), gts, plain)).any()
     for thr in thresholds:
         cutoff = min(thr.neg_thr, thr.min_pos_thr)
         # Every pair is scored at c = 0, and some are not at any other c here.
-        assert np.isnan(ps_scored(gts, anchors, CUTOFF_NORM, cutoff)).any() == (cutoff > 0)
+        assert np.isnan(kernel_scored(ps_kernel(CUTOFF_NORM, cutoff), gts, anchors)).any() == (cutoff > 0)
         for part in (anchors, *anchors.level_sets, plain):
             result = assign_with_metric(gts, part, CUTOFF_NORM, thr, Metric.PS)
             counts = count_with_metric(gts, part, CUTOFF_NORM, thr, Metric.PS)
@@ -1157,10 +1161,10 @@ def test_ps_kernel_skips_a_gt_out_of_reach_and_cuts_the_rest_to_windows(clip):
     shape_terms = [similarity.shape_similarity(Box(*gts[-1]), Box(*a), CUTOFF_NORM) for a in np.array(anchors.boxes)]
     assert min(shape_terms) > similarity._reach(0.3) > -np.log(0.3)
     matrix = ps_matrix(gts, anchors, CUTOFF_NORM)
-    every = ps_scored(gts, anchors, CUTOFF_NORM, 0.0)
+    every = kernel_scored(ps_kernel(CUTOFF_NORM, 0.0), gts, anchors)
     np.testing.assert_array_equal(every.view(np.int64), matrix.view(np.int64))
     for cutoff in (0.15, 0.3, 0.6):
-        scored = ps_scored(gts, anchors, CUTOFF_NORM, cutoff)
+        scored = kernel_scored(ps_kernel(CUTOFF_NORM, cutoff), gts, anchors)
         missing = np.isnan(scored)
         assert missing[-1].all() and not missing[:-1].all(axis=1).all()
         # What the kernel scores are the matrix's bits, and what it skips scores below the cutoff.
@@ -1168,4 +1172,70 @@ def test_ps_kernel_skips_a_gt_out_of_reach_and_cuts_the_rest_to_windows(clip):
         assert matrix[missing].max() < cutoff
     # At c = 0.3 every other gt is cut to windows short of each level.
     for start, end in anchors.level_offsets:
-        assert np.isnan(ps_scored(gts, anchors, CUTOFF_NORM, 0.3)[:-1, start:end]).any(axis=1).all()
+        assert np.isnan(kernel_scored(ps_kernel(CUTOFF_NORM, 0.3), gts, anchors)[:-1, start:end]).any(axis=1).all()
+
+
+@pytest.mark.parametrize("clip", [False, True])
+def test_ps_kernel_gates_the_cut_on_the_narrowest_gt_of_a_block(clip):
+    # The 400 x 300 gt, out of reach at c = 0.3, leads the row block of
+    # four gts. The cut is gated on the block's narrowest gt, not its
+    # widest, so the three gts after it are still cut short of each level.
+    anchors = generate_anchors(AnchorGridSpec(levels=((4.0, 4.0), (8.0, 16.0)), image_w=200.0, image_h=150.0,
+                                              ratios=(0.5, 1.0, 2.0), scales=(1.0, 2.0), clip=clip))
+    gts = np.concatenate([[[100.0, 75.0, 400.0, 300.0]], cutoff_gts(anchors)])
+    assert next(geometry.row_blocks(gts.shape[0], len(anchors))) == slice(0, 4)
+    scored = kernel_scored(ps_kernel(CUTOFF_NORM, 0.3), gts, anchors)
+    assert np.isnan(scored[0]).all()
+    for start, end in anchors.level_offsets:
+        assert np.isnan(scored[1:4, start:end]).any(axis=1).all()
+
+
+def contract_cases(clip):
+    """(gts, anchors) pairs on one-, two- and three-level grids and a plain
+    array. Each image's gts lead with one twice its size, out of PS reach
+    under CUTOFF_NORM, then cross its borders, and end with one off the
+    grid and a copy of an anchor."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for levels, w, h in ((((8.0, 8.0),), 40.0, 24.0), (((4.0, 4.0), (8.0, 16.0)), 200.0, 150.0),
+                         (((8.0, 8.0), (24.0, 20.0), (48.0, 40.0)), 60.0, 44.0)):
+        anchors = generate_anchors(AnchorGridSpec(levels=levels, image_w=w, image_h=h, ratios=(0.5, 1.0, 2.0),
+                                                  scales=(1.0, 2.0), clip=clip))
+        side = rng.uniform(2.0, 0.4 * max(w, h), 10)
+        gts = np.column_stack([rng.uniform(-0.1 * w, 1.1 * w, 10), rng.uniform(-0.1 * h, 1.1 * h, 10),
+                               side * rng.uniform(0.7, 1.4, 10), side])
+        copy = np.array(anchors.boxes)[len(anchors) // 3]
+        cases.append((np.vstack([[w / 2, h / 2, 2 * w, 2 * h], gts, [-3 * w, h / 2, 4.0, 4.0], copy]), anchors))
+    plain = np.column_stack([rng.uniform(0, 100, (40, 2)), rng.uniform(2, 40, (40, 2))])
+    cases.append((np.vstack([[50.0, 50.0, 400.0, 400.0], plain[[3, 3]], [[500.0, 500.0, 5.0, 5.0]], plain[:6] + 7.0]),
+                  plain))
+    return cases
+
+
+@pytest.mark.parametrize("block_pairs", [None, 300, 7])
+@pytest.mark.parametrize("clip", [False, True])
+def test_both_kernels_keep_the_window_contract(monkeypatch, clip, block_pairs):
+    # kernel_scored checks that no pair is yielded twice and that each
+    # level's windows come in gt order. What is yielded is the matrix's
+    # bits; what is not is exact +0.0 under IoU, and below the cutoff
+    # under PS, which yields every pair at c = 0.
+    if block_pairs is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
+    cut = 0
+    for gts, anchors in contract_cases(clip):
+        matrix = iou_matrix(gts, anchors)
+        scored = kernel_scored(geometry._iou_rows, gts, anchors)
+        missing = np.isnan(scored)
+        assert missing.any() and not missing.all(axis=1).all()
+        np.testing.assert_array_equal(scored[~missing].view(np.int64), matrix[~missing].view(np.int64))
+        assert not matrix[missing].view(np.int64).any()
+        for norm in (CUTOFF_NORM, DatasetNormalizers(0.77, 0.57)):
+            matrix = ps_matrix(gts, anchors, norm)
+            for cutoff in (0.0, 0.15, 0.3, 0.6):
+                scored = kernel_scored(ps_kernel(norm, cutoff), gts, anchors)
+                missing = np.isnan(scored)
+                np.testing.assert_array_equal(scored[~missing].view(np.int64), matrix[~missing].view(np.int64))
+                assert (matrix[missing] < cutoff).all() and (cutoff > 0 or not missing.any())
+                cut += int(missing.any())
+    # The cutoff skipped or cut pairs in most of the 24 cases with a positive one.
+    assert cut > 12
